@@ -223,7 +223,7 @@ fn run_steal_drill(
                 .with_workers(1)
                 .with_max_batch(4)
                 .with_batch_window(Duration::ZERO)
-                .with_inline_when_idle(false)
+                .with_inline_max_in_flight(0)
                 .with_queue_capacity(requests.max(1024)),
         )
         .with_steal(StealPolicy {

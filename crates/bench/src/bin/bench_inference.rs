@@ -35,7 +35,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ae_ml::matrix::FeatureMatrix;
-use ae_serve::{RuntimeConfig, ScoringRuntime};
+use ae_serve::{RuntimeConfig, ScoreRequest, ScoringRuntime};
 use ae_workload::{ClosedLoop, ScaleFactor, WorkloadGenerator};
 use autoexecutor::prelude::*;
 use autoexecutor::ModelRegistry;
@@ -243,7 +243,9 @@ fn main() {
                     let mut i = 0usize;
                     while serve_start.elapsed() < serve_duration {
                         runtime
-                            .score(&plans[sequence[i % sequence.len()]])
+                            .submit(ScoreRequest::from_plan(
+                                &plans[sequence[i % sequence.len()]],
+                            ))
                             .expect("serving score");
                         count += 1;
                         i += 1;

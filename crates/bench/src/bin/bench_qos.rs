@@ -384,7 +384,7 @@ fn run_fairness_phase(
         RuntimeConfig::from_auto_executor(config)
             .with_workers(1)
             .with_queue_capacity(64)
-            .with_inline_when_idle(false)
+            .with_inline_max_in_flight(0)
             .with_qos(QosConfig::default().with_fairness(policy)),
     ));
     runtime.warm().expect("model warm-up");
@@ -666,7 +666,9 @@ fn main() {
                 let mut i = 0usize;
                 while start.elapsed() < deadline {
                     runtime
-                        .score(&plans[sequence[i % sequence.len()]])
+                        .submit(ScoreRequest::from_plan(
+                            &plans[sequence[i % sequence.len()]],
+                        ))
                         .expect("calibration scoring");
                     count += 1;
                     i += 1;

@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 
 use ae_engine::plan::QueryPlan;
 use ae_obs::{Ladder, LatencyStats, MetricsRegistry, ShardedHistogram};
-use ae_serve::{ObsConfig, RuntimeConfig, RuntimeStats, ScoringRuntime};
+use ae_serve::{ObsConfig, RuntimeConfig, RuntimeStats, ScoreRequest, ScoringRuntime};
 use ae_workload::{
     mixed_suite, ClosedLoop, FamilyRegistry, OpenLoop, QueryInstance, ScaleFactor,
     WorkloadGenerator,
@@ -221,7 +221,7 @@ fn drive_open_loop(
                     }
                     let begin = Instant::now();
                     runtime
-                        .score(&plans[arrival.query_index])
+                        .submit(ScoreRequest::from_plan(&plans[arrival.query_index]))
                         .expect("open-loop scoring");
                     histogram.record_duration(begin.elapsed());
                     count += 1;
@@ -399,7 +399,8 @@ fn main() {
     let closed = {
         let rt = Arc::clone(&runtime);
         let work: Arc<dyn Fn(&QueryPlan) + Send + Sync> = Arc::new(move |plan: &QueryPlan| {
-            rt.score(plan).expect("closed-loop scoring");
+            rt.submit(ScoreRequest::from_plan(plan))
+                .expect("closed-loop scoring");
         });
         let (requests, elapsed, latency) = drive_closed_loop(
             args.threads,

@@ -19,10 +19,12 @@
 //!   `feature == LEAF`.
 //! * **Batch-major kernel** — [`predict_batch_into`] iterates trees-outer /
 //!   rows-inner over the flat [`FeatureMatrix`] row storage and accumulates
-//!   into a caller-owned flat output slice (zero per-row allocation). Row
-//!   blocks run in parallel on the rayon shim; each row's accumulator still
-//!   receives tree contributions in tree order, so the result is
-//!   **bit-identical** to the interpreter at any worker-thread count.
+//!   into a caller-owned flat output slice (zero per-row allocation). It
+//!   runs on the calling thread: serving batches are already spread over
+//!   the runtime's worker threads, and a one-row call costs what the
+//!   single-row path costs. Each row's accumulator receives tree
+//!   contributions in tree order, so the result is **bit-identical** to the
+//!   interpreter.
 //!
 //! Bit-identity with [`RandomForestRegressor::predict`] is a structural
 //! property, not a coincidence: both paths zero an accumulator, add each
@@ -30,8 +32,6 @@
 //! same f64 operations in the same order on the same values.
 //!
 //! [`predict_batch_into`]: CompiledForest::predict_batch_into
-
-use rayon::prelude::*;
 
 use crate::forest::RandomForestRegressor;
 use crate::matrix::FeatureMatrix;
@@ -204,12 +204,10 @@ impl CompiledForest {
     /// the caller-owned flat output slice `out` (row-major,
     /// `matrix.len() × num_outputs` values, zero per-row allocation).
     ///
-    /// Iteration is trees-outer / rows-inner per row block, so the node
-    /// arrays stream through cache once per tree instead of once per row.
-    /// Blocks of rows run in parallel (rayon shim); each row's accumulator
-    /// receives tree contributions in tree order regardless of blocking, so
-    /// the output is bit-identical to [`predict_into`](Self::predict_into)
-    /// per row at any worker-thread count.
+    /// Iteration is trees-outer / rows-inner, so the node arrays stream
+    /// through cache once per tree instead of once per row. Each row's
+    /// accumulator receives tree contributions in tree order, so the output
+    /// is bit-identical to [`predict_into`](Self::predict_into) per row.
     pub fn predict_batch_into(&self, matrix: &FeatureMatrix, out: &mut [f64]) -> Result<()> {
         let rows = matrix.len();
         let k = self.num_outputs;
@@ -227,24 +225,7 @@ impl CompiledForest {
         }
         self.check_row_width(matrix.width())?;
         out.fill(0.0);
-
-        let workers = rayon::current_num_threads().max(1);
-        if workers <= 1 || rows < 2 * workers {
-            self.accumulate_rows(matrix, 0, out);
-        } else {
-            // One contiguous row block per worker: a single row's walk is
-            // sub-microsecond, so per-row dispatch would dominate the work.
-            let block_rows = rows.div_ceil(workers);
-            let blocks: Vec<(usize, &mut [f64])> = out
-                .chunks_mut(block_rows * k)
-                .enumerate()
-                .map(|(block, chunk)| (block * block_rows, chunk))
-                .collect();
-            blocks.into_par_iter().for_each(|(first_row, chunk)| {
-                self.accumulate_rows(matrix, first_row, chunk);
-            });
-        }
-
+        self.accumulate_rows(matrix, out);
         let nt = self.num_trees as f64;
         for acc in out.iter_mut() {
             *acc /= nt;
@@ -262,15 +243,12 @@ impl CompiledForest {
         self.predict_batch_into(matrix, out)
     }
 
-    /// Accumulates (un-normalized) tree sums for the rows
-    /// `first_row .. first_row + out.len()/k` into `out`, trees-outer /
-    /// rows-inner. `out` must be zeroed by the caller.
-    fn accumulate_rows(&self, matrix: &FeatureMatrix, first_row: usize, out: &mut [f64]) {
+    /// Accumulates (un-normalized) tree sums for every row of `matrix` into
+    /// `out`, trees-outer / rows-inner. `out` must be zeroed by the caller.
+    fn accumulate_rows(&self, matrix: &FeatureMatrix, out: &mut [f64]) {
         let k = self.num_outputs;
-        let n_rows = out.len() / k;
         for &root in &self.roots {
-            for r in 0..n_rows {
-                let row = matrix.row(first_row + r);
+            for (r, row) in matrix.rows().enumerate() {
                 let leaf = self.leaf_of(root as usize, row);
                 let src = &self.leaf_values[leaf * k..(leaf + 1) * k];
                 let dst = &mut out[r * k..(r + 1) * k];

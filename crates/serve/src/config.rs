@@ -23,20 +23,17 @@ pub struct RuntimeConfig {
     /// queued immediately (pure FIFO micro-batching).
     pub batch_window: Duration,
     /// Bound on the admission queue. Blocking submitters wait when it is
-    /// full ([`crate::ScoringRuntime::score`]); non-blocking submitters are
-    /// rejected with [`crate::ServeError::Saturated`]
-    /// ([`crate::ScoringRuntime::try_score`]).
+    /// full ([`crate::ScoringRuntime::submit`]); non-blocking submitters
+    /// are rejected with [`crate::ServeError::Saturated`]
+    /// ([`crate::ScoringRuntime::try_submit`]).
     pub queue_capacity: usize,
-    /// Score on the submitting thread while the system is lightly loaded,
-    /// skipping the queue round-trip so an idle runtime serves single
-    /// queries at sequential-rule latency.
-    pub inline_when_idle: bool,
     /// How many requests may be in flight (inline + queued + batching)
-    /// before submitters stop inlining and overflow into the batching
-    /// queue. Inline scoring skips the queue round-trip entirely (the slot
-    /// is claimed with a CAS; the model lookup takes brief read locks) and
-    /// is cheapest while cores are available; the queue exists to absorb
-    /// and amortize load beyond that.
+    /// before synchronous submitters stop scoring on their own thread and
+    /// overflow into the batching queue. Inline scoring skips the queue
+    /// round-trip entirely (the slot is claimed with a CAS; the model
+    /// lookup takes brief read locks), so a lightly loaded runtime serves
+    /// single queries at sequential-rule latency; the queue exists to
+    /// absorb and amortize load beyond that. `0` disables inlining.
     pub inline_max_in_flight: usize,
     /// Selection objective applied to every predicted curve.
     pub objective: SelectionObjective,
@@ -75,7 +72,6 @@ impl RuntimeConfig {
             max_batch: 32,
             batch_window: Duration::from_micros(100),
             queue_capacity: 1024,
-            inline_when_idle: true,
             inline_max_in_flight: (2 * cores).max(6),
             objective: config.objective,
             candidate_counts: config.candidate_counts(),
@@ -96,7 +92,6 @@ impl RuntimeConfig {
             max_batch: 32,
             batch_window: Duration::ZERO,
             queue_capacity: 1024,
-            inline_when_idle: false,
             inline_max_in_flight: 0,
             objective: config.objective,
             candidate_counts: config.candidate_counts(),
@@ -137,13 +132,8 @@ impl RuntimeConfig {
         self
     }
 
-    /// Enables or disables the inline-when-idle shortcut.
-    pub fn with_inline_when_idle(mut self, inline: bool) -> Self {
-        self.inline_when_idle = inline;
-        self
-    }
-
-    /// Overrides the in-flight bound below which submitters score inline.
+    /// Overrides the in-flight bound below which submitters score inline
+    /// (`0` disables inlining).
     pub fn with_inline_max_in_flight(mut self, limit: usize) -> Self {
         self.inline_max_in_flight = limit;
         self
@@ -194,7 +184,7 @@ mod tests {
         assert!(rt.workers >= 1);
         assert!(rt.max_batch >= 1);
         assert!(rt.queue_capacity >= 1);
-        assert!(rt.inline_when_idle);
+        assert!(rt.inline_max_in_flight > 0);
         assert_eq!(rt.candidate_counts, cfg.candidate_counts());
     }
 
@@ -204,7 +194,7 @@ mod tests {
         let rt = RuntimeConfig::deterministic(&cfg);
         assert_eq!(rt.workers, 1);
         assert_eq!(rt.batch_window, Duration::ZERO);
-        assert!(!rt.inline_when_idle);
+        assert_eq!(rt.inline_max_in_flight, 0);
     }
 
     #[test]
@@ -215,11 +205,11 @@ mod tests {
             .with_max_batch(0)
             .with_queue_capacity(0)
             .with_batch_window(Duration::from_millis(1))
-            .with_inline_when_idle(true);
+            .with_inline_max_in_flight(4);
         assert_eq!(rt.workers, 3);
         assert_eq!(rt.max_batch, 1);
         assert_eq!(rt.queue_capacity, 1);
-        assert!(rt.inline_when_idle);
+        assert_eq!(rt.inline_max_in_flight, 4);
         let s = rt.sanitized();
         assert_eq!(s.max_batch, 1);
     }

@@ -28,6 +28,9 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{derive_stream_seed, Rng, SeedableRng};
 
+use crate::runtime::lock;
+use crate::tenant::TokenBucket;
+
 /// Salt of the shard-crash arrival stream (`"CRASH"`).
 const CRASH_STREAM_SALT: u64 = 0x43_52_41_53_48;
 /// Salt of the shard-stall arrival stream (`"STALL"`).
@@ -484,7 +487,7 @@ impl HealthPolicy {
 pub(crate) struct RetryBudget {
     capacity: f64,
     refill_per_sec: f64,
-    state: StdMutex<(f64, Instant)>,
+    bucket: StdMutex<TokenBucket>,
 }
 
 impl RetryBudget {
@@ -493,27 +496,13 @@ impl RetryBudget {
         Self {
             capacity,
             refill_per_sec,
-            state: StdMutex::new((capacity, now)),
+            bucket: StdMutex::new(TokenBucket::full(capacity, now)),
         }
     }
 
     /// Takes one token if available, refilling lazily from elapsed time.
     pub(crate) fn try_take(&self, now: Instant) -> bool {
-        let mut guard = self
-            .state
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner());
-        let (tokens, last) = *guard;
-        let refilled = (tokens
-            + now.saturating_duration_since(last).as_secs_f64() * self.refill_per_sec)
-            .min(self.capacity);
-        if refilled >= 1.0 {
-            *guard = (refilled - 1.0, now);
-            true
-        } else {
-            *guard = (refilled, now);
-            false
-        }
+        lock(&self.bucket).try_take(now, self.refill_per_sec, self.capacity)
     }
 }
 

@@ -31,9 +31,10 @@
 //! * **Sharding never changes answers**: scoring is a pure function of
 //!   features and model, so which shard (thief, evacuee host, or
 //!   failover target) scores a request can only change *when* it
-//!   completes, never the [`ResourceRequest`]. A 1-shard fleet in
-//!   deterministic mode is bit-identical to a bare [`ScoringRuntime`],
-//!   and a fleet with [`FleetFaultPlan::none`] and no health policy is
+//!   completes, never the
+//!   [`ResourceRequest`](autoexecutor::optimizer::ResourceRequest). A
+//!   1-shard fleet in deterministic mode is bit-identical to a bare
+//!   [`ScoringRuntime`], and a fleet with [`FleetFaultPlan::none`] and no health policy is
 //!   bit-identical to the fleet before resilience existed.
 //! * **Counters are exact**: every request is counted by exactly one
 //!   shard — the one that scored it — so [`FleetStats::aggregate`]
@@ -48,10 +49,8 @@ use std::sync::{Arc, Mutex as StdMutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ae_engine::plan::QueryPlan;
 use ae_obs::{EventKind, EventSink, MetricSource, MetricValue};
 use autoexecutor::config::AutoExecutorConfig;
-use autoexecutor::optimizer::ResourceRequest;
 use autoexecutor::registry::ModelRegistry;
 use parking_lot::RwLock;
 
@@ -1079,20 +1078,6 @@ impl ShardedRuntime {
     pub fn try_submit_detached(&self, request: ScoreRequest) -> Result<ScoreTicket> {
         let shard = self.route_for_submit(&request);
         self.shared.shards[shard].try_submit_detached(request)
-    }
-
-    /// Scores a plan at the default envelope (standard level, no tenant),
-    /// routed by feature content.
-    pub fn score(&self, plan: &QueryPlan) -> Result<ResourceRequest> {
-        self.submit(ScoreRequest::from_plan(plan))
-            .map(|outcome| outcome.request)
-    }
-
-    /// [`score`](Self::score) for a caller that already featurized the
-    /// plan.
-    pub fn score_features(&self, features: Vec<f64>) -> Result<ResourceRequest> {
-        self.submit(ScoreRequest::from_features(features))
-            .map(|outcome| outcome.request)
     }
 
     /// Per-shard queue depths (queued-but-undrained requests).

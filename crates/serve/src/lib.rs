@@ -13,9 +13,11 @@
 //!   into one flat [`ae_ml::matrix::FeatureMatrix`] and pushed through the
 //!   batched forest/selection path
 //!   ([`autoexecutor::scoring::score_feature_batch`]).
-//! * When the runtime is **idle** the submitting thread scores **inline**
-//!   instead of paying a queue round-trip, so single-query latency never
-//!   regresses relative to the sequential rule.
+//! * When the runtime is **lightly loaded** the submitting thread scores
+//!   **inline** instead of paying a queue round-trip, so single-query
+//!   latency never regresses relative to the sequential rule. An inline
+//!   request is a one-row call of the same scoring point the workers use,
+//!   so the breaker, the fallback and induced faults apply to it alike.
 //! * The model comes from the sharded, read-mostly
 //!   [`autoexecutor::registry::ModelRegistry`] as an `Arc` handle; the
 //!   decoded model is cached per runtime and re-resolved by pointer
@@ -111,7 +113,7 @@ pub use fleet::{
 pub use obs::{ObsConfig, RuntimeObs};
 pub use qos::{price_quote, price_quote_parts, PriceQuote, QosConfig, ServiceLevel};
 pub use runtime::{ScoreOutcome, ScoreRequest, ScoreTicket, ScoringRuntime};
-pub use stats::{LatencyRecorder, LatencySummary, LevelStats, RuntimeStats, StatsSnapshot};
+pub use stats::{LevelStats, RuntimeStats};
 pub use tenant::{TenantId, TenantPolicy, ThrottleAction};
 
 /// Errors surfaced by the serving runtime.
@@ -121,9 +123,9 @@ pub use tenant::{TenantId, TenantPolicy, ThrottleAction};
 /// a batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// `try_score` / `try_submit` found the admission queue full with
-    /// nothing sheddable (the request was counted as dropped; the caller
-    /// may retry, shed load, or fall back).
+    /// `try_submit` / `try_submit_detached` found the admission queue
+    /// full with nothing sheddable (the request was counted as dropped;
+    /// the caller may retry, shed load, or fall back).
     Saturated,
     /// The queued request was evicted (shed) to make room for a
     /// higher-level request under saturation. Only `BestEffort` requests

@@ -3,16 +3,25 @@
 //! Request flow:
 //!
 //! ```text
-//!  client threads                     workers (config.workers)
-//!  ──────────────                     ────────────────────────
-//!  featurize plan                     wait for first request
-//!  tenant token bucket                top batch up (batch_window, max_batch)
-//!  (grant / demote / reject)          WRR across levels, EDF within level
-//!  idle? → score inline ─────┐        lay rows out in one FeatureMatrix
-//!  else: per-level EDF queue ┼──────▶ score_feature_batch → fulfill each
-//!  (full? shed BestEffort)   │        record deadline hit/miss per level
-//!  wait on completion ◀──────┘
+//!  client threads                        workers (config.workers)
+//!  ──────────────                        ────────────────────────
+//!  featurize plan, check width           wait for first request
+//!  tenant token bucket                   top batch up (batch_window, max_batch)
+//!  (grant / demote / reject)             WRR across levels, EDF within level
+//!  busy? → per-level EDF queue ────────▶ lay rows out in one FeatureMatrix
+//!          (full? shed BestEffort)                   │
+//!  idle? → one-row FeatureMatrix ──┐                 │
+//!                                  ▼                 ▼
+//!           score_rows: induced fault, breaker, model resolve,
+//!                       batched kernel, heuristic fallback
+//!                                  │
+//!           complete: deadline hit/miss per level, degraded, latency
+//!                                  │
+//!  inline answer / completion ◀────┘
 //! ```
+//!
+//! Inline and batched requests differ only in who calls the scoring
+//! point and which path counter they bump (`inline_scored` or a batch).
 //!
 //! Scoring is pure (no RNG, no shared mutable state), so results are a
 //! function of the submitted plan and the registered model only — batching,
@@ -73,8 +82,8 @@ pub struct ScoreRequest {
 }
 
 impl ScoreRequest {
-    /// A request for an optimized plan (featurized here, like
-    /// [`ScoringRuntime::score`]).
+    /// A request for an optimized plan (featurized here, like the
+    /// optimizer rule does).
     pub fn from_plan(plan: &QueryPlan) -> Self {
         Self::from_features(featurize_plan(plan))
     }
@@ -132,8 +141,8 @@ impl ScoreRequest {
 #[derive(Debug, Clone)]
 pub struct ScoreOutcome {
     /// The scored plan: executor count, predicted PPM, predicted curve —
-    /// identical to what [`ScoringRuntime::score`] returns, regardless of
-    /// level.
+    /// identical to what the sequential optimizer rule returns, regardless
+    /// of level.
     pub request: ResourceRequest,
     /// The level the request was *served* at (differs from the requested
     /// level only when the tenant governor demoted it).
@@ -156,8 +165,8 @@ pub struct ScoreOutcome {
 
 impl ScoreOutcome {
     /// The price of this query's promise at the served level, derived on
-    /// demand from the predicted curve (the plain `score`/`try_score`
-    /// path never pays for pricing it discards). `None` only when the
+    /// demand from the predicted curve (a caller that only wants the
+    /// request never pays for pricing it discards). `None` only when the
     /// predicted curve is empty (never for a successfully scored request
     /// in practice).
     pub fn quote(&self) -> Option<PriceQuote> {
@@ -170,28 +179,20 @@ impl ScoreOutcome {
     }
 }
 
-/// What a completion slot carries back to the submitter.
-pub(crate) struct Scored {
-    pub(crate) request: ResourceRequest,
-    pub(crate) missed_deadline: bool,
-    pub(crate) latency: Duration,
-    pub(crate) degraded: bool,
-}
-
 /// A one-shot completion slot the submitting thread blocks on.
 #[derive(Default)]
 pub(crate) struct Completion {
-    slot: StdMutex<Option<Result<Scored>>>,
+    slot: StdMutex<Option<Result<ScoreOutcome>>>,
     ready: Condvar,
 }
 
 impl Completion {
-    pub(crate) fn fulfill(&self, result: Result<Scored>) {
+    pub(crate) fn fulfill(&self, result: Result<ScoreOutcome>) {
         *lock(&self.slot) = Some(result);
         self.ready.notify_all();
     }
 
-    fn wait(&self) -> Result<Scored> {
+    fn wait(&self) -> Result<ScoreOutcome> {
         let mut guard = lock(&self.slot);
         loop {
             if let Some(result) = guard.take() {
@@ -206,7 +207,7 @@ impl Completion {
 
     /// Like [`wait`](Self::wait), but gives up after `timeout` and returns
     /// `None` — the slot stays armed, so a later wait can still redeem it.
-    fn wait_timeout(&self, timeout: Duration) -> Option<Result<Scored>> {
+    fn wait_timeout(&self, timeout: Duration) -> Option<Result<ScoreOutcome>> {
         let deadline = Instant::now() + timeout.min(MAX_DEADLINE_BUDGET);
         let mut guard = lock(&self.slot);
         loop {
@@ -226,20 +227,6 @@ impl Completion {
     }
 }
 
-/// Builds the client-facing outcome, capturing the pricing inputs so the
-/// quote can be derived lazily via [`ScoreOutcome::quote`].
-fn make_outcome(shared: &Shared, scored: Scored, level: ServiceLevel) -> ScoreOutcome {
-    ScoreOutcome {
-        request: scored.request,
-        level,
-        missed_deadline: scored.missed_deadline,
-        latency: scored.latency,
-        degraded: scored.degraded,
-        quote_targets: shared.config.qos.slowdown_targets,
-        quote_unit_price: shared.config.qos.unit_price,
-    }
-}
-
 /// A pending detached submission, returned by
 /// [`ScoringRuntime::submit_detached`] /
 /// [`ScoringRuntime::try_submit_detached`]: the request is admitted and
@@ -248,7 +235,6 @@ fn make_outcome(shared: &Shared, scored: Scored, level: ServiceLevel) -> ScoreOu
 /// Dropping a ticket abandons the *result*, not the request.
 #[must_use = "the scored result is only observable by waiting on the ticket"]
 pub struct ScoreTicket {
-    shared: Arc<Shared>,
     done: Arc<Completion>,
     level: ServiceLevel,
 }
@@ -261,8 +247,7 @@ impl ScoreTicket {
 
     /// Blocks until the request is fulfilled and returns its outcome.
     pub fn wait(self) -> Result<ScoreOutcome> {
-        let scored = self.done.wait()?;
-        Ok(make_outcome(&self.shared, scored, self.level))
+        self.done.wait()
     }
 
     /// Like [`wait`](Self::wait), but gives up after `timeout`: the outer
@@ -273,10 +258,7 @@ impl ScoreTicket {
         self,
         timeout: Duration,
     ) -> std::result::Result<Result<ScoreOutcome>, ScoreTicket> {
-        match self.done.wait_timeout(timeout) {
-            Some(result) => Ok(result.map(|scored| make_outcome(&self.shared, scored, self.level))),
-            None => Err(self),
-        }
+        self.done.wait_timeout(timeout).ok_or(self)
     }
 }
 
@@ -329,8 +311,8 @@ struct Shared {
     breaker: Option<Breaker>,
     /// The chaos-injected fault word (see [`crate::fleet::resilience`]):
     /// zero when no fault is induced, so the production hot path pays one
-    /// relaxed load per batch and stays bit-identical to a runtime built
-    /// before fault injection existed.
+    /// relaxed load per scoring call and stays bit-identical to a runtime
+    /// built before fault injection existed.
     induced: AtomicU64,
     stats: StatsInner,
     /// Opt-in observability (event sink + latency histograms; see
@@ -362,9 +344,6 @@ impl Shared {
     /// registry holds a model the cache has not seen (never holds a cache
     /// lock across registry access or deserialization).
     fn resolve_model(&self) -> Result<Arc<ParameterModel>> {
-        if matches!(self.induced(), Some(InducedFault::ModelOutage)) {
-            return Err(ServeError::Model("induced model outage".into()));
-        }
         let portable = self
             .registry
             .load(&self.model_name)
@@ -397,30 +376,6 @@ impl Shared {
         Ok(decoded)
     }
 
-    /// The raw model path for one request: resolve, predict, select (with
-    /// the configured risk adjustment). No breaker involvement.
-    fn model_score_one(&self, features: &[f64]) -> Result<ResourceRequest> {
-        let model = self.resolve_model()?;
-        scoring::score_features_with_risk(
-            &model,
-            features,
-            self.config.objective,
-            &self.config.candidate_counts,
-            self.config.preemption_risk.as_ref(),
-        )
-        .map(|scored| scored.request)
-        .map_err(|e| ServeError::Scoring(e.to_string()))
-    }
-
-    /// The heuristic fallback for one request (degraded mode).
-    fn fallback_one(&self, features: &[f64]) -> Result<ResourceRequest> {
-        heuristic_request(
-            features,
-            self.config.objective,
-            &self.config.candidate_counts,
-        )
-    }
-
     /// Records a breaker failure, counting the trip if this one opened it.
     fn breaker_failure(&self, breaker: &Breaker) {
         if breaker.record_failure(Instant::now()) {
@@ -429,184 +384,142 @@ impl Shared {
         }
     }
 
-    /// Records a breaker success, emitting a recovery event when it
-    /// closed a non-closed breaker (half-open probe success).
-    fn breaker_success(&self, breaker: &Breaker) {
-        if breaker.record_success() {
-            self.obs_event(EventKind::BreakerRecovered);
-        }
-    }
-
-    /// Scores one request through the breaker-guarded model path. The
-    /// returned flag marks a degraded (fallback-served) answer. Without a
-    /// breaker this is exactly the model path.
-    fn score_one(&self, features: &[f64]) -> Result<(ResourceRequest, bool)> {
-        // An induced crash fails hard — past the breaker's fallback — so
-        // the fleet health monitor sees real errors, like a dead process.
-        if matches!(self.induced(), Some(InducedFault::Crash)) {
-            return Err(ServeError::Scoring("induced shard crash".into()));
-        }
-        let Some(breaker) = &self.breaker else {
-            return self.model_score_one(features).map(|r| (r, false));
+    /// The one scoring point: a worker batch and an inline request (a
+    /// one-row matrix) both score here. Applies the induced fault, asks
+    /// the breaker, resolves the model, runs the batched kernel with the
+    /// configured risk adjustment, records the breaker's verdict, and falls
+    /// back to the heuristic row by row. The flag marks a fallback
+    /// (degraded) answer. Without a breaker, model errors surface
+    /// unchanged.
+    fn score_rows(&self, rows: &FeatureMatrix) -> Result<(Vec<ResourceRequest>, bool)> {
+        let outage = match self.induced() {
+            // A crashed shard fails hard — past the breaker's fallback — so
+            // the fleet health monitor sees real errors, like a dead process.
+            Some(InducedFault::Crash) => {
+                return Err(ServeError::Scoring("induced shard crash".into()))
+            }
+            // A stalled shard still answers correctly, late: a worker's
+            // queue backs up like a straggler's, an inline caller waits.
+            Some(InducedFault::Stall(delay)) => {
+                std::thread::sleep(delay);
+                false
+            }
+            Some(InducedFault::ModelOutage) => true,
+            None => false,
         };
-        if !breaker.allow_model(Instant::now()) {
-            return self.fallback_one(features).map(|r| (r, true));
+        // The heuristic fails only on an empty candidate range, which every
+        // row shares, so one failed row means they all fail.
+        let fallback = || {
+            rows.rows()
+                .map(|row| {
+                    heuristic_request(row, self.config.objective, &self.config.candidate_counts)
+                })
+                .collect::<Result<Vec<_>>>()
+                .map(|requests| (requests, true))
+        };
+        let breaker = self.breaker.as_ref();
+        if breaker.is_some_and(|breaker| !breaker.allow_model(Instant::now())) {
+            return fallback();
         }
         let begin = Instant::now();
-        match self.model_score_one(features) {
-            Ok(request) => {
+        let scored = if outage {
+            Err(ServeError::Model("induced model outage".into()))
+        } else {
+            self.resolve_model().and_then(|model| {
+                scoring::score_feature_batch_with_risk(
+                    &model,
+                    rows,
+                    self.config.objective,
+                    &self.config.candidate_counts,
+                    self.config.preemption_risk.as_ref(),
+                )
+                .map_err(|e| ServeError::Scoring(e.to_string()))
+            })
+        };
+        let Some(breaker) = breaker else {
+            return scored.map(|requests| (requests, false));
+        };
+        match scored {
+            Ok(requests) => {
                 if breaker.over_budget(begin.elapsed()) {
                     // The answer is correct, only late: use it, but let the
                     // slowness count toward tripping the breaker.
                     self.breaker_failure(breaker);
-                } else {
-                    self.breaker_success(breaker);
+                } else if breaker.record_success() {
+                    // A half-open probe closed the breaker.
+                    self.obs_event(EventKind::BreakerRecovered);
                 }
-                Ok((request, false))
+                Ok((requests, false))
             }
             Err(_) => {
                 self.breaker_failure(breaker);
-                self.fallback_one(features).map(|r| (r, true))
+                fallback()
             }
         }
     }
 
-    /// Fulfills one batched request, recording its level's deadline
-    /// hit/miss (and degraded service) at fulfillment time.
-    fn fulfill(
+    /// The one completion recorder, for worker batches and inline requests
+    /// alike: records the level's completion and deadline hit/miss,
+    /// degraded service, and the observed latency, and builds the outcome
+    /// (with the pricing inputs [`ScoreOutcome::quote`] needs). Path
+    /// counters (`inline_scored`, batches) stay with the callers.
+    fn complete(
         &self,
-        queued: &QueuedRequest,
-        result: Result<ResourceRequest>,
+        request: ResourceRequest,
         degraded: bool,
-        now: Instant,
-    ) {
-        match result {
-            Ok(request) => {
-                let missed = now > queued.deadline;
-                let latency = now.saturating_duration_since(queued.admitted_at);
-                self.stats.record_level_completed(queued.level, missed);
-                if degraded {
-                    self.stats.record_degraded();
-                }
-                if let Some(obs) = &self.obs {
-                    obs.record_latency(queued.level, latency);
-                }
-                queued.done.fulfill(Ok(Scored {
-                    request,
-                    missed_deadline: missed,
-                    latency,
-                    degraded,
-                }));
-            }
-            Err(e) => queued.done.fulfill(Err(e)),
-        }
-    }
-
-    /// The raw model path for a multi-request batch: resolve once, lay the
-    /// rows out in `matrix`, run the batched kernel.
-    fn model_score_batch(
-        &self,
-        matrix: &mut FeatureMatrix,
-        batch: &[QueuedRequest],
-    ) -> Result<Vec<ResourceRequest>> {
-        let model = self.resolve_model()?;
-        matrix.clear();
-        for request in batch {
-            matrix
-                .push_row(&request.features)
-                .expect("featurize_plan emits fixed-width rows");
-        }
-        scoring::score_feature_batch_with_risk(
-            &model,
-            matrix,
-            self.config.objective,
-            &self.config.candidate_counts,
-            self.config.preemption_risk.as_ref(),
-        )
-        .map_err(|e| ServeError::Scoring(e.to_string()))
-    }
-
-    /// Serves a whole batch from the heuristic fallback (degraded mode).
-    /// The heuristic fails only on an empty candidate range, which is
-    /// uniform across rows, so the batch is counted failed iff every row is.
-    fn fallback_batch(&self, batch: &[QueuedRequest]) {
-        let results: Vec<Result<ResourceRequest>> = batch
-            .iter()
-            .map(|request| self.fallback_one(&request.features))
-            .collect();
-        let failed = results.iter().all(|r| r.is_err());
-        self.stats.record_batch(batch.len(), failed);
+        level: ServiceLevel,
+        admitted_at: Instant,
+        deadline: Instant,
+    ) -> ScoreOutcome {
         let now = Instant::now();
-        for (request, result) in batch.iter().zip(results) {
-            self.fulfill(request, result, true, now);
+        let missed = now > deadline;
+        let latency = now.saturating_duration_since(admitted_at);
+        self.stats.record_level_completed(level, missed);
+        if degraded {
+            self.stats.record_degraded();
+        }
+        if let Some(obs) = &self.obs {
+            obs.record_latency(level, latency);
+        }
+        ScoreOutcome {
+            request,
+            level,
+            missed_deadline: missed,
+            latency,
+            degraded,
+            quote_targets: self.config.qos.slowdown_targets,
+            quote_unit_price: self.config.qos.unit_price,
         }
     }
 
-    /// Fails a whole batch with one error.
-    fn fail_batch(&self, batch: &[QueuedRequest], error: ServeError) {
-        self.stats.record_batch(batch.len(), true);
-        for request in batch {
-            request.done.fulfill(Err(error.clone()));
-        }
-    }
-
-    /// Scores one drained batch and fulfills every completion. The breaker
-    /// (when configured) gates the whole batch: one model call, one
-    /// success/failure observation.
+    /// Scores one drained batch through [`score_rows`](Self::score_rows)
+    /// and fulfills every completion.
     fn process_batch(&self, matrix: &mut FeatureMatrix, batch: Vec<QueuedRequest>) {
         debug_assert!(!batch.is_empty());
-        match self.induced() {
-            // A crashed shard fails the whole batch hard (no fallback):
-            // that is what makes quarantine detectable and failover real.
-            Some(InducedFault::Crash) => {
-                self.fail_batch(&batch, ServeError::Scoring("induced shard crash".into()));
-                return;
-            }
-            // A stalled shard still answers correctly — late. The delay
-            // runs on the worker thread, so the queue backs up exactly
-            // like a straggler's would.
-            Some(InducedFault::Stall(delay)) if !delay.is_zero() => std::thread::sleep(delay),
-            _ => {}
+        matrix.clear();
+        for queued in &batch {
+            matrix
+                .push_row(&queued.features)
+                .expect("admission checks the row width");
         }
-        if batch.len() == 1 {
-            let result = self.score_one(&batch[0].features);
-            self.stats.record_batch(1, result.is_err());
-            match result {
-                Ok((request, degraded)) => {
-                    self.fulfill(&batch[0], Ok(request), degraded, Instant::now())
-                }
-                Err(e) => self.fulfill(&batch[0], Err(e), false, Instant::now()),
-            }
-            return;
-        }
-        if let Some(breaker) = &self.breaker {
-            if !breaker.allow_model(Instant::now()) {
-                self.fallback_batch(&batch);
-                return;
-            }
-        }
-        let begin = Instant::now();
-        match self.model_score_batch(matrix, &batch) {
-            Ok(requests) => {
-                if let Some(breaker) = &self.breaker {
-                    if breaker.over_budget(begin.elapsed()) {
-                        self.breaker_failure(breaker);
-                    } else {
-                        self.breaker_success(breaker);
-                    }
-                }
-                self.stats.record_batch(batch.len(), false);
-                let now = Instant::now();
-                for (request, outcome) in batch.iter().zip(requests) {
-                    self.fulfill(request, Ok(outcome), false, now);
+        let result = self.score_rows(matrix);
+        self.stats.record_batch(batch.len(), result.is_err());
+        match result {
+            Ok((requests, degraded)) => {
+                for (queued, request) in batch.iter().zip(requests) {
+                    let outcome = self.complete(
+                        request,
+                        degraded,
+                        queued.level,
+                        queued.admitted_at,
+                        queued.deadline,
+                    );
+                    queued.done.fulfill(Ok(outcome));
                 }
             }
             Err(e) => {
-                if let Some(breaker) = &self.breaker {
-                    self.breaker_failure(breaker);
-                    self.fallback_batch(&batch);
-                } else {
-                    self.fail_batch(&batch, e);
+                for queued in &batch {
+                    queued.done.fulfill(Err(e.clone()));
                 }
             }
         }
@@ -736,9 +649,8 @@ fn worker_loop(shared: Arc<Shared>) {
 /// A shared, concurrent, micro-batching, QoS-aware scoring service over one
 /// registered model. See the crate docs for the architecture; construct
 /// with [`ScoringRuntime::new`], score from any thread with
-/// [`score`](Self::score) / [`try_score`](Self::try_score) (plain) or
-/// [`submit`](Self::submit) / [`try_submit`](Self::try_submit) (full QoS
-/// envelope), inspect with [`stats`](Self::stats), and stop with
+/// [`submit`](Self::submit) / [`try_submit`](Self::try_submit) (or their
+/// detached forms), inspect with [`stats`](Self::stats), and stop with
 /// [`shutdown`](Self::shutdown) (or drop the handle).
 pub struct ScoringRuntime {
     shared: Arc<Shared>,
@@ -815,53 +727,77 @@ impl ScoringRuntime {
         self.shared.resolve_model().map(|_| ())
     }
 
-    /// Scores a plan at [`ServiceLevel::Standard`] with no tenant
-    /// attribution, blocking while the admission queue is full
-    /// (backpressure) and until the result is ready.
-    pub fn score(&self, plan: &QueryPlan) -> Result<ResourceRequest> {
-        self.submit(ScoreRequest::from_plan(plan))
-            .map(|outcome| outcome.request)
+    /// Scores with a full QoS envelope, blocking while the admission queue
+    /// is full (backpressure; a non-`BestEffort` request sheds the
+    /// least-urgent queued `BestEffort` request beyond the protected floor
+    /// instead of waiting, if one exists) and until the result is ready.
+    /// `ScoreRequest::from_plan(plan)` with `.map(|o| o.request)` is the
+    /// plain optimizer-rule call.
+    pub fn submit(&self, request: ScoreRequest) -> Result<ScoreOutcome> {
+        self.submit_sync(request, true)
     }
 
-    /// Scores a plan at [`ServiceLevel::Standard`], failing fast with
-    /// [`ServeError::Saturated`] (and counting the request as dropped)
-    /// instead of blocking on a full queue.
-    pub fn try_score(&self, plan: &QueryPlan) -> Result<ResourceRequest> {
-        self.try_submit(ScoreRequest::from_plan(plan))
-            .map(|outcome| outcome.request)
+    /// [`submit`](Self::submit) without backpressure: fails fast with
+    /// [`ServeError::Saturated`] (counting the request as dropped) when the
+    /// queue is full and shedding cannot make room.
+    pub fn try_submit(&self, request: ScoreRequest) -> Result<ScoreOutcome> {
+        self.submit_sync(request, false)
     }
 
-    /// [`score`](Self::score) for a caller that already featurized the plan.
-    pub fn score_features(&self, features: Vec<f64>) -> Result<ResourceRequest> {
-        self.submit(ScoreRequest::from_features(features))
-            .map(|outcome| outcome.request)
+    /// Fire-and-forget [`submit`](Self::submit): admits the request (with
+    /// backpressure) and returns a [`ScoreTicket`] to redeem later, instead
+    /// of blocking until the result is ready. Detached submissions always
+    /// go through the queues (never the inline shortcut) — the point is to
+    /// keep the submitting thread free.
+    pub fn submit_detached(&self, request: ScoreRequest) -> Result<ScoreTicket> {
+        self.submit_queued(request, true)
     }
 
-    /// [`try_score`](Self::try_score) for a caller that already featurized
-    /// the plan.
-    pub fn try_score_features(&self, features: Vec<f64>) -> Result<ResourceRequest> {
-        self.try_submit(ScoreRequest::from_features(features))
-            .map(|outcome| outcome.request)
+    /// Fire-and-forget [`try_submit`](Self::try_submit): like
+    /// [`submit_detached`](Self::submit_detached) but fails fast with
+    /// [`ServeError::Saturated`] instead of applying backpressure. This is
+    /// what an open-loop load generator uses: arrivals keep their schedule
+    /// and overload turns into sheds/drops rather than client-side queueing.
+    pub fn try_submit_detached(&self, request: ScoreRequest) -> Result<ScoreTicket> {
+        self.submit_queued(request, false)
     }
 
-    /// Rejects feature vectors of the wrong width up front: past this point
-    /// a malformed row would only surface inside a worker batch, where a
-    /// panic would kill the worker and strand every completion in the batch.
-    fn validate_width(&self, features: &[f64]) -> Result<()> {
-        if features.len() != self.shared.feature_width {
+    /// The synchronous path behind [`submit`](Self::submit) and
+    /// [`try_submit`](Self::try_submit): scores inline when a slot is free,
+    /// otherwise queues (waiting for room when `blocking`, failing fast
+    /// otherwise) and waits for the worker's answer.
+    fn submit_sync(&self, request: ScoreRequest, blocking: bool) -> Result<ScoreOutcome> {
+        let (level, deadline) = self.admit(&request)?;
+        if self.try_claim_inline() {
+            return self.score_inline_claimed(request.features, level, deadline);
+        }
+        self.admit_to_queues(request.features, level, deadline, blocking)?
+            .wait()
+    }
+
+    /// The queued path behind [`submit_detached`](Self::submit_detached)
+    /// and [`try_submit_detached`](Self::try_submit_detached): never
+    /// inline.
+    fn submit_queued(&self, request: ScoreRequest, blocking: bool) -> Result<ScoreTicket> {
+        let (level, deadline) = self.admit(&request)?;
+        self.admit_to_queues(request.features, level, deadline, blocking)
+    }
+
+    /// Admission for every entry point. Rejects feature vectors of the
+    /// wrong width up front (past this point a malformed row would only
+    /// surface inside a worker batch, where a panic would kill the worker
+    /// and strand every completion in the batch), applies the tenant
+    /// fairness policy (which may demote the level or reject outright), and
+    /// stamps the absolute deadline.
+    fn admit(&self, request: &ScoreRequest) -> Result<(ServiceLevel, Instant)> {
+        if request.features.len() != self.shared.feature_width {
             return Err(ServeError::Scoring(format!(
                 "feature vector has {} columns, the model expects {}",
-                features.len(),
+                request.features.len(),
                 self.shared.feature_width
             )));
         }
-        Ok(())
-    }
-
-    /// Tenant admission + deadline stamping: applies the fairness policy
-    /// (which may demote the level or reject outright) and resolves the
-    /// absolute deadline. Returns the queued-request envelope.
-    fn admit(&self, request: &ScoreRequest, now: Instant) -> Result<(ServiceLevel, Instant)> {
+        let now = Instant::now();
         let mut level = request.level;
         if let (Some(governor), Some(tenant)) = (&self.shared.governor, request.tenant) {
             match governor.admit(tenant, now) {
@@ -889,78 +825,18 @@ impl ScoringRuntime {
         Ok((level, now + budget))
     }
 
-    /// Scores with a full QoS envelope, blocking while the admission queue
-    /// is full (backpressure; a non-`BestEffort` request sheds the
-    /// least-urgent queued `BestEffort` request beyond the protected floor
-    /// instead of waiting, if one exists) and until the result is ready.
-    pub fn submit(&self, request: ScoreRequest) -> Result<ScoreOutcome> {
-        self.validate_width(&request.features)?;
-        let (level, deadline) = self.admit(&request, Instant::now())?;
-        if self.try_claim_inline() {
-            return self.score_inline_claimed(request.features, level, deadline);
-        }
-        let done = self.admit_to_queues(request.features, level, deadline, true)?;
-        let scored = done.wait()?;
-        Ok(make_outcome(&self.shared, scored, level))
-    }
-
-    /// [`submit`](Self::submit) without backpressure: fails fast with
-    /// [`ServeError::Saturated`] (counting the request as dropped) when the
-    /// queue is full and shedding cannot make room.
-    pub fn try_submit(&self, request: ScoreRequest) -> Result<ScoreOutcome> {
-        self.validate_width(&request.features)?;
-        let (level, deadline) = self.admit(&request, Instant::now())?;
-        if self.try_claim_inline() {
-            return self.score_inline_claimed(request.features, level, deadline);
-        }
-        let done = self.admit_to_queues(request.features, level, deadline, false)?;
-        let scored = done.wait()?;
-        Ok(make_outcome(&self.shared, scored, level))
-    }
-
-    /// Fire-and-forget [`submit`](Self::submit): admits the request (with
-    /// backpressure) and returns a [`ScoreTicket`] to redeem later, instead
-    /// of blocking until the result is ready. Detached submissions always
-    /// go through the queues (never the inline shortcut) — the point is to
-    /// keep the submitting thread free.
-    pub fn submit_detached(&self, request: ScoreRequest) -> Result<ScoreTicket> {
-        self.validate_width(&request.features)?;
-        let (level, deadline) = self.admit(&request, Instant::now())?;
-        let done = self.admit_to_queues(request.features, level, deadline, true)?;
-        Ok(ScoreTicket {
-            shared: Arc::clone(&self.shared),
-            done,
-            level,
-        })
-    }
-
-    /// Fire-and-forget [`try_submit`](Self::try_submit): like
-    /// [`submit_detached`](Self::submit_detached) but fails fast with
-    /// [`ServeError::Saturated`] instead of applying backpressure. This is
-    /// what an open-loop load generator uses: arrivals keep their schedule
-    /// and overload turns into sheds/drops rather than client-side queueing.
-    pub fn try_submit_detached(&self, request: ScoreRequest) -> Result<ScoreTicket> {
-        self.validate_width(&request.features)?;
-        let (level, deadline) = self.admit(&request, Instant::now())?;
-        let done = self.admit_to_queues(request.features, level, deadline, false)?;
-        Ok(ScoreTicket {
-            shared: Arc::clone(&self.shared),
-            done,
-            level,
-        })
-    }
-
     /// The shared queue-admission path: waits for room (`blocking`) or
     /// fails fast, shedding the least-urgent `BestEffort` request to make
     /// room for a higher level when the queue is full. The shed victim is
-    /// failed outside the queue lock.
+    /// failed outside the queue lock. Returns the ticket the submitter
+    /// redeems (at once on the synchronous path).
     fn admit_to_queues(
         &self,
         features: Vec<f64>,
         level: ServiceLevel,
         deadline: Instant,
         blocking: bool,
-    ) -> Result<Arc<Completion>> {
+    ) -> Result<ScoreTicket> {
         let mut shed_victim = None;
         let done = {
             let mut queues = lock(&self.shared.queues);
@@ -1002,7 +878,7 @@ impl ScoringRuntime {
             queued: true,
         });
         self.shared.not_empty.notify_one();
-        Ok(done)
+        Ok(ScoreTicket { done, level })
     }
 
     fn enqueue(
@@ -1034,20 +910,18 @@ impl ScoringRuntime {
         victim.done.fulfill(Err(ServeError::Shed));
     }
 
-    /// Attempts to claim an inline-scoring slot: succeeds only when the
-    /// shortcut is enabled, workers exist to drain the queue otherwise, and
-    /// fewer than `inline_max_in_flight` requests are in flight anywhere.
-    /// Lightly loaded traffic is judged on the *in-flight* count, not on
-    /// "queue empty" — under concurrent submission the queue stays empty
-    /// exactly because everyone would take the shortcut. Load beyond the
-    /// bound overflows into the queue, where the batch window amortizes it.
-    /// On success the caller holds one in-flight slot and must score and
-    /// release via [`score_inline_claimed`](Self::score_inline_claimed).
+    /// Attempts to claim an inline-scoring slot: succeeds only when workers
+    /// exist to drain the queue otherwise and fewer than
+    /// `inline_max_in_flight` requests are in flight anywhere (a bound of
+    /// 0 disables inlining). Lightly loaded traffic is judged on the
+    /// *in-flight* count, not on "queue empty" — under concurrent
+    /// submission the queue stays empty exactly because everyone would
+    /// take the shortcut. Load beyond the bound overflows into the queue,
+    /// where the batch window amortizes it. On success the caller holds
+    /// one in-flight slot and must score and release via
+    /// [`score_inline_claimed`](Self::score_inline_claimed).
     fn try_claim_inline(&self) -> bool {
-        if !self.shared.config.inline_when_idle
-            || self.worker_count == 0
-            || self.shared.shutdown.load(Ordering::Acquire)
-        {
+        if self.worker_count == 0 || self.shared.shutdown.load(Ordering::Acquire) {
             return false;
         }
         let limit = self.shared.config.inline_max_in_flight;
@@ -1066,8 +940,9 @@ impl ScoringRuntime {
         false
     }
 
-    /// Scores on the submitting thread; the caller must hold an in-flight
-    /// claim from [`try_claim_inline`](Self::try_claim_inline).
+    /// Scores on the submitting thread as a one-row call of the scoring
+    /// point the workers use; the caller must hold an in-flight claim from
+    /// [`try_claim_inline`](Self::try_claim_inline).
     fn score_inline_claimed(
         &self,
         features: Vec<f64>,
@@ -1080,31 +955,18 @@ impl ScoringRuntime {
         // fast-path rates a per-request event record would be the single
         // largest observability cost. Inline traffic is fully accounted
         // by the latency histograms and the `inline_scored` counter.
-        let result = self.shared.score_one(&features);
+        let mut row = FeatureMatrix::with_capacity(self.shared.feature_width, 1);
+        row.push_row(&features)
+            .expect("admission checks the row width");
+        let result = self.shared.score_rows(&row);
         self.shared.in_flight.fetch_sub(1, Ordering::AcqRel);
         match result {
-            Ok((request, degraded)) => {
+            Ok((mut requests, degraded)) => {
                 self.shared.stats.record_inline();
-                let now = Instant::now();
-                let missed = now > deadline;
-                let latency = now.saturating_duration_since(begin);
-                self.shared.stats.record_level_completed(level, missed);
-                if degraded {
-                    self.shared.stats.record_degraded();
-                }
-                if let Some(obs) = &self.shared.obs {
-                    obs.record_latency(level, latency);
-                }
-                Ok(make_outcome(
-                    &self.shared,
-                    Scored {
-                        request,
-                        missed_deadline: missed,
-                        latency,
-                        degraded,
-                    },
-                    level,
-                ))
+                let request = requests.pop().expect("one answer per row");
+                Ok(self
+                    .shared
+                    .complete(request, degraded, level, begin, deadline))
             }
             Err(e) => {
                 self.shared.stats.record_error();

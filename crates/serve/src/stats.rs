@@ -1,5 +1,4 @@
-//! Runtime counters, batch-size accounting, QoS per-level accounting, and
-//! latency summaries.
+//! Runtime counters, batch-size accounting, and QoS per-level accounting.
 //!
 //! # Memory-ordering contract
 //!
@@ -14,7 +13,6 @@
 //! snapshot is exact.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 use ae_obs::{AtomicHistogram, HistogramSnapshot, Ladder};
 
@@ -191,7 +189,8 @@ pub struct RuntimeStats {
     pub inline_scored: u64,
     /// Worker batches processed.
     pub batches: u64,
-    /// Requests rejected by `try_score` because the queue was full.
+    /// Requests rejected by a fail-fast submission because the queue was
+    /// full.
     pub dropped: u64,
     /// Requests that completed with an error.
     pub errors: u64,
@@ -319,91 +318,6 @@ impl RuntimeStats {
     }
 }
 
-/// The coherent point-in-time view of a runtime's counters, as returned
-/// by [`crate::ScoringRuntime::stats`]. Alias of [`RuntimeStats`]; see
-/// that type (and the [module docs](crate::stats)) for the consistency
-/// contract.
-pub type StatsSnapshot = RuntimeStats;
-
-/// Client-side latency collector: each load-generator thread records its
-/// per-request latencies, then recorders are merged and summarized into
-/// p50/p99 for the serving benchmark.
-#[derive(Debug, Clone, Default)]
-pub struct LatencyRecorder {
-    samples_ns: Vec<u64>,
-}
-
-impl LatencyRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty recorder with room for `n` samples.
-    pub fn with_capacity(n: usize) -> Self {
-        Self {
-            samples_ns: Vec::with_capacity(n),
-        }
-    }
-
-    /// Records one request latency.
-    pub fn record(&mut self, latency: Duration) {
-        self.samples_ns.push(latency.as_nanos() as u64);
-    }
-
-    /// Number of recorded samples.
-    pub fn len(&self) -> usize {
-        self.samples_ns.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples_ns.is_empty()
-    }
-
-    /// Moves another recorder's samples into this one.
-    pub fn merge(&mut self, other: LatencyRecorder) {
-        self.samples_ns.extend(other.samples_ns);
-    }
-
-    /// Sorts the samples and computes count/mean/p50/p99/max.
-    pub fn summarize(mut self) -> LatencySummary {
-        if self.samples_ns.is_empty() {
-            return LatencySummary::default();
-        }
-        self.samples_ns.sort_unstable();
-        let count = self.samples_ns.len();
-        let total: u128 = self.samples_ns.iter().map(|&ns| ns as u128).sum();
-        let at = |p: f64| {
-            // Nearest-rank percentile.
-            let rank = ((p * count as f64).ceil() as usize).clamp(1, count);
-            Duration::from_nanos(self.samples_ns[rank - 1])
-        };
-        LatencySummary {
-            count,
-            mean: Duration::from_nanos((total / count as u128) as u64),
-            p50: at(0.50),
-            p99: at(0.99),
-            max: Duration::from_nanos(*self.samples_ns.last().expect("non-empty")),
-        }
-    }
-}
-
-/// Percentile summary of a set of request latencies.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LatencySummary {
-    /// Number of samples.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: Duration,
-    /// Median (nearest-rank).
-    pub p50: Duration,
-    /// 99th percentile (nearest-rank).
-    pub p99: Duration,
-    /// Worst observed latency.
-    pub max: Duration,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -438,24 +352,6 @@ mod tests {
         assert_eq!(snap.batched(), 5);
         assert_eq!(snap.errors, 3);
         assert_eq!(snap.dropped, 1);
-    }
-
-    #[test]
-    fn latency_summary_percentiles() {
-        let mut rec = LatencyRecorder::with_capacity(100);
-        for i in 1..=100u64 {
-            rec.record(Duration::from_micros(i));
-        }
-        let mut other = LatencyRecorder::new();
-        other.record(Duration::from_micros(1000));
-        rec.merge(other);
-        assert_eq!(rec.len(), 101);
-        let summary = rec.summarize();
-        assert_eq!(summary.count, 101);
-        assert_eq!(summary.p50, Duration::from_micros(51));
-        assert_eq!(summary.p99, Duration::from_micros(100));
-        assert_eq!(summary.max, Duration::from_micros(1000));
-        assert!(summary.mean >= Duration::from_micros(50));
     }
 
     #[test]
@@ -557,12 +453,5 @@ mod tests {
         assert_eq!(hist.bucket_counts(), stats.batch_size_histogram.as_slice());
         assert_eq!(hist.count(), 2);
         assert_eq!(hist.max(), 4);
-    }
-
-    #[test]
-    fn empty_recorder_summarizes_to_zero() {
-        let summary = LatencyRecorder::new().summarize();
-        assert_eq!(summary.count, 0);
-        assert_eq!(summary.p99, Duration::ZERO);
     }
 }

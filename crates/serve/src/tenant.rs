@@ -21,6 +21,8 @@ use std::collections::HashMap;
 use std::sync::Mutex as StdMutex;
 use std::time::Instant;
 
+use crate::runtime::lock;
+
 /// Identifies the tenant a request is accounted against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TenantId(pub u64);
@@ -86,10 +88,40 @@ pub(crate) enum Admission {
     Rejected,
 }
 
-/// One tenant's bucket state.
-struct Bucket {
+/// A continuously refilling token bucket: it starts full, refills at
+/// `rate` tokens per second up to `burst`, and each admitted action takes
+/// one token. The caller supplies the rate and burst and does the locking,
+/// so one governor can keep a map of buckets under one lock. Both the
+/// tenant governor and the fleet's failover retry budget use it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TokenBucket {
     tokens: f64,
     last_refill: Instant,
+}
+
+impl TokenBucket {
+    /// A full bucket.
+    pub(crate) fn full(burst: f64, now: Instant) -> Self {
+        Self {
+            tokens: burst,
+            last_refill: now,
+        }
+    }
+
+    /// Refills for the time since the last call and takes one token if
+    /// one is available. A clock that appears to move backwards
+    /// (`now < last_refill` across threads) refills zero.
+    pub(crate) fn try_take(&mut self, now: Instant, rate: f64, burst: f64) -> bool {
+        let elapsed = now.saturating_duration_since(self.last_refill);
+        self.tokens = (self.tokens + elapsed.as_secs_f64() * rate).min(burst);
+        self.last_refill = now;
+        if self.tokens >= 1.0 {
+            self.tokens -= 1.0;
+            true
+        } else {
+            false
+        }
+    }
 }
 
 /// The shared fairness governor: a token bucket per observed tenant.
@@ -104,7 +136,7 @@ struct Bucket {
 /// deterministic tests, not long-lived high-cardinality deployments.)
 pub(crate) struct TenantGovernor {
     policy: TenantPolicy,
-    buckets: StdMutex<HashMap<TenantId, Bucket>>,
+    buckets: StdMutex<HashMap<TenantId, TokenBucket>>,
 }
 
 /// Map size at which [`TenantGovernor::admit`] sweeps refilled-idle
@@ -122,10 +154,7 @@ impl TenantGovernor {
     /// Charges one request to `tenant`'s bucket at time `now` and returns
     /// the admission decision.
     pub(crate) fn admit(&self, tenant: TenantId, now: Instant) -> Admission {
-        let mut buckets = self
-            .buckets
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner());
+        let mut buckets = lock(&self.buckets);
         if buckets.len() >= SWEEP_THRESHOLD && self.policy.rate_qps > 0.0 {
             // Entries idle past a full refill period carry no state a
             // fresh bucket would not: drop them to bound the map.
@@ -135,18 +164,10 @@ impl TenantGovernor {
                 now.saturating_duration_since(bucket.last_refill) < full_refill
             });
         }
-        let bucket = buckets.entry(tenant).or_insert(Bucket {
-            tokens: self.policy.burst,
-            last_refill: now,
-        });
-        // Continuous refill since the last charge; a clock that appears to
-        // move backwards (now < last_refill across threads) refills zero.
-        let elapsed = now.saturating_duration_since(bucket.last_refill);
-        bucket.tokens =
-            (bucket.tokens + elapsed.as_secs_f64() * self.policy.rate_qps).min(self.policy.burst);
-        bucket.last_refill = now;
-        if bucket.tokens >= 1.0 {
-            bucket.tokens -= 1.0;
+        let bucket = buckets
+            .entry(tenant)
+            .or_insert_with(|| TokenBucket::full(self.policy.burst, now));
+        if bucket.try_take(now, self.policy.rate_qps, self.policy.burst) {
             Admission::Granted
         } else {
             match self.policy.on_violation {

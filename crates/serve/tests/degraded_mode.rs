@@ -1,5 +1,6 @@
 //! Integration tests for the degraded-mode serving path: the circuit
-//! breaker trips to the heuristic fallback under model outage, recovers
+//! breaker trips to the heuristic fallback under model outage (on the
+//! worker path and on the inline path alike), recovers
 //! through a half-open probe once the model is healthy, and the
 //! `wait_timeout` ticket variant survives shutdown with an outstanding
 //! ticket.
@@ -47,39 +48,55 @@ fn breaker_config() -> BreakerConfig {
 
 #[test]
 fn breaker_trips_to_heuristic_fallback_on_model_outage() {
-    // No model is ever registered: every model-path attempt fails.
-    let registry = Arc::new(ModelRegistry::in_memory());
     let config = AutoExecutorConfig::default();
-    let runtime = ScoringRuntime::new(
-        Arc::clone(&registry),
-        "missing",
-        RuntimeConfig::deterministic(&config).with_breaker(breaker_config()),
-    );
-    let queries = scoring_queries();
-    for query in &queries {
-        let outcome = runtime
-            .submit(ScoreRequest::from_plan(&query.plan))
-            .expect("degraded mode must answer despite the missing model");
-        assert!(outcome.degraded, "fallback answers must be marked degraded");
-        let executors = outcome.request.executors;
-        assert!((1..=48).contains(&executors));
-        assert!(outcome
-            .request
-            .predicted_curve
-            .iter()
-            .all(|&(_, t)| t.is_finite() && t > 0.0));
+    // Deterministic mode sends every request through the worker; the
+    // serving defaults score a lone submitter inline on its own thread.
+    for (mode, runtime_config) in [
+        ("deterministic", RuntimeConfig::deterministic(&config)),
+        ("inline", RuntimeConfig::from_auto_executor(&config)),
+    ] {
+        // No model is ever registered: every model-path attempt fails.
+        let registry = Arc::new(ModelRegistry::in_memory());
+        let runtime = ScoringRuntime::new(
+            Arc::clone(&registry),
+            "missing",
+            runtime_config.with_breaker(breaker_config()),
+        );
+        let queries = scoring_queries();
+        for query in &queries {
+            let outcome = runtime
+                .submit(ScoreRequest::from_plan(&query.plan))
+                .expect("degraded mode must answer despite the missing model");
+            assert!(
+                outcome.degraded,
+                "{mode}: fallback answers must be marked degraded"
+            );
+            let executors = outcome.request.executors;
+            assert!((1..=48).contains(&executors));
+            assert!(outcome
+                .request
+                .predicted_curve
+                .iter()
+                .all(|&(_, t)| t.is_finite() && t > 0.0));
+        }
+        let stats = runtime.stats();
+        assert_eq!(stats.completed, queries.len() as u64);
+        assert_eq!(stats.degraded, queries.len() as u64);
+        assert!(
+            stats.breaker_trips >= 1,
+            "{mode}: the breaker must have tripped: {stats:?}"
+        );
+        // Once open, the model path is skipped: trips stop accumulating per
+        // request (the first two failures trip it once; later requests ride
+        // the open breaker or a failing probe).
+        assert!(stats.breaker_trips < stats.completed);
+        if mode == "inline" {
+            assert_eq!(
+                stats.inline_scored, stats.completed,
+                "every request must have scored inline: {stats:?}"
+            );
+        }
     }
-    let stats = runtime.stats();
-    assert_eq!(stats.completed, queries.len() as u64);
-    assert_eq!(stats.degraded, queries.len() as u64);
-    assert!(
-        stats.breaker_trips >= 1,
-        "the breaker must have tripped: {stats:?}"
-    );
-    // Once open, the model path is skipped: trips stop accumulating per
-    // request (the first two failures trip it once; later requests ride
-    // the open breaker or a failing probe).
-    assert!(stats.breaker_trips < stats.completed);
 }
 
 #[test]

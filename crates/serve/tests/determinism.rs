@@ -109,7 +109,10 @@ fn deterministic_mode_is_bit_identical_to_sequential_rule() {
     );
     for (query, seq) in queries.iter().zip(&sequential) {
         let optimized = rewriter.optimize(query.plan.clone()).unwrap().plan;
-        let served = runtime.score(&optimized).unwrap();
+        let served = runtime
+            .submit(ScoreRequest::from_plan(&optimized))
+            .map(|o| o.request)
+            .unwrap();
         assert_bit_identical(&query.name, seq, &served);
     }
     let stats = runtime.stats();
@@ -200,7 +203,10 @@ fn concurrent_scoring_matches_sequential_results() {
                     // batches mix queries.
                     for i in 0..optimized.len() {
                         let (name, plan) = &optimized[(i + t * 3 + round) % optimized.len()];
-                        let request = runtime.score(plan).unwrap();
+                        let request = runtime
+                            .submit(ScoreRequest::from_plan(plan))
+                            .map(|o| o.request)
+                            .unwrap();
                         results.push((name.clone(), request));
                     }
                 }

@@ -12,7 +12,8 @@
 //! * quarantine evacuation moves `Standard` backlog to survivors but
 //!   **never** `Interactive`,
 //! * shutdown is idempotent and safe concurrently with quarantine and
-//!   evacuation: every ticket resolves, nothing double-counted.
+//!   evacuation: every ticket resolves, nothing double-counted,
+//! * an induced stall delays inline answers, not only worker batches.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -54,7 +55,7 @@ fn shard_runtime(config: &AutoExecutorConfig) -> RuntimeConfig {
         .with_workers(1)
         .with_max_batch(4)
         .with_batch_window(Duration::ZERO)
-        .with_inline_when_idle(false)
+        .with_inline_max_in_flight(0)
         .with_queue_capacity(4096)
 }
 
@@ -517,5 +518,30 @@ fn shutdown_is_idempotent_and_safe_during_quarantine_and_evacuation() {
         fleet.stats(),
         stats,
         "a stopped fleet's snapshot must be stable"
+    );
+}
+
+#[test]
+fn stall_delays_inline_answers() {
+    let (registry, config, features) = fixture();
+    let fleet = ShardedRuntime::new(
+        registry,
+        "ppm",
+        FleetConfig::new(1, RuntimeConfig::from_auto_executor(&config)),
+    );
+    fleet.warm().unwrap();
+    let stall = Duration::from_millis(30);
+    fleet.induce_shard_fault(0, InducedFault::Stall(stall));
+    let begin = Instant::now();
+    fleet.submit(ScoreRequest::from_features(features)).unwrap();
+    let elapsed = begin.elapsed();
+    assert_eq!(
+        fleet.stats().aggregate().inline_scored,
+        1,
+        "a lone synchronous request on the serving defaults scores inline"
+    );
+    assert!(
+        elapsed >= stall,
+        "a stalled shard must delay inline answers too; answered in {elapsed:?}"
     );
 }

@@ -81,7 +81,7 @@ fn flooding_one_shard_steals_bounded_non_interactive_backlog() {
                 .with_workers(1)
                 .with_max_batch(4)
                 .with_batch_window(Duration::ZERO)
-                .with_inline_when_idle(false)
+                .with_inline_max_in_flight(0)
                 .with_queue_capacity(4096),
         )
         .with_steal(policy.clone()),
@@ -192,7 +192,7 @@ fn shutdown_drains_all_shards_without_losing_tickets() {
             RuntimeConfig::from_auto_executor(&config)
                 .with_workers(1)
                 .with_max_batch(4)
-                .with_inline_when_idle(false)
+                .with_inline_max_in_flight(0)
                 .with_queue_capacity(4096),
         ),
     );

@@ -56,8 +56,14 @@ fn disabled_observability_is_a_noop() {
 
     // Observability must never change answers: outcomes are bit-identical.
     for query in &queries {
-        let a = plain.score(&query.plan).unwrap();
-        let b = observed.score(&query.plan).unwrap();
+        let a = plain
+            .submit(ScoreRequest::from_plan(&query.plan))
+            .map(|o| o.request)
+            .unwrap();
+        let b = observed
+            .submit(ScoreRequest::from_plan(&query.plan))
+            .map(|o| o.request)
+            .unwrap();
         assert_eq!(a.executors, b.executors, "{}", query.name);
         let a_curve: Vec<(usize, u64)> = a
             .predicted_curve
@@ -157,7 +163,9 @@ fn stats_source_vanishes_with_the_runtime() {
         RuntimeConfig::deterministic(&config)
             .with_observability(ObsConfig::new(Arc::clone(&metrics)).with_prefix("gone")),
     );
-    runtime.score(&queries[0].plan).unwrap();
+    runtime
+        .submit(ScoreRequest::from_plan(&queries[0].plan))
+        .unwrap();
     assert_eq!(metrics.snapshot().counter("gone.completed"), Some(1));
     drop(runtime);
     // The weak stats source no longer upgrades; its names disappear.

@@ -196,7 +196,7 @@ fn flooding_tenant_cannot_starve_a_light_tenant() {
         RuntimeConfig::from_auto_executor(&config)
             .with_workers(1)
             .with_queue_capacity(2)
-            .with_inline_when_idle(false)
+            .with_inline_max_in_flight(0)
             .with_qos(qos),
     ));
     runtime.warm().unwrap();
@@ -280,7 +280,9 @@ fn reject_policy_throttles_over_rate_tenants() {
         other => panic!("expected Throttled, got {other:?}"),
     }
     // Untracked (tenant-less) requests are exempt from policing.
-    runtime.score(&queries[1].plan).unwrap();
+    runtime
+        .submit(ScoreRequest::from_plan(&queries[1].plan))
+        .unwrap();
     let stats = runtime.stats();
     assert_eq!(stats.throttled, 1);
     assert_eq!(stats.demoted, 0);

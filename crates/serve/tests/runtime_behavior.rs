@@ -5,7 +5,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ae_serve::{RuntimeConfig, ScoringRuntime, ServeError};
+use ae_serve::{RuntimeConfig, ScoreRequest, ScoringRuntime, ServeError};
 use ae_workload::{QueryInstance, ScaleFactor, WorkloadGenerator};
 use autoexecutor::prelude::*;
 use autoexecutor::ModelRegistry;
@@ -38,7 +38,10 @@ fn idle_runtime_scores_inline() {
     let runtime = ScoringRuntime::new(registry, "ppm", RuntimeConfig::from_auto_executor(&config));
     runtime.warm().unwrap();
     for query in &queries {
-        let request = runtime.score(&query.plan).unwrap();
+        let request = runtime
+            .submit(ScoreRequest::from_plan(&query.plan))
+            .map(|o| o.request)
+            .unwrap();
         assert!((1..=48).contains(&request.executors));
     }
     let stats = runtime.stats();
@@ -59,7 +62,7 @@ fn missing_model_surfaces_as_model_error() {
     let plan = WorkloadGenerator::new(ScaleFactor::SF10)
         .instance("q7")
         .plan;
-    match runtime.score(&plan) {
+    match runtime.submit(ScoreRequest::from_plan(&plan)) {
         Err(ServeError::Model(msg)) => assert!(msg.contains("absent")),
         other => panic!("expected a model error, got {other:?}"),
     }
@@ -82,7 +85,7 @@ fn saturation_rejects_and_counts_dropped_requests() {
         .map(|_| {
             let runtime = Arc::clone(&runtime);
             let plan = queries[0].plan.clone();
-            std::thread::spawn(move || runtime.score(&plan))
+            std::thread::spawn(move || runtime.submit(ScoreRequest::from_plan(&plan)))
         })
         .collect();
     // Wait until both requests sit in the queue.
@@ -90,7 +93,7 @@ fn saturation_rejects_and_counts_dropped_requests() {
         std::thread::yield_now();
     }
     assert!(matches!(
-        runtime.try_score(&queries[1].plan),
+        runtime.try_submit(ScoreRequest::from_plan(&queries[1].plan)),
         Err(ServeError::Saturated)
     ));
     assert_eq!(runtime.stats().dropped, 1);
@@ -111,16 +114,18 @@ fn malformed_feature_width_is_rejected_up_front() {
     // not panic inside a worker batch.
     for bad in [vec![], vec![1.0; 3]] {
         assert!(matches!(
-            runtime.score_features(bad.clone()),
+            runtime.submit(ScoreRequest::from_features(bad.clone())),
             Err(ServeError::Scoring(_))
         ));
         assert!(matches!(
-            runtime.try_score_features(bad),
+            runtime.try_submit(ScoreRequest::from_features(bad)),
             Err(ServeError::Scoring(_))
         ));
     }
     // The runtime stays fully operational afterwards.
-    assert!(runtime.score(&queries[0].plan).is_ok());
+    assert!(runtime
+        .submit(ScoreRequest::from_plan(&queries[0].plan))
+        .is_ok());
 }
 
 #[test]
@@ -131,7 +136,9 @@ fn scoring_after_shutdown_fails_cleanly() {
         "ppm",
         RuntimeConfig::deterministic(&config),
     );
-    runtime.score(&queries[0].plan).unwrap();
+    runtime
+        .submit(ScoreRequest::from_plan(&queries[0].plan))
+        .unwrap();
     // Shutdown consumes the runtime; re-create and drop to exercise Drop.
     runtime.shutdown();
     let runtime = ScoringRuntime::new(registry, "ppm", RuntimeConfig::deterministic(&config));
@@ -146,14 +153,20 @@ fn reregistration_is_picked_up_without_restart() {
         "ppm",
         RuntimeConfig::deterministic(&config),
     );
-    let before = runtime.score(&queries[0].plan).unwrap();
+    let before = runtime
+        .submit(ScoreRequest::from_plan(&queries[0].plan))
+        .map(|o| o.request)
+        .unwrap();
 
     // Re-register a model trained with a different seed (an RCU swap in the
     // registry); the runtime must serve the new model on the next request.
     let (registry2, _, _) = fixture(99);
     let replacement = registry2.load("ppm").unwrap();
     registry.register("ppm", (*replacement).clone()).unwrap();
-    let after = runtime.score(&queries[0].plan).unwrap();
+    let after = runtime
+        .submit(ScoreRequest::from_plan(&queries[0].plan))
+        .map(|o| o.request)
+        .unwrap();
 
     assert_ne!(
         before.predicted_ppm.parameters(),
@@ -172,7 +185,7 @@ fn batch_window_forms_batches_under_load() {
             .with_workers(1)
             .with_max_batch(16)
             .with_batch_window(Duration::from_millis(2))
-            .with_inline_when_idle(false),
+            .with_inline_max_in_flight(0),
     ));
     runtime.warm().unwrap();
     let handles: Vec<_> = (0..6)
@@ -182,7 +195,7 @@ fn batch_window_forms_batches_under_load() {
             std::thread::spawn(move || {
                 let mut served = 0usize;
                 for _ in 0..10 {
-                    runtime.score(&plan).unwrap();
+                    runtime.submit(ScoreRequest::from_plan(&plan)).unwrap();
                     served += 1;
                 }
                 served

@@ -64,8 +64,10 @@ fn main() {
                     if let Some(wait) = arrival.at.checked_sub(start.elapsed()) {
                         std::thread::sleep(wait);
                     }
-                    let request = runtime.score(&plans[arrival.query_index]).expect("scoring");
-                    assert!(request.executors >= 1);
+                    let outcome = runtime
+                        .submit(ScoreRequest::from_plan(&plans[arrival.query_index]))
+                        .expect("scoring");
+                    assert!(outcome.request.executors >= 1);
                     served += 1;
                 }
                 served

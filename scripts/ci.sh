@@ -27,8 +27,11 @@
 # work-steal drill), and a resilience smoke (one full shard failure
 # lifecycle per fleet size: zero lost tickets, surviving goodput >= 60%
 # of pre-kill through a 1-of-4 shard crash, and probationary recovery
-# re-admitting the revived shard). Pass --full to also run the full
-# bench suite (slow).
+# re-admitting the revived shard), and a perfbench stage (the repository's
+# benchmark package builds against the current crates, its own tests pass,
+# and each workload runs once for one second, answering correctly with zero
+# failed operations — so an API change cannot break the benchmark
+# unnoticed). Pass --full to also run the full bench suite (slow).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -74,6 +77,17 @@ cargo run --offline --release -p ae-bench --bin bench_fleet -- --smoke
 
 echo "==> resilience smoke (1-of-4 shard kill: zero lost tickets, >= 60% goodput retained, probation re-admits)"
 cargo run --offline --release -p ae-bench --bin bench_resilience -- --smoke
+
+echo "==> perfbench (benchmark builds and its tests pass; each workload runs once: correct, zero failed)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+for workload in serve_blocking retrain; do
+    result="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+    if [[ "$result" != *'"correct": true'* || "$result" != *'"failed": 0,'* ]]; then
+        echo "perfbench $workload: expected \"correct\": true and \"failed\": 0, got: $result" >&2
+        exit 1
+    fi
+done
 
 if [[ "${1:-}" == "--full" ]]; then
     echo "==> full bench suite"
