@@ -1,6 +1,7 @@
 //! Forest-inference benchmark: the compiled representation
-//! (`ae_ml::compiled::CompiledForest` — flat SoA tree arenas, pooled leaf
-//! table, batch-major kernel) against the interpreted
+//! (`ae_ml::compiled::CompiledForest` — one flat SoA tree arena with leaves
+//! as self-loops, a pooled leaf table, and one branchless kernel walking
+//! blocks of 8 trees in lockstep) against the interpreted
 //! `RandomForestRegressor` walk it replaced on every scoring path.
 //!
 //! Three measurements, plus a bit-equality check that always runs:
@@ -8,7 +9,9 @@
 //! * **single-row latency** — one `predict_into` call per measured op, the
 //!   shape of the sequential `AutoExecutorRule` and the serving inline
 //!   fast path;
-//! * **batched throughput** — rows/second over a tiled batch matrix:
+//! * **batched throughput** — rows/second over a batch matrix that repeats
+//!   the suite's rows in a cycle (a branchy walk's predictor can learn the
+//!   repeating paths; the compiled kernel has no branches to learn):
 //!   `predict_matrix` (the pre-PR `Vec<Vec<f64>>` serving walk, the
 //!   baseline the speedup is quoted against), `predict_matrix_into` (the
 //!   interpreted flat-output variant), and the compiled
@@ -125,6 +128,7 @@ fn main() {
             model
                 .feature_set()
                 .project(&autoexecutor::featurize_plan(&q.plan))
+                .expect("featurize_plan emits full-width rows")
         })
         .collect();
     let mut matrix = FeatureMatrix::with_capacity(compiled.num_features(), args.batch_rows);
@@ -273,12 +277,13 @@ fn main() {
         out.push_str("{\n");
         out.push_str(
             "  \"comment\": \"Compiled-forest inference benchmark: CompiledForest (flat SoA tree \
-             arenas, pooled leaf table, batch-major kernel) vs the interpreted \
-             RandomForestRegressor walk every scoring path used before. 'interpreted \
-             predict_matrix' is the pre-compilation batched serving walk and is the baseline the \
-             speedup is quoted against; equivalence_bit_identical asserts compiled == interpreted \
-             bit-for-bit over the whole batch. Regenerate with: cargo run --release -p ae-bench \
-             --bin bench_inference -- --json BENCH_inference.json\",\n",
+             arena with leaves as self-loops, pooled leaf table, one branchless kernel walking \
+             blocks of 8 trees in lockstep) vs the interpreted RandomForestRegressor walk every \
+             scoring path used before. 'interpreted predict_matrix' is the pre-compilation \
+             batched serving walk and is the baseline the speedup is quoted against; the batch \
+             repeats the suite's rows in a cycle. equivalence_bit_identical asserts compiled == \
+             interpreted bit-for-bit over the whole batch. Regenerate with: cargo run --release \
+             -p ae-bench --bin bench_inference -- --json BENCH_inference.json\",\n",
         );
         out.push_str(&format!(
             "  \"host\": \"{}-core container (release profile)\",\n",

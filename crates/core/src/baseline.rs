@@ -54,7 +54,7 @@ impl NonParametricModel {
         let mut dataset = Dataset::new(feature_names, vec!["time_secs".to_string()]);
         let mut rows = 0usize;
         for example in &data.examples {
-            let projected = feature_set.project(&example.full_features);
+            let projected = feature_set.project(&example.full_features)?;
             for &(n, t) in &example.sparklens_curve {
                 let mut row = projected.clone();
                 row.push(n as f64);
@@ -87,8 +87,7 @@ impl NonParametricModel {
     /// Predicts the run time of a plan at one executor count. Note that this
     /// is one forest scoring per candidate configuration.
     pub fn predict_time(&self, plan: &QueryPlan, executors: usize) -> Result<f64> {
-        let projected = self.feature_set.project(&featurize_plan(plan));
-        let mut row = projected;
+        let mut row = self.feature_set.project(&featurize_plan(plan))?;
         row.push(executors.max(1) as f64);
         let out = self.forest.predict(&row).map_err(AutoExecutorError::Ml)?;
         Ok(out[0])

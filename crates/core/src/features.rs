@@ -12,8 +12,13 @@
 //! importance), `F2` (the two input-size features), and `F3 = F1 − F2`
 //! (the four plan-shape features).
 
+use std::borrow::Cow;
+
 use ae_engine::plan::{OperatorKind, PlanStats, QueryPlan};
+use ae_ml::matrix::FeatureMatrix;
 use serde::{Deserialize, Serialize};
+
+use crate::{AutoExecutorError, Result};
 
 /// Feature name for the estimated total input bytes.
 pub const TOTAL_INPUT_BYTES: &str = "TotalInputBytes";
@@ -25,6 +30,20 @@ pub const MAX_DEPTH: &str = "MaxDepth";
 pub const NUM_OPS: &str = "NumOps";
 /// Feature name for the number of input sources.
 pub const NUM_INPUTS: &str = "NumInputs";
+
+/// Number of columns in a full feature vector ([`full_feature_names`]).
+pub const NUM_FULL_FEATURES: usize = OperatorKind::ALL.len() + 5;
+
+/// Column of `NumOps` in the full feature vector; the other four plan-wide
+/// features follow it in [`full_feature_names`] order.
+const NUM_OPS_COLUMN: usize = OperatorKind::ALL.len();
+const MAX_DEPTH_COLUMN: usize = NUM_OPS_COLUMN + 1;
+const TOTAL_INPUT_BYTES_COLUMN: usize = NUM_OPS_COLUMN + 3;
+const TOTAL_ROWS_PROCESSED_COLUMN: usize = NUM_OPS_COLUMN + 4;
+/// Operator-count columns follow [`OperatorKind::ALL`], which lists the
+/// kinds in declaration order.
+const PROJECT_COLUMN: usize = OperatorKind::Project as usize;
+const FILTER_COLUMN: usize = OperatorKind::Filter as usize;
 
 /// The full feature-name list, in column order.
 ///
@@ -42,6 +61,17 @@ pub fn full_feature_names() -> Vec<String> {
     names.push(TOTAL_INPUT_BYTES.to_string());
     names.push(TOTAL_ROWS_PROCESSED.to_string());
     names
+}
+
+/// Checks that a feature vector has the full Table-2 width.
+fn check_full_width(width: usize) -> Result<()> {
+    if width != NUM_FULL_FEATURES {
+        return Err(AutoExecutorError::FeatureWidth {
+            expected: NUM_FULL_FEATURES,
+            actual: width,
+        });
+    }
+    Ok(())
 }
 
 /// Featurizes plan statistics into the full feature vector (same order as
@@ -94,54 +124,92 @@ impl FeatureSet {
         }
     }
 
-    /// The feature names retained by this set, in column order.
-    pub fn feature_names(&self) -> Vec<String> {
+    /// Column indices of this set's features within the full feature vector
+    /// (ordered as [`full_feature_names`]), in this set's column order. A
+    /// static table: nothing is resolved per call.
+    fn columns(&self) -> &'static [usize] {
+        const F0: [usize; NUM_FULL_FEATURES] = {
+            let mut columns = [0; NUM_FULL_FEATURES];
+            let mut i = 0;
+            while i < NUM_FULL_FEATURES {
+                columns[i] = i;
+                i += 1;
+            }
+            columns
+        };
         match self {
-            FeatureSet::F0 => full_feature_names(),
-            FeatureSet::F1 => vec![
-                TOTAL_INPUT_BYTES.to_string(),
-                TOTAL_ROWS_PROCESSED.to_string(),
-                MAX_DEPTH.to_string(),
-                NUM_OPS.to_string(),
-                OperatorKind::Project.name().to_string(),
-                OperatorKind::Filter.name().to_string(),
+            FeatureSet::F0 => &F0,
+            FeatureSet::F1 => &[
+                TOTAL_INPUT_BYTES_COLUMN,
+                TOTAL_ROWS_PROCESSED_COLUMN,
+                MAX_DEPTH_COLUMN,
+                NUM_OPS_COLUMN,
+                PROJECT_COLUMN,
+                FILTER_COLUMN,
             ],
-            FeatureSet::F2 => vec![
-                TOTAL_INPUT_BYTES.to_string(),
-                TOTAL_ROWS_PROCESSED.to_string(),
-            ],
-            FeatureSet::F3 => vec![
-                MAX_DEPTH.to_string(),
-                NUM_OPS.to_string(),
-                OperatorKind::Project.name().to_string(),
-                OperatorKind::Filter.name().to_string(),
+            FeatureSet::F2 => &[TOTAL_INPUT_BYTES_COLUMN, TOTAL_ROWS_PROCESSED_COLUMN],
+            FeatureSet::F3 => &[
+                MAX_DEPTH_COLUMN,
+                NUM_OPS_COLUMN,
+                PROJECT_COLUMN,
+                FILTER_COLUMN,
             ],
         }
     }
 
-    /// Column indices of this set's features within the full feature vector
-    /// (ordered as [`full_feature_names`]). Batched scoring computes this
-    /// once per batch instead of re-resolving names per row.
-    pub fn projection_indices(&self) -> Vec<usize> {
-        let full_names = full_feature_names();
-        self.feature_names()
-            .iter()
-            .map(|name| {
-                full_names
-                    .iter()
-                    .position(|n| n == name)
-                    .expect("feature-set names are a subset of the full names")
-            })
-            .collect()
+    /// The feature names retained by this set, in column order.
+    pub fn feature_names(&self) -> Vec<String> {
+        let full = full_feature_names();
+        self.columns().iter().map(|&c| full[c].clone()).collect()
+    }
+
+    /// Projects a full feature vector (ordered as [`full_feature_names`])
+    /// onto this feature set without allocating: `F0` is the identity and
+    /// returns `full_values` itself; the other sets copy their columns into
+    /// `buf`. Fails unless the vector has all [`NUM_FULL_FEATURES`] columns.
+    pub(crate) fn project_into<'a>(
+        &self,
+        full_values: &'a [f64],
+        buf: &'a mut [f64; NUM_FULL_FEATURES],
+    ) -> Result<&'a [f64]> {
+        check_full_width(full_values.len())?;
+        if *self == FeatureSet::F0 {
+            return Ok(full_values);
+        }
+        let columns = self.columns();
+        for (slot, &c) in buf.iter_mut().zip(columns) {
+            *slot = full_values[c];
+        }
+        Ok(&buf[..columns.len()])
     }
 
     /// Projects a full feature vector (ordered as [`full_feature_names`])
     /// onto this feature set.
-    pub fn project(&self, full_values: &[f64]) -> Vec<f64> {
-        self.projection_indices()
-            .into_iter()
-            .map(|idx| full_values[idx])
-            .collect()
+    pub fn project(&self, full_values: &[f64]) -> Result<Vec<f64>> {
+        let mut buf = [0.0; NUM_FULL_FEATURES];
+        Ok(self.project_into(full_values, &mut buf)?.to_vec())
+    }
+
+    /// Projects every row of a matrix of full feature vectors onto this
+    /// feature set: `F0` borrows the matrix unchanged, the other sets copy
+    /// their columns into a new one. Fails unless the matrix has all
+    /// [`NUM_FULL_FEATURES`] columns.
+    pub(crate) fn project_rows<'a>(
+        &self,
+        full_rows: &'a FeatureMatrix,
+    ) -> Result<Cow<'a, FeatureMatrix>> {
+        check_full_width(full_rows.width())?;
+        if *self == FeatureSet::F0 {
+            return Ok(Cow::Borrowed(full_rows));
+        }
+        let columns = self.columns();
+        let mut projected = FeatureMatrix::with_capacity(columns.len(), full_rows.len());
+        for row in full_rows.rows() {
+            projected
+                .push_row_from(columns.iter().map(|&c| row[c]))
+                .expect("a projected row has one value per column");
+        }
+        Ok(Cow::Owned(projected))
     }
 }
 
@@ -210,11 +278,65 @@ mod tests {
     #[test]
     fn projection_selects_the_right_columns() {
         let values = featurize_plan(&sample_plan());
-        let projected = FeatureSet::F2.project(&values);
+        let projected = FeatureSet::F2.project(&values).unwrap();
         assert_eq!(projected.len(), 2);
         assert!((projected[0] - 2e9).abs() < 1.0);
-        let f0 = FeatureSet::F0.project(&values);
+        let f0 = FeatureSet::F0.project(&values).unwrap();
         assert_eq!(f0, values);
+    }
+
+    #[test]
+    fn column_tables_name_the_paper_feature_sets() {
+        assert_eq!(
+            FeatureSet::F1.feature_names(),
+            [
+                TOTAL_INPUT_BYTES,
+                TOTAL_ROWS_PROCESSED,
+                MAX_DEPTH,
+                NUM_OPS,
+                OperatorKind::Project.name(),
+                OperatorKind::Filter.name(),
+            ]
+        );
+        assert_eq!(FeatureSet::F0.feature_names(), full_feature_names());
+        assert_eq!(full_feature_names().len(), NUM_FULL_FEATURES);
+    }
+
+    #[test]
+    fn short_feature_vectors_are_rejected() {
+        let narrow = [1.0, 2.0];
+        let matrix = FeatureMatrix::from_rows(&[narrow.to_vec()]).unwrap();
+        for set in FeatureSet::ALL {
+            assert!(matches!(
+                set.project(&narrow),
+                Err(AutoExecutorError::FeatureWidth {
+                    expected: 19,
+                    actual: 2
+                })
+            ));
+            assert!(matches!(
+                set.project_rows(&matrix),
+                Err(AutoExecutorError::FeatureWidth {
+                    expected: 19,
+                    actual: 2
+                })
+            ));
+        }
+    }
+
+    #[test]
+    fn f0_projection_is_the_identity_without_a_copy() {
+        let values = featurize_plan(&sample_plan());
+        let mut buf = [0.0; NUM_FULL_FEATURES];
+        let row = FeatureSet::F0.project_into(&values, &mut buf).unwrap();
+        assert!(std::ptr::eq(row, values.as_slice()));
+        let matrix = FeatureMatrix::from_rows(std::slice::from_ref(&values)).unwrap();
+        assert!(matches!(
+            FeatureSet::F0.project_rows(&matrix).unwrap(),
+            Cow::Borrowed(_)
+        ));
+        let f3 = FeatureSet::F3.project_rows(&matrix).unwrap();
+        assert_eq!(f3.row(0), FeatureSet::F3.project(&values).unwrap());
     }
 
     #[test]

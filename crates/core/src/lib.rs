@@ -86,6 +86,13 @@ pub enum AutoExecutorError {
     InvalidModel(String),
     /// The training workload is empty.
     EmptyWorkload,
+    /// A feature vector does not have the full Table-2 width.
+    FeatureWidth {
+        /// The full Table-2 width.
+        expected: usize,
+        /// The width supplied.
+        actual: usize,
+    },
 }
 
 impl std::fmt::Display for AutoExecutorError {
@@ -97,6 +104,10 @@ impl std::fmt::Display for AutoExecutorError {
             AutoExecutorError::ModelNotFound(name) => write!(f, "model '{name}' not found"),
             AutoExecutorError::InvalidModel(s) => write!(f, "invalid model: {s}"),
             AutoExecutorError::EmptyWorkload => write!(f, "training workload is empty"),
+            AutoExecutorError::FeatureWidth { expected, actual } => write!(
+                f,
+                "feature vector has {actual} columns, expected the {expected} Table-2 features"
+            ),
         }
     }
 }

@@ -77,7 +77,7 @@ pub fn measure_overheads(
         let features = featurize_plan(&query.plan);
         featurization_total += feat_start.elapsed();
 
-        let projected = config.feature_set.project(&features);
+        let projected = config.feature_set.project(&features)?;
         let infer_start = Instant::now();
         let _ = runtime
             .score(&projected)

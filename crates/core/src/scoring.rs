@@ -16,8 +16,8 @@
 //!   Section 5.6 overhead accounting.
 //! * [`score_feature_batch`] — a micro-batch of queries laid out in one
 //!   [`FeatureMatrix`]: batched forest inference
-//!   ([`ParameterModel::predict_ppm_batch`], the compiled batch-major
-//!   kernel accumulating into one flat output buffer) followed by batched
+//!   ([`ParameterModel::predict_ppm_batch`], the compiled kernel
+//!   accumulating into one flat output buffer) followed by batched
 //!   selection ([`SelectionObjective::select_batch`]). Per-row results are
 //!   bit-identical to [`score_features`].
 //!

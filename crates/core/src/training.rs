@@ -29,7 +29,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::config::AutoExecutorConfig;
-use crate::features::{featurize_plan, full_feature_names, FeatureSet};
+use crate::features::{featurize_plan, full_feature_names, FeatureSet, NUM_FULL_FEATURES};
 use crate::{AutoExecutorError, Result};
 
 /// One training example: a query's features, its Sparklens curve, and the
@@ -193,7 +193,7 @@ impl TrainingData {
             .collect();
         let mut dataset = Dataset::new(feature_names, target_names);
         for example in &self.examples {
-            let features = feature_set.project(&example.full_features);
+            let features = feature_set.project(&example.full_features)?;
             let targets = match kind {
                 PpmKind::PowerLaw => vec![
                     example.power_law.a,
@@ -278,36 +278,31 @@ impl ParameterModel {
         self.predict_ppm_from_full_features(&featurize_plan(plan))
     }
 
-    /// Predicts the PPM from an already-computed *full* feature vector.
-    /// Inference runs on the compiled forest (bit-identical to the
-    /// interpreted walk).
+    /// Predicts the PPM from an already-computed *full* feature vector,
+    /// projected through the feature set's static column table (`F0` scores
+    /// the vector as it is). Inference runs on the compiled forest
+    /// (bit-identical to the interpreted walk). Fails with
+    /// [`AutoExecutorError::FeatureWidth`] unless the vector has all
+    /// [`NUM_FULL_FEATURES`] columns.
     pub fn predict_ppm_from_full_features(&self, full_features: &[f64]) -> Result<Ppm> {
-        let projected = self.feature_set.project(full_features);
-        let params = self
-            .compiled
-            .predict(&projected)
-            .map_err(AutoExecutorError::Ml)?;
+        let mut buf = [0.0; NUM_FULL_FEATURES];
+        let row = self.feature_set.project_into(full_features, &mut buf)?;
+        let params = self.compiled.predict(row).map_err(AutoExecutorError::Ml)?;
         Ok(Ppm::from_parameters(self.kind, &params))
     }
 
     /// Predicts PPMs for a whole batch of *full* feature vectors at once —
-    /// the inference stage of the batched serving path. The projection
-    /// indices are resolved once for the batch, rows are laid out in one
-    /// flat matrix, and the compiled batch-major kernel accumulates into
-    /// one flat output buffer (zero per-row allocation) from which the
+    /// the inference stage of the batched serving path. The rows are
+    /// projected through the feature set's static column table (`F0`
+    /// scores the matrix as it is), and the compiled kernel accumulates
+    /// into one flat output buffer (zero per-row allocation) from which the
     /// PPMs are constructed directly (`ae_ppm::ppms_from_flat`); each
     /// returned PPM is bit-identical to what
     /// [`predict_ppm_from_full_features`] yields for the same row.
     ///
     /// [`predict_ppm_from_full_features`]: Self::predict_ppm_from_full_features
     pub fn predict_ppm_batch(&self, full_rows: &FeatureMatrix) -> Result<Vec<Ppm>> {
-        let indices = self.feature_set.projection_indices();
-        let mut projected = FeatureMatrix::with_capacity(indices.len(), full_rows.len());
-        for row in full_rows.rows() {
-            projected
-                .push_row_from(indices.iter().map(|&i| row[i]))
-                .map_err(AutoExecutorError::Ml)?;
-        }
+        let projected = self.feature_set.project_rows(full_rows)?;
         let k = self.compiled.num_outputs();
         let mut flat = vec![0.0; projected.len() * k];
         self.compiled
@@ -515,6 +510,52 @@ mod tests {
         let sub = data.subset(&[0, 3]);
         assert_eq!(sub.len(), 2);
         assert_eq!(sub.examples[1].name, data.examples[3].name);
+    }
+
+    #[test]
+    fn short_feature_vectors_are_rejected() {
+        let queries = small_workload();
+        for set in [FeatureSet::F0, FeatureSet::F2] {
+            let cfg = fast_config().with_feature_set(set);
+            let (_, model) = train_from_workload(&queries, &cfg).unwrap();
+            let narrow = [1.0, 2.0];
+            assert!(matches!(
+                model.predict_ppm_from_full_features(&narrow),
+                Err(AutoExecutorError::FeatureWidth {
+                    expected: 19,
+                    actual: 2
+                })
+            ));
+            let matrix = FeatureMatrix::from_rows(&[narrow.to_vec()]).unwrap();
+            assert!(matches!(
+                model.predict_ppm_batch(&matrix),
+                Err(AutoExecutorError::FeatureWidth {
+                    expected: 19,
+                    actual: 2
+                })
+            ));
+        }
+    }
+
+    #[test]
+    fn projected_batches_match_single_rows() {
+        let queries = small_workload();
+        let cfg = fast_config().with_feature_set(FeatureSet::F1);
+        let (_, model) = train_from_workload(&queries, &cfg).unwrap();
+        let mut matrix = FeatureMatrix::new(feature_dimensions());
+        for query in &queries {
+            matrix.push_row(&featurize_plan(&query.plan)).unwrap();
+        }
+        let batched = model.predict_ppm_batch(&matrix).unwrap();
+        for (row, ppm) in matrix.rows().zip(&batched) {
+            let single = model.predict_ppm_from_full_features(row).unwrap();
+            let interpreted = model
+                .forest()
+                .predict(&FeatureSet::F1.project(row).unwrap())
+                .unwrap();
+            assert_eq!(single.parameters(), ppm.parameters());
+            assert_eq!(single.parameters(), interpreted);
+        }
     }
 
     #[test]

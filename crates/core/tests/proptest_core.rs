@@ -53,7 +53,7 @@ proptest! {
     fn feature_set_projection_is_a_subset(plan in plan_strategy()) {
         let values = featurize_plan(&plan);
         for set in FeatureSet::ALL {
-            let projected = set.project(&values);
+            let projected = set.project(&values).unwrap();
             prop_assert_eq!(projected.len(), set.feature_names().len());
             for v in &projected {
                 prop_assert!(values.contains(v));

@@ -1,45 +1,54 @@
-//! Compiled forest inference: flat SoA tree arenas, a pooled leaf table,
-//! and a batch-major scoring kernel.
+//! Compiled forest inference: one flat arena for every tree, a pooled leaf
+//! table, and one branchless lockstep kernel.
 //!
 //! The interpreted [`RandomForestRegressor`] walks a `Vec<Node>` of enum
-//! variants whose leaves each own a heap-allocated `Vec<f64>`. That is fine
-//! for training-time use, but every scored serving request bottoms out in
-//! that traversal, so the serving tier wants a representation built for the
-//! walk alone:
+//! variants whose leaves each own a heap-allocated `Vec<f64>`, one tree at a
+//! time, taking a data-dependent branch at every node. That is fine for
+//! training-time use, but every scored serving request bottoms out in the
+//! forest walk, so scoring runs on a representation built for the walk
+//! alone:
 //!
 //! * **Struct-of-arrays node storage** — one arena across *all* trees:
 //!   `feature: Vec<u32>`, `threshold: Vec<f64>`, `right: Vec<u32>`. Nodes
-//!   are re-emitted in preorder DFS at compile time, so the **left child is
-//!   implicit** (always the next arena slot) and needs no storage at all:
-//!   traversal is a tight loop with no enum matching, 16 bytes of node
-//!   state, and a sequential access pattern on the ≤-branch.
-//! * **Pooled leaf table** — every leaf's output vector lives in one
-//!   contiguous `leaf_values` buffer, indexed by `leaf_id × num_outputs`.
-//!   A leaf node stores its `leaf_id` in the `right` array and is marked by
-//!   `feature == LEAF`.
-//! * **Batch-major kernel** — [`predict_batch_into`] iterates trees-outer /
-//!   rows-inner over the flat [`FeatureMatrix`] row storage and accumulates
-//!   into a caller-owned flat output slice (zero per-row allocation). It
-//!   runs on the calling thread: serving batches are already spread over
-//!   the runtime's worker threads, and a one-row call costs what the
-//!   single-row path costs. Each row's accumulator receives tree
-//!   contributions in tree order, so the result is **bit-identical** to the
-//!   interpreter.
+//!   are emitted in preorder DFS, so the **left child is implicit** (always
+//!   the next arena slot) and needs no storage.
+//! * **Leaves are self-loops** — a leaf node reads feature 0, has a NaN
+//!   threshold and is its own right child. `x <= NaN` is false for every
+//!   `x` (NaN included), so a step from a leaf stays on it, and walking a
+//!   tree for its depth lands every row on its leaf without ever asking
+//!   "is this a leaf?". The side array `leaf` maps a leaf's arena index to
+//!   its row of the pooled `leaf_values` table (`num_outputs` values per
+//!   leaf).
+//! * **One lockstep kernel** — [`predict_into`] (one row) and
+//!   [`predict_batch_into`] (many rows) run the same loop: blocks of
+//!   `BLOCK` (8) consecutive trees outside, rows inside. A row walks all of
+//!   a block's trees side by side for the block's maximum depth (recorded
+//!   at compile time), each step a [`select_unpredictable`] between
+//!   `i + 1` and `right[i]`: optimized builds emit a conditional move, so
+//!   there is no branch to mispredict, and the block's independent walks
+//!   overlap their loads. A block's nodes stay in cache while every row of
+//!   a batch walks it. The kernel runs on the calling thread: serving
+//!   batches are already spread over the runtime's worker threads.
 //!
 //! Bit-identity with [`RandomForestRegressor::predict`] is a structural
 //! property, not a coincidence: both paths zero an accumulator, add each
-//! tree's leaf vector in tree order, and divide by the tree count — the
-//! same f64 operations in the same order on the same values.
+//! tree's leaf vector in tree order (blocks in order, trees in order within
+//! a block), and divide by the tree count — the same f64 operations in the
+//! same order on the same values.
 //!
+//! [`predict_into`]: CompiledForest::predict_into
 //! [`predict_batch_into`]: CompiledForest::predict_batch_into
+//! [`select_unpredictable`]: std::hint::select_unpredictable
+
+use std::hint::select_unpredictable;
 
 use crate::forest::RandomForestRegressor;
 use crate::matrix::FeatureMatrix;
-use crate::tree::CompiledNodes;
+use crate::tree::Node;
 use crate::{MlError, Result};
 
-/// Marker in the `feature` array identifying a leaf node.
-const LEAF: u32 = u32::MAX;
+/// Number of consecutive trees the kernel walks in lockstep.
+const BLOCK: usize = 8;
 
 /// A fitted forest compiled into flat struct-of-arrays storage for fast
 /// inference. Build one with [`CompiledForest::compile`]; predictions are
@@ -48,16 +57,20 @@ const LEAF: u32 = u32::MAX;
 pub struct CompiledForest {
     num_features: usize,
     num_outputs: usize,
-    num_trees: usize,
     /// Arena index of each tree's root node.
     roots: Vec<u32>,
-    /// Split feature per node ([`LEAF`] marks a leaf).
+    /// Maximum tree depth of each block of `BLOCK` consecutive trees.
+    block_depths: Vec<usize>,
+    /// Split feature per node (0 for leaves).
     feature: Vec<u32>,
-    /// Split threshold per node (unused for leaves).
+    /// Split threshold per node (NaN for leaves).
     threshold: Vec<f64>,
-    /// Right child arena index for splits; the leaf id for leaves. The
+    /// Right child arena index per node; a leaf is its own right child. The
     /// left child needs no storage: preorder emission makes it `idx + 1`.
     right: Vec<u32>,
+    /// Leaf id per node, indexing `leaf_values`. Splits hold `u32::MAX`,
+    /// which a walk never reads: it always ends on a leaf.
+    leaf: Vec<u32>,
     /// Pooled leaf outputs, `num_outputs` values per leaf id.
     leaf_values: Vec<f64>,
 }
@@ -78,7 +91,12 @@ impl CompiledForest {
             });
         }
         let total_nodes: usize = trees.iter().map(|t| t.node_count()).sum();
-        if total_nodes >= LEAF as usize {
+        let total_leaves = trees
+            .iter()
+            .flat_map(|t| t.nodes())
+            .filter(|node| matches!(node, Node::Leaf { .. }))
+            .count();
+        if total_nodes >= u32::MAX as usize {
             return Err(MlError::Numerical(format!(
                 "forest has {total_nodes} nodes, exceeding the u32 arena limit"
             )));
@@ -87,25 +105,65 @@ impl CompiledForest {
         let mut compiled = Self {
             num_features,
             num_outputs,
-            num_trees: trees.len(),
             roots: Vec::with_capacity(trees.len()),
+            block_depths: Vec::with_capacity(trees.len().div_ceil(BLOCK)),
             feature: Vec::with_capacity(total_nodes),
             threshold: Vec::with_capacity(total_nodes),
             right: Vec::with_capacity(total_nodes),
-            leaf_values: Vec::new(),
+            leaf: Vec::with_capacity(total_nodes),
+            leaf_values: Vec::with_capacity(total_leaves * num_outputs),
         };
-        for tree in trees {
-            compiled.roots.push(compiled.feature.len() as u32);
-            tree.emit_compiled_nodes(&mut CompiledNodes {
-                leaf_marker: LEAF,
-                feature: &mut compiled.feature,
-                threshold: &mut compiled.threshold,
-                right: &mut compiled.right,
-                leaf_values: &mut compiled.leaf_values,
-                num_outputs,
-            });
+        for block in trees.chunks(BLOCK) {
+            let mut block_depth = 0;
+            for tree in block {
+                compiled.roots.push(compiled.feature.len() as u32);
+                block_depth = block_depth.max(compiled.emit_tree(tree.nodes()));
+            }
+            compiled.block_depths.push(block_depth);
         }
         Ok(compiled)
+    }
+
+    /// Appends one tree's nodes to the arena in preorder (left subtree
+    /// first), so that *left child = parent + 1* holds by construction, and
+    /// returns the tree's depth (0 for a single leaf). An explicit stack
+    /// keeps a chain tree's depth off the call stack.
+    fn emit_tree(&mut self, nodes: &[Node]) -> usize {
+        let mut depth = 0;
+        // (tree node to emit, its depth, arena position whose `right` slot
+        // is patched to this node's position — the parent, for right
+        // children).
+        let mut stack: Vec<(usize, usize, Option<usize>)> = vec![(0, 0, None)];
+        while let Some((node_idx, node_depth, patch)) = stack.pop() {
+            let pos = self.feature.len();
+            if let Some(parent) = patch {
+                self.right[parent] = pos as u32;
+            }
+            match &nodes[node_idx] {
+                Node::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => {
+                    self.feature.push(*feature as u32);
+                    self.threshold.push(*threshold);
+                    self.right.push(0); // patched when the right child is emitted
+                    self.leaf.push(u32::MAX);
+                    stack.push((*right, node_depth + 1, Some(pos)));
+                    stack.push((*left, node_depth + 1, None)); // emitted next: left = pos + 1
+                }
+                Node::Leaf { value, .. } => {
+                    depth = depth.max(node_depth);
+                    self.feature.push(0);
+                    self.threshold.push(f64::NAN);
+                    self.right.push(pos as u32);
+                    self.leaf.push(self.num_leaves() as u32);
+                    self.leaf_values.extend_from_slice(value);
+                }
+            }
+        }
+        depth
     }
 
     /// Number of input features per row.
@@ -120,7 +178,7 @@ impl CompiledForest {
 
     /// Number of compiled trees.
     pub fn num_trees(&self) -> usize {
-        self.num_trees
+        self.roots.len()
     }
 
     /// Total nodes in the arena (equals the source forest's `total_nodes`).
@@ -130,26 +188,7 @@ impl CompiledForest {
 
     /// Number of pooled leaves across all trees.
     pub fn num_leaves(&self) -> usize {
-        self.leaf_values
-            .len()
-            .checked_div(self.num_outputs)
-            .unwrap_or(0)
-    }
-
-    /// Walks one tree from `idx` and returns the leaf id the row lands in.
-    #[inline]
-    fn leaf_of(&self, mut idx: usize, row: &[f64]) -> usize {
-        loop {
-            let feature = self.feature[idx];
-            if feature == LEAF {
-                return self.right[idx] as usize;
-            }
-            idx = if row[feature as usize] <= self.threshold[idx] {
-                idx + 1 // left child is the next arena slot by construction
-            } else {
-                self.right[idx] as usize
-            };
-        }
+        self.leaf_values.len() / self.num_outputs
     }
 
     fn check_row_width(&self, width: usize) -> Result<()> {
@@ -165,7 +204,8 @@ impl CompiledForest {
     }
 
     /// Predicts one row into a caller-provided buffer of `num_outputs`
-    /// slots. Bit-identical to [`RandomForestRegressor::predict_into`].
+    /// slots: the kernel's one-row call. Bit-identical to
+    /// [`RandomForestRegressor::predict_into`].
     pub fn predict_into(&self, row: &[f64], out: &mut [f64]) -> Result<()> {
         self.check_row_width(row.len())?;
         if out.len() != self.num_outputs {
@@ -177,19 +217,7 @@ impl CompiledForest {
                 ),
             });
         }
-        out.fill(0.0);
-        let k = self.num_outputs;
-        for &root in &self.roots {
-            let leaf = self.leaf_of(root as usize, row);
-            let src = &self.leaf_values[leaf * k..(leaf + 1) * k];
-            for (acc, v) in out.iter_mut().zip(src) {
-                *acc += *v;
-            }
-        }
-        let nt = self.num_trees as f64;
-        for acc in out.iter_mut() {
-            *acc /= nt;
-        }
+        self.run(std::iter::once(row), out);
         Ok(())
     }
 
@@ -200,14 +228,10 @@ impl CompiledForest {
         Ok(out)
     }
 
-    /// The batch-major scoring kernel: predicts every row of `matrix` into
-    /// the caller-owned flat output slice `out` (row-major,
-    /// `matrix.len() × num_outputs` values, zero per-row allocation).
-    ///
-    /// Iteration is trees-outer / rows-inner, so the node arrays stream
-    /// through cache once per tree instead of once per row. Each row's
-    /// accumulator receives tree contributions in tree order, so the output
-    /// is bit-identical to [`predict_into`](Self::predict_into) per row.
+    /// Predicts every row of `matrix` into the caller-owned flat output
+    /// slice `out` (row-major, `matrix.len() × num_outputs` values, zero
+    /// per-row allocation): the kernel's many-row call. Each row's output
+    /// is bit-identical to [`predict_into`](Self::predict_into).
     pub fn predict_batch_into(&self, matrix: &FeatureMatrix, out: &mut [f64]) -> Result<()> {
         let rows = matrix.len();
         let k = self.num_outputs;
@@ -224,12 +248,7 @@ impl CompiledForest {
             return Ok(());
         }
         self.check_row_width(matrix.width())?;
-        out.fill(0.0);
-        self.accumulate_rows(matrix, out);
-        let nt = self.num_trees as f64;
-        for acc in out.iter_mut() {
-            *acc /= nt;
-        }
+        self.run(matrix.rows(), out);
         Ok(())
     }
 
@@ -243,19 +262,44 @@ impl CompiledForest {
         self.predict_batch_into(matrix, out)
     }
 
-    /// Accumulates (un-normalized) tree sums for every row of `matrix` into
-    /// `out`, trees-outer / rows-inner. `out` must be zeroed by the caller.
-    fn accumulate_rows(&self, matrix: &FeatureMatrix, out: &mut [f64]) {
+    /// The scoring kernel. Writes the forest mean for each row of `rows`
+    /// into consecutive `num_outputs`-wide slots of `out`; callers have
+    /// checked the row width and the buffer length.
+    fn run<'r>(&self, rows: impl Iterator<Item = &'r [f64]> + Clone, out: &mut [f64]) {
         let k = self.num_outputs;
-        for &root in &self.roots {
-            for (r, row) in matrix.rows().enumerate() {
-                let leaf = self.leaf_of(root as usize, row);
-                let src = &self.leaf_values[leaf * k..(leaf + 1) * k];
-                let dst = &mut out[r * k..(r + 1) * k];
-                for (acc, v) in dst.iter_mut().zip(src) {
-                    *acc += *v;
+        // One length for the three node arrays: a step checks its index once.
+        let n = self.feature.len();
+        let (feature, threshold, right) =
+            (&self.feature[..n], &self.threshold[..n], &self.right[..n]);
+        out.fill(0.0);
+        for (roots, &depth) in self.roots.chunks(BLOCK).zip(&self.block_depths) {
+            // A partial last block fills its spare lanes with its last tree,
+            // walked but not added, so every block runs all `BLOCK` lanes: a
+            // fixed count the compiler unrolls and keeps in registers.
+            let mut start = [*roots.last().expect("chunks are non-empty") as usize; BLOCK];
+            for (lane, &root) in start.iter_mut().zip(roots) {
+                *lane = root as usize;
+            }
+            for (row, acc) in rows.clone().zip(out.chunks_exact_mut(k)) {
+                let mut nodes = start;
+                for _ in 0..depth {
+                    for node in nodes.iter_mut() {
+                        let i = *node;
+                        let go_left = row[feature[i] as usize] <= threshold[i];
+                        *node = select_unpredictable(go_left, i + 1, right[i] as usize);
+                    }
+                }
+                for &node in &nodes[..roots.len()] {
+                    let leaf = self.leaf[node] as usize * k;
+                    for (a, v) in acc.iter_mut().zip(&self.leaf_values[leaf..leaf + k]) {
+                        *a += *v;
+                    }
                 }
             }
+        }
+        let nt = self.roots.len() as f64;
+        for acc in out.iter_mut() {
+            *acc /= nt;
         }
     }
 }
@@ -308,6 +352,29 @@ mod tests {
                 "row {i}"
             );
         }
+    }
+
+    #[test]
+    fn leaves_are_self_loops_and_blocks_record_their_depth() {
+        let rf = fitted(7, 80); // 12 trees: one full block and one partial
+        let compiled = CompiledForest::compile(&rf).unwrap();
+        let mut leaves = 0;
+        for i in 0..compiled.num_nodes() {
+            if compiled.leaf[i] == u32::MAX {
+                continue;
+            }
+            leaves += 1;
+            assert_eq!(compiled.right[i] as usize, i, "node {i}");
+            assert_eq!(compiled.feature[i], 0, "node {i}");
+            assert!(compiled.threshold[i].is_nan(), "node {i}");
+        }
+        assert_eq!(leaves, compiled.num_leaves());
+        let depths: Vec<usize> = rf.trees().iter().map(|t| t.depth()).collect();
+        let expected: Vec<usize> = depths
+            .chunks(BLOCK)
+            .map(|block| *block.iter().max().unwrap())
+            .collect();
+        assert_eq!(compiled.block_depths, expected);
     }
 
     #[test]

@@ -127,9 +127,15 @@ impl RandomForestRegressor {
         let targets = data.targets();
         let n = rows.len();
         let d = data.num_features();
-        let max_features = ((d as f64) * self.config.max_features_fraction)
-            .round()
-            .clamp(1.0, d as f64) as usize;
+        // With no feature columns there is nothing to split on: every tree
+        // is a single leaf, as `DecisionTreeRegressor` fits zero-width rows.
+        let max_features = if d == 0 {
+            0
+        } else {
+            ((d as f64) * self.config.max_features_fraction)
+                .round()
+                .clamp(1.0, d as f64) as usize
+        };
 
         let config = self.config;
         self.trees = (0..config.n_estimators)
@@ -207,7 +213,7 @@ impl RandomForestRegressor {
     /// This is the interpreted batch walk; hot callers use
     /// [`predict_matrix_into`](Self::predict_matrix_into) (flat output, no
     /// per-row allocation) or compile the forest
-    /// ([`compile`](Self::compile)) once and run the batch-major kernel.
+    /// ([`compile`](Self::compile)) once and run its scoring kernel.
     pub fn predict_matrix(&self, matrix: &FeatureMatrix) -> Result<Vec<Vec<f64>>> {
         if self.trees.is_empty() {
             return Err(MlError::NotFitted);
@@ -244,30 +250,6 @@ impl RandomForestRegressor {
     /// The fitted trees (compiled-forest construction walks them).
     pub(crate) fn trees(&self) -> &[DecisionTreeRegressor] {
         &self.trees
-    }
-
-    /// Predicts target vectors for many rows (output order matches input
-    /// order). Rows are scored in parallel **chunks** — a single row's tree
-    /// walk is microseconds, so per-row task dispatch would cost more than
-    /// the work; one contiguous chunk per worker keeps dispatch overhead
-    /// off the scoring path.
-    pub fn predict_batch(&self, rows: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
-        let workers = rayon::current_num_threads().max(1);
-        if workers <= 1 || rows.len() < 2 * workers {
-            return rows.iter().map(|r| self.predict(r)).collect();
-        }
-        let chunk_size = rows.len().div_ceil(workers);
-        let chunks: Vec<&[Vec<f64>]> = rows.chunks(chunk_size).collect();
-        let nested: Vec<Vec<Vec<f64>>> = chunks
-            .into_par_iter()
-            .map(|chunk| {
-                chunk
-                    .iter()
-                    .map(|r| self.predict(r))
-                    .collect::<Result<Vec<_>>>()
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(nested.into_iter().flatten().collect())
     }
 
     /// Maximum depth across the fitted trees (0 before fitting).
@@ -437,17 +419,6 @@ mod tests {
         let p = rf.predict(&[2.0, 4.0]).unwrap();
         assert_eq!(p.len(), 2);
         assert!(p.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn batch_prediction_matches_individual_calls() {
-        let data = synthetic_dataset(50);
-        let mut rf = RandomForestRegressor::new(small_forest(7));
-        rf.fit(&data).unwrap();
-        let rows = vec![vec![1.0, 1.0], vec![10.0, 4.0]];
-        let batch = rf.predict_batch(&rows).unwrap();
-        assert_eq!(batch[0], rf.predict(&rows[0]).unwrap());
-        assert_eq!(batch[1], rf.predict(&rows[1]).unwrap());
     }
 
     #[test]

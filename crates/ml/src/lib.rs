@@ -12,10 +12,11 @@
 //! * [`tree`] — CART regression trees with multi-output targets.
 //! * [`forest`] — bagged random forests over those trees (the parameter
 //!   model), mirroring scikit-learn's defaults (100 estimators).
-//! * [`compiled`] — the fitted forest compiled into flat struct-of-arrays
-//!   tree arenas with a pooled leaf table and a batch-major scoring kernel
-//!   (the serving-path inference representation; bit-identical to the
-//!   interpreter).
+//! * [`compiled`] — the fitted forest compiled into one flat
+//!   struct-of-arrays tree arena (leaves as self-loops) with a pooled leaf
+//!   table and one branchless kernel walking blocks of 8 trees in lockstep
+//!   (the inference representation of every scoring path, one row or
+//!   many; bit-identical to the interpreter).
 //! * [`importance`] — permutation feature importance (Figure 15).
 //! * [`matrix`] — flat row-major feature matrices for the batched serving
 //!   path (one contiguous buffer per batch instead of a `Vec` per request).

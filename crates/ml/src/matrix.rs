@@ -88,7 +88,7 @@ impl FeatureMatrix {
     }
 
     /// Iterates over the rows in insertion order.
-    pub fn rows(&self) -> impl Iterator<Item = &[f64]> {
+    pub fn rows(&self) -> impl Iterator<Item = &[f64]> + Clone {
         self.data.chunks_exact(self.width.max(1))
     }
 

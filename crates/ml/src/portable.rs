@@ -146,7 +146,7 @@ impl PortableModel {
     }
 
     /// Scores every row of a feature matrix through the compiled
-    /// batch-major kernel; bit-identical to calling
+    /// kernel; bit-identical to calling
     /// [`predict`](Self::predict) per row.
     pub fn predict_matrix(&self, matrix: &FeatureMatrix) -> Result<Vec<Vec<f64>>> {
         let k = self.compiled.num_outputs();
@@ -157,7 +157,7 @@ impl PortableModel {
 
     /// Flat-output batched scoring: fills `out` with
     /// `matrix.len() × num_outputs` values, row-major, through the compiled
-    /// batch-major kernel.
+    /// kernel.
     pub fn predict_matrix_into(&self, matrix: &FeatureMatrix, out: &mut Vec<f64>) -> Result<()> {
         self.compiled.predict_batch(matrix, out)
     }

@@ -329,46 +329,10 @@ impl DecisionTreeRegressor {
         }
     }
 
-    /// Appends this tree's nodes to the compiled forest's struct-of-arrays
-    /// arena (see [`crate::compiled::CompiledForest`]) in preorder
-    /// (left-subtree-first) DFS, re-emitted with an explicit stack so the
-    /// invariant *left child = parent + 1* holds by construction — the
-    /// compiled walk stores no left-child index at all. Split nodes record
-    /// their right child in `dst.right`; each leaf's value vector is pooled
-    /// into `dst.leaf_values` and the leaf node stores its leaf id in the
-    /// `right` slot, marked by `dst.leaf_marker` in `feature`.
-    pub(crate) fn emit_compiled_nodes(&self, dst: &mut CompiledNodes<'_>) {
-        // (tree node to emit, arena position whose `right` slot should be
-        // patched to this node's arena position — the parent split, for
-        // right children).
-        let mut stack: Vec<(usize, Option<usize>)> = vec![(0, None)];
-        while let Some((node_idx, patch)) = stack.pop() {
-            let pos = dst.feature.len();
-            if let Some(parent_pos) = patch {
-                dst.right[parent_pos] = pos as u32;
-            }
-            match &self.nodes[node_idx] {
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    dst.feature.push(*feature as u32);
-                    dst.threshold.push(*threshold);
-                    dst.right.push(0); // patched when the right child is emitted
-                    stack.push((*right, Some(pos)));
-                    stack.push((*left, None)); // emitted next: left = pos + 1
-                }
-                Node::Leaf { value, .. } => {
-                    let leaf_id = (dst.leaf_values.len() / dst.num_outputs.max(1)) as u32;
-                    dst.leaf_values.extend_from_slice(value);
-                    dst.feature.push(dst.leaf_marker);
-                    dst.threshold.push(0.0);
-                    dst.right.push(leaf_id);
-                }
-            }
-        }
+    /// The fitted node arena, root first (compiled-forest construction
+    /// walks it).
+    pub(crate) fn nodes(&self) -> &[Node] {
+        &self.nodes
     }
 
     /// Number of output dimensions the tree was fitted on.
@@ -491,25 +455,6 @@ struct BestSplit {
     feature: usize,
     threshold: f64,
     gain: f64,
-}
-
-/// Destination buffers for [`DecisionTreeRegressor::emit_compiled_nodes`]:
-/// the compiled forest's shared struct-of-arrays arena plus the pooled leaf
-/// table. The left child is implicit (always the next arena slot), so the
-/// arena carries three arrays, not four.
-pub(crate) struct CompiledNodes<'a> {
-    /// The `feature` value marking a leaf node.
-    pub leaf_marker: u32,
-    /// Split feature per node (or `leaf_marker`).
-    pub feature: &'a mut Vec<u32>,
-    /// Split threshold per node (0.0 for leaves).
-    pub threshold: &'a mut Vec<f64>,
-    /// Right child arena index for splits; leaf id for leaves.
-    pub right: &'a mut Vec<u32>,
-    /// Pooled leaf outputs, `num_outputs` values per leaf id.
-    pub leaf_values: &'a mut Vec<f64>,
-    /// Output width of the forest being compiled.
-    pub num_outputs: usize,
 }
 
 fn mean_target(targets: &[Vec<f64>], indices: &[usize], k: usize) -> Vec<f64> {

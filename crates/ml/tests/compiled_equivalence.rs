@@ -5,8 +5,11 @@
 //! determinism guarantee ("served answers ≡ the sequential optimizer
 //! rule") rests on it. These tests stress the shapes where a compiled
 //! representation is most likely to diverge: degenerate single-leaf trees,
-//! maximally deep chain trees, zero-information feature columns, empty
-//! batches, and (via the proptest shim) random fitted forests.
+//! maximally deep chain trees, zero-information feature columns, forests
+//! with no feature columns at all, tree counts that leave the kernel's last
+//! block of 8 trees partial, probe values the walk's comparison treats
+//! specially (NaN, ±∞, −0.0, exact split thresholds), empty batches, and
+//! (via the proptest shim) random fitted forests.
 
 use ae_ml::compiled::CompiledForest;
 use ae_ml::dataset::Dataset;
@@ -33,7 +36,7 @@ fn assert_equivalent(forest: &RandomForestRegressor, rows: &[Vec<f64>]) {
         assert_eq!(bits(&interpreted), bits(&fast), "row {i} diverged");
     }
 
-    // Batch-major kernel over the flat matrix.
+    // The many-row kernel call over the flat matrix.
     let matrix = FeatureMatrix::from_rows(rows).expect("matrix");
     let mut flat = vec![0.0; rows.len() * compiled.num_outputs()];
     compiled
@@ -145,6 +148,105 @@ fn empty_batches_and_zero_width_trees_are_handled() {
     assert_eq!(tree.node_count(), 1);
     assert_eq!(tree.depth(), 0);
     assert!((tree.predict(&[]).unwrap()[0] - 2.0).abs() < 1e-12);
+}
+
+#[test]
+fn zero_feature_forests_fit_compile_and_predict() {
+    // No feature columns: every tree is a single leaf, and the kernel's
+    // depth-0 blocks must never read the (empty) row.
+    let mut d = Dataset::new(Vec::new(), vec!["y".into(), "z".into()]);
+    for i in 0..12 {
+        d.push_row(format!("r{i}"), Vec::new(), vec![i as f64, 0.1 * i as f64])
+            .unwrap();
+    }
+    let mut rf = RandomForestRegressor::new(RandomForestConfig {
+        n_estimators: 9,
+        seed: 4,
+        ..Default::default()
+    });
+    rf.fit(&d).unwrap();
+    assert_eq!(rf.total_nodes(), 9, "expected one leaf per tree");
+    let compiled = CompiledForest::compile(&rf).unwrap();
+    assert_eq!(compiled.num_features(), 0);
+    assert_eq!(
+        bits(&compiled.predict(&[]).unwrap()),
+        bits(&rf.predict(&[]).unwrap())
+    );
+}
+
+/// Distinct values of each feature column of the edge-case dataset. A
+/// split threshold is the midpoint of two values a bootstrap sample holds,
+/// so the probes can hit every one exactly; feature 1's values straddle
+/// zero with a threshold of exactly 0.0, which `-0.0` and `0.0` must both
+/// satisfy.
+fn edge_case_columns() -> [Vec<f64>; 3] {
+    [
+        (0..9).map(|v| v as f64 - 4.0).collect(),
+        vec![-3.0, -1.0, 1.0, 3.0],
+        (0..7).map(|v| v as f64 * 1e12).collect(),
+    ]
+}
+
+fn edge_case_forest(n_estimators: usize) -> RandomForestRegressor {
+    let columns = edge_case_columns();
+    let mut d = Dataset::new(
+        vec!["a".into(), "b".into(), "c".into()],
+        vec!["y".into(), "z".into()],
+    );
+    for i in 0..120 {
+        let x: Vec<f64> = columns
+            .iter()
+            .enumerate()
+            .map(|(f, values)| values[(i * (f + 2)) % values.len()])
+            .collect();
+        let y = x[0] * x[0] + if x[1] > 0.0 { 10.0 } else { -5.0 } + x[2] * 1e-12;
+        let z = (x[0] - x[1]).abs() + 0.25 * (i % 3) as f64;
+        d.push_row(format!("r{i}"), x, vec![y, z]).unwrap();
+    }
+    let mut rf = RandomForestRegressor::new(RandomForestConfig {
+        n_estimators,
+        max_features_fraction: 0.67,
+        seed: n_estimators as u64,
+        ..Default::default()
+    });
+    rf.fit(&d).unwrap();
+    rf
+}
+
+/// Probe rows: every possible split threshold and every special value (NaN, ±∞,
+/// −0.0, 0.0) in each feature position, plus all-NaN and all-infinite rows.
+fn edge_case_probes() -> Vec<Vec<f64>> {
+    let columns = edge_case_columns();
+    let base = [0.5, 1.0, 3e12];
+    let mut probes = vec![
+        vec![f64::NAN; 3],
+        vec![f64::INFINITY; 3],
+        vec![f64::NEG_INFINITY; 3],
+        vec![-0.0; 3],
+    ];
+    for (f, values) in columns.iter().enumerate() {
+        let thresholds = values
+            .iter()
+            .enumerate()
+            .flat_map(|(i, a)| values[i + 1..].iter().map(move |b| 0.5 * (a + b)));
+        let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0];
+        for v in thresholds.chain(specials) {
+            let mut row = base.to_vec();
+            row[f] = v;
+            probes.push(row);
+        }
+    }
+    probes
+}
+
+#[test]
+fn partial_blocks_and_special_values_are_equivalent() {
+    let probes = edge_case_probes();
+    for n_estimators in [1, 7, 8, 9, 17, 100] {
+        let rf = edge_case_forest(n_estimators);
+        assert!(rf.max_tree_depth() > 1, "{n_estimators} trees: too shallow");
+        assert_equivalent(&rf, &probes);
+    }
 }
 
 proptest! {

@@ -167,7 +167,7 @@ impl Ppm {
 
 /// Builds one PPM per row from a flat row-major parameter matrix —
 /// `params_per_row` values per model, the shape the compiled forest's
-/// batch-major kernel writes. The batched serving path hands the flat
+/// kernel writes. The batched serving path hands the flat
 /// output slice straight here without materialising per-row vectors; each
 /// model equals [`Ppm::from_parameters`] on the corresponding chunk.
 ///

@@ -304,7 +304,7 @@ struct Shared {
     /// [`ParameterModel`] carries the forest's compiled inference
     /// representation (flat SoA arenas), so a re-registration compiles the
     /// new model **once** here — never per batch — and every drain-loop
-    /// batch runs the compiled batch-major kernel.
+    /// batch runs the compiled kernel.
     model: RwLock<Option<(Arc<PortableModel>, Arc<ParameterModel>)>>,
     /// The degraded-mode circuit breaker (present only when the config
     /// enables it; see [`crate::breaker`]).

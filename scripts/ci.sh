@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gate for the AutoExecutor workspace.
 #
-# Runs the tier-1 verification (release build + tests), lint/format gates
+# Runs the tier-1 verification (release build + tests), the compiled-forest
+# bit-identity suites again in a release build, lint/format gates
 # over every workspace crate (including ae-serve), a rustdoc gate (no-deps
 # docs must build with zero warnings), a quick criterion smoke over the two
 # benches most sensitive to scheduler/training regressions, a serving smoke
@@ -40,6 +41,10 @@ cargo build --release --offline
 
 echo "==> cargo test -q"
 cargo test -q --offline
+
+echo "==> compiled-forest bit-identity suites in release (the kernel's conditional moves exist only in optimized builds)"
+cargo test --release --offline -p ae-ml --test compiled_equivalence
+cargo test --release --offline --test compiled_inference
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets --offline -- -D warnings

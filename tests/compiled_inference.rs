@@ -2,8 +2,8 @@
 //! interpreted [`RandomForestRegressor::predict`] across all three builtin
 //! workload families.
 //!
-//! The compiled representation (flat SoA tree arenas, pooled leaf table,
-//! batch-major kernel) is what every scoring path — the sequential
+//! The compiled representation (one flat SoA tree arena, pooled leaf
+//! table, one lockstep kernel) is what every scoring path — the sequential
 //! `AutoExecutorRule`, the `ScoringRuntime` micro-batches, CV/evaluation,
 //! and the QoS price quotes — now runs on, so it must be **bit-identical**
 //! to the interpreter, not approximately equal: serving determinism
@@ -32,7 +32,7 @@ fn fast_config() -> AutoExecutorConfig {
 
 /// Trains a model on a few of the family's queries and asserts that the
 /// compiled forest reproduces the interpreted forest bit-for-bit over the
-/// *whole* suite, on the single-row path, the batch-major kernel, and the
+/// *whole* suite, on the single-row path, the many-row kernel call, and the
 /// `predict_ppm` wrappers.
 fn assert_family_pinned(family: BuiltinFamily, train_names: &[&str]) {
     let generator = WorkloadGenerator::builtin(family, ScaleFactor::SF10);
@@ -52,7 +52,7 @@ fn assert_family_pinned(family: BuiltinFamily, train_names: &[&str]) {
     let mut projected = FeatureMatrix::with_capacity(compiled.num_features(), suite.len());
     for query in &suite {
         let full = featurize_plan(&query.plan);
-        let row = model.feature_set().project(&full);
+        let row = model.feature_set().project(&full).expect("projection");
 
         // Single-row: compiled vs interpreted, bit for bit.
         let interpreted = forest.predict(&row).expect("interpreted predict");
@@ -79,7 +79,7 @@ fn assert_family_pinned(family: BuiltinFamily, train_names: &[&str]) {
         projected.push_row(&row).expect("projected row");
     }
 
-    // Batch-major kernel over the whole suite at once.
+    // The many-row kernel call over the whole suite at once.
     let mut flat = vec![0.0; suite.len() * k];
     compiled
         .predict_batch_into(&projected, &mut flat)
