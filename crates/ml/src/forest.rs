@@ -3,6 +3,10 @@
 //! This is the *parameter model* of the paper (Section 3.4): scikit-learn's
 //! `RandomForestRegressor` with its default 100 estimators, trained once per
 //! workload on one row per query, predicting the PPM parameter vector.
+//!
+//! A fit lays the dataset out once — features column-major, targets flat —
+//! and shares that layout read-only across the trees, each grown by the
+//! presorted CART grower of [`crate::tree`] from its own bootstrap sample.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -13,7 +17,7 @@ use serde::{Deserialize, Serialize};
 use crate::dataset::Dataset;
 use crate::json::Value;
 use crate::matrix::FeatureMatrix;
-use crate::tree::{DecisionTreeConfig, DecisionTreeRegressor};
+use crate::tree::{DecisionTreeConfig, DecisionTreeRegressor, TrainingColumns};
 use crate::{MlError, Result};
 
 /// Hyper-parameters for the random forest.
@@ -112,6 +116,11 @@ impl RandomForestRegressor {
     /// by `derive_stream_seed(config.seed, tree_index)`. Because no random
     /// state is shared across trees, the fitted forest is bit-identical for
     /// any worker-thread count, including 1.
+    ///
+    /// The dataset is validated before the forest changes: ragged rows fail
+    /// with [`MlError::ShapeMismatch`] and a NaN or infinite feature or
+    /// target with [`MlError::Numerical`], leaving a previously fitted
+    /// forest (trees and names) as it was.
     pub fn fit(&mut self, data: &Dataset) -> Result<()> {
         if data.is_empty() {
             return Err(MlError::EmptyDataset);
@@ -121,11 +130,9 @@ impl RandomForestRegressor {
                 detail: "n_estimators must be at least 1".into(),
             });
         }
-        self.feature_names = data.feature_names().to_vec();
-        self.target_names = data.target_names().to_vec();
-        let rows = data.rows();
-        let targets = data.targets();
-        let n = rows.len();
+        // Validated before any field is overwritten.
+        let columns = TrainingColumns::new(data.rows(), data.targets())?;
+        let n = data.len();
         let d = data.num_features();
         // With no feature columns there is nothing to split on: every tree
         // is a single leaf, as `DecisionTreeRegressor` fits zero-width rows.
@@ -149,21 +156,20 @@ impl RandomForestRegressor {
                     (0..n).collect()
                 };
                 // Each split draws a fresh random subset of feature columns.
-                let mut picker = move |num_features: usize| {
-                    if max_features >= num_features {
-                        (0..num_features).collect::<Vec<_>>()
-                    } else {
-                        let mut cols: Vec<usize> = (0..num_features).collect();
+                let mut picker = move |num_features: usize, cols: &mut Vec<usize>| {
+                    cols.extend(0..num_features);
+                    if max_features < num_features {
                         cols.shuffle(&mut rng);
                         cols.truncate(max_features);
-                        cols
                     }
                 };
                 let mut tree = DecisionTreeRegressor::new(config.tree);
-                tree.fit_with(rows, targets, &sample, &mut picker)?;
+                tree.fit_columns(&columns, &sample, &mut picker)?;
                 Ok(tree)
             })
             .collect::<Result<Vec<_>>>()?;
+        self.feature_names = data.feature_names().to_vec();
+        self.target_names = data.target_names().to_vec();
         Ok(())
     }
 
@@ -450,5 +456,67 @@ mod tests {
             unfitted.predict_matrix(&FeatureMatrix::new(2)),
             Err(MlError::NotFitted)
         ));
+    }
+
+    #[test]
+    fn trees_match_the_per_node_sorting_reference() {
+        use crate::tree::reference::{self, arena_bits};
+        let data = synthetic_dataset(70);
+        for max_features_fraction in [1.0, 0.5] {
+            let config = RandomForestConfig {
+                n_estimators: 12,
+                max_features_fraction,
+                seed: 21,
+                ..Default::default()
+            };
+            let mut rf = RandomForestRegressor::new(config);
+            rf.fit(&data).unwrap();
+            let n = data.len();
+            for (tree_idx, tree) in rf.trees().iter().enumerate() {
+                // The forest's draws, replayed: bootstrap sample, then one
+                // shuffle per split attempt when subsampling features.
+                let mut rng = StdRng::seed_from_u64(derive_stream_seed(21, tree_idx as u64));
+                let sample: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
+                let d = data.num_features();
+                let max_features = (d as f64 * max_features_fraction).round() as usize;
+                let mut picker = |d: usize| {
+                    let mut cols: Vec<usize> = (0..d).collect();
+                    if max_features < d {
+                        cols.shuffle(&mut rng);
+                        cols.truncate(max_features);
+                    }
+                    cols
+                };
+                let expected = reference::fit(
+                    config.tree,
+                    data.rows(),
+                    data.targets(),
+                    &sample,
+                    &mut picker,
+                );
+                assert_eq!(
+                    arena_bits(tree.nodes()),
+                    arena_bits(&expected),
+                    "tree {tree_idx}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn failed_refit_keeps_the_previous_model() {
+        let data = synthetic_dataset(30);
+        let mut rf = RandomForestRegressor::new(small_forest(5));
+        rf.fit(&data).unwrap();
+        let before = rf.predict(&[3.0, 1.0]).unwrap();
+        let mut bad = Dataset::new(vec!["a".into(), "b".into()], vec!["c".into(), "d".into()]);
+        bad.push_row("r0", vec![1.0, f64::NAN], vec![1.0, 2.0])
+            .unwrap();
+        bad.push_row("r1", vec![2.0, 3.0], vec![f64::INFINITY, 2.0])
+            .unwrap();
+        assert!(matches!(rf.fit(&bad), Err(MlError::Numerical(_))));
+        assert_eq!(rf.feature_names(), data.feature_names());
+        assert_eq!(rf.target_names(), data.target_names());
+        assert_eq!(rf.predict(&[3.0, 1.0]).unwrap(), before);
     }
 }

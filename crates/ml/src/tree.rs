@@ -5,6 +5,34 @@
 //! supports vector-valued leaves: splits minimise the summed per-output
 //! variance, and a leaf predicts the per-output mean of its samples — the
 //! same behaviour as scikit-learn's multi-output `DecisionTreeRegressor`.
+//!
+//! # The grower
+//!
+//! A tree is grown from presorted lists of sample row ids. Before the root,
+//! each feature's list holds the (bootstrap) sample stably sorted by that
+//! feature, once per tree, and one more list holds the sample in node order
+//! (the order the caller passed it). All lists share one buffer, and every
+//! node owns the same `lo..hi` segment of each list. A split scan reads a
+//! candidate feature's segment in sorted order; applying a split stably
+//! partitions every list by `x[feature] <= threshold`. Stable sorting
+//! commutes with stable filtering, so each child's segment of a feature list
+//! is exactly the stable sort of the child's node-order rows. No node sorts,
+//! and no node allocates scratch.
+//!
+//! The grower keeps every float operation and its order: leaf means and the
+//! parent SSE sum in node order; totals and prefix sums in each feature's
+//! sorted order; a gap below `1e-15` between neighbours is a tie that cannot
+//! be split; a split wins only on a strictly larger gain; thresholds are
+//! `0.5 * (this + next)`; and the feature picker is called at the same
+//! preorder points, left subtree first. Trees are therefore bit-identical
+//! to sorting at every node, which a test pins against a reference copy of
+//! that builder.
+//!
+//! Commuting sort and filter needs the comparator to be a total preorder,
+//! which `partial_cmp` on floats is only without NaN. Fitting rejects a
+//! NaN or infinite feature or target with [`MlError::Numerical`], and ragged
+//! rows, an out-of-range sample index or candidate feature with
+//! [`MlError::ShapeMismatch`].
 
 use serde::{Deserialize, Serialize};
 
@@ -115,14 +143,20 @@ impl DecisionTreeRegressor {
         max_depth
     }
 
-    /// Fits the tree on `rows`/`targets`, optionally restricted to the sample
-    /// indices in `sample_indices` (used for bootstrap bagging) and drawing
-    /// candidate split features with `feature_picker`.
+    /// Fits the tree on `rows`/`targets`, restricted to the sample indices
+    /// in `sample_indices` (duplicates allowed: the forest passes bootstrap
+    /// samples) and drawing candidate split features with `feature_picker`.
     ///
-    /// `feature_picker` is called once per split attempt with the number of
-    /// features and must return the candidate column indices; the forest uses
-    /// it for per-split feature subsampling. Passing a picker that returns all
-    /// columns reproduces a plain CART tree.
+    /// `feature_picker` is called once per split attempt, in preorder with
+    /// the left subtree first, with the number of features, and must return
+    /// the candidate column indices; the forest uses it for per-split
+    /// feature subsampling. Passing a picker that returns all columns
+    /// reproduces a plain CART tree.
+    ///
+    /// Fails with [`MlError::ShapeMismatch`] on ragged feature or target
+    /// rows, a sample index past the last row, or a candidate column past
+    /// the last feature, and with [`MlError::Numerical`] on a non-finite
+    /// feature or target; on error the tree is left as it was.
     pub fn fit_with(
         &mut self,
         rows: &[Vec<f64>],
@@ -130,25 +164,10 @@ impl DecisionTreeRegressor {
         sample_indices: &[usize],
         feature_picker: &mut dyn FnMut(usize) -> Vec<usize>,
     ) -> Result<()> {
-        if rows.is_empty() || targets.is_empty() || sample_indices.is_empty() {
-            return Err(MlError::EmptyDataset);
-        }
-        if rows.len() != targets.len() {
-            return Err(MlError::ShapeMismatch {
-                detail: format!("{} rows vs {} targets", rows.len(), targets.len()),
-            });
-        }
-        self.num_features = rows[0].len();
-        self.num_outputs = targets[0].len();
-        if self.num_outputs == 0 {
-            return Err(MlError::ShapeMismatch {
-                detail: "targets have zero outputs".into(),
-            });
-        }
-        self.nodes.clear();
-        let indices: Vec<usize> = sample_indices.to_vec();
-        self.build_node(rows, targets, indices, 0, feature_picker);
-        Ok(())
+        let data = TrainingColumns::new(rows, targets)?;
+        self.fit_columns(&data, sample_indices, &mut |d, candidates| {
+            *candidates = feature_picker(d);
+        })
     }
 
     /// Fits the tree on the full dataset with no feature subsampling.
@@ -158,133 +177,36 @@ impl DecisionTreeRegressor {
         self.fit_with(rows, targets, &all, &mut picker)
     }
 
-    fn build_node(
+    /// Grows the tree on already laid-out training data (the forest lays
+    /// the data out once and shares it across trees). `feature_picker`
+    /// fills its buffer with the candidate columns of one split attempt.
+    pub(crate) fn fit_columns(
         &mut self,
-        rows: &[Vec<f64>],
-        targets: &[Vec<f64>],
-        indices: Vec<usize>,
-        depth: usize,
-        feature_picker: &mut dyn FnMut(usize) -> Vec<usize>,
-    ) -> usize {
-        let leaf_value = mean_target(targets, &indices, self.num_outputs);
-        let node_idx = self.nodes.len();
-        // Push a placeholder leaf; it is replaced by a split if one is found.
-        self.nodes.push(Node::Leaf {
-            value: leaf_value.clone(),
-            samples: indices.len(),
-        });
-
-        let depth_ok = self.config.max_depth.is_none_or(|d| depth < d);
-        if !depth_ok || indices.len() < self.config.min_samples_split {
-            return node_idx;
+        data: &TrainingColumns,
+        sample_indices: &[usize],
+        feature_picker: &mut dyn FnMut(usize, &mut Vec<usize>),
+    ) -> Result<()> {
+        if sample_indices.is_empty() {
+            return Err(MlError::EmptyDataset);
         }
-        let parent_impurity = sse(targets, &indices, &leaf_value);
-        if parent_impurity <= 1e-12 {
-            return node_idx;
+        if let Some(&bad) = sample_indices.iter().find(|&&i| i >= data.rows) {
+            return Err(MlError::ShapeMismatch {
+                detail: format!("sample index {bad} but only {} rows", data.rows),
+            });
         }
-
-        let candidates = feature_picker(self.num_features);
-        let Some(best) = self.find_best_split(rows, targets, &indices, &candidates) else {
-            return node_idx;
-        };
-        if best.gain <= 1e-12 {
-            return node_idx;
-        }
-
-        let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = indices
-            .iter()
-            .partition(|&&i| rows[i][best.feature] <= best.threshold);
-        if left_idx.len() < self.config.min_samples_leaf
-            || right_idx.len() < self.config.min_samples_leaf
-        {
-            return node_idx;
-        }
-
-        let left = self.build_node(rows, targets, left_idx, depth + 1, feature_picker);
-        let right = self.build_node(rows, targets, right_idx, depth + 1, feature_picker);
-        self.nodes[node_idx] = Node::Split {
-            feature: best.feature,
-            threshold: best.threshold,
-            left,
-            right,
-        };
-        node_idx
-    }
-
-    fn find_best_split(
-        &self,
-        rows: &[Vec<f64>],
-        targets: &[Vec<f64>],
-        indices: &[usize],
-        candidate_features: &[usize],
-    ) -> Option<BestSplit> {
-        let parent_value = mean_target(targets, indices, self.num_outputs);
-        let parent_sse = sse(targets, indices, &parent_value);
-        let mut best: Option<BestSplit> = None;
-
-        // Buffers reused across candidate features (the split search is the
-        // hot loop of forest training; per-feature allocations dominate the
-        // profile otherwise).
-        let n = indices.len();
-        let k = self.num_outputs;
-        let mut keyed: Vec<(f64, usize)> = Vec::with_capacity(n);
-        let mut prefix_sum = vec![0.0f64; k];
-        let mut prefix_sumsq = vec![0.0f64; k];
-        let mut total_sum = vec![0.0f64; k];
-        let mut total_sumsq = vec![0.0f64; k];
-
-        for &feature in candidate_features {
-            // Sort sample indices by this feature's value and scan split
-            // points. Keys are materialised once so the (stable) sort does
-            // not chase two levels of indirection per comparison; stability
-            // preserves the historical tie order of `indices`.
-            keyed.clear();
-            keyed.extend(indices.iter().map(|&i| (rows[i][feature], i)));
-            keyed.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-            let order = &keyed;
-            // Prefix sums over outputs allow O(1) SSE-decomposition per split.
-            prefix_sum.fill(0.0);
-            prefix_sumsq.fill(0.0);
-            total_sum.fill(0.0);
-            total_sumsq.fill(0.0);
-            for &(_, i) in order {
-                for o in 0..k {
-                    total_sum[o] += targets[i][o];
-                    total_sumsq[o] += targets[i][o] * targets[i][o];
-                }
-            }
-            for (pos, &(this_v, i)) in order.iter().enumerate().take(n - 1) {
-                for o in 0..k {
-                    prefix_sum[o] += targets[i][o];
-                    prefix_sumsq[o] += targets[i][o] * targets[i][o];
-                }
-                let left_n = (pos + 1) as f64;
-                let right_n = (n - pos - 1) as f64;
-                let next_v = order[pos + 1].0;
-                if (next_v - this_v).abs() < 1e-15 {
-                    continue; // cannot split between equal values
-                }
-                let mut child_sse = 0.0;
-                for o in 0..k {
-                    let ls = prefix_sum[o];
-                    let lss = prefix_sumsq[o];
-                    let rs = total_sum[o] - ls;
-                    let rss = total_sumsq[o] - lss;
-                    child_sse += lss - ls * ls / left_n;
-                    child_sse += rss - rs * rs / right_n;
-                }
-                let gain = parent_sse - child_sse;
-                let threshold = 0.5 * (this_v + next_v);
-                if best.as_ref().is_none_or(|b| gain > b.gain) {
-                    best = Some(BestSplit {
-                        feature,
-                        threshold,
-                        gain,
-                    });
-                }
-            }
-        }
-        best
+        let grower = Grower::new(data, self.config, sample_indices);
+        // Fixed widths keep the scan's per-output sums in registers; every
+        // parameter model has 2 (Amdahl) or 3 (power law) outputs.
+        self.nodes = match data.num_outputs {
+            1 => grower.grow::<[f64; 1]>(feature_picker),
+            2 => grower.grow::<[f64; 2]>(feature_picker),
+            3 => grower.grow::<[f64; 3]>(feature_picker),
+            4 => grower.grow::<[f64; 4]>(feature_picker),
+            _ => grower.grow::<Vec<f64>>(feature_picker),
+        }?;
+        self.num_features = data.num_features;
+        self.num_outputs = data.num_outputs;
+        Ok(())
     }
 
     /// Predicts the target vector for one feature row.
@@ -450,6 +372,139 @@ impl DecisionTreeConfig {
     }
 }
 
+/// Training data laid out for the grower and validated once: features
+/// column-major (`columns[f * rows + r]` is feature `f` of row `r`), so a
+/// split reads one contiguous column, and targets flat row-major
+/// (`targets[r * num_outputs + o]`). The forest builds it once per fit and
+/// shares it read-only across trees.
+#[derive(Debug)]
+pub(crate) struct TrainingColumns {
+    columns: Vec<f64>,
+    targets: Vec<f64>,
+    rows: usize,
+    num_features: usize,
+    num_outputs: usize,
+}
+
+impl TrainingColumns {
+    /// Lays out `rows`/`targets`. Fails with [`MlError::EmptyDataset`] when
+    /// there are no rows; with [`MlError::ShapeMismatch`] on a row-count
+    /// mismatch, zero outputs, or a feature or target row whose width
+    /// differs from the first row's; and with [`MlError::Numerical`] on a
+    /// NaN or infinite value.
+    pub(crate) fn new(rows: &[Vec<f64>], targets: &[Vec<f64>]) -> Result<Self> {
+        if rows.is_empty() || targets.is_empty() {
+            return Err(MlError::EmptyDataset);
+        }
+        if rows.len() != targets.len() {
+            return Err(MlError::ShapeMismatch {
+                detail: format!("{} rows vs {} targets", rows.len(), targets.len()),
+            });
+        }
+        if u32::try_from(rows.len()).is_err() {
+            return Err(MlError::ShapeMismatch {
+                detail: format!("{} rows exceed the u32 row ids", rows.len()),
+            });
+        }
+        let num_features = rows[0].len();
+        let num_outputs = targets[0].len();
+        if num_outputs == 0 {
+            return Err(MlError::ShapeMismatch {
+                detail: "targets have zero outputs".into(),
+            });
+        }
+        check_widths("feature", rows, num_features)?;
+        check_widths("target", targets, num_outputs)?;
+        check_finite("feature", rows)?;
+        check_finite("target", targets)?;
+        let n = rows.len();
+        let mut columns = vec![0.0; n * num_features];
+        for (r, row) in rows.iter().enumerate() {
+            for (f, &v) in row.iter().enumerate() {
+                columns[f * n + r] = v;
+            }
+        }
+        Ok(Self {
+            columns,
+            targets: targets.concat(),
+            rows: n,
+            num_features,
+            num_outputs,
+        })
+    }
+
+    fn column(&self, feature: usize) -> &[f64] {
+        &self.columns[feature * self.rows..(feature + 1) * self.rows]
+    }
+}
+
+fn check_widths(what: &str, rows: &[Vec<f64>], width: usize) -> Result<()> {
+    match rows.iter().position(|row| row.len() != width) {
+        Some(r) => Err(MlError::ShapeMismatch {
+            detail: format!(
+                "{what} row {r} has {} values, row 0 has {width}",
+                rows[r].len()
+            ),
+        }),
+        None => Ok(()),
+    }
+}
+
+fn check_finite(what: &str, rows: &[Vec<f64>]) -> Result<()> {
+    for (r, row) in rows.iter().enumerate() {
+        if let Some(c) = row.iter().position(|v| !v.is_finite()) {
+            return Err(MlError::Numerical(format!(
+                "{what} row {r}, column {c} is {}",
+                row[c]
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Per-output running sums (node mean, split-scan totals and prefixes): a
+/// stack array when the output width is a compile-time constant, a `Vec`
+/// otherwise. Either is allocated once per tree.
+trait Sums: AsRef<[f64]> + AsMut<[f64]> {
+    fn zeroed(width: usize) -> Self;
+}
+
+impl<const K: usize> Sums for [f64; K] {
+    fn zeroed(_: usize) -> Self {
+        [0.0; K]
+    }
+}
+
+impl Sums for Vec<f64> {
+    fn zeroed(width: usize) -> Self {
+        vec![0.0; width]
+    }
+}
+
+/// One tree's growing state. `lists` holds `num_features + 1` lists of the
+/// `m` sampled row ids: list `f < num_features` is the sample stably sorted
+/// by feature `f`, the last is the sample in node order. Every node owns the
+/// same `lo..hi` segment of every list.
+struct Grower<'a> {
+    data: &'a TrainingColumns,
+    config: DecisionTreeConfig,
+    m: usize,
+    lists: Vec<u32>,
+    /// Where a stable partition parks the right-going rows of a segment.
+    spill: Vec<u32>,
+    /// Per row: whether it goes left at the split being applied.
+    goes_left: Vec<bool>,
+}
+
+/// A node waiting to be grown: its list segment, depth, and (for a right
+/// child) the arena index of the parent whose `right` link it fills.
+struct Pending {
+    lo: usize,
+    hi: usize,
+    depth: usize,
+    right_of: Option<usize>,
+}
+
 #[derive(Debug, Clone, Copy)]
 struct BestSplit {
     feature: usize,
@@ -457,34 +512,485 @@ struct BestSplit {
     gain: f64,
 }
 
-fn mean_target(targets: &[Vec<f64>], indices: &[usize], k: usize) -> Vec<f64> {
-    let mut mean = vec![0.0; k];
-    for &i in indices {
-        for o in 0..k {
-            mean[o] += targets[i][o];
+impl<'a> Grower<'a> {
+    /// Sorts each feature's sample once: stably, with the comparator
+    /// per-node sorting used, so ties keep sample order.
+    fn new(data: &'a TrainingColumns, config: DecisionTreeConfig, sample: &[usize]) -> Self {
+        let m = sample.len();
+        let mut lists = Vec::with_capacity((data.num_features + 1) * m);
+        let mut keyed: Vec<(f64, u32)> = Vec::with_capacity(m);
+        for feature in 0..data.num_features {
+            let column = data.column(feature);
+            keyed.clear();
+            keyed.extend(sample.iter().map(|&r| (column[r], r as u32)));
+            keyed.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+            lists.extend(keyed.iter().map(|&(_, r)| r));
+        }
+        lists.extend(sample.iter().map(|&r| r as u32));
+        Self {
+            data,
+            config,
+            m,
+            lists,
+            spill: vec![0; m],
+            goes_left: vec![false; data.rows],
         }
     }
-    let n = indices.len().max(1) as f64;
-    for m in &mut mean {
-        *m /= n;
+
+    /// Grows the tree in preorder, left subtree first, and returns its node
+    /// arena.
+    ///
+    /// A split stably partitions every list by `x[feature] <= threshold`.
+    /// Stable sorting commutes with stable filtering, so each child's
+    /// segment of a feature list is exactly the stable sort of the child's
+    /// node-order rows: what sorting at the node would give, with no sort
+    /// and no scratch allocation per node.
+    fn grow<S: Sums>(
+        mut self,
+        feature_picker: &mut dyn FnMut(usize, &mut Vec<usize>),
+    ) -> Result<Vec<Node>> {
+        let d = self.data.num_features;
+        let w = self.data.num_outputs;
+        let targets = self.data.targets.as_slice();
+        let node_order = d * self.m;
+        let mut nodes = Vec::new();
+        let mut candidates = Vec::with_capacity(d);
+        let mut mean = S::zeroed(w);
+        let mut sums = [S::zeroed(w), S::zeroed(w), S::zeroed(w), S::zeroed(w)];
+        let mut stack = vec![Pending {
+            lo: 0,
+            hi: self.m,
+            depth: 0,
+            right_of: None,
+        }];
+        while let Some(Pending {
+            lo,
+            hi,
+            depth,
+            right_of,
+        }) = stack.pop()
+        {
+            let node_idx = nodes.len();
+            if let Some(Node::Split { right, .. }) = right_of.map(|p| &mut nodes[p]) {
+                *right = node_idx;
+            }
+            let rows = &self.lists[node_order + lo..node_order + hi];
+            let n = rows.len();
+            // Leaf mean and parent SSE are summed in node order.
+            mean.as_mut().fill(0.0);
+            for &r in rows {
+                let y = &targets[r as usize * w..][..w];
+                for (m, &v) in mean.as_mut().iter_mut().zip(y) {
+                    *m += v;
+                }
+            }
+            let count = n.max(1) as f64;
+            for m in mean.as_mut() {
+                *m /= count;
+            }
+            let leaf = || Node::Leaf {
+                value: mean.as_ref().to_vec(),
+                samples: n,
+            };
+
+            let depth_ok = self.config.max_depth.is_none_or(|max| depth < max);
+            if !depth_ok || n < self.config.min_samples_split {
+                nodes.push(leaf());
+                continue;
+            }
+            let mut parent_sse = 0.0;
+            for &r in rows {
+                let y = &targets[r as usize * w..][..w];
+                for (&v, &m) in y.iter().zip(mean.as_ref()) {
+                    let diff = v - m;
+                    parent_sse += diff * diff;
+                }
+            }
+            if parent_sse <= 1e-12 {
+                nodes.push(leaf());
+                continue;
+            }
+
+            candidates.clear();
+            feature_picker(d, &mut candidates);
+            let mut best: Option<BestSplit> = None;
+            for &feature in &candidates {
+                if feature >= d {
+                    return Err(MlError::ShapeMismatch {
+                        detail: format!("candidate feature {feature} but only {d} features"),
+                    });
+                }
+                let sorted = &self.lists[feature * self.m + lo..feature * self.m + hi];
+                scan_feature(
+                    self.data.column(feature),
+                    targets,
+                    sorted,
+                    parent_sse,
+                    feature,
+                    &mut sums,
+                    &mut best,
+                );
+            }
+            let Some(best) = best else {
+                nodes.push(leaf());
+                continue;
+            };
+            if best.gain <= 1e-12 {
+                nodes.push(leaf());
+                continue;
+            }
+
+            let column = self.data.column(best.feature);
+            let mut left_n = 0;
+            for &r in rows {
+                let left = column[r as usize] <= best.threshold;
+                self.goes_left[r as usize] = left;
+                left_n += usize::from(left);
+            }
+            let min_leaf = self.config.min_samples_leaf;
+            if left_n < min_leaf || n - left_n < min_leaf {
+                nodes.push(leaf());
+                continue;
+            }
+            for list in self.lists.chunks_exact_mut(self.m) {
+                stable_partition(&mut list[lo..hi], &mut self.spill, &self.goes_left);
+            }
+            nodes.push(Node::Split {
+                feature: best.feature,
+                threshold: best.threshold,
+                left: node_idx + 1,
+                right: node_idx, // set when the right child is popped
+            });
+            stack.push(Pending {
+                lo: lo + left_n,
+                hi,
+                depth: depth + 1,
+                right_of: Some(node_idx),
+            });
+            stack.push(Pending {
+                lo,
+                hi: lo + left_n,
+                depth: depth + 1,
+                right_of: None,
+            });
+        }
+        Ok(nodes)
     }
-    mean
 }
 
-fn sse(targets: &[Vec<f64>], indices: &[usize], mean: &[f64]) -> f64 {
-    let mut total = 0.0;
-    for &i in indices {
-        for (o, &m) in mean.iter().enumerate() {
-            let d = targets[i][o] - m;
-            total += d * d;
+/// Scans one candidate feature's sorted node segment and updates `best`:
+/// totals and prefix sums accumulate in sorted order, a gap below `1e-15`
+/// is a tie that cannot be split, and a split replaces `best` only on a
+/// strictly larger gain (the first split found always does).
+fn scan_feature<S: Sums>(
+    column: &[f64],
+    targets: &[f64],
+    sorted: &[u32],
+    parent_sse: f64,
+    feature: usize,
+    sums: &mut [S; 4],
+    best: &mut Option<BestSplit>,
+) {
+    let (Some(&first), Some(&last)) = (sorted.first(), sorted.last()) else {
+        return;
+    };
+    // Every adjacent gap is at most `last - first` (float subtraction is
+    // monotone), so a constant segment holds no split.
+    if column[last as usize] - column[first as usize] < 1e-15 {
+        return;
+    }
+    let [total_sum, total_sumsq, prefix_sum, prefix_sumsq] = sums;
+    let (total_sum, total_sumsq) = (total_sum.as_mut(), total_sumsq.as_mut());
+    let (prefix_sum, prefix_sumsq) = (prefix_sum.as_mut(), prefix_sumsq.as_mut());
+    let w = total_sum.len();
+    total_sum.fill(0.0);
+    total_sumsq.fill(0.0);
+    prefix_sum.fill(0.0);
+    prefix_sumsq.fill(0.0);
+    for &r in sorted {
+        let y = &targets[r as usize * w..][..w];
+        for o in 0..w {
+            total_sum[o] += y[o];
+            total_sumsq[o] += y[o] * y[o];
         }
     }
-    total
+    let n = sorted.len();
+    let mut this_v = column[first as usize];
+    for pos in 0..n - 1 {
+        let y = &targets[sorted[pos] as usize * w..][..w];
+        for o in 0..w {
+            prefix_sum[o] += y[o];
+            prefix_sumsq[o] += y[o] * y[o];
+        }
+        let next_v = column[sorted[pos + 1] as usize];
+        if (next_v - this_v).abs() < 1e-15 {
+            this_v = next_v;
+            continue; // cannot split between equal values
+        }
+        let left_n = (pos + 1) as f64;
+        let right_n = (n - pos - 1) as f64;
+        let mut child_sse = 0.0;
+        for o in 0..w {
+            let ls = prefix_sum[o];
+            let lss = prefix_sumsq[o];
+            let rs = total_sum[o] - ls;
+            let rss = total_sumsq[o] - lss;
+            child_sse += lss - ls * ls / left_n;
+            child_sse += rss - rs * rs / right_n;
+        }
+        let gain = parent_sse - child_sse;
+        if best.as_ref().is_none_or(|b| gain > b.gain) {
+            *best = Some(BestSplit {
+                feature,
+                threshold: 0.5 * (this_v + next_v),
+                gain,
+            });
+        }
+        this_v = next_v;
+    }
+}
+
+/// Stably partitions `segment` so the rows with `goes_left[row]` come
+/// first. Branch-free: each row is written to the next left slot (in place;
+/// that slot is never ahead of the read) and to the next `spill` slot, and
+/// only the matching cursor advances.
+fn stable_partition(segment: &mut [u32], spill: &mut [u32], goes_left: &[bool]) {
+    let mut left = 0;
+    let mut right = 0;
+    for i in 0..segment.len() {
+        let row = segment[i];
+        let go_left = goes_left[row as usize];
+        segment[left] = row;
+        spill[right] = row;
+        left += usize::from(go_left);
+        right += usize::from(!go_left);
+    }
+    segment[left..].copy_from_slice(&spill[..right]);
+}
+
+/// The per-node re-sorting builder the grower replaced, kept verbatim as the
+/// bit-identity reference for the grower's tests.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{DecisionTreeConfig, Node};
+
+    #[derive(Debug, Clone, Copy)]
+    struct BestSplit {
+        feature: usize,
+        threshold: f64,
+        gain: f64,
+    }
+
+    /// A node with every float as its bit pattern, for exact comparison.
+    #[derive(Debug, PartialEq)]
+    pub(crate) enum NodeBits {
+        Split(usize, u64, usize, usize),
+        Leaf(Vec<u64>, usize),
+    }
+
+    pub(crate) fn arena_bits(nodes: &[Node]) -> Vec<NodeBits> {
+        nodes
+            .iter()
+            .map(|node| match node {
+                Node::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => NodeBits::Split(*feature, threshold.to_bits(), *left, *right),
+                Node::Leaf { value, samples } => {
+                    NodeBits::Leaf(value.iter().map(|v| v.to_bits()).collect(), *samples)
+                }
+            })
+            .collect()
+    }
+
+    /// Fits a tree's node arena the way the grower's predecessor did.
+    pub(crate) fn fit(
+        config: DecisionTreeConfig,
+        rows: &[Vec<f64>],
+        targets: &[Vec<f64>],
+        sample_indices: &[usize],
+        feature_picker: &mut dyn FnMut(usize) -> Vec<usize>,
+    ) -> Vec<Node> {
+        let mut builder = Builder {
+            config,
+            nodes: Vec::new(),
+            num_features: rows[0].len(),
+            num_outputs: targets[0].len(),
+        };
+        builder.build_node(rows, targets, sample_indices.to_vec(), 0, feature_picker);
+        builder.nodes
+    }
+
+    struct Builder {
+        config: DecisionTreeConfig,
+        nodes: Vec<Node>,
+        num_features: usize,
+        num_outputs: usize,
+    }
+
+    impl Builder {
+        fn build_node(
+            &mut self,
+            rows: &[Vec<f64>],
+            targets: &[Vec<f64>],
+            indices: Vec<usize>,
+            depth: usize,
+            feature_picker: &mut dyn FnMut(usize) -> Vec<usize>,
+        ) -> usize {
+            let leaf_value = mean_target(targets, &indices, self.num_outputs);
+            let node_idx = self.nodes.len();
+            // Push a placeholder leaf; it is replaced by a split if one is found.
+            self.nodes.push(Node::Leaf {
+                value: leaf_value.clone(),
+                samples: indices.len(),
+            });
+
+            let depth_ok = self.config.max_depth.is_none_or(|d| depth < d);
+            if !depth_ok || indices.len() < self.config.min_samples_split {
+                return node_idx;
+            }
+            let parent_impurity = sse(targets, &indices, &leaf_value);
+            if parent_impurity <= 1e-12 {
+                return node_idx;
+            }
+
+            let candidates = feature_picker(self.num_features);
+            let Some(best) = self.find_best_split(rows, targets, &indices, &candidates) else {
+                return node_idx;
+            };
+            if best.gain <= 1e-12 {
+                return node_idx;
+            }
+
+            let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = indices
+                .iter()
+                .partition(|&&i| rows[i][best.feature] <= best.threshold);
+            if left_idx.len() < self.config.min_samples_leaf
+                || right_idx.len() < self.config.min_samples_leaf
+            {
+                return node_idx;
+            }
+
+            let left = self.build_node(rows, targets, left_idx, depth + 1, feature_picker);
+            let right = self.build_node(rows, targets, right_idx, depth + 1, feature_picker);
+            self.nodes[node_idx] = Node::Split {
+                feature: best.feature,
+                threshold: best.threshold,
+                left,
+                right,
+            };
+            node_idx
+        }
+
+        fn find_best_split(
+            &self,
+            rows: &[Vec<f64>],
+            targets: &[Vec<f64>],
+            indices: &[usize],
+            candidate_features: &[usize],
+        ) -> Option<BestSplit> {
+            let parent_value = mean_target(targets, indices, self.num_outputs);
+            let parent_sse = sse(targets, indices, &parent_value);
+            let mut best: Option<BestSplit> = None;
+
+            let n = indices.len();
+            let k = self.num_outputs;
+            let mut keyed: Vec<(f64, usize)> = Vec::with_capacity(n);
+            let mut prefix_sum = vec![0.0f64; k];
+            let mut prefix_sumsq = vec![0.0f64; k];
+            let mut total_sum = vec![0.0f64; k];
+            let mut total_sumsq = vec![0.0f64; k];
+
+            for &feature in candidate_features {
+                // Sort sample indices by this feature's value and scan split
+                // points. Keys are materialised once so the (stable) sort does
+                // not chase two levels of indirection per comparison; stability
+                // preserves the historical tie order of `indices`.
+                keyed.clear();
+                keyed.extend(indices.iter().map(|&i| (rows[i][feature], i)));
+                keyed.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+                let order = &keyed;
+                // Prefix sums over outputs allow O(1) SSE-decomposition per split.
+                prefix_sum.fill(0.0);
+                prefix_sumsq.fill(0.0);
+                total_sum.fill(0.0);
+                total_sumsq.fill(0.0);
+                for &(_, i) in order {
+                    for o in 0..k {
+                        total_sum[o] += targets[i][o];
+                        total_sumsq[o] += targets[i][o] * targets[i][o];
+                    }
+                }
+                for (pos, &(this_v, i)) in order.iter().enumerate().take(n - 1) {
+                    for o in 0..k {
+                        prefix_sum[o] += targets[i][o];
+                        prefix_sumsq[o] += targets[i][o] * targets[i][o];
+                    }
+                    let left_n = (pos + 1) as f64;
+                    let right_n = (n - pos - 1) as f64;
+                    let next_v = order[pos + 1].0;
+                    if (next_v - this_v).abs() < 1e-15 {
+                        continue; // cannot split between equal values
+                    }
+                    let mut child_sse = 0.0;
+                    for o in 0..k {
+                        let ls = prefix_sum[o];
+                        let lss = prefix_sumsq[o];
+                        let rs = total_sum[o] - ls;
+                        let rss = total_sumsq[o] - lss;
+                        child_sse += lss - ls * ls / left_n;
+                        child_sse += rss - rs * rs / right_n;
+                    }
+                    let gain = parent_sse - child_sse;
+                    let threshold = 0.5 * (this_v + next_v);
+                    if best.as_ref().is_none_or(|b| gain > b.gain) {
+                        best = Some(BestSplit {
+                            feature,
+                            threshold,
+                            gain,
+                        });
+                    }
+                }
+            }
+            best
+        }
+    }
+
+    fn mean_target(targets: &[Vec<f64>], indices: &[usize], k: usize) -> Vec<f64> {
+        let mut mean = vec![0.0; k];
+        for &i in indices {
+            for o in 0..k {
+                mean[o] += targets[i][o];
+            }
+        }
+        let n = indices.len().max(1) as f64;
+        for m in &mut mean {
+            *m /= n;
+        }
+        mean
+    }
+
+    fn sse(targets: &[Vec<f64>], indices: &[usize], mean: &[f64]) -> f64 {
+        let mut total = 0.0;
+        for &i in indices {
+            for (o, &m) in mean.iter().enumerate() {
+                let d = targets[i][o] - m;
+                total += d * d;
+            }
+        }
+        total
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::{self, arena_bits};
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
 
     fn step_data() -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
         // y = 10 for x < 5, y = 20 for x >= 5 — a single split should nail it.
@@ -579,5 +1085,216 @@ mod tests {
             let x = (seg * 10 + 5) as f64;
             assert!((tree.predict(&[x]).unwrap()[0] - seg as f64).abs() < 1e-9);
         }
+    }
+
+    /// A seeded dataset whose columns cycle through the grower's hard
+    /// cases: integers full of ties, continuous values, a constant, and a
+    /// mix of `-0.0`/`0.0`/`±1`. Targets mix integer and continuous values.
+    fn seeded_dataset(seed: u64, n: usize, d: usize, k: usize) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|_| {
+                (0..d)
+                    .map(|f| match f % 4 {
+                        0 => rng.gen_range(0..6u32) as f64,
+                        1 => rng.gen_range(-50.0..50.0),
+                        2 => 3.0,
+                        _ => [-0.0, 0.0, 1.0, -1.0][rng.gen_range(0..4usize)],
+                    })
+                    .collect()
+            })
+            .collect();
+        let targets = rows
+            .iter()
+            .map(|row| {
+                (0..k)
+                    .map(|o| {
+                        let signal = row.first().copied().unwrap_or(0.0) * (o + 1) as f64;
+                        if o % 2 == 0 {
+                            signal + rng.gen_range(0..3u32) as f64
+                        } else {
+                            signal * 0.5 + rng.gen_range(-1.0..1.0)
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        (rows, targets)
+    }
+
+    /// Feature picker drawing `max_features` of the columns per split from
+    /// a seeded shuffle, like the forest's (all columns when `None`).
+    fn seeded_picker(seed: u64, max_features: Option<usize>) -> impl FnMut(usize) -> Vec<usize> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        move |d| {
+            let mut cols: Vec<usize> = (0..d).collect();
+            if let Some(max) = max_features.filter(|&max| max < d) {
+                cols.shuffle(&mut rng);
+                cols.truncate(max);
+            }
+            cols
+        }
+    }
+
+    #[test]
+    fn grower_matches_the_per_node_sorting_reference_bit_for_bit() {
+        let configs = [
+            DecisionTreeConfig::default(),
+            DecisionTreeConfig {
+                max_depth: Some(0),
+                ..Default::default()
+            },
+            DecisionTreeConfig {
+                max_depth: Some(3),
+                ..Default::default()
+            },
+            DecisionTreeConfig {
+                min_samples_split: 0,
+                min_samples_leaf: 0,
+                ..Default::default()
+            },
+            DecisionTreeConfig {
+                min_samples_split: 7,
+                ..Default::default()
+            },
+            DecisionTreeConfig {
+                min_samples_leaf: 4,
+                ..Default::default()
+            },
+        ];
+        let mut checked_nodes = 0;
+        for seed in 0..12u64 {
+            let k = 1 + (seed as usize % 5); // 1–4 outputs, and 5 (dynamic width)
+            let d = 1 + (seed as usize % 7);
+            let n = 10 + 9 * seed as usize;
+            let (rows, targets) = seeded_dataset(seed, n, d, k);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+            let bootstrap: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
+            let mut shuffled: Vec<usize> = (0..n).collect();
+            shuffled.shuffle(&mut rng);
+            shuffled.truncate(n * 2 / 3);
+            let all: Vec<usize> = (0..n).collect();
+            for sample in [&all, &bootstrap, &shuffled] {
+                for config in configs {
+                    for max_features in [None, Some(d.div_ceil(2))] {
+                        let expected = reference::fit(
+                            config,
+                            &rows,
+                            &targets,
+                            sample,
+                            &mut seeded_picker(seed, max_features),
+                        );
+                        let mut tree = DecisionTreeRegressor::new(config);
+                        tree.fit_with(
+                            &rows,
+                            &targets,
+                            sample,
+                            &mut seeded_picker(seed, max_features),
+                        )
+                        .unwrap();
+                        assert_eq!(
+                            arena_bits(tree.nodes()),
+                            arena_bits(&expected),
+                            "seed {seed}, {config:?}, max_features {max_features:?}"
+                        );
+                        checked_nodes += expected.len();
+                    }
+                }
+            }
+        }
+        assert!(checked_nodes > 5_000, "only {checked_nodes} nodes compared");
+    }
+
+    #[test]
+    fn ragged_feature_rows_are_a_shape_mismatch() {
+        let rows = vec![vec![1.0, 2.0], vec![3.0]];
+        let targets = vec![vec![1.0], vec![2.0]];
+        let mut tree = DecisionTreeRegressor::new(DecisionTreeConfig::default());
+        assert!(matches!(
+            tree.fit(&rows, &targets),
+            Err(MlError::ShapeMismatch { .. })
+        ));
+        assert!(!tree.is_fitted());
+    }
+
+    #[test]
+    fn ragged_target_rows_are_a_shape_mismatch() {
+        let rows = vec![vec![1.0], vec![2.0], vec![3.0]];
+        let targets = vec![vec![1.0, 5.0], vec![2.0, 6.0], vec![3.0]];
+        let mut tree = DecisionTreeRegressor::new(DecisionTreeConfig::default());
+        assert!(matches!(
+            tree.fit(&rows, &targets),
+            Err(MlError::ShapeMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn out_of_range_sample_index_is_a_shape_mismatch() {
+        let rows = vec![vec![1.0], vec![2.0], vec![3.0]];
+        let targets = vec![vec![1.0], vec![2.0], vec![3.0]];
+        let mut tree = DecisionTreeRegressor::new(DecisionTreeConfig::default());
+        let mut all = |d: usize| (0..d).collect::<Vec<_>>();
+        assert!(matches!(
+            tree.fit_with(&rows, &targets, &[0, 7, 1], &mut all),
+            Err(MlError::ShapeMismatch { .. })
+        ));
+        let mut out_of_range = |_: usize| vec![1];
+        assert!(matches!(
+            tree.fit_with(&rows, &targets, &[0, 1, 2], &mut out_of_range),
+            Err(MlError::ShapeMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn non_finite_features_are_rejected() {
+        // A cleanly separable step with two NaN features.
+        let mut rows: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64]).collect();
+        let targets: Vec<Vec<f64>> = (0..8)
+            .map(|i| vec![if i < 4 { 0.0 } else { 10.0 }])
+            .collect();
+        rows[1][0] = f64::NAN;
+        rows[6][0] = f64::NAN;
+        let mut tree = DecisionTreeRegressor::new(DecisionTreeConfig::default());
+        assert!(matches!(
+            tree.fit(&rows, &targets),
+            Err(MlError::Numerical(_))
+        ));
+        // Two equal infinities: splitting between them would leave a child
+        // empty.
+        let rows = vec![
+            vec![1.0],
+            vec![2.0],
+            vec![f64::INFINITY],
+            vec![f64::INFINITY],
+        ];
+        let targets = vec![vec![0.0], vec![10.0], vec![0.0], vec![100.0]];
+        assert!(matches!(
+            tree.fit(&rows, &targets),
+            Err(MlError::Numerical(_))
+        ));
+        assert!(!tree.is_fitted());
+    }
+
+    #[test]
+    fn non_finite_targets_are_rejected() {
+        let rows: Vec<Vec<f64>> = (0..4).map(|i| vec![i as f64]).collect();
+        let targets = vec![vec![1.0], vec![f64::NAN], vec![3.0], vec![4.0]];
+        let mut tree = DecisionTreeRegressor::new(DecisionTreeConfig::default());
+        assert!(matches!(
+            tree.fit(&rows, &targets),
+            Err(MlError::Numerical(_))
+        ));
+    }
+
+    #[test]
+    fn a_failed_refit_leaves_the_tree_as_it_was() {
+        let (rows, targets) = step_data();
+        let mut tree = DecisionTreeRegressor::new(DecisionTreeConfig::default());
+        tree.fit(&rows, &targets).unwrap();
+        let before = arena_bits(tree.nodes());
+        let ragged = vec![vec![1.0, 2.0], vec![3.0]];
+        assert!(tree.fit(&ragged, &targets[..2]).is_err());
+        assert_eq!(arena_bits(tree.nodes()), before);
+        assert_eq!(tree.num_features(), 1);
     }
 }

@@ -57,7 +57,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --quiet
 
 echo "==> bench smoke (quick samples)"
 cargo bench --offline -p ae-bench --bench bench_simulation -- --quick
-cargo bench --offline -p ae-bench --bench bench_training -- --quick forest_fit
+training_smoke="$(cargo bench --offline -p ae-bench --bench bench_training -- --quick random_forest)"
+echo "$training_smoke"
+if ! grep -q '^bench:' <<<"$training_smoke"; then
+    echo "bench_training smoke: the filter matched no benchmark (no 'bench:' line)" >&2
+    exit 1
+fi
 
 echo "==> inference smoke (compiled forest ≡ interpreter bit-for-bit; compiled batched throughput >= interpreted)"
 cargo run --offline --release -p ae-bench --bin bench_inference -- --smoke
