@@ -14,6 +14,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::{require_finite_nonneg, EngineError, Result};
+
 /// Parameters of the Spark-style reactive dynamic allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DynamicAllocationConfig {
@@ -113,17 +115,6 @@ impl AllocationPolicy {
         }
     }
 
-    /// The largest executor count this policy can ever hold.
-    pub fn max_target(&self) -> usize {
-        match *self {
-            AllocationPolicy::Static { executors } => executors,
-            AllocationPolicy::Dynamic(cfg) => cfg.max_executors,
-            AllocationPolicy::Predictive {
-                initial, predicted, ..
-            } => initial.max(predicted),
-        }
-    }
-
     /// Executors present at submission time, before any reactive or
     /// predictive request is made.
     pub fn initial_executors(&self) -> usize {
@@ -134,14 +125,36 @@ impl AllocationPolicy {
         }
     }
 
-    /// Whether the policy removes idle executors, and with what timeout.
-    pub fn idle_timeout(&self) -> Option<f64> {
+    /// Rejects a policy the simulator cannot honour: one that can hold no
+    /// executor, or a duration that is not finite and non-negative.
+    /// [`crate::Simulator::new`] checks this.
+    pub(crate) fn validate(&self) -> Result<()> {
+        if self.initial_executors() == 0 {
+            return Err(EngineError::InvalidConfig(
+                "static allocation of 0 executors can run no task".into(),
+            ));
+        }
         match *self {
-            AllocationPolicy::Static { .. } => None,
-            AllocationPolicy::Dynamic(cfg) => Some(cfg.idle_timeout_secs),
+            AllocationPolicy::Static { .. } => Ok(()),
+            AllocationPolicy::Dynamic(cfg) => require_finite_nonneg(
+                "dynamic-allocation",
+                &[
+                    ("idle timeout", cfg.idle_timeout_secs),
+                    ("schedule interval", cfg.schedule_interval_secs),
+                    ("sustained-backlog timeout", cfg.sustained_backlog_secs),
+                ],
+            ),
             AllocationPolicy::Predictive {
-                idle_timeout_secs, ..
-            } => Some(idle_timeout_secs),
+                rule_delay_secs,
+                idle_timeout_secs,
+                ..
+            } => require_finite_nonneg(
+                "predictive-policy",
+                &[
+                    ("rule delay", rule_delay_secs),
+                    ("idle timeout", idle_timeout_secs),
+                ],
+            ),
         }
     }
 }
@@ -153,17 +166,13 @@ mod tests {
     #[test]
     fn static_policy_targets_fixed_count() {
         let p = AllocationPolicy::static_allocation(25);
-        assert_eq!(p.max_target(), 25);
         assert_eq!(p.initial_executors(), 25);
-        assert_eq!(p.idle_timeout(), None);
     }
 
     #[test]
     fn dynamic_policy_reports_range_and_timeout() {
         let p = AllocationPolicy::dynamic(1, 48);
-        assert_eq!(p.max_target(), 48);
         assert_eq!(p.initial_executors(), 1);
-        assert_eq!(p.idle_timeout(), Some(60.0));
     }
 
     #[test]
@@ -172,21 +181,18 @@ mod tests {
         // models the driver kicking off a first request immediately.
         let p = AllocationPolicy::Dynamic(DynamicAllocationConfig::spark_default());
         assert_eq!(p.initial_executors(), 1);
-        assert_eq!(p.max_target(), i32::MAX as usize);
     }
 
     #[test]
     fn predictive_policy_takes_max_of_initial_and_predicted() {
         let p = AllocationPolicy::predictive(27);
-        assert_eq!(p.max_target(), 27);
         assert_eq!(p.initial_executors(), 5);
-        assert_eq!(p.idle_timeout(), Some(60.0));
         let small = AllocationPolicy::Predictive {
             initial: 10,
             predicted: 3,
             rule_delay_secs: 1.0,
             idle_timeout_secs: 60.0,
         };
-        assert_eq!(small.max_target(), 10);
+        assert_eq!(small.initial_executors(), 10);
     }
 }

@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{EngineError, Result};
+use crate::{require_finite_nonneg, EngineError, Result};
 
 /// Size of one executor (Spark worker process).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -206,19 +206,14 @@ impl ClusterConfig {
                 self.executor.cores, self.executor.memory_gb, self.node.cores, self.node.memory_gb
             )));
         }
-        let lag_times = [
-            ("grant delay", self.lag.grant_delay_secs),
-            ("wave interval", self.lag.wave_interval_secs),
-            ("executor startup", self.lag.executor_startup_secs),
-        ];
-        for (name, value) in lag_times {
-            if !value.is_finite() || value < 0.0 {
-                return Err(EngineError::InvalidConfig(format!(
-                    "allocation-lag {name} must be finite and non-negative, got {value} s"
-                )));
-            }
-        }
-        Ok(())
+        require_finite_nonneg(
+            "allocation-lag",
+            &[
+                ("grant delay", self.lag.grant_delay_secs),
+                ("wave interval", self.lag.wave_interval_secs),
+                ("executor startup", self.lag.executor_startup_secs),
+            ],
+        )
     }
 }
 

@@ -31,16 +31,22 @@
 //! A task lost more than [`FaultPlan::max_task_retries`] times fails the
 //! whole query run ([`RunOutcome::Failed`]).
 //!
-//! [`FaultPlan::none`] injects nothing, and the scheduler's fault branches
-//! are gated on [`FaultPlan::is_active`], so a zero-fault plan is
-//! **bit-identical** to the pre-fault scheduler (pinned by
+//! [`FaultPlan::none`] injects nothing. The scheduler has no separate fault
+//! path: an inactive plan leaves every fault structure empty (zero rates
+//! draw infinite executor lifetimes and node-failure times, and a zero
+//! straggler probability opens no straggler stream), so a zero-fault plan
+//! is **bit-identical** to the pre-fault scheduler (pinned by
 //! `tests/fault_determinism.rs` alongside `scheduler_regression.rs`).
+//!
+//! [`exp_sample`] is the workspace's one exponential sampler: the engine's
+//! lifetimes and node-failure times, the workload crate's open-loop
+//! arrivals and the serving fleet's fault schedule all draw through it.
 
 use rand::rngs::StdRng;
 use rand::{derive_stream_seed, Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::{EngineError, Result};
+use crate::{require_finite_nonneg, EngineError, Result};
 
 /// Seed-stream index for the per-task straggler draws.
 const STRAGGLER_STREAM: u64 = 0x5354_5241; // "STRA"
@@ -148,12 +154,6 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the per-restart fixed overhead.
-    pub fn with_restart_overhead(mut self, secs: f64) -> Self {
-        self.restart_overhead_secs = secs;
-        self
-    }
-
     /// Sets the retry cap after which a run fails.
     pub fn with_max_task_retries(mut self, retries: u32) -> Self {
         self.max_task_retries = retries;
@@ -166,30 +166,18 @@ impl FaultPlan {
         self
     }
 
-    /// True when the plan injects anything at all. The scheduler's fault
-    /// machinery is engaged only when this returns true, which is what
-    /// guarantees the zero-fault bit-identity pin.
-    pub fn is_active(&self) -> bool {
-        self.preemption_rate_per_executor_min > 0.0
-            || self.node_loss_rate_per_node_min > 0.0
-            || self.straggler_prob > 0.0
-    }
-
-    /// Validates the plan's numeric ranges.
+    /// Validates the plan's numeric ranges. Every simulated run checks
+    /// this (through [`crate::RunConfig::validate`]) before it starts.
     pub fn validate(&self) -> Result<()> {
-        let finite_nonneg = [
-            ("preemption rate", self.preemption_rate_per_executor_min),
-            ("node-loss rate", self.node_loss_rate_per_node_min),
-            ("grace period", self.grace_period_secs),
-            ("restart overhead", self.restart_overhead_secs),
-        ];
-        for (name, value) in finite_nonneg {
-            if !value.is_finite() || value < 0.0 {
-                return Err(EngineError::InvalidConfig(format!(
-                    "fault-plan {name} must be finite and non-negative, got {value}"
-                )));
-            }
-        }
+        require_finite_nonneg(
+            "fault-plan",
+            &[
+                ("preemption rate", self.preemption_rate_per_executor_min),
+                ("node-loss rate", self.node_loss_rate_per_node_min),
+                ("grace period", self.grace_period_secs),
+                ("restart overhead", self.restart_overhead_secs),
+            ],
+        )?;
         if !(0.0..=1.0).contains(&self.straggler_prob) {
             return Err(EngineError::InvalidConfig(format!(
                 "straggler probability must be in [0, 1], got {}",
@@ -215,7 +203,7 @@ impl FaultPlan {
     /// its spot revocation), drawn from the executor's own seed stream.
     /// Infinite when preemptions are disabled.
     pub(crate) fn executor_lifetime(&self, index: usize) -> f64 {
-        exp_sample(
+        stream_exp_sample(
             self.seed,
             EXECUTOR_STREAM_BASE + index as u64,
             self.preemption_rate_per_executor_min,
@@ -226,7 +214,7 @@ impl FaultPlan {
     /// drawn from the node's own seed stream. Infinite when node loss is
     /// disabled. All executors mapped onto the node share this draw.
     pub(crate) fn node_loss_time(&self, node: usize) -> f64 {
-        exp_sample(
+        stream_exp_sample(
             self.seed,
             NODE_STREAM_BASE + node as u64,
             self.node_loss_rate_per_node_min,
@@ -251,15 +239,23 @@ impl FaultPlan {
     }
 }
 
-/// One exponential sample at `rate` events/minute from the derived stream
-/// `(seed, stream)`; infinite when the rate is zero.
-fn exp_sample(seed: u64, stream: u64, rate_per_min: f64) -> f64 {
+/// One exponential sample at `rate` events per unit of time, by inverse
+/// CDF from one uniform draw of `rng`: the gap to the next arrival of a
+/// Poisson process. `1 - u` keeps the logarithm's argument in (0, 1].
+pub fn exp_sample<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
+    let u: f64 = rng.gen();
+    -(1.0 - u).ln() / rate
+}
+
+/// One exponential sample in seconds at `rate_per_min` events per minute
+/// from the derived stream `(seed, stream)`; infinite when the rate is
+/// zero.
+fn stream_exp_sample(seed: u64, stream: u64, rate_per_min: f64) -> f64 {
     if rate_per_min <= 0.0 {
         return f64::INFINITY;
     }
     let mut rng = StdRng::seed_from_u64(derive_stream_seed(seed, stream));
-    let u: f64 = rng.gen();
-    -(1.0 - u).ln() / (rate_per_min / 60.0)
+    exp_sample(&mut rng, rate_per_min / 60.0)
 }
 
 /// Which fault revoked an executor.
@@ -318,6 +314,9 @@ pub enum FailureReason {
     /// Every executor was revoked and replacement was disabled, leaving
     /// unfinished work with no capacity to run it.
     ResourcesExhausted,
+    /// The run configuration failed [`crate::RunConfig::validate`]; nothing
+    /// was simulated.
+    InvalidConfig(String),
 }
 
 impl std::fmt::Display for FailureReason {
@@ -329,12 +328,14 @@ impl std::fmt::Display for FailureReason {
             FailureReason::ResourcesExhausted => {
                 write!(f, "all executors revoked with re-acquisition disabled")
             }
+            FailureReason::InvalidConfig(reason) => write!(f, "{reason}"),
         }
     }
 }
 
-/// Terminal status of a simulated query run. Fault-free runs always
-/// complete; a faulty run fails only through retry exhaustion or total
+/// Terminal status of a simulated query run. A run with an invalid
+/// configuration fails before it starts; otherwise fault-free runs always
+/// complete, and a faulty run fails only through retry exhaustion or total
 /// capacity loss.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum RunOutcome {
@@ -366,17 +367,29 @@ mod tests {
 
     #[test]
     fn none_is_inactive_and_valid() {
-        let plan = FaultPlan::none();
-        assert!(!plan.is_active());
+        // An inactive plan leaves every fault structure empty: immortal
+        // executors and nodes, no straggler stream.
+        let plan = FaultPlan::none().with_seed(3);
+        assert_eq!(plan.executor_lifetime(0), f64::INFINITY);
+        assert_eq!(plan.node_loss_time(0), f64::INFINITY);
+        assert!(plan.straggler_rng().is_none());
         assert!(plan.validate().is_ok());
-        assert_eq!(plan, FaultPlan::default());
+        assert_eq!(FaultPlan::none(), FaultPlan::default());
     }
 
     #[test]
     fn builders_activate_the_plan() {
-        assert!(FaultPlan::preemptions(0.1, 2.0).is_active());
-        assert!(FaultPlan::none().with_node_loss(0.01).is_active());
-        assert!(FaultPlan::none().with_stragglers(0.05, 3.0).is_active());
+        assert!(FaultPlan::preemptions(0.1, 2.0)
+            .executor_lifetime(0)
+            .is_finite());
+        assert!(FaultPlan::none()
+            .with_node_loss(0.01)
+            .node_loss_time(0)
+            .is_finite());
+        assert!(FaultPlan::none()
+            .with_stragglers(0.05, 3.0)
+            .straggler_rng()
+            .is_some());
     }
 
     #[test]

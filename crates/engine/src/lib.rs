@@ -46,7 +46,7 @@ pub mod stage;
 
 pub use allocation::{AllocationPolicy, DynamicAllocationConfig};
 pub use cluster::{AllocationLag, ClusterConfig, ExecutorSpec, NodeSpec};
-pub use faults::{FailureReason, FaultKind, FaultPlan, FaultSummary, RunOutcome};
+pub use faults::{exp_sample, FailureReason, FaultKind, FaultPlan, FaultSummary, RunOutcome};
 pub use obs::{EngineObs, FaultCounters};
 pub use plan::{OperatorKind, PlanNode, PlanStats, QueryPlan};
 pub use scheduler::{QueryRunResult, RunConfig, Simulator};
@@ -76,3 +76,14 @@ impl std::error::Error for EngineError {}
 
 /// Convenience result alias for this crate.
 pub type Result<T> = std::result::Result<T, EngineError>;
+
+/// Rejects the first `(name, value)` whose value is not finite and
+/// non-negative, naming it `"{what} {name}"` in the error.
+pub(crate) fn require_finite_nonneg(what: &str, values: &[(&str, f64)]) -> Result<()> {
+    match values.iter().find(|(_, v)| !v.is_finite() || *v < 0.0) {
+        Some((name, value)) => Err(EngineError::InvalidConfig(format!(
+            "{what} {name} must be finite and non-negative, got {value}"
+        ))),
+        None => Ok(()),
+    }
+}

@@ -16,29 +16,47 @@
 //! * run-to-run noise of a few percent (§5.1) is applied per task from a
 //!   seeded generator.
 //!
-//! ## Hot-loop design
+//! ## The run loop
 //!
-//! This is the innermost loop of every offline phase (ground-truth
-//! collection runs the simulator hundreds of thousands of times), so the
-//! implementation is event-driven rather than scan-based:
+//! This is the innermost loop of every offline phase (a ground-truth sweep
+//! runs the simulator tens of thousands of times). A run is one private
+//! per-run state — the [`SimScratch`] buffers plus the clock, skyline,
+//! allocation ramp, sequence counters and fault summary — and a loop that
+//! makes one call per step, in this order:
 //!
-//! * task completions live in a min-heap keyed by `(end_time, seq)`; the
-//!   sequence number reproduces FIFO order for simultaneous completions,
-//! * executor grants live in a min-heap keyed by `(allocated_at, seq)`,
-//! * free core-slots are found through a lazy max-heap over
-//!   `(free_slots, executor)` — the same "most free slots, highest index on
-//!   ties" rule as a linear scan, without rescanning the pool per task,
-//! * stages enter a sorted ready-queue when their last parent finishes, so
-//!   scheduling never rescans finished stages.
+//! 1. bring granted executors online, drawing each one's fault fate;
+//! 2. process due revocations: an announcement revokes an executor, the
+//!    reap at the end of its grace window loses what still runs on it;
+//! 3. record the skyline and, at a tick boundary, apply the allocation
+//!    policy;
+//! 4. dispatch lost tasks, then pending tasks of ready stages, onto free
+//!    core-slots;
+//! 5. advance the clock to the next event;
+//! 6. complete the tasks that are due.
 //!
-//! All per-run buffers (noisy durations, per-stage progress, the four
-//! heaps) live in a [`SimScratch`] that callers can reuse across runs via
-//! [`Simulator::run_with_scratch`], eliminating per-run allocation churn in
-//! collection loops. `Simulator::run` allocates a fresh scratch and is
-//! bit-identical to the scratch-reusing path.
+//! "Due" always allows the same `1e-9` s slack, and ticks are never
+//! skipped: a tick iteration also completes the tasks ending within that
+//! slack, which moves later start times in their last bits.
+//!
+//! Completions, grants, executors becoming usable and revocations wait in
+//! min-heaps that share one entry type, ordered by time and then a tie
+//! (start order for completions and grants, executor index for the rest),
+//! so simultaneous events pop in the order a FIFO scan would see them.
+//! Free core-slots come from a lazy max-heap over `(free_slots, executor)`:
+//! most free slots, highest index on ties. Stages enter a sorted ready
+//! queue when their last parent finishes.
+//!
+//! Fault injection has no separate path. An inactive [`FaultPlan`] draws
+//! infinite executor lifetimes and no straggler stream, so the revocation
+//! heap and the retry queue stay empty and fault-free output is the
+//! fault-unaware scheduler's, bit for bit.
+//!
+//! [`Simulator::run_with_scratch`] reuses a caller's [`SimScratch`] across
+//! runs, so collection loops do not re-allocate the buffers per run;
+//! `Simulator::run` allocates a fresh scratch and is bit-identical to it.
 
-use std::cmp::Ordering as CmpOrdering;
-use std::collections::BinaryHeap;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, VecDeque};
 
 use ae_obs::{EventKind, FaultClass};
 use rand::rngs::StdRng;
@@ -51,7 +69,12 @@ use crate::faults::{FailureReason, FaultKind, FaultPlan, FaultSummary, RunOutcom
 use crate::obs::EngineObs;
 use crate::skyline::Skyline;
 use crate::stage::{StageDag, StageLog, TaskLog, TaskRecord};
-use crate::Result;
+use crate::{require_finite_nonneg, EngineError, Result};
+
+/// Slack of every "due by now" comparison, in simulated seconds.
+const EPS: f64 = 1e-9;
+/// Simulated-time bound that stops a run which can make no progress.
+const MAX_SIM_SECS: f64 = 1e7;
 
 /// Per-run configuration: noise, driver overhead, fault plan, and log
 /// capture.
@@ -111,6 +134,21 @@ impl RunConfig {
         self.faults = faults;
         self
     }
+
+    /// Rejects a configuration the simulator cannot honour: a noise
+    /// coefficient or driver overhead that is not finite and non-negative,
+    /// or a fault plan that fails [`FaultPlan::validate`]. Every run checks
+    /// this before simulating anything.
+    pub fn validate(&self) -> Result<()> {
+        require_finite_nonneg(
+            "run-config",
+            &[
+                ("noise coefficient of variation", self.noise_cv),
+                ("driver overhead", self.driver_overhead_secs),
+            ],
+        )?;
+        self.faults.validate()
+    }
 }
 
 /// Result of simulating one query execution.
@@ -130,8 +168,9 @@ pub struct QueryRunResult {
     pub total_task_secs: f64,
     /// Full task log, present when requested in [`RunConfig`].
     pub task_log: Option<TaskLog>,
-    /// Terminal status: [`RunOutcome::Completed`] unless fault injection
-    /// exhausted a task's retries or revoked all capacity.
+    /// Terminal status: [`RunOutcome::Completed`] unless the run
+    /// configuration was invalid, or fault injection exhausted a task's
+    /// retries or revoked all capacity.
     pub outcome: RunOutcome,
     /// Fault accounting for the run (all-zero without injected faults).
     pub faults: FaultSummary,
@@ -164,108 +203,70 @@ struct ExecutorState {
     removed: bool,
 }
 
-/// A task-completion event in the event queue.
+/// An entry of the run's event heaps. `BinaryHeap` is a max-heap, so the
+/// order is reversed: the earliest `at` pops first, then the smallest
+/// `tie`.
 #[derive(Debug, Clone, Copy)]
-struct CompletionEvent {
-    end_time: f64,
-    /// Monotone sequence number: simultaneous completions pop in the order
-    /// the tasks were scheduled, matching a FIFO scan.
-    seq: u64,
+struct Timed<K, T> {
+    at: f64,
+    tie: K,
+    item: T,
+}
+
+impl<K: Ord, T> Ord for Timed<K, T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .at
+            .total_cmp(&self.at)
+            .then_with(|| other.tie.cmp(&self.tie))
+    }
+}
+
+impl<K: Ord, T> PartialOrd for Timed<K, T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<K: Ord, T> PartialEq for Timed<K, T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl<K: Ord, T> Eq for Timed<K, T> {}
+
+/// A min-heap of timed events.
+type Heap<K, T> = BinaryHeap<Timed<K, T>>;
+
+/// Pops the earliest entry of `heap` if it is due by `time`.
+fn pop_due<K: Ord, T>(heap: &mut Heap<K, T>, time: f64) -> Option<Timed<K, T>> {
+    if heap.peek()?.at <= time + EPS {
+        heap.pop()
+    } else {
+        None
+    }
+}
+
+/// Time of the earliest entry of `heap`, infinite when it is empty.
+fn next_at<K: Ord, T>(heap: &Heap<K, T>) -> f64 {
+    heap.peek().map_or(f64::INFINITY, |e| e.at)
+}
+
+/// A running task attempt. Its completion-heap entry is keyed by its end
+/// time, then its start order.
+#[derive(Debug, Clone, Copy)]
+struct Attempt {
     executor: usize,
     stage: usize,
     /// Task index within the stage (identifies the task on loss/retry).
     task: usize,
-    start_time: f64,
+    start: f64,
     duration: f64,
-    /// Time of the (earliest) revocation that lost this task, or
+    /// Time of the first revocation that lost this task, or
     /// `NEG_INFINITY` for a first attempt. Finite values mark retries and
     /// feed the recovery-time accounting on completion.
     lost_at: f64,
-}
-
-impl PartialEq for CompletionEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.end_time == other.end_time && self.seq == other.seq
-    }
-}
-
-impl Eq for CompletionEvent {}
-
-impl PartialOrd for CompletionEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for CompletionEvent {
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        // Reversed: BinaryHeap is a max-heap, we need earliest-first.
-        other
-            .end_time
-            .total_cmp(&self.end_time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// A pending executor grant (min-heap on `(allocated_at, seq)`).
-#[derive(Debug, Clone, Copy)]
-struct GrantEvent {
-    allocated_at: f64,
-    seq: u64,
-    usable_at: f64,
-}
-
-impl PartialEq for GrantEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.allocated_at == other.allocated_at && self.seq == other.seq
-    }
-}
-
-impl Eq for GrantEvent {}
-
-impl PartialOrd for GrantEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for GrantEvent {
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        other
-            .allocated_at
-            .total_cmp(&self.allocated_at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// An executor becoming usable (min-heap on `(usable_at, executor)`).
-#[derive(Debug, Clone, Copy)]
-struct UsableEvent {
-    usable_at: f64,
-    executor: usize,
-}
-
-impl PartialEq for UsableEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.usable_at == other.usable_at && self.executor == other.executor
-    }
-}
-
-impl Eq for UsableEvent {}
-
-impl PartialOrd for UsableEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for UsableEvent {
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        other
-            .usable_at
-            .total_cmp(&self.usable_at)
-            .then_with(|| other.executor.cmp(&self.executor))
-    }
 }
 
 /// Phase of an executor revocation: the announcement marks the executor
@@ -275,39 +276,6 @@ impl Ord for UsableEvent {
 enum RevokePhase {
     Announce,
     Reap,
-}
-
-/// An executor-revocation event (min-heap on `(time, phase, executor)`).
-#[derive(Debug, Clone, Copy)]
-struct RevokeEvent {
-    time: f64,
-    executor: usize,
-    phase: RevokePhase,
-    kind: FaultKind,
-}
-
-impl PartialEq for RevokeEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.executor == other.executor && self.phase == other.phase
-    }
-}
-
-impl Eq for RevokeEvent {}
-
-impl PartialOrd for RevokeEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for RevokeEvent {
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.phase.cmp(&self.phase))
-            .then_with(|| other.executor.cmp(&self.executor))
-    }
 }
 
 /// A task lost to a revocation, waiting to be re-scheduled.
@@ -336,34 +304,33 @@ pub struct SimScratch {
     next_task: Vec<usize>,
     /// Completed task count per stage.
     completed_tasks: Vec<usize>,
-    /// Whether each stage has fully completed.
-    stage_done: Vec<bool>,
     /// Number of unfinished parent stages per stage.
     unfinished_parents: Vec<usize>,
     /// Child adjacency, flattened (`children_offsets` indexes into it).
     children: Vec<usize>,
     /// Start offset of each stage's children (plus a final sentinel).
     children_offsets: Vec<usize>,
-    /// Ready stages with unscheduled tasks, kept sorted ascending.
+    /// Ready stages, kept sorted ascending. Every ready stage has an
+    /// unscheduled task: dispatch drops a stage once it has none left.
     ready: Vec<usize>,
     /// Executor pool (grows only; `removed` marks released executors).
     executors: Vec<ExecutorState>,
-    /// Pending grants.
-    pending: BinaryHeap<GrantEvent>,
-    /// Executors that become usable in the future.
-    usable_queue: BinaryHeap<UsableEvent>,
+    /// Pending grants: the time each executor comes online, tied by
+    /// request order, carrying the time it becomes usable.
+    pending: Heap<u64, f64>,
+    /// Executors that become usable in the future, tied by index.
+    usable_queue: Heap<usize, ()>,
     /// Lazy max-heap of `(free_slots, executor)` candidates.
     slot_heap: BinaryHeap<(usize, usize)>,
-    /// In-flight task completions.
-    completions: BinaryHeap<CompletionEvent>,
+    /// In-flight task attempts by end time, tied by start order.
+    completions: Heap<u64, Attempt>,
     /// Captured task records (only filled when the log is requested).
     records: Vec<TaskRecord>,
     /// Pending executor revocations (empty without fault injection).
-    revocations: BinaryHeap<RevokeEvent>,
+    revocations: Heap<(RevokePhase, usize), FaultKind>,
     /// Lost tasks awaiting re-scheduling, FIFO by loss order.
-    retry: Vec<RetryTask>,
-    /// Loss count per task, flattened stage-major (sized only when the
-    /// fault plan is active).
+    retry: VecDeque<RetryTask>,
+    /// Loss count per task, flattened stage-major.
     task_retries: Vec<u32>,
 }
 
@@ -382,8 +349,6 @@ impl SimScratch {
         self.next_task.resize(num_stages, 0);
         self.completed_tasks.clear();
         self.completed_tasks.resize(num_stages, 0);
-        self.stage_done.clear();
-        self.stage_done.resize(num_stages, false);
         self.unfinished_parents.clear();
         self.unfinished_parents.resize(num_stages, 0);
         self.children.clear();
@@ -398,6 +363,7 @@ impl SimScratch {
         self.revocations.clear();
         self.retry.clear();
         self.task_retries.clear();
+        self.task_retries.resize(dag.num_tasks(), 0);
 
         // Dependency bookkeeping: parent counts and child adjacency.
         for stage in dag.stages() {
@@ -426,6 +392,9 @@ impl SimScratch {
                 cursor[p] += 1;
             }
         }
+        // Root stages are ready immediately.
+        self.ready
+            .extend((0..num_stages).filter(|&s| self.unfinished_parents[s] == 0));
     }
 
     /// Task count of stage `s`.
@@ -438,19 +407,34 @@ impl SimScratch {
         self.noisy[self.stage_offsets[s] + t]
     }
 
-    /// Inserts `stage` into the sorted ready queue.
-    fn push_ready(&mut self, stage: usize) {
-        match self.ready.binary_search(&stage) {
-            Ok(_) => {}
-            Err(pos) => self.ready.insert(pos, stage),
+    /// Counts one finished task of `stage`. When it was the stage's last,
+    /// every child whose last unfinished parent this was joins the sorted
+    /// ready queue.
+    fn task_done(&mut self, stage: usize) {
+        self.completed_tasks[stage] += 1;
+        if self.completed_tasks[stage] < self.stage_size(stage) {
+            return;
+        }
+        for pos in self.children_offsets[stage]..self.children_offsets[stage + 1] {
+            let child = self.children[pos];
+            self.unfinished_parents[child] -= 1;
+            if self.unfinished_parents[child] == 0 && self.next_task[child] < self.stage_size(child)
+            {
+                if let Err(at) = self.ready.binary_search(&child) {
+                    self.ready.insert(at, child);
+                }
+            }
         }
     }
 }
 
 impl Simulator {
-    /// Creates a simulator after validating the cluster configuration.
+    /// Creates a simulator after validating the cluster configuration and
+    /// the allocation policy: a policy that can hold no executor, or whose
+    /// durations are not finite and non-negative, is rejected.
     pub fn new(cluster: ClusterConfig, policy: AllocationPolicy) -> Result<Self> {
         cluster.validate()?;
+        policy.validate()?;
         Ok(Self { cluster, policy })
     }
 
@@ -465,8 +449,12 @@ impl Simulator {
     }
 
     /// Simulates the execution of `dag` and returns timing and occupancy.
+    ///
+    /// A `cfg` that fails [`RunConfig::validate`] is not simulated: the
+    /// result reports [`FailureReason::InvalidConfig`], zero elapsed time
+    /// and no task log.
     pub fn run(&self, query_name: &str, dag: &StageDag, cfg: &RunConfig) -> QueryRunResult {
-        self.run_with_scratch(query_name, dag, cfg, &mut SimScratch::new())
+        self.simulate(query_name, dag, cfg, &mut SimScratch::new(), None)
     }
 
     /// Like [`Simulator::run`], but reuses the caller's scratch buffers.
@@ -481,7 +469,7 @@ impl Simulator {
         cfg: &RunConfig,
         scratch: &mut SimScratch,
     ) -> QueryRunResult {
-        self.run_internal(query_name, dag, cfg, scratch, None)
+        self.simulate(query_name, dag, cfg, scratch, None)
     }
 
     /// Like [`Simulator::run`], but records fault events (stamped with
@@ -496,10 +484,10 @@ impl Simulator {
         cfg: &RunConfig,
         obs: &EngineObs,
     ) -> QueryRunResult {
-        self.run_internal(query_name, dag, cfg, &mut SimScratch::new(), Some(obs))
+        self.simulate(query_name, dag, cfg, &mut SimScratch::new(), Some(obs))
     }
 
-    fn run_internal(
+    fn simulate(
         &self,
         query_name: &str,
         dag: &StageDag,
@@ -507,540 +495,335 @@ impl Simulator {
         scratch: &mut SimScratch,
         obs: Option<&EngineObs>,
     ) -> QueryRunResult {
-        let ec = self.cluster.executor.cores.max(1);
-        let pool_cap = self.cluster.max_executors().max(1);
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        scratch.reset(dag);
-
-        // Fault-plan state. Every fault branch below is gated on
-        // `fault_active`, so an inactive plan leaves the event sequence —
-        // and therefore the output — bit-identical to a fault-unaware run.
-        let faults = cfg.faults;
-        let fault_active = faults.is_active();
-        let executors_per_node = self
-            .cluster
-            .node
-            .executors_per_node(&self.cluster.executor)
-            .max(1);
-        let mut fault_summary = FaultSummary::default();
-        let mut failure: Option<FailureReason> = None;
-
-        // Materialise noisy task durations (stage-major, same generation
-        // order as the original per-stage matrix). The cores-per-executor
-        // penalty keeps ec≠4 configurations slightly off the ec=4 trend
-        // (Figure 5). Straggler multipliers come from their own seed stream,
-        // consumed in the same stage-major order, so enabling them does not
-        // perturb the base noise draws.
-        let ec_penalty = 1.0 + 0.02 * (ec as f64 - 4.0).abs();
-        let mut straggler_rng = if fault_active {
-            faults.straggler_rng()
-        } else {
-            None
+        if let Err(error) = cfg.validate() {
+            return rejected(query_name, error, obs);
+        }
+        let mut run = Run::new(self, dag, cfg, scratch, obs);
+        let failure = loop {
+            if !run.in_progress() {
+                break None;
+            }
+            run.bring_grants_online();
+            if let Some(reason) = run.process_revocations() {
+                break Some(reason);
+            }
+            run.policy_tick();
+            run.dispatch();
+            if !run.advance_time() {
+                break None;
+            }
+            run.complete_due_tasks();
         };
+        run.finish(query_name, dag, failure)
+    }
+}
+
+/// The state of one run: the scratch buffers plus the clock, skyline,
+/// allocation ramp, sequence counters and fault summary.
+struct Run<'a> {
+    sim: &'a Simulator,
+    cfg: &'a RunConfig,
+    obs: Option<&'a EngineObs>,
+    s: &'a mut SimScratch,
+    /// Core-slots per executor.
+    ec: usize,
+    /// Most executors the cluster can host.
+    pool_cap: usize,
+    /// Executors per node, mapping executor indices onto nodes.
+    executors_per_node: usize,
+    /// The simulated clock, in seconds.
+    time: f64,
+    next_tick: f64,
+    tick_interval: f64,
+    skyline: Skyline,
+    /// Executors requested so far, net of revocations.
+    requested_target: usize,
+    /// Size of dynamic allocation's next request.
+    da_next_add: usize,
+    /// Time of dynamic allocation's last request.
+    da_last_request: f64,
+    /// Whether the predictive rule has issued its request.
+    predictive_requested: bool,
+    grant_seq: u64,
+    completion_seq: u64,
+    finished_tasks: usize,
+    faults: FaultSummary,
+}
+
+impl<'a> Run<'a> {
+    /// Resets the scratch for `dag`, draws every task's duration and
+    /// issues the policy's initial request at time zero.
+    fn new(
+        sim: &'a Simulator,
+        dag: &StageDag,
+        cfg: &'a RunConfig,
+        s: &'a mut SimScratch,
+        obs: Option<&'a EngineObs>,
+    ) -> Self {
+        s.reset(dag);
+        let cluster = &sim.cluster;
+        let mut run = Run {
+            sim,
+            cfg,
+            obs,
+            s,
+            ec: cluster.executor.cores.max(1),
+            pool_cap: cluster.max_executors().max(1),
+            executors_per_node: cluster.node.executors_per_node(&cluster.executor).max(1),
+            time: 0.0,
+            next_tick: 0.0,
+            tick_interval: match sim.policy {
+                AllocationPolicy::Dynamic(da) => da.schedule_interval_secs.max(0.25),
+                _ => 1.0,
+            },
+            skyline: Skyline::new(),
+            requested_target: 0,
+            da_next_add: 1,
+            da_last_request: f64::NEG_INFINITY,
+            predictive_requested: false,
+            grant_seq: 0,
+            completion_seq: 0,
+            finished_tasks: 0,
+            faults: FaultSummary::default(),
+        };
+        run.draw_durations(dag);
+        run.grant(sim.policy.initial_executors().min(run.pool_cap));
+        run
+    }
+
+    /// Materialises every task's noisy duration, stage-major. The
+    /// cores-per-executor penalty keeps ec≠4 configurations slightly off
+    /// the ec=4 trend (Figure 5). Straggler multipliers come from their own
+    /// seed stream, consumed in the same order, so enabling them does not
+    /// perturb the base noise draws.
+    fn draw_durations(&mut self, dag: &StageDag) {
+        let cfg = self.cfg;
+        let mut noise = StdRng::seed_from_u64(cfg.seed);
+        let mut stragglers = cfg.faults.straggler_rng();
+        let ec_penalty = 1.0 + 0.02 * (self.ec as f64 - 4.0).abs();
         for stage in dag.stages() {
-            scratch.stage_offsets.push(scratch.noisy.len());
-            for (task_idx, task) in stage.tasks.iter().enumerate() {
+            self.s.stage_offsets.push(self.s.noisy.len());
+            for (task, t) in stage.tasks.iter().enumerate() {
                 let mut duration =
-                    task.work_secs * ec_penalty * noise_factor(&mut rng, cfg.noise_cv);
-                if let Some(srng) = straggler_rng.as_mut() {
-                    let factor = faults.straggler_factor(srng);
+                    t.work_secs * ec_penalty * noise_factor(&mut noise, cfg.noise_cv);
+                if let Some(rng) = stragglers.as_mut() {
+                    let factor = cfg.faults.straggler_factor(rng);
                     if factor > 1.0 {
-                        fault_summary.stragglers += 1;
+                        self.faults.stragglers += 1;
                         // Straggler draws happen before the clock starts.
-                        obs_at(
-                            obs,
-                            0.0,
-                            EventKind::Straggler {
-                                stage: stage.id as u32,
-                                task: task_idx as u32,
-                            },
-                        );
+                        self.emit(EventKind::Straggler {
+                            stage: stage.id as u32,
+                            task: task as u32,
+                        });
                     }
                     duration *= factor;
                 }
-                scratch.noisy.push(duration);
+                self.s.noisy.push(duration);
             }
         }
-        scratch.stage_offsets.push(scratch.noisy.len());
+        self.s.stage_offsets.push(self.s.noisy.len());
+    }
 
-        let num_stages = dag.num_stages();
-        let total_tasks: usize = scratch.noisy.len();
-        if fault_active {
-            scratch.task_retries.resize(total_tasks, 0);
-        }
-        // Root stages are ready immediately.
-        for stage in 0..num_stages {
-            if scratch.unfinished_parents[stage] == 0 {
-                scratch.ready.push(stage);
-            }
-        }
+    /// Whether tasks remain and the clock is inside the simulation bound.
+    fn in_progress(&self) -> bool {
+        self.finished_tasks < self.s.noisy.len() && self.time < MAX_SIM_SECS
+    }
 
-        let mut skyline = Skyline::new();
-        let mut requested_target: usize = 0;
-        let mut grant_seq: u64 = 0;
-
-        // Issue the initial allocation request at time 0.
-        let mut time = 0.0f64;
-        let initial = self.policy.initial_executors().min(pool_cap);
-        grant(
-            &mut scratch.pending,
-            &mut grant_seq,
-            &self.cluster,
-            time,
-            initial,
-            &mut requested_target,
-            pool_cap,
-        );
-
-        // Dynamic-allocation ramp state.
-        let mut da_next_add: usize = 1;
-        let mut da_last_request = f64::NEG_INFINITY;
-        let mut predictive_requested = false;
-        let tick_interval = match self.policy {
-            AllocationPolicy::Dynamic(cfg) => cfg.schedule_interval_secs.max(0.25),
-            _ => 1.0,
-        };
-        let mut next_tick = 0.0f64;
-
-        let mut completion_seq: u64 = 0;
-        let mut finished_tasks = 0usize;
-
-        // Bound the simulation to avoid infinite loops on malformed input.
-        let max_sim_time = 1e7;
-
-        while finished_tasks < total_tasks && time < max_sim_time {
-            // 1. Bring granted executors online.
-            while scratch
-                .pending
-                .peek()
-                .is_some_and(|g| g.allocated_at <= time + 1e-9)
-            {
-                let grant_event = scratch.pending.pop().expect("peeked grant");
-                let idx = scratch.executors.len();
-                scratch.executors.push(ExecutorState {
-                    usable_at: grant_event.usable_at,
-                    busy_slots: 0,
-                    idle_since: grant_event.usable_at,
-                    removed: false,
-                });
-                scratch.usable_queue.push(UsableEvent {
-                    usable_at: grant_event.usable_at,
-                    executor: idx,
-                });
-                if fault_active {
-                    // Draw this executor's fate from its own seed streams:
-                    // a spot lifetime, and its node's failure time (shared
-                    // with every other executor on the node).
-                    schedule_revocation(
-                        &faults,
-                        &mut scratch.revocations,
-                        idx,
-                        grant_event.allocated_at,
-                        executors_per_node,
-                    );
-                }
-            }
-
-            // 1b. Process due revocations: announcements revoke the
-            // executor (and request a replacement), reaps at the end of the
-            // grace window lose whatever is still running on it.
-            if fault_active {
-                while scratch
-                    .revocations
-                    .peek()
-                    .is_some_and(|r| r.time <= time + 1e-9)
-                {
-                    let revoke = scratch.revocations.pop().expect("peeked revocation");
-                    match revoke.phase {
-                        RevokePhase::Announce => {
-                            let exec = &mut scratch.executors[revoke.executor];
-                            if exec.removed {
-                                continue; // already released by idle timeout
-                            }
-                            exec.removed = true;
-                            match revoke.kind {
-                                FaultKind::Preemption => fault_summary.preempted_executors += 1,
-                                FaultKind::NodeLoss => fault_summary.node_loss_executors += 1,
-                            }
-                            obs_at(
-                                obs,
-                                time,
-                                EventKind::FaultRevocation {
-                                    kind: match revoke.kind {
-                                        FaultKind::Preemption => FaultClass::Preemption,
-                                        FaultKind::NodeLoss => FaultClass::NodeLoss,
-                                    },
-                                    executor: revoke.executor as u32,
-                                },
-                            );
-                            requested_target = requested_target.saturating_sub(1);
-                            if faults.reacquire {
-                                grant(
-                                    &mut scratch.pending,
-                                    &mut grant_seq,
-                                    &self.cluster,
-                                    time,
-                                    1,
-                                    &mut requested_target,
-                                    pool_cap,
-                                );
-                                fault_summary.replacements_requested += 1;
-                                obs_at(
-                                    obs,
-                                    time,
-                                    EventKind::FaultReplacement {
-                                        executor: revoke.executor as u32,
-                                    },
-                                );
-                            }
-                            scratch.revocations.push(RevokeEvent {
-                                time: revoke.time + faults.grace_period_secs,
-                                executor: revoke.executor,
-                                phase: RevokePhase::Reap,
-                                kind: revoke.kind,
-                            });
-                        }
-                        RevokePhase::Reap => {
-                            let lost_before = fault_summary.tasks_lost;
-                            failure = reap_executor(
-                                scratch,
-                                &faults,
-                                &mut fault_summary,
-                                revoke.executor,
-                                time,
-                            );
-                            obs_at(
-                                obs,
-                                time,
-                                EventKind::FaultReap {
-                                    executor: revoke.executor as u32,
-                                    tasks_lost: fault_summary.tasks_lost - lost_before,
-                                },
-                            );
-                            if failure.is_some() {
-                                break;
-                            }
-                        }
-                    }
-                }
-                if failure.is_some() {
-                    break;
-                }
-                // With re-acquisition disabled, total capacity loss leaves
-                // unfinished work that can never run: fail fast instead of
-                // ticking to the simulation bound.
-                if scratch.completions.is_empty()
-                    && scratch.pending.is_empty()
-                    && !scratch.executors.is_empty()
-                    && scratch.executors.iter().all(|e| e.removed)
-                {
-                    failure = Some(FailureReason::ResourcesExhausted);
-                    break;
-                }
-            }
-            record_skyline(&mut skyline, time, &scratch.executors);
-
-            // 2. Policy decisions at tick boundaries.
-            if time + 1e-9 >= next_tick {
-                self.policy_tick(
-                    time,
-                    scratch,
-                    &mut grant_seq,
-                    &mut requested_target,
-                    &mut da_next_add,
-                    &mut da_last_request,
-                    &mut predictive_requested,
-                    pool_cap,
-                );
-                record_skyline(&mut skyline, time, &scratch.executors);
-                next_tick = time + tick_interval;
-            }
-
-            // 3. Schedule pending tasks of ready stages onto free slots.
-            if time + 1e-9 >= cfg.driver_overhead_secs {
-                // Executors that became usable by now join the slot heap.
-                while scratch
-                    .usable_queue
-                    .peek()
-                    .is_some_and(|u| u.usable_at <= time + 1e-9)
-                {
-                    let usable = scratch.usable_queue.pop().expect("peeked usable");
-                    let exec = &scratch.executors[usable.executor];
-                    if !exec.removed && exec.busy_slots < ec {
-                        scratch
-                            .slot_heap
-                            .push((ec - exec.busy_slots, usable.executor));
-                    }
-                }
-
-                // Lost tasks are re-scheduled first (FIFO by loss order):
-                // they sit on the critical path of recovery.
-                if fault_active {
-                    while !scratch.retry.is_empty() {
-                        let Some(exec_idx) = pop_free_slot(scratch, ec, time) else {
-                            break;
-                        };
-                        let retry = scratch.retry.remove(0);
-                        obs_at(
-                            obs,
-                            time,
-                            EventKind::FaultRetry {
-                                stage: retry.stage as u32,
-                                task: retry.task as u32,
-                            },
-                        );
-                        let exec = &mut scratch.executors[exec_idx];
-                        exec.busy_slots += 1;
-                        if exec.busy_slots < ec {
-                            scratch.slot_heap.push((ec - exec.busy_slots, exec_idx));
-                        }
-                        scratch.completions.push(CompletionEvent {
-                            end_time: time + retry.remaining,
-                            seq: completion_seq,
-                            executor: exec_idx,
-                            stage: retry.stage,
-                            task: retry.task,
-                            start_time: time,
-                            duration: retry.remaining,
-                            lost_at: retry.lost_at,
-                        });
-                        completion_seq += 1;
-                    }
-                }
-
-                let mut ready_pos = 0;
-                while ready_pos < scratch.ready.len() {
-                    let stage_idx = scratch.ready[ready_pos];
-                    let stage_size = scratch.stage_size(stage_idx);
-                    let mut exhausted = false;
-                    while scratch.next_task[stage_idx] < stage_size {
-                        let Some(exec_idx) = pop_free_slot(scratch, ec, time) else {
-                            break;
-                        };
-                        let task_idx = scratch.next_task[stage_idx];
-                        let duration = scratch.duration(stage_idx, task_idx);
-                        scratch.next_task[stage_idx] += 1;
-                        let exec = &mut scratch.executors[exec_idx];
-                        exec.busy_slots += 1;
-                        if exec.busy_slots < ec {
-                            scratch.slot_heap.push((ec - exec.busy_slots, exec_idx));
-                        }
-                        scratch.completions.push(CompletionEvent {
-                            end_time: time + duration,
-                            seq: completion_seq,
-                            executor: exec_idx,
-                            stage: stage_idx,
-                            task: task_idx,
-                            start_time: time,
-                            duration,
-                            lost_at: f64::NEG_INFINITY,
-                        });
-                        completion_seq += 1;
-                        if scratch.next_task[stage_idx] == stage_size {
-                            exhausted = true;
-                        }
-                    }
-                    if exhausted {
-                        scratch.ready.remove(ready_pos);
-                    } else {
-                        ready_pos += 1;
-                    }
-                }
-            }
-
-            // 4. Advance time to the next event.
-            let next_completion = scratch
-                .completions
-                .peek()
-                .map_or(f64::INFINITY, |c| c.end_time);
-            let next_online = scratch
-                .pending
-                .peek()
-                .map_or(f64::INFINITY, |g| g.allocated_at);
-            let next_revocation = scratch.revocations.peek().map_or(f64::INFINITY, |r| r.time);
-            let next_event = next_completion
-                .min(next_online)
-                .min(next_revocation)
-                .min(next_tick)
-                .min(if time < cfg.driver_overhead_secs {
-                    cfg.driver_overhead_secs
-                } else {
-                    f64::INFINITY
-                });
-            if !next_event.is_finite() {
-                // No runnable work and nothing scheduled to change: bail out
-                // (defensive; cannot happen with ≥1 executor kept alive).
-                break;
-            }
-            time = next_event.max(time);
-
-            // 5. Complete tasks that finished by `time`.
-            while scratch
-                .completions
-                .peek()
-                .is_some_and(|c| c.end_time <= time + 1e-9)
-            {
-                let task = scratch.completions.pop().expect("peeked completion");
-                finished_tasks += 1;
-                if task.lost_at.is_finite() {
-                    // A retry finishing: recovery trailed the loss by this.
-                    fault_summary.recovery_secs += task.end_time - task.lost_at;
-                }
-                scratch.completed_tasks[task.stage] += 1;
-                if scratch.completed_tasks[task.stage] == scratch.stage_size(task.stage) {
-                    scratch.stage_done[task.stage] = true;
-                    let (start, end) = (
-                        scratch.children_offsets[task.stage],
-                        scratch.children_offsets[task.stage + 1],
-                    );
-                    for child_pos in start..end {
-                        let child = scratch.children[child_pos];
-                        scratch.unfinished_parents[child] -= 1;
-                        if scratch.unfinished_parents[child] == 0
-                            && scratch.next_task[child] < scratch.stage_size(child)
-                        {
-                            scratch.push_ready(child);
-                        }
-                    }
-                }
-                let exec = &mut scratch.executors[task.executor];
-                exec.busy_slots = exec.busy_slots.saturating_sub(1);
-                if exec.busy_slots == 0 {
-                    exec.idle_since = task.end_time;
-                }
-                if !exec.removed && exec.usable_at <= time + 1e-9 {
-                    scratch
-                        .slot_heap
-                        .push((ec - exec.busy_slots, task.executor));
-                }
-                if cfg.capture_task_log {
-                    scratch.records.push(TaskRecord {
-                        stage_id: task.stage,
-                        start_secs: task.start_time,
-                        duration_secs: task.duration,
-                    });
-                }
-            }
-        }
-
-        let elapsed = time.max(cfg.driver_overhead_secs);
-        skyline.finish(elapsed);
-        let auc = skyline.auc_executor_secs();
-        let max_exec = skyline.max_executors();
-        let total_task_secs: f64 = scratch.noisy.iter().sum();
-
-        let task_log = cfg.capture_task_log.then(|| {
-            let stages = dag
-                .stages()
-                .iter()
-                .enumerate()
-                .map(|(idx, s)| StageLog {
-                    stage_id: idx,
-                    parents: s.parents.clone(),
-                    task_durations_secs: scratch.noisy
-                        [scratch.stage_offsets[idx]..scratch.stage_offsets[idx + 1]]
-                        .to_vec(),
-                })
-                .collect();
-            TaskLog {
-                query_name: query_name.to_string(),
-                executors: max_exec,
-                cores_per_executor: ec,
-                stages,
-                records: scratch.records.clone(),
-                driver_overhead_secs: cfg.driver_overhead_secs,
-                elapsed_secs: elapsed,
-            }
-        });
-
-        let outcome = match failure {
-            Some(reason) => RunOutcome::Failed(reason),
-            // Hitting the simulation bound with unfinished work means the
-            // run deadlocked (possible only under pathological fault plans).
-            None if finished_tasks < total_tasks => {
-                RunOutcome::Failed(FailureReason::ResourcesExhausted)
-            }
-            None => RunOutcome::Completed,
-        };
-        if let Some(obs) = obs {
-            obs.record_at_secs(
-                elapsed,
-                EventKind::RunOutcome {
-                    completed: outcome.is_completed(),
-                },
+    /// Step 1: executors whose grant is due come online. Each draws its
+    /// revocation time (the earlier of its spot lifetime and its node's
+    /// failure) from index-keyed seed streams, so its fate does not depend
+    /// on scheduling order, and executors on one node die together.
+    fn bring_grants_online(&mut self) {
+        let plan = &self.cfg.faults;
+        while let Some(grant) = pop_due(&mut self.s.pending, self.time) {
+            let (online_at, usable_at) = (grant.at, grant.item);
+            let idx = self.s.executors.len();
+            self.s.executors.push(ExecutorState {
+                usable_at,
+                busy_slots: 0,
+                idle_since: usable_at,
+                removed: false,
+            });
+            self.s.usable_queue.push(Timed {
+                at: usable_at,
+                tie: idx,
+                item: (),
+            });
+            let mut revoke = (
+                online_at + plan.executor_lifetime(idx),
+                FaultKind::Preemption,
             );
-            obs.record_run(&fault_summary, &outcome);
-        }
-
-        QueryRunResult {
-            query_name: query_name.to_string(),
-            elapsed_secs: elapsed,
-            skyline,
-            max_executors: max_exec,
-            auc_executor_secs: auc,
-            total_task_secs,
-            task_log,
-            outcome,
-            faults: fault_summary,
+            let node_loss_at = plan.node_loss_time(idx / self.executors_per_node);
+            // A node that failed before this executor came online cannot
+            // kill it (replacements land on healthy capacity).
+            if node_loss_at > online_at && node_loss_at < revoke.0 {
+                revoke = (node_loss_at, FaultKind::NodeLoss);
+            }
+            if revoke.0.is_finite() {
+                self.s.revocations.push(Timed {
+                    at: revoke.0,
+                    tie: (RevokePhase::Announce, idx),
+                    item: revoke.1,
+                });
+            }
         }
     }
 
-    /// Applies the allocation policy at a tick: reactive scale-up, the
-    /// predictive rule request, and idle-timeout removals.
-    #[allow(clippy::too_many_arguments)]
-    fn policy_tick(
-        &self,
-        time: f64,
-        scratch: &mut SimScratch,
-        grant_seq: &mut u64,
-        requested_target: &mut usize,
-        da_next_add: &mut usize,
-        da_last_request: &mut f64,
-        predictive_requested: &mut bool,
-        pool_cap: usize,
-    ) {
-        // Pending tasks of ready (or running) stages, plus any lost tasks
-        // waiting to be re-scheduled (always empty without fault injection).
-        let backlog: usize = scratch
-            .ready
-            .iter()
-            .map(|&idx| scratch.stage_size(idx) - scratch.next_task[idx])
-            .sum::<usize>()
-            + scratch.retry.len();
+    /// Step 2: due revocations. An announcement revokes the executor and
+    /// schedules its reap; a reap loses the tasks still running on it.
+    /// Returns why the run must stop, if it must.
+    fn process_revocations(&mut self) -> Option<FailureReason> {
+        while let Some(revoke) = pop_due(&mut self.s.revocations, self.time) {
+            let (phase, executor) = revoke.tie;
+            match phase {
+                RevokePhase::Announce => self.announce(revoke.at, executor, revoke.item),
+                RevokePhase::Reap => {
+                    let lost_before = self.faults.tasks_lost;
+                    let failure = self.reap(executor);
+                    self.emit(EventKind::FaultReap {
+                        executor: executor as u32,
+                        tasks_lost: self.faults.tasks_lost - lost_before,
+                    });
+                    if failure.is_some() {
+                        return failure;
+                    }
+                }
+            }
+        }
+        // With re-acquisition disabled, total capacity loss leaves
+        // unfinished work that can never run: fail fast instead of ticking
+        // to the simulation bound.
+        let s = &self.s;
+        let exhausted = s.completions.is_empty()
+            && s.pending.is_empty()
+            && !s.executors.is_empty()
+            && s.executors.iter().all(|e| e.removed);
+        exhausted.then_some(FailureReason::ResourcesExhausted)
+    }
 
-        match self.policy {
+    /// Revokes `executor` (announced for `at`): it takes no new tasks, a
+    /// replacement is requested when the plan re-acquires, and its reap is
+    /// scheduled at the end of the grace window.
+    fn announce(&mut self, at: f64, executor: usize, kind: FaultKind) {
+        let exec = &mut self.s.executors[executor];
+        if exec.removed {
+            return; // already released by idle timeout
+        }
+        exec.removed = true;
+        let class = match kind {
+            FaultKind::Preemption => {
+                self.faults.preempted_executors += 1;
+                FaultClass::Preemption
+            }
+            FaultKind::NodeLoss => {
+                self.faults.node_loss_executors += 1;
+                FaultClass::NodeLoss
+            }
+        };
+        self.emit(EventKind::FaultRevocation {
+            kind: class,
+            executor: executor as u32,
+        });
+        self.requested_target = self.requested_target.saturating_sub(1);
+        let plan = &self.cfg.faults;
+        if plan.reacquire {
+            self.grant(1);
+            self.faults.replacements_requested += 1;
+            self.emit(EventKind::FaultReplacement {
+                executor: executor as u32,
+            });
+        }
+        self.s.revocations.push(Timed {
+            at: at + plan.grace_period_secs,
+            tie: (RevokePhase::Reap, executor),
+            item: kind,
+        });
+    }
+
+    /// Reaps a revoked executor at the end of its grace window: every task
+    /// still running on it is lost and queued for retry with the restart
+    /// cost implied by the plan's checkpoint fraction. Returns a failure
+    /// when a task exceeds its retry cap.
+    fn reap(&mut self, executor: usize) -> Option<FailureReason> {
+        let time = self.time;
+        let lost_here =
+            move |c: &Timed<u64, Attempt>| c.item.executor == executor && c.at > time + EPS;
+        if !self.s.completions.iter().any(lost_here) {
+            return None;
+        }
+        // Rebuilding the heap is O(n), but reaps with in-flight tasks are
+        // rare relative to scheduling events.
+        let (mut lost, kept): (Vec<_>, Vec<_>) = std::mem::take(&mut self.s.completions)
+            .into_vec()
+            .into_iter()
+            .partition(lost_here);
+        self.s.completions = BinaryHeap::from(kept);
+        // Lost tasks re-enter the retry queue in start order.
+        lost.sort_by_key(|c| c.tie);
+        let plan = &self.cfg.faults;
+        let mut failure = None;
+        for Timed { item: a, .. } in lost {
+            let exec = &mut self.s.executors[a.executor];
+            exec.busy_slots = exec.busy_slots.saturating_sub(1);
+            let elapsed = (time - a.start).max(0.0);
+            let preserved = plan.checkpoint_fraction * elapsed;
+            self.faults.tasks_lost += 1;
+            self.faults.work_lost_secs += elapsed - preserved;
+            let flat = self.s.stage_offsets[a.stage] + a.task;
+            let retries = &mut self.s.task_retries[flat];
+            *retries += 1;
+            if *retries > plan.max_task_retries {
+                failure.get_or_insert(FailureReason::RetriesExhausted {
+                    stage: a.stage,
+                    task: a.task,
+                });
+                continue;
+            }
+            self.s.retry.push_back(RetryTask {
+                stage: a.stage,
+                task: a.task,
+                remaining: (a.duration - preserved).max(0.0) + plan.restart_overhead_secs,
+                // Recovery is measured from the first loss of the task.
+                lost_at: if a.lost_at.is_finite() {
+                    a.lost_at
+                } else {
+                    time
+                },
+            });
+        }
+        failure
+    }
+
+    /// Step 3: records the allocation and, at a tick boundary, applies the
+    /// allocation policy (reactive scale-up, the predictive rule's request,
+    /// idle-timeout removals) and records it again.
+    fn policy_tick(&mut self) {
+        self.record_skyline();
+        if self.time + EPS < self.next_tick {
+            return;
+        }
+        match self.sim.policy {
             AllocationPolicy::Static { .. } => {}
-            AllocationPolicy::Dynamic(cfg) => {
-                if backlog > 0 {
-                    // Each exponentially-larger request only fires after the
-                    // backlog has been sustained since the previous request.
-                    let backlog_sustained =
-                        time - *da_last_request >= cfg.sustained_backlog_secs - 1e-9;
-                    let desired = (*requested_target + *da_next_add)
-                        .min(cfg.max_executors)
-                        .min(pool_cap);
-                    if backlog_sustained && desired > *requested_target {
-                        grant(
-                            &mut scratch.pending,
-                            grant_seq,
-                            &self.cluster,
-                            time,
-                            desired - *requested_target,
-                            requested_target,
-                            pool_cap,
-                        );
-                        *da_next_add = (*da_next_add * 2).max(1);
-                        *da_last_request = time;
+            AllocationPolicy::Dynamic(da) => {
+                // Backlog: a ready stage (each has an unscheduled task) or
+                // a lost task awaiting its retry.
+                if !self.s.ready.is_empty() || !self.s.retry.is_empty() {
+                    // Each exponentially-larger request only fires after
+                    // the backlog has been sustained since the previous one.
+                    let sustained =
+                        self.time - self.da_last_request >= da.sustained_backlog_secs - EPS;
+                    let desired = (self.requested_target + self.da_next_add)
+                        .min(da.max_executors)
+                        .min(self.pool_cap);
+                    if sustained && desired > self.requested_target {
+                        self.grant(desired - self.requested_target);
+                        self.da_next_add *= 2;
+                        self.da_last_request = self.time;
                     }
                 } else {
-                    *da_next_add = 1;
+                    self.da_next_add = 1;
                 }
-                remove_idle(
-                    &mut scratch.executors,
-                    time,
-                    cfg.idle_timeout_secs,
-                    cfg.min_executors.max(1),
-                );
+                self.remove_idle(da.idle_timeout_secs, da.min_executors.max(1));
             }
             AllocationPolicy::Predictive {
                 predicted,
@@ -1048,52 +831,319 @@ impl Simulator {
                 idle_timeout_secs,
                 ..
             } => {
-                if !*predictive_requested && time + 1e-9 >= rule_delay_secs {
-                    *predictive_requested = true;
-                    let target = predicted.min(pool_cap);
-                    if target > *requested_target {
-                        grant(
-                            &mut scratch.pending,
-                            grant_seq,
-                            &self.cluster,
-                            time,
-                            target - *requested_target,
-                            requested_target,
-                            pool_cap,
-                        );
-                    }
+                if !self.predictive_requested && self.time + EPS >= rule_delay_secs {
+                    self.predictive_requested = true;
+                    let target = predicted.min(self.pool_cap);
+                    self.grant(target.saturating_sub(self.requested_target));
                 }
-                remove_idle(&mut scratch.executors, time, idle_timeout_secs, 1);
+                self.remove_idle(idle_timeout_secs, 1);
+            }
+        }
+        self.record_skyline();
+        self.next_tick = self.time + self.tick_interval;
+    }
+
+    /// Step 4: once the driver overhead has passed, executors that became
+    /// usable join the slot heap, then lost tasks (FIFO by loss order: they
+    /// sit on the critical path of recovery) and pending tasks of ready
+    /// stages start on free slots.
+    fn dispatch(&mut self) {
+        if self.time + EPS < self.cfg.driver_overhead_secs {
+            return;
+        }
+        while let Some(usable) = pop_due(&mut self.s.usable_queue, self.time) {
+            let exec = &self.s.executors[usable.tie];
+            if !exec.removed && exec.busy_slots < self.ec {
+                self.s
+                    .slot_heap
+                    .push((self.ec - exec.busy_slots, usable.tie));
+            }
+        }
+        while !self.s.retry.is_empty() {
+            let Some(exec) = self.pop_free_slot() else {
+                break;
+            };
+            let retry = self.s.retry.pop_front().expect("retry queue is non-empty");
+            self.emit(EventKind::FaultRetry {
+                stage: retry.stage as u32,
+                task: retry.task as u32,
+            });
+            self.start_task(
+                exec,
+                retry.stage,
+                retry.task,
+                retry.remaining,
+                retry.lost_at,
+            );
+        }
+        let mut pos = 0;
+        while pos < self.s.ready.len() {
+            let stage = self.s.ready[pos];
+            let size = self.s.stage_size(stage);
+            while self.s.next_task[stage] < size {
+                let Some(exec) = self.pop_free_slot() else {
+                    break;
+                };
+                let task = self.s.next_task[stage];
+                self.s.next_task[stage] += 1;
+                let duration = self.s.duration(stage, task);
+                self.start_task(exec, stage, task, duration, f64::NEG_INFINITY);
+            }
+            if self.s.next_task[stage] == size {
+                self.s.ready.remove(pos);
+            } else {
+                pos += 1;
             }
         }
     }
-}
 
-/// Pops the best free slot at `time`: the usable executor with the most
-/// free core-slots, highest index on ties (the historical linear-scan
-/// tie-break). Stale heap entries are discarded or corrected lazily.
-fn pop_free_slot(scratch: &mut SimScratch, ec: usize, time: f64) -> Option<usize> {
-    while let Some((free, exec_idx)) = scratch.slot_heap.pop() {
-        let exec = &scratch.executors[exec_idx];
-        if exec.removed || exec.usable_at > time + 1e-9 || exec.busy_slots >= ec {
-            continue;
+    /// Starts an attempt of `task` of `stage` on executor `exec` now: a
+    /// first attempt (`lost_at` = −∞) or a retry of a task first lost at
+    /// `lost_at`.
+    fn start_task(&mut self, exec: usize, stage: usize, task: usize, duration: f64, lost_at: f64) {
+        let state = &mut self.s.executors[exec];
+        state.busy_slots += 1;
+        if state.busy_slots < self.ec {
+            self.s.slot_heap.push((self.ec - state.busy_slots, exec));
         }
-        let actual_free = ec - exec.busy_slots;
-        if actual_free == free {
-            return Some(exec_idx);
-        }
-        // Stale count: reinsert with the corrected key and keep popping.
-        scratch.slot_heap.push((actual_free, exec_idx));
+        self.s.completions.push(Timed {
+            at: self.time + duration,
+            tie: self.completion_seq,
+            item: Attempt {
+                executor: exec,
+                stage,
+                task,
+                start: self.time,
+                duration,
+                lost_at,
+            },
+        });
+        self.completion_seq += 1;
     }
-    None
+
+    /// Pops the best free slot now: the usable executor with the most free
+    /// core-slots, highest index on ties (the historical linear-scan
+    /// tie-break). Stale heap entries are discarded or corrected lazily.
+    fn pop_free_slot(&mut self) -> Option<usize> {
+        while let Some((free, idx)) = self.s.slot_heap.pop() {
+            let exec = &self.s.executors[idx];
+            if exec.removed || exec.usable_at > self.time + EPS || exec.busy_slots >= self.ec {
+                continue;
+            }
+            let actual_free = self.ec - exec.busy_slots;
+            if actual_free == free {
+                return Some(idx);
+            }
+            // Stale count: reinsert with the corrected key and keep popping.
+            self.s.slot_heap.push((actual_free, idx));
+        }
+        None
+    }
+
+    /// Step 5: advances the clock to the next event — a completion, a
+    /// grant, a revocation, the next tick, or the end of the driver
+    /// overhead. Returns false when nothing is left to happen (defensive:
+    /// the tick is always finite).
+    fn advance_time(&mut self) -> bool {
+        let overhead_end = if self.time < self.cfg.driver_overhead_secs {
+            self.cfg.driver_overhead_secs
+        } else {
+            f64::INFINITY
+        };
+        let next = next_at(&self.s.completions)
+            .min(next_at(&self.s.pending))
+            .min(next_at(&self.s.revocations))
+            .min(self.next_tick)
+            .min(overhead_end);
+        if !next.is_finite() {
+            return false;
+        }
+        self.time = next.max(self.time);
+        true
+    }
+
+    /// Step 6: completes every task that finished by now, freeing its slot
+    /// and readying the children of stages it finished.
+    fn complete_due_tasks(&mut self) {
+        while let Some(Timed {
+            at: end, item: a, ..
+        }) = pop_due(&mut self.s.completions, self.time)
+        {
+            self.finished_tasks += 1;
+            if a.lost_at.is_finite() {
+                // A retry finishing: recovery trailed the loss by this.
+                self.faults.recovery_secs += end - a.lost_at;
+            }
+            self.s.task_done(a.stage);
+            let exec = &mut self.s.executors[a.executor];
+            exec.busy_slots = exec.busy_slots.saturating_sub(1);
+            if exec.busy_slots == 0 {
+                exec.idle_since = end;
+            }
+            if !exec.removed && exec.usable_at <= self.time + EPS {
+                self.s
+                    .slot_heap
+                    .push((self.ec - exec.busy_slots, a.executor));
+            }
+            if self.cfg.capture_task_log {
+                self.s.records.push(TaskRecord {
+                    stage_id: a.stage,
+                    start_secs: a.start,
+                    duration_secs: a.duration,
+                });
+            }
+        }
+    }
+
+    /// Requests `count` more executors (capped at the pool) under the
+    /// cluster's allocation-lag model: they come online in waves and
+    /// become usable after the startup delay.
+    fn grant(&mut self, count: usize) {
+        let count = count.min(self.pool_cap.saturating_sub(self.requested_target));
+        let lag = self.sim.cluster.lag;
+        for i in 0..count {
+            // Zero executors per wave means one wave for the whole request.
+            let wave = i.checked_div(lag.executors_per_wave).unwrap_or(0);
+            let allocated_at =
+                self.time + lag.grant_delay_secs + wave as f64 * lag.wave_interval_secs;
+            self.s.pending.push(Timed {
+                at: allocated_at,
+                tie: self.grant_seq,
+                item: allocated_at + lag.executor_startup_secs,
+            });
+            self.grant_seq += 1;
+        }
+        self.requested_target += count;
+    }
+
+    /// Releases executors idle past `timeout`, never dropping below
+    /// `keep_min` live executors.
+    fn remove_idle(&mut self, timeout: f64, keep_min: usize) {
+        let time = self.time;
+        let mut live = self.s.executors.iter().filter(|e| !e.removed).count();
+        for exec in &mut self.s.executors {
+            if live <= keep_min {
+                break;
+            }
+            if !exec.removed
+                && exec.busy_slots == 0
+                && exec.usable_at <= time
+                && time - exec.idle_since >= timeout
+            {
+                exec.removed = true;
+                live -= 1;
+            }
+        }
+    }
+
+    /// Records the live executor count (grants not yet online are not
+    /// counted).
+    fn record_skyline(&mut self) {
+        let live = self.s.executors.iter().filter(|e| !e.removed).count();
+        self.skyline.record(self.time, live);
+    }
+
+    /// Records `kind` at the current simulated time when observability is
+    /// on; a single untaken branch otherwise.
+    fn emit(&self, kind: EventKind) {
+        if let Some(obs) = self.obs {
+            obs.record_at_secs(self.time, kind);
+        }
+    }
+
+    /// Closes the skyline at the elapsed time and assembles the result.
+    fn finish(
+        self,
+        query_name: &str,
+        dag: &StageDag,
+        failure: Option<FailureReason>,
+    ) -> QueryRunResult {
+        let Run {
+            cfg,
+            obs,
+            s,
+            ec,
+            time,
+            mut skyline,
+            finished_tasks,
+            faults,
+            ..
+        } = self;
+        let elapsed = time.max(cfg.driver_overhead_secs);
+        skyline.finish(elapsed);
+        let max_executors = skyline.max_executors();
+        let task_log = cfg.capture_task_log.then(|| TaskLog {
+            query_name: query_name.to_string(),
+            executors: max_executors,
+            cores_per_executor: ec,
+            stages: dag
+                .stages()
+                .iter()
+                .enumerate()
+                .map(|(idx, stage)| StageLog {
+                    stage_id: idx,
+                    parents: stage.parents.clone(),
+                    task_durations_secs: s.noisy[s.stage_offsets[idx]..s.stage_offsets[idx + 1]]
+                        .to_vec(),
+                })
+                .collect(),
+            records: s.records.clone(),
+            driver_overhead_secs: cfg.driver_overhead_secs,
+            elapsed_secs: elapsed,
+        });
+        let outcome = match failure {
+            Some(reason) => RunOutcome::Failed(reason),
+            // Hitting the simulation bound with unfinished work means the
+            // run deadlocked (possible only under pathological fault plans).
+            None if finished_tasks < s.noisy.len() => {
+                RunOutcome::Failed(FailureReason::ResourcesExhausted)
+            }
+            None => RunOutcome::Completed,
+        };
+        report(obs, elapsed, &faults, &outcome);
+        QueryRunResult {
+            query_name: query_name.to_string(),
+            elapsed_secs: elapsed,
+            auc_executor_secs: skyline.auc_executor_secs(),
+            skyline,
+            max_executors,
+            total_task_secs: s.noisy.iter().sum(),
+            task_log,
+            outcome,
+            faults,
+        }
+    }
 }
 
-/// Records `kind` at simulated time `t_secs` when observability is on;
-/// a single untaken branch otherwise.
-#[inline]
-fn obs_at(obs: Option<&EngineObs>, t_secs: f64, kind: EventKind) {
+/// The result of a run whose configuration failed validation: nothing was
+/// simulated.
+fn rejected(query_name: &str, error: EngineError, obs: Option<&EngineObs>) -> QueryRunResult {
+    let outcome = RunOutcome::Failed(FailureReason::InvalidConfig(error.to_string()));
+    let faults = FaultSummary::default();
+    report(obs, 0.0, &faults, &outcome);
+    QueryRunResult {
+        query_name: query_name.to_string(),
+        elapsed_secs: 0.0,
+        skyline: Skyline::new(),
+        max_executors: 0,
+        auc_executor_secs: 0.0,
+        total_task_secs: 0.0,
+        task_log: None,
+        outcome,
+        faults,
+    }
+}
+
+/// Records a finished run's outcome event and counters into `obs`.
+fn report(obs: Option<&EngineObs>, elapsed: f64, faults: &FaultSummary, outcome: &RunOutcome) {
     if let Some(obs) = obs {
-        obs.record_at_secs(t_secs, kind);
+        obs.record_at_secs(
+            elapsed,
+            EventKind::RunOutcome {
+                completed: outcome.is_completed(),
+            },
+        );
+        obs.record_run(faults, outcome);
     }
 }
 
@@ -1108,172 +1158,6 @@ fn noise_factor(rng: &mut StdRng, cv: f64) -> f64 {
     (1.0 + normal * cv).max(0.2)
 }
 
-/// Schedules grants for `count` additional executors under the cluster's
-/// allocation-lag model and bumps the requested target.
-fn grant(
-    pending: &mut BinaryHeap<GrantEvent>,
-    grant_seq: &mut u64,
-    cluster: &ClusterConfig,
-    now: f64,
-    count: usize,
-    requested_target: &mut usize,
-    pool_cap: usize,
-) {
-    let count = count.min(pool_cap.saturating_sub(*requested_target));
-    if count == 0 {
-        return;
-    }
-    let lag = cluster.lag;
-    let per_wave = if lag.executors_per_wave == 0 {
-        usize::MAX
-    } else {
-        lag.executors_per_wave
-    };
-    let mut granted = 0usize;
-    let mut wave = 0usize;
-    while granted < count {
-        let in_this_wave = per_wave.min(count - granted);
-        let allocated_at = now + lag.grant_delay_secs + wave as f64 * lag.wave_interval_secs;
-        let usable_at = allocated_at + lag.executor_startup_secs;
-        for _ in 0..in_this_wave {
-            pending.push(GrantEvent {
-                allocated_at,
-                seq: *grant_seq,
-                usable_at,
-            });
-            *grant_seq += 1;
-        }
-        granted += in_this_wave;
-        wave += 1;
-    }
-    *requested_target += count;
-}
-
-/// Releases executors that have been idle past the timeout, never dropping
-/// below `keep_min` live executors.
-fn remove_idle(executors: &mut [ExecutorState], time: f64, idle_timeout: f64, keep_min: usize) {
-    let mut live = executors.iter().filter(|e| !e.removed).count();
-    for exec in executors.iter_mut() {
-        if live <= keep_min {
-            break;
-        }
-        if !exec.removed
-            && exec.busy_slots == 0
-            && exec.usable_at <= time
-            && time - exec.idle_since >= idle_timeout
-        {
-            exec.removed = true;
-            live -= 1;
-        }
-    }
-}
-
-/// Records the current allocated-executor count (live executors plus grants
-/// already issued but not yet online are *not* counted until allocated_at).
-fn record_skyline(skyline: &mut Skyline, time: f64, executors: &[ExecutorState]) {
-    let count = executors.iter().filter(|e| !e.removed).count();
-    skyline.record(time, count);
-}
-
-/// Draws executor `idx`'s revocation time (the earlier of its spot lifetime
-/// and its node's failure time) and enqueues the announcement if finite.
-/// Both draws come from index-keyed seed streams, so the outcome does not
-/// depend on scheduling order, and executors mapped onto the same node
-/// share one node-failure draw (they die together).
-fn schedule_revocation(
-    plan: &FaultPlan,
-    revocations: &mut BinaryHeap<RevokeEvent>,
-    idx: usize,
-    online_at: f64,
-    executors_per_node: usize,
-) {
-    let mut revoke_at = f64::INFINITY;
-    let mut kind = FaultKind::Preemption;
-    let lifetime = plan.executor_lifetime(idx);
-    if lifetime.is_finite() {
-        revoke_at = online_at + lifetime;
-    }
-    let node_loss_at = plan.node_loss_time(idx / executors_per_node);
-    // A node that failed before this executor came online cannot kill it
-    // (replacements land on healthy capacity).
-    if node_loss_at > online_at && node_loss_at < revoke_at {
-        revoke_at = node_loss_at;
-        kind = FaultKind::NodeLoss;
-    }
-    if revoke_at.is_finite() {
-        revocations.push(RevokeEvent {
-            time: revoke_at,
-            executor: idx,
-            phase: RevokePhase::Announce,
-            kind,
-        });
-    }
-}
-
-/// Reaps a revoked executor at the end of its grace window: every task
-/// still running on it is lost and queued for retry with the restart cost
-/// implied by the plan's checkpoint fraction. Returns a failure when a
-/// task exceeds its retry cap.
-fn reap_executor(
-    scratch: &mut SimScratch,
-    plan: &FaultPlan,
-    summary: &mut FaultSummary,
-    executor: usize,
-    time: f64,
-) -> Option<FailureReason> {
-    if !scratch
-        .completions
-        .iter()
-        .any(|c| c.executor == executor && c.end_time > time + 1e-9)
-    {
-        return None;
-    }
-    // Rebuilding the heap is O(n), but reaps with in-flight tasks are rare
-    // relative to scheduling events.
-    let drained = std::mem::take(&mut scratch.completions).into_vec();
-    let mut kept = Vec::with_capacity(drained.len());
-    let mut lost = Vec::new();
-    for event in drained {
-        if event.executor == executor && event.end_time > time + 1e-9 {
-            lost.push(event);
-        } else {
-            kept.push(event);
-        }
-    }
-    scratch.completions = BinaryHeap::from(kept);
-    // Lost tasks re-enter the retry queue in scheduling order.
-    lost.sort_by_key(|a| a.seq);
-    let mut failure = None;
-    for event in lost {
-        let exec = &mut scratch.executors[event.executor];
-        exec.busy_slots = exec.busy_slots.saturating_sub(1);
-        let elapsed = (time - event.start_time).max(0.0);
-        let preserved = plan.checkpoint_fraction * elapsed;
-        summary.tasks_lost += 1;
-        summary.work_lost_secs += elapsed - preserved;
-        let flat = scratch.stage_offsets[event.stage] + event.task;
-        scratch.task_retries[flat] += 1;
-        if scratch.task_retries[flat] > plan.max_task_retries {
-            failure.get_or_insert(FailureReason::RetriesExhausted {
-                stage: event.stage,
-                task: event.task,
-            });
-            continue;
-        }
-        scratch.retry.push(RetryTask {
-            stage: event.stage,
-            task: event.task,
-            remaining: (event.duration - preserved).max(0.0) + plan.restart_overhead_secs,
-            // Recovery is measured from the first loss of the task.
-            lost_at: if event.lost_at.is_finite() {
-                event.lost_at
-            } else {
-                time
-            },
-        });
-    }
-    failure
-}
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -69,7 +69,8 @@ pub struct ApplicationSession {
 }
 
 impl ApplicationSession {
-    /// Creates a session over the given cluster. `idle_timeout_secs` is the
+    /// Creates a session over the given cluster after validating it and
+    /// the per-query run configuration. `idle_timeout_secs` is the
     /// reactive-deallocation timeout applied between queries.
     pub fn new(
         cluster: ClusterConfig,
@@ -77,6 +78,7 @@ impl ApplicationSession {
         run_config: RunConfig,
     ) -> Result<Self> {
         cluster.validate()?;
+        run_config.validate()?;
         Ok(Self {
             cluster,
             idle_timeout_secs,

@@ -318,3 +318,97 @@ fn allocation_lag_instant_vs_synapse_changes_recovery() {
     }
     panic!("no seed lost tasks under both lag models");
 }
+
+/// FNV-1a over a byte stream.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// Appends everything a faulted run reports: elapsed, AUC and total task
+/// bits, the skyline points, the outcome and every `FaultSummary` field.
+fn push_run(bytes: &mut Vec<u8>, r: &ae_engine::QueryRunResult) {
+    let mut u64 = |v: u64| bytes.extend_from_slice(&v.to_le_bytes());
+    u64(r.elapsed_secs.to_bits());
+    u64(r.auc_executor_secs.to_bits());
+    u64(r.total_task_secs.to_bits());
+    for &(t, count) in r.skyline.points() {
+        u64(t.to_bits());
+        u64(count as u64);
+    }
+    let f = r.faults;
+    for count in [
+        f.preempted_executors,
+        f.node_loss_executors,
+        f.tasks_lost,
+        f.replacements_requested,
+        f.stragglers,
+    ] {
+        u64(u64::from(count));
+    }
+    u64(f.work_lost_secs.to_bits());
+    u64(f.recovery_secs.to_bits());
+    bytes.extend_from_slice(format!("{:?}", r.outcome).as_bytes());
+}
+
+#[test]
+fn fault_grid_matches_the_recorded_fingerprints() {
+    // SA, DA and Rule × six fault shapes × four seeds on the reference
+    // DAG, one fingerprint per shape. Recorded from the simulator loop
+    // that preceded the per-step run state; any change to the fault path's
+    // event order, RNG draws or accounting moves them.
+    let shapes: [(&str, FaultPlan, u64); 6] = [
+        (
+            "preemption",
+            FaultPlan::preemptions(0.5, 2.0),
+            1921811212633478424,
+        ),
+        (
+            "node loss",
+            FaultPlan::none().with_node_loss(1.0),
+            3422926024071679798,
+        ),
+        (
+            "no re-acquire",
+            FaultPlan::preemptions(3.0, 1.0).with_reacquire(false),
+            14824253157913985429,
+        ),
+        (
+            "stragglers",
+            FaultPlan::none().with_stragglers(0.2, 3.0),
+            17291393065573052265,
+        ),
+        (
+            "checkpoint 0.5",
+            FaultPlan::preemptions(1.0, 1.0).with_checkpoint_fraction(0.5),
+            5387664062646221155,
+        ),
+        (
+            "retry cap 1",
+            FaultPlan::preemptions(2.0, 1.0).with_max_task_retries(1),
+            3414861116038764470,
+        ),
+    ];
+    let dag = reference_dag();
+    for (label, plan, expected) in shapes {
+        let mut bytes = Vec::new();
+        for policy in [
+            AllocationPolicy::static_allocation(12),
+            AllocationPolicy::dynamic(1, 48),
+            AllocationPolicy::predictive(20),
+        ] {
+            let sim = simulator(policy);
+            for fault_seed in 0..4u64 {
+                let cfg = RunConfig::default()
+                    .with_seed(3)
+                    .with_faults(plan.with_seed(fault_seed));
+                push_run(&mut bytes, &sim.run("q", &dag, &cfg));
+            }
+        }
+        assert_eq!(fnv1a(&bytes), expected, "{label}");
+    }
+}

@@ -25,8 +25,9 @@
 use std::sync::Mutex as StdMutex;
 use std::time::{Duration, Instant};
 
+use ae_engine::exp_sample;
 use rand::rngs::StdRng;
-use rand::{derive_stream_seed, Rng, SeedableRng};
+use rand::{derive_stream_seed, SeedableRng};
 
 use crate::runtime::lock;
 use crate::tenant::TokenBucket;
@@ -276,8 +277,7 @@ impl FleetFaultPlan {
         let horizon = self.horizon.as_secs_f64();
         let mut t = 0.0f64;
         loop {
-            let u: f64 = rng.gen();
-            t += -(1.0 - u).ln() / rate;
+            t += exp_sample(&mut rng, rate);
             if !t.is_finite() || t >= horizon {
                 return;
             }
@@ -570,6 +570,33 @@ mod tests {
         }
         // A different seed draws a different schedule.
         assert_ne!(plan.with_seed(43).schedule(4), a);
+    }
+
+    #[test]
+    fn schedule_matches_the_recorded_fingerprint() {
+        // Every window of a three-kind schedule over 8 shards — start and
+        // clear offsets in nanoseconds, shard, fault — pinned bit for bit.
+        let plan = FleetFaultPlan::none()
+            .with_seed(42)
+            .with_crashes(2.0, Duration::from_millis(100))
+            .with_stalls(1.0, Duration::from_millis(50), Duration::from_millis(2))
+            .with_outages(0.5, Duration::from_millis(200))
+            .with_horizon(Duration::from_secs(30));
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for event in plan.schedule(8) {
+            for v in [
+                event.at.as_nanos() as u64,
+                event.until.as_nanos() as u64,
+                event.shard as u64,
+                encode_fault(Some(event.fault)),
+            ] {
+                for b in v.to_le_bytes() {
+                    hash ^= u64::from(b);
+                    hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(hash, 7256285771352612417);
     }
 
     #[test]

@@ -30,6 +30,7 @@
 
 use std::time::Duration;
 
+use ae_engine::exp_sample;
 use rand::rngs::StdRng;
 use rand::{derive_stream_seed, Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -80,10 +81,7 @@ impl OpenLoop {
         let mut at = 0.0f64;
         (0..self.requests)
             .map(|_| {
-                // Inverse-CDF exponential sample; 1 - u keeps the argument
-                // of ln strictly positive (u is in [0, 1)).
-                let u: f64 = gaps.gen();
-                at += -(1.0 - u).ln() / self.rate_qps;
+                at += exp_sample(&mut gaps, self.rate_qps);
                 Arrival {
                     at: Duration::from_secs_f64(at),
                     query_index: picks.gen_range(0..num_queries),
@@ -260,6 +258,37 @@ impl FaultSeeds {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// FNV-1a over a byte stream.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for &b in bytes {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        hash
+    }
+
+    #[test]
+    fn tagged_schedule_matches_the_recorded_fingerprint() {
+        // Every arrival offset (in nanoseconds), query, level and tenant of
+        // a tagged open-loop schedule, pinned bit for bit.
+        let process = OpenLoop::new(250.0, 4000, 31);
+        let levels = WeightedMix::new(vec![0.1, 0.5, 0.4]);
+        let tenants = WeightedMix::uniform(7);
+        let mut bytes = Vec::new();
+        for a in process.schedule_tagged(149, &levels, &tenants) {
+            for v in [
+                a.at.as_nanos() as u64,
+                a.query_index as u64,
+                a.level_index as u64,
+                a.tenant_index as u64,
+            ] {
+                bytes.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        assert_eq!(fnv1a(&bytes), 6153216398372160570);
+    }
 
     #[test]
     fn open_loop_schedule_is_deterministic_and_ordered() {
