@@ -15,6 +15,7 @@ fn bench_query_simulation(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("simulation/q94_sf100");
     for (label, policy) in [
+        ("static_1", AllocationPolicy::static_allocation(1)),
         ("static_16", AllocationPolicy::static_allocation(16)),
         ("static_48", AllocationPolicy::static_allocation(48)),
         ("dynamic_1_48", AllocationPolicy::dynamic(1, 48)),

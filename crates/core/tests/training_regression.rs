@@ -9,11 +9,14 @@
 //!
 //! The simulator fingerprints pin the ground-truth sweep and one run per
 //! allocation policy per SF10 query the same way: every elapsed time, AUC,
-//! total task time and skyline point, bit for bit.
+//! total task time and skyline point, bit for bit. The executor-size
+//! shapes run the same three policies at 1, 2 and 8 cores per executor, so
+//! pools wider than 64 executors and slot counts other than four are pinned
+//! too.
 
 use ae_engine::{AllocationPolicy, ClusterConfig, QueryRunResult, RunConfig, Simulator};
 use ae_ppm::model::PpmKind;
-use ae_workload::{mixed_suite, FamilyRegistry, ScaleFactor, WorkloadGenerator};
+use ae_workload::{mixed_suite, BuiltinFamily, FamilyRegistry, ScaleFactor, WorkloadGenerator};
 use autoexecutor::{ActualRuns, AutoExecutorConfig, FeatureSet, ParameterModel, TrainingData};
 
 /// FNV-1a over a byte stream.
@@ -138,4 +141,70 @@ fn sf10_policy_runs_match_the_recorded_fingerprints() {
         }
         assert_eq!(fnv1a(&bytes.0), expected, "{label}");
     }
+}
+
+/// SA(n), DA(1, n) and Rule(n) on every SF10 TPC-H-like query at three of
+/// Table 1's total-cores shapes with other executor sizes: 128 cores as
+/// 128 one-core executors (a pool of 200), 32 as 16 two-core executors and
+/// 128 as 16 eight-core executors. Each shape is pinned by one fingerprint
+/// per policy, recorded from the simulator loop that preceded the exact
+/// free-slot index.
+#[test]
+fn executor_size_shapes_match_the_recorded_fingerprints() {
+    let suite =
+        WorkloadGenerator::for_family(BuiltinFamily::Tpch.family(), ScaleFactor::SF10).suite();
+    assert_eq!(suite.len(), 22);
+    let pinned: [(usize, usize, [u64; 3]); 3] = [
+        (
+            1,
+            128,
+            [
+                14316911308058281357,
+                18227763432253607448,
+                4310016720868880963,
+            ],
+        ),
+        (
+            2,
+            16,
+            [
+                11270616083568859812,
+                1417260104352599745,
+                8850284380646417344,
+            ],
+        ),
+        (
+            8,
+            16,
+            [
+                4109611825452119098,
+                8323822189004156746,
+                2178284641740113460,
+            ],
+        ),
+    ];
+    let mut widest = 0;
+    for (ec, n, expected) in pinned {
+        let cluster = ClusterConfig::paper_default().with_cores_per_executor(ec);
+        let policies = [
+            AllocationPolicy::static_allocation(n),
+            AllocationPolicy::dynamic(1, n),
+            AllocationPolicy::predictive(n),
+        ];
+        let fingerprints = policies.map(|policy| {
+            let simulator = Simulator::new(cluster, policy).unwrap();
+            let mut bytes = Bytes::default();
+            for (i, query) in suite.iter().enumerate() {
+                let cfg = RunConfig::default().with_seed(i as u64);
+                let run = simulator.run(&query.name, &query.dag, &cfg);
+                widest = widest.max(run.max_executors);
+                bytes.run(&run);
+            }
+            fnv1a(&bytes.0)
+        });
+        assert_eq!(fingerprints, expected, "ec = {ec}, n = {n}: SA, DA, Rule");
+    }
+    // Executor indices must cross a 64-bit word for the pin to cover wide
+    // pools.
+    assert!(widest > 64, "the widest run held only {widest} executors");
 }

@@ -41,9 +41,16 @@
 //! Completions, grants, executors becoming usable and revocations wait in
 //! min-heaps that share one entry type, ordered by time and then a tie
 //! (start order for completions and grants, executor index for the rest),
-//! so simultaneous events pop in the order a FIFO scan would see them.
-//! Free core-slots come from a lazy max-heap over `(free_slots, executor)`:
-//! most free slots, highest index on ties. Stages enter a sorted ready
+//! so simultaneous events pop in the order a FIFO scan would see them. A
+//! completion entry is 16 bytes (end time, start sequence); the attempt
+//! sits in an arena indexed by that sequence.
+//!
+//! Free core-slots come from an exact index, one bitset over executor
+//! indices per free-slot count plus the total of free slots. An executor
+//! is listed under its free count from the moment it becomes usable until
+//! it is removed, so a pick never meets a stale entry: most free slots,
+//! highest index on ties. A live-executor count, kept where executors come
+//! online and are removed, feeds the skyline. Stages enter a sorted ready
 //! queue when their last parent finishes.
 //!
 //! Fault injection has no separate path. An inactive [`FaultPlan`] draws
@@ -253,8 +260,8 @@ fn next_at<K: Ord, T>(heap: &Heap<K, T>) -> f64 {
     heap.peek().map_or(f64::INFINITY, |e| e.at)
 }
 
-/// A running task attempt. Its completion-heap entry is keyed by its end
-/// time, then its start order.
+/// A task attempt, stored in the run's arena at its start sequence. Its
+/// completion-heap entry holds only its end time and that sequence.
 #[derive(Debug, Clone, Copy)]
 struct Attempt {
     executor: usize,
@@ -320,10 +327,14 @@ pub struct SimScratch {
     pending: Heap<u64, f64>,
     /// Executors that become usable in the future, tied by index.
     usable_queue: Heap<usize, ()>,
-    /// Lazy max-heap of `(free_slots, executor)` candidates.
-    slot_heap: BinaryHeap<(usize, usize)>,
-    /// In-flight task attempts by end time, tied by start order.
-    completions: Heap<u64, Attempt>,
+    /// Executors listed by free core-slots: per block of 64 executor
+    /// indices, one bit word for each count 1..=ec (word `block * ec +
+    /// count - 1`).
+    free_slots: Vec<u64>,
+    /// In-flight task attempts by end time, tied by start sequence.
+    completions: Heap<u64, ()>,
+    /// Every task attempt of the run, indexed by its start sequence.
+    attempts: Vec<Attempt>,
     /// Captured task records (only filled when the log is requested).
     records: Vec<TaskRecord>,
     /// Pending executor revocations (empty without fault injection).
@@ -357,8 +368,9 @@ impl SimScratch {
         self.executors.clear();
         self.pending.clear();
         self.usable_queue.clear();
-        self.slot_heap.clear();
+        self.free_slots.clear();
         self.completions.clear();
+        self.attempts.clear();
         self.records.clear();
         self.revocations.clear();
         self.retry.clear();
@@ -513,6 +525,8 @@ impl Simulator {
                 break None;
             }
             run.complete_due_tasks();
+            #[cfg(debug_assertions)]
+            run.check_counts();
         };
         run.finish(query_name, dag, failure)
     }
@@ -545,7 +559,10 @@ struct Run<'a> {
     /// Whether the predictive rule has issued its request.
     predictive_requested: bool,
     grant_seq: u64,
-    completion_seq: u64,
+    /// Online executors not yet removed.
+    live: usize,
+    /// Free core-slots over the executors in the free-slot index.
+    free_total: usize,
     finished_tasks: usize,
     faults: FaultSummary,
 }
@@ -582,7 +599,8 @@ impl<'a> Run<'a> {
             da_last_request: f64::NEG_INFINITY,
             predictive_requested: false,
             grant_seq: 0,
-            completion_seq: 0,
+            live: 0,
+            free_total: 0,
             finished_tasks: 0,
             faults: FaultSummary::default(),
         };
@@ -644,6 +662,9 @@ impl<'a> Run<'a> {
                 idle_since: usable_at,
                 removed: false,
             });
+            self.live += 1;
+            // The free-slot index grows by a block of words per 64 indices.
+            self.s.free_slots.resize((idx / 64 + 1) * self.ec, 0);
             self.s.usable_queue.push(Timed {
                 at: usable_at,
                 tie: idx,
@@ -697,7 +718,7 @@ impl<'a> Run<'a> {
         let exhausted = s.completions.is_empty()
             && s.pending.is_empty()
             && !s.executors.is_empty()
-            && s.executors.iter().all(|e| e.removed);
+            && self.live == 0;
         exhausted.then_some(FailureReason::ResourcesExhausted)
     }
 
@@ -705,11 +726,10 @@ impl<'a> Run<'a> {
     /// replacement is requested when the plan re-acquires, and its reap is
     /// scheduled at the end of the grace window.
     fn announce(&mut self, at: f64, executor: usize, kind: FaultKind) {
-        let exec = &mut self.s.executors[executor];
-        if exec.removed {
+        if self.s.executors[executor].removed {
             return; // already released by idle timeout
         }
-        exec.removed = true;
+        self.remove_executor(executor);
         let class = match kind {
             FaultKind::Preemption => {
                 self.faults.preempted_executors += 1;
@@ -746,8 +766,9 @@ impl<'a> Run<'a> {
     /// when a task exceeds its retry cap.
     fn reap(&mut self, executor: usize) -> Option<FailureReason> {
         let time = self.time;
-        let lost_here =
-            move |c: &Timed<u64, Attempt>| c.item.executor == executor && c.at > time + EPS;
+        let lost_here = |c: &Timed<u64, ()>| {
+            self.s.attempts[c.tie as usize].executor == executor && c.at > time + EPS
+        };
         if !self.s.completions.iter().any(lost_here) {
             return None;
         }
@@ -762,7 +783,8 @@ impl<'a> Run<'a> {
         lost.sort_by_key(|c| c.tie);
         let plan = &self.cfg.faults;
         let mut failure = None;
-        for Timed { item: a, .. } in lost {
+        for c in lost {
+            let a = self.s.attempts[c.tie as usize];
             let exec = &mut self.s.executors[a.executor];
             exec.busy_slots = exec.busy_slots.saturating_sub(1);
             let elapsed = (time - a.start).max(0.0);
@@ -844,50 +866,38 @@ impl<'a> Run<'a> {
     }
 
     /// Step 4: once the driver overhead has passed, executors that became
-    /// usable join the slot heap, then lost tasks (FIFO by loss order: they
-    /// sit on the critical path of recovery) and pending tasks of ready
-    /// stages start on free slots.
+    /// usable join the free-slot index, then lost tasks (FIFO by loss
+    /// order: they sit on the critical path of recovery) and pending tasks
+    /// of ready stages start on free slots until none is left.
     fn dispatch(&mut self) {
         if self.time + EPS < self.cfg.driver_overhead_secs {
             return;
         }
         while let Some(usable) = pop_due(&mut self.s.usable_queue, self.time) {
-            let exec = &self.s.executors[usable.tie];
+            let exec = self.s.executors[usable.tie];
             if !exec.removed && exec.busy_slots < self.ec {
-                self.s
-                    .slot_heap
-                    .push((self.ec - exec.busy_slots, usable.tie));
+                self.move_free(usable.tie, 0, self.ec - exec.busy_slots);
             }
         }
-        while !self.s.retry.is_empty() {
-            let Some(exec) = self.pop_free_slot() else {
+        while self.free_total > 0 {
+            let Some(retry) = self.s.retry.pop_front() else {
                 break;
             };
-            let retry = self.s.retry.pop_front().expect("retry queue is non-empty");
             self.emit(EventKind::FaultRetry {
                 stage: retry.stage as u32,
                 task: retry.task as u32,
             });
-            self.start_task(
-                exec,
-                retry.stage,
-                retry.task,
-                retry.remaining,
-                retry.lost_at,
-            );
+            self.start_task(retry.stage, retry.task, retry.remaining, retry.lost_at);
         }
         let mut pos = 0;
-        while pos < self.s.ready.len() {
+        while pos < self.s.ready.len() && self.free_total > 0 {
             let stage = self.s.ready[pos];
             let size = self.s.stage_size(stage);
-            while self.s.next_task[stage] < size {
-                let Some(exec) = self.pop_free_slot() else {
-                    break;
-                };
+            while self.s.next_task[stage] < size && self.free_total > 0 {
                 let task = self.s.next_task[stage];
                 self.s.next_task[stage] += 1;
                 let duration = self.s.duration(stage, task);
-                self.start_task(exec, stage, task, duration, f64::NEG_INFINITY);
+                self.start_task(stage, task, duration, f64::NEG_INFINITY);
             }
             if self.s.next_task[stage] == size {
                 self.s.ready.remove(pos);
@@ -897,47 +907,72 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// Starts an attempt of `task` of `stage` on executor `exec` now: a
+    /// Starts an attempt of `task` of `stage` now on the best free slot: a
     /// first attempt (`lost_at` = −∞) or a retry of a task first lost at
-    /// `lost_at`.
-    fn start_task(&mut self, exec: usize, stage: usize, task: usize, duration: f64, lost_at: f64) {
-        let state = &mut self.s.executors[exec];
-        state.busy_slots += 1;
-        if state.busy_slots < self.ec {
-            self.s.slot_heap.push((self.ec - state.busy_slots, exec));
-        }
+    /// `lost_at`. Call only while a slot is free.
+    fn start_task(&mut self, stage: usize, task: usize, duration: f64, lost_at: f64) {
+        let exec = self.best_free_slot();
+        let free = self.ec - self.s.executors[exec].busy_slots;
+        self.s.executors[exec].busy_slots += 1;
+        self.move_free(exec, free, free - 1);
         self.s.completions.push(Timed {
             at: self.time + duration,
-            tie: self.completion_seq,
-            item: Attempt {
-                executor: exec,
-                stage,
-                task,
-                start: self.time,
-                duration,
-                lost_at,
-            },
+            tie: self.s.attempts.len() as u64,
+            item: (),
         });
-        self.completion_seq += 1;
+        self.s.attempts.push(Attempt {
+            executor: exec,
+            stage,
+            task,
+            start: self.time,
+            duration,
+            lost_at,
+        });
     }
 
-    /// Pops the best free slot now: the usable executor with the most free
-    /// core-slots, highest index on ties (the historical linear-scan
-    /// tie-break). Stale heap entries are discarded or corrected lazily.
-    fn pop_free_slot(&mut self) -> Option<usize> {
-        while let Some((free, idx)) = self.s.slot_heap.pop() {
-            let exec = &self.s.executors[idx];
-            if exec.removed || exec.usable_at > self.time + EPS || exec.busy_slots >= self.ec {
-                continue;
+    /// The listed executor with the most free core-slots, highest index on
+    /// ties (the historical linear-scan tie-break). Call only while a slot
+    /// is free.
+    fn best_free_slot(&self) -> usize {
+        let blocks = self.s.free_slots.len() / self.ec;
+        for free in (1..=self.ec).rev() {
+            for block in (0..blocks).rev() {
+                let word = self.s.free_slots[block * self.ec + free - 1];
+                if word != 0 {
+                    return block * 64 + 63 - word.leading_zeros() as usize;
+                }
             }
-            let actual_free = self.ec - exec.busy_slots;
-            if actual_free == free {
-                return Some(idx);
-            }
-            // Stale count: reinsert with the corrected key and keep popping.
-            self.s.slot_heap.push((actual_free, idx));
         }
-        None
+        unreachable!("no core-slot is free")
+    }
+
+    /// Moves `exec` in the free-slot index from `from` to `to` free
+    /// core-slots, where zero means unlisted.
+    fn move_free(&mut self, exec: usize, from: usize, to: usize) {
+        let (base, bit) = (exec / 64 * self.ec, 1u64 << (exec % 64));
+        if from > 0 {
+            self.s.free_slots[base + from - 1] &= !bit;
+        }
+        if to > 0 {
+            self.s.free_slots[base + to - 1] |= bit;
+        }
+        self.free_total = self.free_total + to - from;
+    }
+
+    /// Whether `exec` is listed in the free-slot index under `free` slots.
+    fn is_listed(&self, exec: usize, free: usize) -> bool {
+        free > 0 && self.s.free_slots[exec / 64 * self.ec + free - 1] >> (exec % 64) & 1 == 1
+    }
+
+    /// Marks `exec` removed: it leaves the live count and, if listed, the
+    /// free-slot index.
+    fn remove_executor(&mut self, exec: usize) {
+        self.s.executors[exec].removed = true;
+        self.live -= 1;
+        let free = self.ec - self.s.executors[exec].busy_slots;
+        if self.is_listed(exec, free) {
+            self.move_free(exec, free, 0);
+        }
     }
 
     /// Step 5: advances the clock to the next event — a completion, a
@@ -965,10 +1000,8 @@ impl<'a> Run<'a> {
     /// Step 6: completes every task that finished by now, freeing its slot
     /// and readying the children of stages it finished.
     fn complete_due_tasks(&mut self) {
-        while let Some(Timed {
-            at: end, item: a, ..
-        }) = pop_due(&mut self.s.completions, self.time)
-        {
+        while let Some(Timed { at: end, tie, .. }) = pop_due(&mut self.s.completions, self.time) {
+            let a = self.s.attempts[tie as usize];
             self.finished_tasks += 1;
             if a.lost_at.is_finite() {
                 // A retry finishing: recovery trailed the loss by this.
@@ -976,14 +1009,14 @@ impl<'a> Run<'a> {
             }
             self.s.task_done(a.stage);
             let exec = &mut self.s.executors[a.executor];
-            exec.busy_slots = exec.busy_slots.saturating_sub(1);
+            let free = self.ec - exec.busy_slots;
+            exec.busy_slots -= 1;
             if exec.busy_slots == 0 {
                 exec.idle_since = end;
             }
-            if !exec.removed && exec.usable_at <= self.time + EPS {
-                self.s
-                    .slot_heap
-                    .push((self.ec - exec.busy_slots, a.executor));
+            // An executor running a task has been usable since it started.
+            if !exec.removed {
+                self.move_free(a.executor, free, free + 1);
             }
             if self.cfg.capture_task_log {
                 self.s.records.push(TaskRecord {
@@ -1019,19 +1052,17 @@ impl<'a> Run<'a> {
     /// Releases executors idle past `timeout`, never dropping below
     /// `keep_min` live executors.
     fn remove_idle(&mut self, timeout: f64, keep_min: usize) {
-        let time = self.time;
-        let mut live = self.s.executors.iter().filter(|e| !e.removed).count();
-        for exec in &mut self.s.executors {
-            if live <= keep_min {
+        for idx in 0..self.s.executors.len() {
+            if self.live <= keep_min {
                 break;
             }
+            let exec = self.s.executors[idx];
             if !exec.removed
                 && exec.busy_slots == 0
-                && exec.usable_at <= time
-                && time - exec.idle_since >= timeout
+                && exec.usable_at <= self.time
+                && self.time - exec.idle_since >= timeout
             {
-                exec.removed = true;
-                live -= 1;
+                self.remove_executor(idx);
             }
         }
     }
@@ -1039,8 +1070,35 @@ impl<'a> Run<'a> {
     /// Records the live executor count (grants not yet online are not
     /// counted).
     fn record_skyline(&mut self) {
-        let live = self.s.executors.iter().filter(|e| !e.removed).count();
-        self.skyline.record(self.time, live);
+        self.skyline.record(self.time, self.live);
+    }
+
+    /// Recounts the live count and the free-slot index from the executors
+    /// and the usable queue. Every live executor with a free slot is either
+    /// listed under its free count or still waiting to become usable.
+    #[cfg(debug_assertions)]
+    fn check_counts(&self) {
+        let s = &self.s;
+        let (mut live, mut listed, mut free_total, mut waiting) = (0, 0, 0, 0);
+        for (idx, exec) in s.executors.iter().enumerate().filter(|(_, e)| !e.removed) {
+            let free = self.ec - exec.busy_slots;
+            live += 1;
+            if self.is_listed(idx, free) {
+                (listed, free_total) = (listed + 1, free_total + free);
+            } else if free > 0 {
+                waiting += 1;
+            }
+        }
+        let bits: u32 = s.free_slots.iter().map(|w| w.count_ones()).sum();
+        let queued = s
+            .usable_queue
+            .iter()
+            .filter(|u| !s.executors[u.tie].removed);
+        assert_eq!(
+            (self.live, bits as usize, self.free_total, queued.count()),
+            (live, listed, free_total, waiting),
+            "live count, listed executors, free slots, executors awaiting use"
+        );
     }
 
     /// Records `kind` at the current simulated time when observability is
@@ -1387,6 +1445,14 @@ mod tests {
         assert_eq!(log.stages[1].parents, vec![0]);
         assert_eq!(log.records.len(), 36);
         assert!(log.elapsed_secs > 0.0);
+    }
+
+    #[test]
+    fn completion_heap_entries_are_sixteen_bytes() {
+        fn entry_size<K, T>(_: &Heap<K, T>) -> usize {
+            std::mem::size_of::<Timed<K, T>>()
+        }
+        assert_eq!(entry_size(&SimScratch::new().completions), 16);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::cluster::ClusterConfig;
 use crate::scheduler::{QueryRunResult, RunConfig, Simulator};
 use crate::skyline::Skyline;
 use crate::stage::StageDag;
-use crate::Result;
+use crate::{require_finite_nonneg, Result};
 
 /// One query submitted to the session.
 #[derive(Debug, Clone)]
@@ -69,9 +69,10 @@ pub struct ApplicationSession {
 }
 
 impl ApplicationSession {
-    /// Creates a session over the given cluster after validating it and
-    /// the per-query run configuration. `idle_timeout_secs` is the
-    /// reactive-deallocation timeout applied between queries.
+    /// Creates a session over the given cluster after validating it, the
+    /// per-query run configuration and `idle_timeout_secs`, the
+    /// reactive-deallocation timeout applied between queries (finite and
+    /// non-negative).
     pub fn new(
         cluster: ClusterConfig,
         idle_timeout_secs: f64,
@@ -79,6 +80,7 @@ impl ApplicationSession {
     ) -> Result<Self> {
         cluster.validate()?;
         run_config.validate()?;
+        require_finite_nonneg("session", &[("idle timeout", idle_timeout_secs)])?;
         Ok(Self {
             cluster,
             idle_timeout_secs,

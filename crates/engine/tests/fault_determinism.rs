@@ -412,3 +412,30 @@ fn fault_grid_matches_the_recorded_fingerprints() {
         assert_eq!(fnv1a(&bytes), expected, "{label}");
     }
 }
+
+#[test]
+fn replacements_past_sixty_four_executors_match_the_recorded_fingerprint() {
+    // SA(48) under heavy re-acquiring preemption: the replacements take
+    // executor indices past 64, beyond a single 64-bit word. Hashes the
+    // same fields as the fault grid; recorded from the simulator loop that
+    // preceded the exact free-slot index.
+    let dag = reference_dag();
+    let sim = simulator(AllocationPolicy::static_allocation(48));
+    let mut bytes = Vec::new();
+    for fault_seed in 0..4u64 {
+        let plan = FaultPlan::preemptions(3.0, 1.0).with_seed(fault_seed);
+        let cfg = RunConfig::default().with_seed(3).with_faults(plan);
+        let result = sim.run("q", &dag, &cfg);
+        assert!(
+            48 + result.faults.replacements_requested > 64,
+            "seed {fault_seed}: only {} replacements",
+            result.faults.replacements_requested
+        );
+        push_run(&mut bytes, &result);
+    }
+    assert_eq!(
+        fnv1a(&bytes),
+        13218312797025239090,
+        "re-acquired replacements"
+    );
+}

@@ -11,7 +11,8 @@
 
 use ae_engine::{
     AllocationPolicy, ApplicationSession, ClusterConfig, DynamicAllocationConfig, EngineError,
-    FailureReason, FaultPlan, RunConfig, RunOutcome, Simulator, Stage, StageDag, Task,
+    FailureReason, FaultPlan, QuerySubmission, RunConfig, RunOutcome, Simulator, Stage, StageDag,
+    Task,
 };
 
 /// The reference DAG of `scheduler_regression.rs`.
@@ -166,6 +167,39 @@ fn session_rejects_an_invalid_run_config() {
         ..RunConfig::default()
     };
     assert!(ApplicationSession::new(ClusterConfig::paper_default(), 60.0, cfg).is_err());
+}
+
+#[test]
+fn session_rejects_an_idle_timeout_that_is_not_finite_and_non_negative() {
+    // A session of dynamic-fallback queries never hands the timeout to the
+    // simulator. At -10 s its totals went below the query's own elapsed
+    // time and AUC, and a NaN timeout made both totals NaN.
+    let submissions = [QuerySubmission {
+        name: "q".into(),
+        dag: StageDag::new(vec![Stage {
+            id: 0,
+            tasks: vec![Task::new(5.0); 32],
+            parents: vec![],
+        }])
+        .unwrap(),
+        predicted_executors: None,
+        gap_before_secs: 0.0,
+    }];
+    for timeout in [f64::NAN, f64::INFINITY, -10.0] {
+        let session = ApplicationSession::new(
+            ClusterConfig::paper_default(),
+            timeout,
+            RunConfig::default(),
+        );
+        assert!(
+            matches!(session, Err(EngineError::InvalidConfig(_))),
+            "idle timeout {timeout} was accepted"
+        );
+    }
+    let session =
+        ApplicationSession::new(ClusterConfig::paper_default(), 0.0, RunConfig::default()).unwrap();
+    let result = session.run(&submissions).unwrap();
+    assert_eq!(result.total_elapsed_secs, result.queries[0].elapsed_secs);
 }
 
 #[test]

@@ -56,7 +56,12 @@ echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --quiet
 
 echo "==> bench smoke (quick samples)"
-cargo bench --offline -p ae-bench --bench bench_simulation -- --quick
+simulation_smoke="$(cargo bench --offline -p ae-bench --bench bench_simulation -- --quick)"
+echo "$simulation_smoke"
+if ! grep -q '^bench: simulation/q94_sf100/static_1 ' <<<"$simulation_smoke"; then
+    echo "bench_simulation smoke: no 'bench:' line for simulation/q94_sf100/static_1" >&2
+    exit 1
+fi
 training_smoke="$(cargo bench --offline -p ae-bench --bench bench_training -- --quick random_forest)"
 echo "$training_smoke"
 if ! grep -q '^bench:' <<<"$training_smoke"; then
