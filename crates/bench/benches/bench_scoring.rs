@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use ae_ml::portable::ScoringRuntime;
+use ae_ml::portable::PortableModel;
 use ae_workload::{ScaleFactor, WorkloadGenerator};
 use autoexecutor::{
     featurize_plan, AutoExecutorConfig, AutoExecutorRule, ModelRegistry, Optimizer, ParameterModel,
@@ -67,7 +67,13 @@ fn bench_scoring_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("scoring/portable_model");
     group.sample_size(20);
     group.bench_function("load_and_setup", |b| {
-        b.iter(|| ScoringRuntime::from_bytes(black_box(&fixture.model_bytes)).unwrap())
+        b.iter(|| {
+            let model = PortableModel::from_bytes(black_box(&fixture.model_bytes)).unwrap();
+            model
+                .predict(&vec![0.0; model.feature_names.len()])
+                .unwrap();
+            model
+        })
     });
     group.finish();
 }

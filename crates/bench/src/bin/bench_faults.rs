@@ -29,22 +29,21 @@
 //!
 //! ```text
 //! cargo run --release -p ae-bench --bin bench_faults                # full run
-//! cargo run --release -p ae-bench --bin bench_faults -- --smoke    # CI gate
-//! cargo run --release -p ae-bench --bin bench_faults -- --json BENCH_faults.json
 //! ```
 //!
-//! `--smoke` shrinks the grid and exits non-zero unless: the zero-fault
-//! pin holds bit-for-bit, at a moderate preemption rate
-//! (0.1/executor-min) at least 99% of runs complete via retry, and the
-//! breaker demonstrably trips to the fallback and recovers.
+//! The driver has no flags of its own. `--smoke` shrinks the grid; its gate
+//! fails unless: the zero-fault pin holds bit-for-bit, at a moderate
+//! preemption rate (0.1/executor-min) at least 99% of runs complete via
+//! retry, and the breaker demonstrably trips to the fallback and recovers.
 
-use std::io::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
+use ae_bench::harness;
 use ae_engine::allocation::AllocationPolicy;
 use ae_engine::scheduler::{RunConfig, SimScratch, Simulator};
 use ae_engine::FaultPlan;
+use ae_ml::json::Value;
 use ae_ppm::PreemptionRisk;
 use ae_serve::{BreakerConfig, RuntimeConfig, ScoreRequest, ScoringRuntime};
 use ae_workload::{FaultSeeds, QueryInstance, ScaleFactor, WorkloadGenerator};
@@ -52,6 +51,16 @@ use autoexecutor::features::featurize_plan;
 use autoexecutor::prelude::*;
 use autoexecutor::scoring::{score_features, score_features_with_risk};
 use autoexecutor::ModelRegistry;
+
+const COMMENT: &str = "Fault-tolerance benchmark: spot preemptions injected at swept rates (per \
+    executor-minute) into the deterministic scheduler; lost tasks re-enter the ready queue \
+    (retry), replacements re-acquire through the allocation lag. 'completion_rate' counts runs \
+    finishing via retry; 'retry_overhead' is faulty/clean elapsed at matched noise seeds; \
+    'e_err_*' is the mean |prediction-observed|/observed of the fault-free vs risk-adjusted \
+    expected runtime; 'risk_selection_ratio' < 1 means selecting on the risk-adjusted curve ran \
+    faster under faults. The breaker drill serves against a missing model: requests must \
+    complete degraded via the heuristic fallback, then recover after registration. Regenerate \
+    with: cargo run --release -p ae-bench --bin bench_faults -- --json BENCH_faults.json";
 
 /// Nominal per-revocation recovery cost (seconds) used to price the risk
 /// adjustment before any faulty run is observed: replacement
@@ -68,25 +77,6 @@ const GRACE_SECS: f64 = 2.0;
 struct Args {
     smoke: bool,
     json: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        json: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--json" => args.json = it.next(),
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    args
 }
 
 /// One (rate, query) cell of the sweep.
@@ -133,6 +123,43 @@ struct RateSummary {
     mean_work_lost_secs: f64,
     mean_recovery_secs: f64,
     cells: Vec<Cell>,
+}
+
+impl Cell {
+    fn report(&self) -> Value {
+        Value::object([
+            ("query", self.query.as_str().into()),
+            ("n_plain", self.n_plain.into()),
+            ("n_risk", self.n_risk.into()),
+            ("pred_plain_s", self.pred_plain.into()),
+            ("pred_risk_s", self.pred_risk.into()),
+            ("mean_faulty_s", self.mean_faulty.into()),
+            ("mean_clean_s", self.mean_clean.into()),
+            ("completed", self.completed.into()),
+            ("runs", self.runs.into()),
+            ("tasks_lost", self.tasks_lost.into()),
+            ("work_lost_s", self.work_lost_secs.into()),
+            ("recovery_s", self.recovery_secs.into()),
+        ])
+    }
+}
+
+impl RateSummary {
+    fn report(&self) -> Value {
+        Value::object([
+            ("rate_per_executor_min", self.rate.into()),
+            ("completion_rate", self.completion_rate.into()),
+            ("retry_overhead", self.retry_overhead.into()),
+            ("e_err_plain", self.e_err_plain.into()),
+            ("e_err_risk", self.e_err_risk.into()),
+            ("risk_selection_ratio", self.risk_selection_ratio.into()),
+            ("mean_tasks_lost", self.mean_tasks_lost.into()),
+            ("mean_replacements", self.mean_replacements.into()),
+            ("mean_work_lost_secs", self.mean_work_lost_secs.into()),
+            ("mean_recovery_secs", self.mean_recovery_secs.into()),
+            ("queries", self.cells.iter().map(Cell::report).collect()),
+        ])
+    }
 }
 
 fn mean(values: &[f64]) -> f64 {
@@ -349,8 +376,13 @@ struct BreakerDrill {
     recovered_non_degraded: bool,
 }
 
-/// The degraded-mode drill: breaker + missing model, then recovery.
-fn breaker_drill(config: &AutoExecutorConfig, queries: &[QueryInstance]) -> BreakerDrill {
+/// The degraded-mode drill: breaker + missing model, then recovery by
+/// registering `model`.
+fn breaker_drill(
+    config: &AutoExecutorConfig,
+    model: &autoexecutor::training::ParameterModel,
+    queries: &[QueryInstance],
+) -> BreakerDrill {
     let registry = Arc::new(ModelRegistry::in_memory());
     let runtime = ScoringRuntime::new(
         Arc::clone(&registry),
@@ -373,7 +405,6 @@ fn breaker_drill(config: &AutoExecutorConfig, queries: &[QueryInstance]) -> Brea
     let outage = runtime.stats();
 
     // Heal: register the model and wait out the cooldown.
-    let model = trained_model(config, &WorkloadGenerator::new(ScaleFactor::SF10));
     registry
         .register("ppm", model.to_portable("ppm").expect("portable"))
         .expect("register");
@@ -395,102 +426,13 @@ fn breaker_drill(config: &AutoExecutorConfig, queries: &[QueryInstance]) -> Brea
     }
 }
 
-fn write_json(
-    path: &str,
-    pin_ok: bool,
-    reps: usize,
-    summaries: &[RateSummary],
-    drill: &BreakerDrill,
-) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"comment\": \"Fault-tolerance benchmark: spot preemptions injected at swept \
-         rates (per executor-minute) into the deterministic scheduler; lost tasks re-enter \
-         the ready queue (retry), replacements re-acquire through the allocation lag. \
-         'completion_rate' counts runs finishing via retry; 'retry_overhead' is faulty/clean \
-         elapsed at matched noise seeds; 'e_err_*' is the mean |prediction-observed|/observed \
-         of the fault-free vs risk-adjusted expected runtime; 'risk_selection_ratio' < 1 \
-         means selecting on the risk-adjusted curve ran faster under faults. The breaker \
-         drill serves against a missing model: requests must complete degraded via the \
-         heuristic fallback, then recover after registration. Regenerate with: cargo run \
-         --release -p ae-bench --bin bench_faults -- --json BENCH_faults.json\",\n",
-    );
-    out.push_str(&format!(
-        "  \"host\": \"{}-core container (rustc 1.95, release profile)\",\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
-    out.push_str(&format!("  \"zero_fault_pin_bit_identical\": {pin_ok},\n"));
-    out.push_str(&format!(
-        "  \"grace_secs\": {GRACE_SECS}, \"recovery_estimate_secs\": {RECOVERY_ESTIMATE_SECS}, \
-         \"repeats_per_query\": {reps},\n"
-    ));
-    out.push_str("  \"rates\": [\n");
-    for (i, s) in summaries.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!(
-            "      \"rate_per_executor_min\": {}, \"completion_rate\": {:.4}, \
-             \"retry_overhead\": {:.4}, \"e_err_plain\": {:.4}, \"e_err_risk\": {:.4}, \
-             \"risk_selection_ratio\": {:.4},\n",
-            s.rate,
-            s.completion_rate,
-            s.retry_overhead,
-            s.e_err_plain,
-            s.e_err_risk,
-            s.risk_selection_ratio
-        ));
-        out.push_str(&format!(
-            "      \"mean_tasks_lost\": {:.3}, \"mean_replacements\": {:.3}, \
-             \"mean_work_lost_secs\": {:.3}, \"mean_recovery_secs\": {:.3},\n",
-            s.mean_tasks_lost, s.mean_replacements, s.mean_work_lost_secs, s.mean_recovery_secs
-        ));
-        out.push_str("      \"queries\": [\n");
-        for (qi, c) in s.cells.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\"query\": \"{}\", \"n_plain\": {}, \"n_risk\": {}, \
-                 \"pred_plain_s\": {:.3}, \"pred_risk_s\": {:.3}, \"mean_faulty_s\": {:.3}, \
-                 \"mean_clean_s\": {:.3}, \"completed\": {}, \"runs\": {}, \
-                 \"tasks_lost\": {}, \"work_lost_s\": {:.3}, \"recovery_s\": {:.3}}}{}\n",
-                c.query,
-                c.n_plain,
-                c.n_risk,
-                c.pred_plain,
-                c.pred_risk,
-                c.mean_faulty,
-                c.mean_clean,
-                c.completed,
-                c.runs,
-                c.tasks_lost,
-                c.work_lost_secs,
-                c.recovery_secs,
-                if qi + 1 < s.cells.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("      ]\n");
-        out.push_str(if i + 1 < summaries.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"breaker_drill\": {{\"requests_during_outage\": {}, \
-         \"degraded_during_outage\": {}, \"breaker_trips\": {}, \
-         \"recovered_non_degraded\": {}}}\n",
-        drill.requests_during_outage,
-        drill.degraded_during_outage,
-        drill.trips,
-        drill.recovered_non_degraded,
-    ));
-    out.push_str("}\n");
-    let mut file = std::fs::File::create(path).expect("create json output");
-    file.write_all(out.as_bytes()).expect("write json output");
-    println!("wrote {path}");
-}
-
 fn main() {
-    let args = parse_args();
+    let args = harness::args(&[], |flags| {
+        Ok(Args {
+            smoke: flags.smoke(),
+            json: flags.json(),
+        })
+    });
     let generator = WorkloadGenerator::new(ScaleFactor::SF10);
     let mut config = AutoExecutorConfig::default();
     config.forest.n_estimators = if args.smoke { 8 } else { 16 };
@@ -548,7 +490,7 @@ fn main() {
         .collect();
 
     println!("\n== phase 4: degraded-mode drill (breaker + missing model) ==");
-    let drill = breaker_drill(&config, &queries);
+    let drill = breaker_drill(&config, &model, &queries);
     println!(
         "outage: {}/{} answered degraded, {} breaker trip(s); recovered non-degraded: {}",
         drill.degraded_during_outage,
@@ -557,8 +499,35 @@ fn main() {
         drill.recovered_non_degraded
     );
 
-    let path = args.json.as_deref().unwrap_or("BENCH_faults.json");
-    write_json(path, pin_ok, reps, &summaries, &drill);
+    harness::write_report(
+        args.json.as_deref(),
+        COMMENT,
+        [
+            ("zero_fault_pin_bit_identical", pin_ok.into()),
+            ("grace_secs", GRACE_SECS.into()),
+            ("recovery_estimate_secs", RECOVERY_ESTIMATE_SECS.into()),
+            ("repeats_per_query", reps.into()),
+            ("rates", summaries.iter().map(RateSummary::report).collect()),
+            (
+                "breaker_drill",
+                Value::object([
+                    (
+                        "requests_during_outage",
+                        drill.requests_during_outage.into(),
+                    ),
+                    (
+                        "degraded_during_outage",
+                        drill.degraded_during_outage.into(),
+                    ),
+                    ("breaker_trips", drill.trips.into()),
+                    (
+                        "recovered_non_degraded",
+                        drill.recovered_non_degraded.into(),
+                    ),
+                ]),
+            ),
+        ],
+    );
 
     if args.smoke {
         let mut failures = Vec::new();
@@ -591,13 +560,10 @@ fn main() {
         if !drill.recovered_non_degraded {
             failures.push("the breaker did not recover the model path".to_string());
         }
-        if failures.is_empty() {
-            println!("\nSMOKE OK");
-        } else {
-            for f in &failures {
-                eprintln!("SMOKE FAIL: {f}");
-            }
-            std::process::exit(1);
-        }
+        harness::gate(
+            "faults smoke",
+            &failures,
+            "zero-fault pin bit-identical, >= 99% completion via retry, breaker trips and recovers",
+        );
     }
 }

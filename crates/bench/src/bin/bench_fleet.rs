@@ -26,74 +26,38 @@
 //!
 //! ```text
 //! cargo run --release -p ae-bench --bin bench_fleet               # full run
-//! cargo run --release -p ae-bench --bin bench_fleet -- --smoke    # CI gate
-//! cargo run --release -p ae-bench --bin bench_fleet -- --json BENCH_fleet.json
-//! cargo run --release -p ae-bench --bin bench_fleet -- --shards 1,2,4,8
+//! cargo run --release -p ae-bench --bin bench_fleet -- --shards 1,2,4,8 --requests 20000 --tenants 256
 //! ```
 //!
-//! `--smoke` shortens the run and exits non-zero unless the 4-shard
-//! aggregate qps is at least 2x the single-shard qps, every per-shard p99
-//! skew is finite, and no requests were dropped or errored.
+//! `--shards` lists the fleet sizes, `--requests` sizes the tagged stream
+//! (at most 2,000 under `--smoke`) and `--tenants` the tenant space. The
+//! smoke gate fails unless the 4-shard aggregate qps is at least 2x the
+//! single-shard qps, every per-shard p99 skew is finite, and no requests
+//! were dropped or errored.
 
-use std::io::Write as _;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ae_bench::harness::{self, Served};
+use ae_ml::json::Value;
 use ae_obs::{Ladder, LatencyStats, ShardedHistogram};
-use ae_serve::{
-    FleetConfig, RuntimeConfig, ScoreRequest, ServiceLevel, ShardedRuntime, StealPolicy, TenantId,
-};
-use ae_workload::{FamilyRegistry, QueryInstance, ScaleFactor, WorkloadGenerator};
-use autoexecutor::prelude::*;
-use autoexecutor::ModelRegistry;
+use ae_serve::{FleetConfig, RuntimeConfig, ScoreRequest, ServiceLevel, StealPolicy, TenantId};
+use ae_workload::{ScaleFactor, WorkloadGenerator};
+
+const COMMENT: &str = "ae-serve fleet benchmark (shard = node model). Shards share no state, so \
+    each fleet size routes one tagged request stream through the consistent-hash ring and drives \
+    every shard's substream to completion sequentially on its own runtime; aggregate_qps = \
+    total_requests / max(per-shard elapsed) — the fleet finishes when its slowest node finishes. \
+    Running shards live-concurrently on this 1-core host would measure the kernel scheduler, not \
+    the architecture. The steal drill is live and concurrent: it floods one shard's tenants and \
+    reports how much Standard backlog the coordinator migrated. Regenerate with: cargo run \
+    --release -p ae-bench --bin bench_fleet -- --json BENCH_fleet.json";
 
 struct Args {
     smoke: bool,
+    json: Option<String>,
     shards: Vec<usize>,
     requests: usize,
     tenants: usize,
-    json: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        shards: vec![1, 2, 4, 8],
-        requests: 20_000,
-        tenants: 256,
-        json: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--shards" => {
-                let list = it.next().expect("--shards needs a comma-separated list");
-                args.shards = list
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--shards needs numbers"))
-                    .collect();
-            }
-            "--requests" => {
-                args.requests = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--requests needs a number");
-            }
-            "--tenants" => {
-                args.tenants = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--tenants needs a number");
-            }
-            "--json" => args.json = it.next(),
-            other => panic!("unknown argument: {other}"),
-        }
-    }
-    if args.smoke {
-        args.requests = args.requests.min(2_000);
-    }
-    args
 }
 
 /// Per-shard measurement of one fleet size.
@@ -145,24 +109,38 @@ impl FleetRun {
         }
         max / min.max(1e-9)
     }
+
+    fn report(&self, base_qps: f64) -> Value {
+        let per_shard = self.per_shard.iter().enumerate().map(|(s, shard)| {
+            Value::object([
+                ("shard", s.into()),
+                ("requests", shard.requests.into()),
+                ("elapsed_ms", (shard.elapsed.as_secs_f64() * 1e3).into()),
+                ("p50_us", (shard.latency.p50.as_secs_f64() * 1e6).into()),
+                ("p99_us", (shard.latency.p99.as_secs_f64() * 1e6).into()),
+            ])
+        });
+        Value::object([
+            ("shards", self.shards.into()),
+            ("requests", self.total_requests().into()),
+            ("aggregate_qps", self.aggregate_qps().into()),
+            (
+                "speedup_vs_1_shard",
+                (self.aggregate_qps() / base_qps.max(1e-9)).into(),
+            ),
+            ("p99_skew", self.p99_skew().into()),
+            ("per_shard", per_shard.collect()),
+        ])
+    }
 }
 
 /// Routes the tagged stream through the fleet's ring and drives each
 /// shard's substream to completion sequentially (see the module docs for
 /// why this is the honest 1-core measurement).
-fn run_fleet(
-    registry: &Arc<ModelRegistry>,
-    config: &AutoExecutorConfig,
-    shards: usize,
-    stream: &[(TenantId, usize)],
-    features: &[Vec<f64>],
-) -> FleetRun {
-    let fleet = ShardedRuntime::new(
-        Arc::clone(registry),
-        "fleet",
-        FleetConfig::new(shards, RuntimeConfig::from_auto_executor(config)).without_steal(),
+fn run_fleet(served: &Served, shards: usize, stream: &[(TenantId, usize)]) -> FleetRun {
+    let fleet = served.fleet(
+        FleetConfig::new(shards, RuntimeConfig::from_auto_executor(&served.config)).without_steal(),
     );
-    fleet.warm().expect("model warm-up");
 
     let mut substreams: Vec<Vec<usize>> = vec![Vec::new(); shards];
     for &(tenant, plan) in stream {
@@ -177,7 +155,7 @@ fn run_fleet(
             let begin = Instant::now();
             fleet
                 .shard(shard)
-                .submit(ScoreRequest::from_features(features[plan].clone()))
+                .submit(ScoreRequest::from_features(served.features[plan].clone()))
                 .expect("fleet scoring");
             histogram.record_duration(begin.elapsed());
         }
@@ -207,19 +185,12 @@ struct StealDrill {
     foreign_completed: u64,
 }
 
-fn run_steal_drill(
-    registry: &Arc<ModelRegistry>,
-    config: &AutoExecutorConfig,
-    features: &[Vec<f64>],
-    requests: usize,
-) -> StealDrill {
+fn run_steal_drill(served: &Served, requests: usize) -> StealDrill {
     const SHARDS: usize = 4;
-    let fleet = ShardedRuntime::new(
-        Arc::clone(registry),
-        "fleet",
+    let fleet = served.fleet(
         FleetConfig::new(
             SHARDS,
-            RuntimeConfig::from_auto_executor(config)
+            RuntimeConfig::from_auto_executor(&served.config)
                 .with_workers(1)
                 .with_max_batch(4)
                 .with_batch_window(Duration::ZERO)
@@ -233,13 +204,13 @@ fn run_steal_drill(
             interval: Duration::from_micros(50),
         }),
     );
-    fleet.warm().expect("model warm-up");
     let victim = fleet.shard_for_tenant(TenantId(0));
     let tenants: Vec<TenantId> = (0..100_000u64)
         .map(TenantId)
         .filter(|&t| fleet.shard_for_tenant(t) == victim)
         .take(8)
         .collect();
+    let features = &served.features;
     let mut tickets = Vec::with_capacity(requests);
     for i in 0..requests {
         tickets.push(
@@ -270,105 +241,41 @@ fn run_steal_drill(
     }
 }
 
-fn write_json(path: &str, tenants: usize, runs: &[FleetRun], drill: &StealDrill, base_qps: f64) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"comment\": \"ae-serve fleet benchmark (shard = node model). Shards share no state, \
-         so each fleet size routes one tagged request stream through the consistent-hash ring and \
-         drives every shard's substream to completion sequentially on its own runtime; \
-         aggregate_qps = total_requests / max(per-shard elapsed) — the fleet finishes when its \
-         slowest node finishes. Running shards live-concurrently on this 1-core host would \
-         measure the kernel scheduler, not the architecture. The steal drill is live and \
-         concurrent: it floods one shard's tenants and reports how much Standard backlog the \
-         coordinator migrated. Regenerate with: cargo run --release -p ae-bench --bin \
-         bench_fleet -- --json BENCH_fleet.json\",\n",
-    );
-    out.push_str(&format!(
-        "  \"host\": \"{}-core container (rustc 1.95, release profile)\",\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
-    out.push_str(&format!("  \"tenants\": {tenants},\n"));
-    out.push_str("  \"fleet_sizes\": [\n");
-    for (i, run) in runs.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"shards\": {},\n", run.shards));
-        out.push_str(&format!("      \"requests\": {},\n", run.total_requests()));
-        out.push_str(&format!(
-            "      \"aggregate_qps\": {:.1},\n",
-            run.aggregate_qps()
-        ));
-        out.push_str(&format!(
-            "      \"speedup_vs_1_shard\": {:.2},\n",
-            run.aggregate_qps() / base_qps.max(1e-9)
-        ));
-        out.push_str(&format!("      \"p99_skew\": {:.2},\n", run.p99_skew()));
-        out.push_str("      \"per_shard\": [\n");
-        for (s, shard) in run.per_shard.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\"shard\": {s}, \"requests\": {}, \"elapsed_ms\": {:.1}, \
-                 \"p50_us\": {:.1}, \"p99_us\": {:.1}}}{}\n",
-                shard.requests,
-                shard.elapsed.as_secs_f64() * 1e3,
-                shard.latency.p50.as_secs_f64() * 1e6,
-                shard.latency.p99.as_secs_f64() * 1e6,
-                if s + 1 < run.per_shard.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("      ]\n    }");
-        out.push_str(if i + 1 < runs.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"steal_drill\": {\n");
-    out.push_str(&format!(
-        "    \"requests\": {},\n    \"steal_ops\": {},\n    \"stolen_requests\": {},\n    \
-         \"completed_off_victim\": {}\n",
-        drill.requests, drill.steal_ops, drill.stolen_requests, drill.foreign_completed,
-    ));
-    out.push_str("  }\n}\n");
-    let mut file = std::fs::File::create(path).expect("create json output");
-    file.write_all(out.as_bytes()).expect("write json output");
-    println!("wrote {path}");
-}
-
 fn main() {
-    let args = parse_args();
-
-    let registry_families = FamilyRegistry::builtin();
-    let family = registry_families.get("tpcds").expect("builtin tpcds");
-    let suite: Vec<QueryInstance> =
-        WorkloadGenerator::for_family(family, ScaleFactor::SF10).suite();
-    println!(
-        "==> training the parameter model ({}-query SF10 tpcds suite)",
-        suite.len()
-    );
-    let mut config = AutoExecutorConfig::default();
-    config.training_run.noise_cv = 0.0;
-    let (_, model) = train_from_workload(&suite, &config).expect("training");
-    let registry = Arc::new(ModelRegistry::in_memory());
-    registry
-        .register("fleet", model.to_portable("fleet").unwrap())
-        .unwrap();
-
-    let rewriter = Optimizer::with_default_rules();
-    let features: Vec<Vec<f64>> = suite
-        .iter()
-        .map(|q| {
-            let optimized = rewriter.optimize(q.plan.clone()).unwrap().plan;
-            autoexecutor::featurize_plan(&optimized)
+    let mut args = harness::args(&["--shards LIST", "--requests N", "--tenants N"], |flags| {
+        Ok(Args {
+            smoke: flags.smoke(),
+            json: flags.json(),
+            shards: flags.list("--shards", vec![1, 2, 4, 8])?,
+            requests: flags.get("--requests", 20_000)?,
+            tenants: flags.get("--tenants", 256)?,
         })
-        .collect();
+    });
+    if args.smoke {
+        args.requests = args.requests.min(2_000);
+    }
+
+    let served = Served::train(
+        WorkloadGenerator::new(ScaleFactor::SF10).suite(),
+        "tpcds suite",
+        "fleet",
+    );
 
     // Tagged open-loop stream: request i belongs to tenant i mod tenants
     // and scores plan i mod |suite| — every shard count replays the exact
     // same stream, only the routing changes.
     let stream: Vec<(TenantId, usize)> = (0..args.requests)
-        .map(|i| (TenantId((i % args.tenants) as u64), i % features.len()))
+        .map(|i| {
+            (
+                TenantId((i % args.tenants) as u64),
+                i % served.features.len(),
+            )
+        })
         .collect();
 
     let mut runs = Vec::new();
     for &shards in &args.shards {
-        let run = run_fleet(&registry, &config, shards, &stream, &features);
+        let run = run_fleet(&served, shards, &stream);
         println!(
             "fleet: {:>2} shards   {:>9.0} aggregate qps   makespan {:>7.1} ms   p99 skew {:>5.2}   ({} requests)",
             run.shards,
@@ -381,7 +288,7 @@ fn main() {
     }
 
     let drill_requests = if args.smoke { 1_500 } else { 6_000 };
-    let drill = run_steal_drill(&registry, &config, &features, drill_requests);
+    let drill = run_steal_drill(&served, drill_requests);
     println!(
         "steal drill: {} requests flooded one shard — {} steal ops migrated {} requests, {} completed off the victim",
         drill.requests, drill.steal_ops, drill.stolen_requests, drill.foreign_completed,
@@ -400,9 +307,26 @@ fn main() {
         );
     }
 
-    if let Some(path) = &args.json {
-        write_json(path, args.tenants, &runs, &drill, base_qps);
-    }
+    harness::write_report(
+        args.json.as_deref(),
+        COMMENT,
+        [
+            ("tenants", args.tenants.into()),
+            (
+                "fleet_sizes",
+                runs.iter().map(|run| run.report(base_qps)).collect(),
+            ),
+            (
+                "steal_drill",
+                Value::object([
+                    ("requests", drill.requests.into()),
+                    ("steal_ops", drill.steal_ops.into()),
+                    ("stolen_requests", drill.stolen_requests.into()),
+                    ("completed_off_victim", drill.foreign_completed.into()),
+                ]),
+            ),
+        ],
+    );
 
     if args.smoke {
         let mut failures = Vec::new();
@@ -428,10 +352,10 @@ fn main() {
                 ));
             }
         }
-        if !failures.is_empty() {
-            eprintln!("fleet smoke FAILED: {}", failures.join("; "));
-            std::process::exit(1);
-        }
-        println!("fleet smoke OK (4-shard >= 2x single-shard, finite skew, zero dropped/errors)");
+        harness::gate(
+            "fleet smoke",
+            &failures,
+            "4-shard >= 2x single-shard, finite skew, zero dropped/errors",
+        );
     }
 }

@@ -12,53 +12,36 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p ae-bench --bin bench_generalization                 # full run
-//! cargo run --release -p ae-bench --bin bench_generalization -- --smoke     # CI gate
-//! cargo run --release -p ae-bench --bin bench_generalization -- --json BENCH_generalization.json
+//! cargo run --release -p ae-bench --bin bench_generalization           # full run
+//! cargo run --release -p ae-bench --bin bench_generalization -- --sf 10
 //! ```
 //!
-//! `--smoke` shrinks every knob (query subsets, one ground-truth repeat, a
-//! small forest, three evaluation counts) and exits non-zero unless the
-//! matrix covers every family pair with finite errors — in particular the
-//! train-on-TPC-DS-like / score-TPC-H-like cell the CI gate is about.
+//! `--sf` sets the scale factor (default 10). `--smoke` shrinks every knob
+//! (query subsets, one ground-truth repeat, a small forest, three
+//! evaluation counts); its gate fails unless the matrix covers every family
+//! pair with finite errors — in particular the train-on-TPC-DS-like /
+//! score-TPC-H-like cell the CI gate is about.
 
-use std::io::Write as _;
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 use ae_bench::experiments::generalization::print_matrix;
+use ae_bench::harness;
+use ae_ml::json::Value;
 use ae_workload::{BuiltinFamily, ScaleFactor, WorkloadGenerator};
-use autoexecutor::evaluation::{
-    generalization_matrix, ActualRuns, FamilyEvalSet, GeneralizationMatrix,
-};
+use autoexecutor::evaluation::{generalization_matrix, ActualRuns, FamilyEvalSet};
 use autoexecutor::{AutoExecutorConfig, TrainingData};
+
+const COMMENT: &str = "Cross-family generalization: the parameter model is trained on each \
+    workload family's full suite and scored on every family's suite. Entries are the mean E(n) \
+    (Equation 6) over the evaluation executor counts; diagonal = in-family reference, \
+    off-diagonal = transfer to an unseen family. Regenerate with: cargo run --release -p \
+    ae-bench --bin bench_generalization -- --json BENCH_generalization.json";
 
 struct Args {
     smoke: bool,
-    sf: u32,
     json: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        sf: 10,
-        json: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--sf" => {
-                args.sf = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--sf needs a number");
-            }
-            "--json" => args.json = it.next(),
-            other => panic!("unknown argument: {other}"),
-        }
-    }
-    args
+    sf: u32,
 }
 
 /// Ground-truth repeats (full mode matches the experiment harness).
@@ -99,67 +82,14 @@ fn build_eval_sets(
         .collect()
 }
 
-fn write_json(path: &str, sf: u32, matrix: &GeneralizationMatrix) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"comment\": \"Cross-family generalization: the parameter model is trained on each \
-         workload family's full suite and scored on every family's suite. Entries are the mean \
-         E(n) (Equation 6) over the evaluation executor counts; diagonal = in-family reference, \
-         off-diagonal = transfer to an unseen family. Regenerate with: cargo run --release -p \
-         ae-bench --bin bench_generalization -- --json BENCH_generalization.json\",\n",
-    );
-    out.push_str(&format!(
-        "  \"host\": \"{}-core container (release profile)\",\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
-    out.push_str(&format!("  \"scale_factor\": {sf},\n"));
-    out.push_str(&format!(
-        "  \"families\": [{}],\n",
-        matrix
-            .families
-            .iter()
-            .map(|f| format!("\"{f}\""))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str(&format!("  \"eval_counts\": {:?},\n", matrix.eval_counts));
-    out.push_str(&format!(
-        "  \"generalization_gap\": {:.4},\n",
-        matrix.generalization_gap()
-    ));
-    out.push_str("  \"matrix\": [\n");
-    for (i, cell) in matrix.cells.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!(
-            "      \"train_family\": \"{}\",\n      \"test_family\": \"{}\",\n",
-            cell.train_family, cell.test_family
-        ));
-        out.push_str(&format!("      \"mean_error\": {:.4},\n", cell.mean_error));
-        let per_count: Vec<String> = cell
-            .error_by_count
-            .iter()
-            .map(|(n, e)| format!("\"{n}\": {e:.4}"))
-            .collect();
-        out.push_str(&format!(
-            "      \"error_by_count\": {{{}}}\n",
-            per_count.join(", ")
-        ));
-        out.push_str("    }");
-        out.push_str(if i + 1 < matrix.cells.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    let mut file = std::fs::File::create(path).expect("create json output");
-    file.write_all(out.as_bytes()).expect("write json output");
-    println!("wrote {path}");
-}
-
 fn main() {
-    let args = parse_args();
+    let args = harness::args(&["--sf N"], |flags| {
+        Ok(Args {
+            smoke: flags.smoke(),
+            json: flags.json(),
+            sf: flags.get("--sf", 10)?,
+        })
+    });
     let sf = ScaleFactor(args.sf);
     let start = Instant::now();
 
@@ -189,9 +119,30 @@ fn main() {
             .join("/"),
     );
 
-    if let Some(path) = &args.json {
-        write_json(path, args.sf, &matrix);
-    }
+    let cells = matrix.cells.iter().map(|cell| {
+        let error_by_count: BTreeMap<String, Value> = cell
+            .error_by_count
+            .iter()
+            .map(|(n, e)| (n.to_string(), Value::from(*e)))
+            .collect();
+        Value::object([
+            ("train_family", cell.train_family.as_str().into()),
+            ("test_family", cell.test_family.as_str().into()),
+            ("mean_error", cell.mean_error.into()),
+            ("error_by_count", Value::Object(error_by_count)),
+        ])
+    });
+    harness::write_report(
+        args.json.as_deref(),
+        COMMENT,
+        [
+            ("scale_factor", args.sf.into()),
+            ("families", matrix.families.clone().into()),
+            ("eval_counts", matrix.eval_counts.clone().into()),
+            ("generalization_gap", matrix.generalization_gap().into()),
+            ("matrix", cells.collect()),
+        ],
+    );
 
     if args.smoke {
         let mut failures = Vec::new();
@@ -212,10 +163,10 @@ fn main() {
         if matrix.cell("tpcds", "tpch").is_none() {
             failures.push("missing the train=tpcds/test=tpch cell".to_string());
         }
-        if !failures.is_empty() {
-            eprintln!("generalization smoke FAILED: {}", failures.join("; "));
-            std::process::exit(1);
-        }
-        println!("generalization smoke OK (full finite matrix over {expected:?})");
+        harness::gate(
+            "generalization smoke",
+            &failures,
+            &format!("full finite matrix over {expected:?}"),
+        );
     }
 }

@@ -23,56 +23,36 @@
 //!
 //! ```text
 //! cargo run --release -p ae-bench --bin bench_inference                 # full run
-//! cargo run --release -p ae-bench --bin bench_inference -- --smoke     # CI gate
-//! cargo run --release -p ae-bench --bin bench_inference -- --json BENCH_inference.json
+//! cargo run --release -p ae-bench --bin bench_inference -- --batch-rows 4096
 //! ```
 //!
-//! `--smoke` shortens every phase and exits non-zero unless (a) compiled
-//! predictions are bit-identical to the interpreter over the whole batch
-//! and (b) compiled batched throughput is at least the interpreted
-//! baseline's.
+//! `--batch-rows` sizes the batch matrix (at most 1,024 under `--smoke`).
+//! The smoke gate fails unless (a) compiled predictions are bit-identical to
+//! the interpreter over the whole batch and (b) compiled batched throughput
+//! is at least the interpreted baseline's.
 
 use std::hint::black_box;
-use std::io::Write as _;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ae_bench::harness::{self, Served};
+use ae_ml::json::Value;
 use ae_ml::matrix::FeatureMatrix;
-use ae_serve::{RuntimeConfig, ScoreRequest, ScoringRuntime};
-use ae_workload::{ClosedLoop, ScaleFactor, WorkloadGenerator};
-use autoexecutor::prelude::*;
-use autoexecutor::ModelRegistry;
+use ae_serve::{RuntimeConfig, ScoreRequest};
+use ae_workload::{ScaleFactor, WorkloadGenerator};
+
+const COMMENT: &str = "Compiled-forest inference benchmark: CompiledForest (flat SoA tree \
+    arena with leaves as self-loops, pooled leaf table, one branchless kernel walking blocks of \
+    8 trees in lockstep) vs the interpreted RandomForestRegressor walk every scoring path used \
+    before. 'interpreted predict_matrix' is the pre-compilation batched serving walk and is the \
+    baseline the speedup is quoted against; the batch repeats the suite's rows in a cycle. \
+    equivalence_bit_identical asserts compiled == interpreted bit-for-bit over the whole batch. \
+    Regenerate with: cargo run --release -p ae-bench --bin bench_inference -- --json \
+    BENCH_inference.json";
 
 struct Args {
     smoke: bool,
-    batch_rows: usize,
     json: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        batch_rows: 4096,
-        json: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--batch-rows" => {
-                args.batch_rows = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--batch-rows needs a number");
-            }
-            "--json" => args.json = it.next(),
-            other => panic!("unknown argument: {other}"),
-        }
-    }
-    if args.smoke {
-        args.batch_rows = args.batch_rows.min(1024);
-    }
-    args
+    batch_rows: usize,
 }
 
 /// Runs `op` repeatedly for at least `budget`, returning (ops, elapsed).
@@ -95,21 +75,28 @@ fn per_op_ns(ops: u64, elapsed: Duration) -> f64 {
 }
 
 fn main() {
-    let args = parse_args();
+    let mut args = harness::args(&["--batch-rows N"], |flags| {
+        Ok(Args {
+            smoke: flags.smoke(),
+            json: flags.json(),
+            batch_rows: flags.get("--batch-rows", 4096)?,
+        })
+    });
+    if args.smoke {
+        args.batch_rows = args.batch_rows.min(1024);
+    }
     let op_budget = if args.smoke {
         Duration::from_millis(120)
     } else {
         Duration::from_millis(800)
     };
 
-    let suite = WorkloadGenerator::new(ScaleFactor::SF10).suite();
-    println!(
-        "==> training the parameter model ({}-query SF10 tpcds suite)",
-        suite.len()
+    let served = Served::train(
+        WorkloadGenerator::new(ScaleFactor::SF10).suite(),
+        "tpcds suite",
+        "inference",
     );
-    let mut config = AutoExecutorConfig::default();
-    config.training_run.noise_cv = 0.0;
-    let (_, model) = train_from_workload(&suite, &config).expect("training");
+    let model = &served.model;
     let forest = model.forest();
     let compiled = model.compiled();
     let k = compiled.num_outputs();
@@ -121,8 +108,10 @@ fn main() {
         k
     );
 
-    // Projected feature rows for every suite query, tiled to the batch size.
-    let rows: Vec<Vec<f64>> = suite
+    // Projected feature rows for every suite query (as generated, not
+    // optimized), tiled to the batch size.
+    let rows: Vec<Vec<f64>> = served
+        .suite
         .iter()
         .map(|q| {
             model
@@ -211,107 +200,72 @@ fn main() {
     );
 
     // --- End-to-end serving qps (closed loop through ae-serve). ---
-    let registry = Arc::new(ModelRegistry::in_memory());
-    registry
-        .register("inference", model.to_portable("inference").unwrap())
-        .unwrap();
-    let runtime = Arc::new(ScoringRuntime::new(
-        Arc::clone(&registry),
-        "inference",
-        RuntimeConfig::from_auto_executor(&config),
-    ));
-    runtime.warm().expect("model warm-up");
-    let rewriter = Optimizer::with_default_rules();
-    let plans: Arc<Vec<ae_engine::QueryPlan>> = Arc::new(
-        suite
-            .iter()
-            .map(|q| rewriter.optimize(q.plan.clone()).unwrap().plan)
-            .collect(),
-    );
+    let runtime = served.runtime(RuntimeConfig::from_auto_executor(&served.config));
     let threads = 4;
     let serve_duration = if args.smoke {
         Duration::from_millis(300)
     } else {
         Duration::from_secs(2)
     };
-    let sequences = ClosedLoop::new(threads, 512, 1).sequences(plans.len());
-    let serve_start = Instant::now();
-    let served: u64 = std::thread::scope(|scope| {
-        (0..threads)
-            .map(|t| {
-                let runtime = Arc::clone(&runtime);
-                let plans = Arc::clone(&plans);
-                let sequence = sequences[t % sequences.len()].clone();
-                scope.spawn(move || {
-                    let mut count = 0u64;
-                    let mut i = 0usize;
-                    while serve_start.elapsed() < serve_duration {
-                        runtime
-                            .submit(ScoreRequest::from_plan(
-                                &plans[sequence[i % sequence.len()]],
-                            ))
-                            .expect("serving score");
-                        count += 1;
-                        i += 1;
-                    }
-                    count
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|h| h.join().unwrap())
-            .sum()
+    let (served_requests, serve_elapsed) = served.closed_loop(threads, serve_duration, |plan| {
+        runtime
+            .submit(ScoreRequest::from_plan(plan))
+            .expect("serving score");
     });
-    let serve_elapsed = serve_start.elapsed();
-    let serving_qps = served as f64 / serve_elapsed.as_secs_f64();
+    let serving_qps = served_requests as f64 / serve_elapsed.as_secs_f64();
     let stats = runtime.stats();
     println!(
-        "==> serving (compiled kernel, closed loop, {threads} threads): {serving_qps:.0} qps ({served} requests, {} inline / {} batched, errors {})",
+        "==> serving (compiled kernel, closed loop, {threads} threads): {serving_qps:.0} qps ({served_requests} requests, {} inline / {} batched, errors {})",
         stats.inline_scored,
         stats.batched(),
         stats.errors
     );
 
-    if let Some(path) = &args.json {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(
-            "  \"comment\": \"Compiled-forest inference benchmark: CompiledForest (flat SoA tree \
-             arena with leaves as self-loops, pooled leaf table, one branchless kernel walking \
-             blocks of 8 trees in lockstep) vs the interpreted RandomForestRegressor walk every \
-             scoring path used before. 'interpreted predict_matrix' is the pre-compilation \
-             batched serving walk and is the baseline the speedup is quoted against; the batch \
-             repeats the suite's rows in a cycle. equivalence_bit_identical asserts compiled == \
-             interpreted bit-for-bit over the whole batch. Regenerate with: cargo run --release \
-             -p ae-bench --bin bench_inference -- --json BENCH_inference.json\",\n",
-        );
-        out.push_str(&format!(
-            "  \"host\": \"{}-core container (release profile)\",\n",
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        ));
-        out.push_str(&format!(
-            "  \"forest\": {{ \"trees\": {}, \"nodes\": {}, \"pooled_leaves\": {}, \"outputs\": {k} }},\n",
-            compiled.num_trees(),
-            compiled.num_nodes(),
-            compiled.num_leaves()
-        ));
-        out.push_str(&format!("  \"equivalence_bit_identical\": {equal_bits},\n"));
-        out.push_str(&format!(
-            "  \"single_row\": {{ \"interpreted_ns\": {interp_row_ns:.0}, \"compiled_ns\": {compiled_row_ns:.0}, \"speedup\": {:.2} }},\n",
-            interp_row_ns / compiled_row_ns.max(1e-9)
-        ));
-        out.push_str(&format!(
-            "  \"batched\": {{ \"rows_per_batch\": {}, \"interpreted_rows_per_s\": {interp_vecvec_rps:.0}, \"interpreted_flat_rows_per_s\": {interp_flat_rps:.0}, \"compiled_rows_per_s\": {compiled_rps:.0}, \"speedup_vs_interpreted\": {batch_speedup:.2} }},\n",
-            matrix.len()
-        ));
-        out.push_str(&format!(
-            "  \"serving\": {{ \"closed_loop_qps\": {serving_qps:.0}, \"client_threads\": {threads}, \"requests\": {served} }}\n"
-        ));
-        out.push_str("}\n");
-        let mut file = std::fs::File::create(path).expect("create json output");
-        file.write_all(out.as_bytes()).expect("write json output");
-        println!("wrote {path}");
-    }
+    harness::write_report(
+        args.json.as_deref(),
+        COMMENT,
+        [
+            (
+                "forest",
+                Value::object([
+                    ("trees", compiled.num_trees().into()),
+                    ("nodes", compiled.num_nodes().into()),
+                    ("pooled_leaves", compiled.num_leaves().into()),
+                    ("outputs", k.into()),
+                ]),
+            ),
+            ("equivalence_bit_identical", equal_bits.into()),
+            (
+                "single_row",
+                Value::object([
+                    ("interpreted_ns", interp_row_ns.into()),
+                    ("compiled_ns", compiled_row_ns.into()),
+                    (
+                        "speedup",
+                        (interp_row_ns / compiled_row_ns.max(1e-9)).into(),
+                    ),
+                ]),
+            ),
+            (
+                "batched",
+                Value::object([
+                    ("rows_per_batch", matrix.len().into()),
+                    ("interpreted_rows_per_s", interp_vecvec_rps.into()),
+                    ("interpreted_flat_rows_per_s", interp_flat_rps.into()),
+                    ("compiled_rows_per_s", compiled_rps.into()),
+                    ("speedup_vs_interpreted", batch_speedup.into()),
+                ]),
+            ),
+            (
+                "serving",
+                Value::object([
+                    ("closed_loop_qps", serving_qps.into()),
+                    ("client_threads", threads.into()),
+                    ("requests", served_requests.into()),
+                ]),
+            ),
+        ],
+    );
 
     if args.smoke {
         let mut failures = Vec::new();
@@ -327,12 +281,12 @@ fn main() {
         if stats.errors != 0 {
             failures.push(format!("{} serving errors", stats.errors));
         }
-        if !failures.is_empty() {
-            eprintln!("inference smoke FAILED: {}", failures.join("; "));
-            std::process::exit(1);
-        }
-        println!(
-            "inference smoke OK (bit-identical, compiled {batch_speedup:.2}x interpreted, zero serving errors)"
+        harness::gate(
+            "inference smoke",
+            &failures,
+            &format!(
+                "bit-identical, compiled {batch_speedup:.2}x interpreted, zero serving errors"
+            ),
         );
     }
 }

@@ -28,92 +28,52 @@
 //!
 //! ```text
 //! cargo run --release -p ae-bench --bin bench_obs            # full run
-//! cargo run --release -p ae-bench --bin bench_obs -- --smoke # CI gate
-//! cargo run --release -p ae-bench --bin bench_obs -- --json BENCH_obs.json
+//! cargo run --release -p ae-bench --bin bench_obs -- --threads 4 --seconds 2 --requests 480 --queries 32
 //! ```
 //!
-//! `--smoke` shortens every phase and exits non-zero unless the roundtrip
-//! holds, the determinism gate reports zero mismatches, the strict-budget
-//! replay does not *reduce* misses, and the measured overhead stays under
-//! the smoke bound (generous, to absorb CI noise; the full run records the
-//! precise number in `BENCH_obs.json`).
+//! `--threads` sets the client threads, `--seconds` the A/B length per side
+//! (at most 0.8 under `--smoke`), `--requests` the captured requests (at
+//! most 120) and `--queries` the training subset (at most 12). A capture
+//! that replays with mismatches always fails. The smoke gate also fails
+//! unless the roundtrip holds, the strict-budget replay does not *reduce*
+//! misses, and the measured overhead stays under the smoke bound (generous,
+//! to absorb CI noise; the full run records the precise number in
+//! `BENCH_obs.json`).
 
-use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ae_bench::harness::{self, Served};
+use ae_ml::json::Value;
 use ae_obs::{
-    feature_digest, replay, MetricsRegistry, ReplayDiff, ReplayPolicy, ReplayRun, ReplayScore,
-    RequestStatus, ServingTrace, TraceMeta, TraceQuery, TraceRecord, TraceRecorder, TRACE_LEVELS,
+    feature_digest, replay, MetricsRegistry, ReplayDiff, ReplayPolicy, ReplayScore, RequestStatus,
+    ServingTrace, TraceMeta, TraceQuery, TraceRecord, TraceRecorder, TRACE_LEVELS,
 };
 use ae_ppm::{ResidualMonitor, SelectionObjective};
 use ae_serve::{
     price_quote_parts, ObsConfig, QosConfig, RuntimeConfig, ScoreRequest, ScoringRuntime,
     ServiceLevel,
 };
-use ae_workload::{QueryInstance, ScaleFactor, WorkloadGenerator};
+use ae_workload::{ScaleFactor, WorkloadGenerator};
 use autoexecutor::evaluation::ActualRuns;
 use autoexecutor::prelude::*;
 use autoexecutor::scoring;
-use autoexecutor::ModelRegistry;
+
+const COMMENT: &str = "ae-obs observability benchmark: serving-trace capture/replay determinism \
+    and metrics/tracing overhead. 'determinism_gate_mismatches' counts bit-level disagreements \
+    between captured outcomes and a replay under the capture configuration (must be 0). \
+    'overhead_pct' is the closed-loop qps regression from attaching the metrics registry + event \
+    sink to the scoring runtime, estimated as the median over interleaved A/B slice pairs. \
+    Regenerate with: cargo run --release -p ae-bench --bin bench_obs -- --json BENCH_obs.json";
 
 struct Args {
     smoke: bool,
+    json: Option<String>,
     threads: usize,
     seconds: f64,
     requests: u64,
     queries: usize,
-    json: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        threads: 4,
-        seconds: 2.0,
-        requests: 480,
-        queries: 32,
-        json: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--threads" => {
-                args.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threads needs a number");
-            }
-            "--seconds" => {
-                args.seconds = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seconds needs a number");
-            }
-            "--requests" => {
-                args.requests = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--requests needs a number");
-            }
-            "--queries" => {
-                args.queries = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--queries needs a number");
-            }
-            "--json" => args.json = it.next(),
-            other => panic!("unknown argument: {other}"),
-        }
-    }
-    if args.smoke {
-        args.seconds = args.seconds.min(0.8);
-        args.requests = args.requests.min(120);
-        args.queries = args.queries.min(12);
-    }
-    args
 }
 
 /// Overhead bound asserted by `--smoke`. Deliberately looser than the 5%
@@ -170,36 +130,24 @@ fn capture_config_scorer<'a>(
 /// One closed-loop slice against `runtime` at `threads` clients — the
 /// work loop is identical on both sides of the overhead A/B.
 fn closed_loop_slice(
-    runtime: &Arc<ScoringRuntime>,
-    features: &Arc<Vec<Vec<f64>>>,
+    runtime: &ScoringRuntime,
+    features: &[Vec<f64>],
     threads: usize,
     duration: Duration,
 ) -> (u64, Duration) {
-    let start = Instant::now();
-    let handles: Vec<_> = (0..threads)
-        .map(|t| {
-            let runtime = Arc::clone(runtime);
-            let features = Arc::clone(features);
-            std::thread::spawn(move || {
-                let mut count = 0u64;
-                let mut i = t;
-                while start.elapsed() < duration {
-                    let level = ServiceLevel::from_index(i % ServiceLevel::COUNT).unwrap();
-                    runtime
-                        .submit(
-                            ScoreRequest::from_features(features[i % features.len()].clone())
-                                .with_level(level),
-                        )
-                        .expect("overhead-loop scoring");
-                    count += 1;
-                    i += 1;
-                }
-                count
-            })
-        })
-        .collect();
-    let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-    (total, start.elapsed())
+    harness::closed_loop(threads, duration, |t| {
+        let mut i = t;
+        move || {
+            let level = ServiceLevel::from_index(i % ServiceLevel::COUNT).unwrap();
+            runtime
+                .submit(
+                    ScoreRequest::from_features(features[i % features.len()].clone())
+                        .with_level(level),
+                )
+                .expect("overhead-loop scoring");
+            i += 1;
+        }
+    })
 }
 
 /// Closed-loop qps of the two runtimes, measured in alternating slices so
@@ -208,9 +156,9 @@ fn closed_loop_slice(
 /// is the *median* of the per-slice-pair regressions — a single descheduled
 /// slice then shifts one sample instead of the whole A/B.
 fn interleaved_ab_qps(
-    off: &Arc<ScoringRuntime>,
-    on: &Arc<ScoringRuntime>,
-    features: &Arc<Vec<Vec<f64>>>,
+    off: &ScoringRuntime,
+    on: &ScoringRuntime,
+    features: &[Vec<f64>],
     threads: usize,
     per_side: Duration,
 ) -> (f64, f64, f64) {
@@ -222,7 +170,7 @@ fn interleaved_ab_qps(
     for pair in 0..SLICES {
         // Alternate which side runs first: monotone drift inside a pair
         // otherwise always penalises whichever side is measured second.
-        let measure = |runtime: &Arc<ScoringRuntime>| {
+        let measure = |runtime: &ScoringRuntime| {
             let (count, elapsed) = closed_loop_slice(runtime, features, threads, slice);
             (
                 count,
@@ -265,25 +213,21 @@ struct CaptureResult {
 /// per-request latencies are not.
 #[allow(clippy::too_many_arguments)]
 fn capture(
-    runtime: &Arc<ScoringRuntime>,
+    runtime: &ScoringRuntime,
     metrics: &MetricsRegistry,
-    features: &Arc<Vec<Vec<f64>>>,
+    features: &[Vec<f64>],
     meta: TraceMeta,
     queries: Vec<TraceQuery>,
     requests: u64,
     threads: usize,
 ) -> CaptureResult {
     let budgets_ns = meta.deadline_budgets_ns;
-    let recorder = Arc::new(TraceRecorder::new());
-    let next_seq = Arc::new(AtomicU64::new(0));
+    let recorder = TraceRecorder::new();
+    let next_seq = AtomicU64::new(0);
     let start = Instant::now();
-    let handles: Vec<_> = (0..threads)
-        .map(|_| {
-            let runtime = Arc::clone(runtime);
-            let features = Arc::clone(features);
-            let recorder = Arc::clone(&recorder);
-            let next_seq = Arc::clone(&next_seq);
-            std::thread::spawn(move || loop {
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
                 let seq = next_seq.fetch_add(1, Ordering::Relaxed);
                 if seq >= requests {
                     break;
@@ -324,12 +268,9 @@ fn capture(
                     record.demoted = outcome.level != level;
                 }
                 recorder.record(record);
-            })
-        })
-        .collect();
-    for handle in handles {
-        handle.join().unwrap();
-    }
+            });
+        }
+    });
     let elapsed = start.elapsed();
     let records = recorder.finish();
     let capture_qps = records.len() as f64 / elapsed.as_secs_f64().max(1e-9);
@@ -346,119 +287,42 @@ fn capture(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn write_json(
-    path: &str,
-    args: &Args,
-    trace: &ServingTrace,
-    capture_qps: f64,
-    events_retained: usize,
-    registry_metrics: usize,
-    trace_bytes: usize,
-    gate_mismatches: &[String],
-    baseline: &ReplayRun,
-    reports: &[(String, String)],
-    diffs: &[String],
-    drift_json: &str,
-    qps_off: f64,
-    qps_on: f64,
-    overhead_pct: f64,
-) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"comment\": \"ae-obs observability benchmark: serving-trace capture/replay \
-         determinism and metrics/tracing overhead. 'determinism_gate_mismatches' counts \
-         bit-level disagreements between captured outcomes and a replay under the capture \
-         configuration (must be 0). 'overhead_pct' is the closed-loop qps regression from \
-         attaching the metrics registry + event sink to the scoring runtime, estimated as \
-         the median over interleaved A/B slice pairs. Regenerate \
-         with: cargo run --release -p ae-bench --bin bench_obs -- --json BENCH_obs.json\",\n",
-    );
-    out.push_str(&format!(
-        "  \"host\": \"{}-core container (rustc 1.95, release profile)\",\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
-    out.push_str(&format!(
-        "  \"capture\": {{\n    \"requests\": {},\n    \"queries\": {},\n    \
-         \"client_threads\": {},\n    \"capture_qps\": {:.1},\n    \"trace_bytes\": {},\n    \
-         \"events_retained\": {},\n    \"registry_metrics\": {}\n  }},\n",
-        trace.records.len(),
-        trace.queries.len(),
-        args.threads,
-        capture_qps,
-        trace_bytes,
-        events_retained,
-        registry_metrics,
-    ));
-    out.push_str("  \"roundtrip_bit_identical\": true,\n");
-    out.push_str(&format!(
-        "  \"determinism_gate_mismatches\": {},\n",
-        gate_mismatches.len()
-    ));
-    out.push_str(&format!(
-        "  \"baseline_replay\": {},\n",
-        baseline.report.to_json()
-    ));
-    out.push_str("  \"alternative_replays\": {\n");
-    for (i, (name, report)) in reports.iter().enumerate() {
-        out.push_str(&format!("    \"{name}\": {report}"));
-        out.push_str(if i + 1 < reports.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  },\n");
-    out.push_str("  \"diffs_vs_baseline\": [\n");
-    for (i, diff) in diffs.iter().enumerate() {
-        out.push_str(&format!("    {diff}"));
-        out.push_str(if i + 1 < diffs.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"drift_signal\": {drift_json},\n"));
-    out.push_str(&format!(
-        "  \"overhead\": {{\n    \"qps_obs_off\": {qps_off:.1},\n    \
-         \"qps_obs_on\": {qps_on:.1},\n    \"overhead_pct\": {overhead_pct:.2}\n  }}\n"
-    ));
-    out.push_str("}\n");
-    let mut file = std::fs::File::create(path).expect("create json output");
-    file.write_all(out.as_bytes()).expect("write json output");
-    println!("wrote {path}");
-}
-
 fn main() {
     // The trace format carries exactly the serving tier's level count.
     const _: () = assert!(ServiceLevel::COUNT == TRACE_LEVELS);
 
-    let args = parse_args();
+    let mut args = harness::args(
+        &["--threads N", "--seconds S", "--requests N", "--queries N"],
+        |flags| {
+            Ok(Args {
+                smoke: flags.smoke(),
+                json: flags.json(),
+                threads: flags.get("--threads", 4)?,
+                seconds: flags.seconds("--seconds", 2.0)?,
+                requests: flags.get("--requests", 480)?,
+                queries: flags.get("--queries", 32)?,
+            })
+        },
+    );
+    if args.smoke {
+        args.seconds = args.seconds.min(0.8);
+        args.requests = args.requests.min(120);
+        args.queries = args.queries.min(12);
+    }
     let duration = Duration::from_secs_f64(args.seconds);
 
     // --- Train on an SF10 TPC-DS subset (noise-free, deterministic). ---
-    let full_suite =
-        WorkloadGenerator::builtin(ae_workload::BuiltinFamily::Tpcds, ScaleFactor::SF10).suite();
-    let suite: Vec<QueryInstance> = full_suite.into_iter().take(args.queries).collect();
-    println!(
-        "==> training the parameter model ({}-query SF10 tpcds subset)",
-        suite.len()
+    let full_suite = WorkloadGenerator::new(ScaleFactor::SF10).suite();
+    let served = Served::train(
+        full_suite.into_iter().take(args.queries).collect(),
+        "tpcds subset",
+        "serving",
     );
-    let mut config = AutoExecutorConfig::default();
-    config.training_run.noise_cv = 0.0;
-    let (_, model) = train_from_workload(&suite, &config).expect("training");
-    let registry = Arc::new(ModelRegistry::in_memory());
-    registry
-        .register("serving", model.to_portable("serving").unwrap())
-        .unwrap();
-    let decoded = ParameterModel::from_portable(&registry.load("serving").unwrap()).unwrap();
+    let (config, suite, features) = (&served.config, &served.suite, &served.features);
+    let decoded =
+        ParameterModel::from_portable(&served.registry.load(served.name).unwrap()).unwrap();
     let candidate_counts = config.candidate_counts();
     let objective = config.objective;
-
-    let rewriter = Optimizer::with_default_rules();
-    let features: Arc<Vec<Vec<f64>>> = Arc::new(
-        suite
-            .iter()
-            .map(|q| {
-                let optimized = rewriter.optimize(q.plan.clone()).unwrap().plan;
-                autoexecutor::featurize_plan(&optimized)
-            })
-            .collect(),
-    );
 
     // --- Ground-truth actual curves over the candidate counts. ---
     println!(
@@ -466,7 +330,7 @@ fn main() {
         suite.len(),
         candidate_counts.len()
     );
-    let actuals = ActualRuns::collect(&suite, &candidate_counts, 1, &config.cluster, 0xAE_2023)
+    let actuals = ActualRuns::collect(suite, &candidate_counts, 1, &config.cluster, 0xAE_2023)
         .expect("ground-truth collection");
     let trace_queries: Vec<TraceQuery> = suite
         .iter()
@@ -485,11 +349,11 @@ fn main() {
         .collect();
 
     // --- Capture: serve through an obs-enabled runtime, record a trace. ---
-    let runtime_config = RuntimeConfig::from_auto_executor(&config);
+    let runtime_config = RuntimeConfig::from_auto_executor(config);
     let qos: QosConfig = runtime_config.qos.clone();
     let meta = TraceMeta {
         family: "tpcds".to_string(),
-        model: "serving".to_string(),
+        model: served.name.to_string(),
         objective: format!("{objective:?}"),
         seed: 0xAE_2023,
         candidate_counts: candidate_counts.iter().map(|&c| c as u32).collect(),
@@ -498,12 +362,8 @@ fn main() {
         unit_price: qos.unit_price,
     };
     let metrics = Arc::new(MetricsRegistry::new());
-    let capture_runtime = Arc::new(ScoringRuntime::new(
-        Arc::clone(&registry),
-        "serving",
-        runtime_config.with_observability(ObsConfig::new(Arc::clone(&metrics))),
-    ));
-    capture_runtime.warm().expect("model warm-up");
+    let capture_runtime =
+        served.runtime(runtime_config.with_observability(ObsConfig::new(Arc::clone(&metrics))));
     println!(
         "==> capturing {} requests at {} client threads (obs enabled)",
         args.requests, args.threads
@@ -516,7 +376,7 @@ fn main() {
     } = capture(
         &capture_runtime,
         &metrics,
-        &features,
+        features,
         meta,
         trace_queries,
         args.requests,
@@ -555,20 +415,24 @@ fn main() {
         capture_config_scorer(&trace, &decoded, objective, &candidate_counts),
     );
     let gate = baseline.verify_against_capture(&trace);
+    let mut gate_failures = Vec::new();
     if !gate.is_empty() {
         for mismatch in gate.iter().take(10) {
             eprintln!("gate mismatch: {mismatch}");
         }
-        eprintln!(
-            "determinism gate FAILED: {} mismatches over {} records",
+        gate_failures.push(format!(
+            "{} mismatches over {} records",
             gate.len(),
             trace.records.len()
-        );
-        std::process::exit(1);
+        ));
     }
-    println!(
-        "==> determinism gate OK: replay reproduced all {} captured outcomes bit-identically",
-        trace.records.len()
+    harness::gate(
+        "determinism gate",
+        &gate_failures,
+        &format!(
+            "replay reproduced all {} captured outcomes bit-identically",
+            trace.records.len()
+        ),
     );
 
     // --- Alternative configurations, replayed without re-simulation. ---
@@ -633,23 +497,15 @@ fn main() {
         "==> overhead A/B ({:.1}s per side at {} client threads)",
         args.seconds, args.threads
     );
-    let plain_runtime = Arc::new(ScoringRuntime::new(
-        Arc::clone(&registry),
-        "serving",
-        RuntimeConfig::from_auto_executor(&config),
-    ));
-    plain_runtime.warm().expect("model warm-up");
-    let obs_runtime = Arc::new(ScoringRuntime::new(
-        Arc::clone(&registry),
-        "serving",
-        RuntimeConfig::from_auto_executor(&config)
+    let plain_runtime = served.runtime(RuntimeConfig::from_auto_executor(config));
+    let obs_runtime = served.runtime(
+        RuntimeConfig::from_auto_executor(config)
             .with_observability(ObsConfig::new(Arc::new(MetricsRegistry::new()))),
-    ));
-    obs_runtime.warm().expect("model warm-up");
+    );
     let (qps_off, qps_on, overhead_pct) = interleaved_ab_qps(
         &plain_runtime,
         &obs_runtime,
-        &features,
+        features,
         args.threads,
         duration,
     );
@@ -657,32 +513,53 @@ fn main() {
         "    obs off: {qps_off:.0} qps   obs on: {qps_on:.0} qps   overhead (median of slice pairs): {overhead_pct:+.2}%"
     );
 
-    if let Some(path) = &args.json {
-        write_json(
-            path,
-            &args,
-            &trace,
-            capture_qps,
-            events_retained,
-            registry_metrics,
-            text.len(),
-            &gate,
-            &baseline,
-            &[
-                ("strict_budgets".to_string(), strict.report.to_json()),
-                ("min_time_objective".to_string(), min_time.report.to_json()),
-            ],
-            &[diff_strict.to_json(), diff_min_time.to_json()],
-            &drift_signal.to_json(),
-            qps_off,
-            qps_on,
-            overhead_pct,
-        );
-    }
+    let parse = |json: String| Value::parse(&json).expect("obs reports are JSON");
+    harness::write_report(
+        args.json.as_deref(),
+        COMMENT,
+        [
+            (
+                "capture",
+                Value::object([
+                    ("requests", trace.records.len().into()),
+                    ("queries", trace.queries.len().into()),
+                    ("client_threads", args.threads.into()),
+                    ("capture_qps", capture_qps.into()),
+                    ("trace_bytes", text.len().into()),
+                    ("events_retained", events_retained.into()),
+                    ("registry_metrics", registry_metrics.into()),
+                ]),
+            ),
+            ("roundtrip_bit_identical", true.into()),
+            ("determinism_gate_mismatches", gate.len().into()),
+            ("baseline_replay", parse(baseline.report.to_json())),
+            (
+                "alternative_replays",
+                Value::object([
+                    ("strict_budgets", parse(strict.report.to_json())),
+                    ("min_time_objective", parse(min_time.report.to_json())),
+                ]),
+            ),
+            (
+                "diffs_vs_baseline",
+                vec![parse(diff_strict.to_json()), parse(diff_min_time.to_json())].into(),
+            ),
+            ("drift_signal", parse(drift_signal.to_json())),
+            (
+                "overhead",
+                Value::object([
+                    ("qps_obs_off", qps_off.into()),
+                    ("qps_obs_on", qps_on.into()),
+                    ("overhead_pct", overhead_pct.into()),
+                ]),
+            ),
+        ],
+    );
 
     if args.smoke {
         let mut failures = Vec::new();
-        // Gate already hard-exits above; re-assert for clarity.
+        // The determinism gate already failed the run above; re-assert for
+        // clarity.
         if !gate.is_empty() {
             failures.push(format!("{} determinism mismatches", gate.len()));
         }
@@ -697,12 +574,12 @@ fn main() {
                 "obs overhead {overhead_pct:.2}% exceeds {SMOKE_OVERHEAD_BOUND_PCT}% bound"
             ));
         }
-        if !failures.is_empty() {
-            eprintln!("obs smoke FAILED: {}", failures.join("; "));
-            std::process::exit(1);
-        }
-        println!(
-            "obs smoke OK (roundtrip bit-identical, gate clean, overhead {overhead_pct:.2}% < {SMOKE_OVERHEAD_BOUND_PCT}%)"
+        harness::gate(
+            "obs smoke",
+            &failures,
+            &format!(
+                "roundtrip bit-identical, gate clean, overhead {overhead_pct:.2}% < {SMOKE_OVERHEAD_BOUND_PCT}%"
+            ),
         );
     }
 }

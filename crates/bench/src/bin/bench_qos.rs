@@ -31,32 +31,40 @@
 //!
 //! ```text
 //! cargo run --release -p ae-bench --bin bench_qos                 # full run
-//! cargo run --release -p ae-bench --bin bench_qos -- --smoke      # CI gate
-//! cargo run --release -p ae-bench --bin bench_qos -- --json BENCH_qos.json
+//! cargo run --release -p ae-bench --bin bench_qos -- --threads 4 --seconds 3
+//! cargo run --release -p ae-bench --bin bench_qos -- --moderate-fraction 0.25 --overload-factor 2.0
 //! ```
 //!
-//! `--smoke` shortens every phase and exits non-zero unless: every
-//! recorded rate is finite, `Interactive` holds its deadline budget at
-//! moderate load (miss rate ≤ 0.1 %, absorbing single-core OS jitter;
-//! the recorded full runs show zero misses), `Interactive` p99 <
-//! `BestEffort` p99 under overload, and the in-rate tenant of the
-//! fairness phase is never starved.
+//! `--threads` sets the client threads and `--seconds` the length of each
+//! open-loop phase (at most 0.8 under `--smoke`). The smoke gate fails
+//! unless: every recorded rate is finite, `Interactive` holds its deadline
+//! budget at moderate load (miss rate ≤ 0.1 %, absorbing single-core OS
+//! jitter; the recorded full runs show zero misses), `Interactive` p99 <
+//! `BestEffort` p99 under overload, and the in-rate tenant of the fairness
+//! phase is never starved.
 
-use std::io::Write as _;
-use std::sync::Arc;
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
+use ae_bench::harness::{self, Served};
 use ae_engine::plan::QueryPlan;
+use ae_ml::json::Value;
 use ae_obs::{AtomicHistogram, Ladder, LatencyStats, ShardedHistogram};
 use ae_serve::{
-    LevelStats, QosConfig, RuntimeConfig, ScoreRequest, ScoringRuntime, ServeError, ServiceLevel,
-    TenantId, TenantPolicy,
+    LevelStats, QosConfig, RuntimeConfig, ScoreRequest, ScoreTicket, ScoringRuntime, ServeError,
+    ServiceLevel, TenantId, TenantPolicy,
 };
-use ae_workload::{
-    ClosedLoop, OpenLoop, ScaleFactor, TaggedArrival, WeightedMix, WorkloadGenerator,
-};
-use autoexecutor::prelude::*;
-use autoexecutor::ModelRegistry;
+use ae_workload::{OpenLoop, ScaleFactor, TaggedArrival, WeightedMix, WorkloadGenerator};
+
+const COMMENT: &str = "ae-serve QoS benchmark: per-service-level latency, deadline-miss rate, \
+    and shed rate under tagged Poisson open-loop load. 'moderate' replays at a fraction of the \
+    measured closed-loop capacity with blocking submission (the SLA regime: Interactive must \
+    miss zero deadlines); 'overload' replays above capacity with non-blocking submission (the \
+    shedding regime: BestEffort is shed first and Interactive p99 stays below BestEffort p99). \
+    Both run with tenant fairness OFF (tenant tags exercise the mix plumbing only); 'fairness' \
+    is a dedicated phase on its own runtime with a per-tenant token bucket: a flooding tenant is \
+    demoted and shed while an in-rate tenant completes every request. Regenerate with: cargo \
+    run --release -p ae-bench --bin bench_qos -- --json BENCH_qos.json";
 
 /// Per-level arrays and the tagged schedule's `level_index` both use
 /// [`ServiceLevel::index`] order (`BestEffort` = 0, `Standard` = 1,
@@ -79,58 +87,11 @@ const TENANTS: usize = 4;
 
 struct Args {
     smoke: bool,
+    json: Option<String>,
     threads: usize,
     seconds: f64,
     moderate_fraction: f64,
     overload_factor: f64,
-    json: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        threads: 4,
-        seconds: 3.0,
-        moderate_fraction: 0.25,
-        overload_factor: 2.0,
-        json: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--threads" => {
-                args.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threads needs a number");
-            }
-            "--seconds" => {
-                args.seconds = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seconds needs a number");
-            }
-            "--moderate-fraction" => {
-                args.moderate_fraction = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--moderate-fraction needs a number");
-            }
-            "--overload-factor" => {
-                args.overload_factor = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--overload-factor needs a number");
-            }
-            "--json" => args.json = it.next(),
-            other => panic!("unknown argument: {other}"),
-        }
-    }
-    if args.smoke {
-        args.seconds = args.seconds.min(0.8);
-    }
-    args
 }
 
 /// Per-level measurements of one phase: offered volume and client-side
@@ -158,6 +119,31 @@ struct PhaseResult {
     elapsed: Duration,
     saturated_drops: u64,
     per_level: [LevelResult; 3],
+}
+
+impl PhaseResult {
+    fn report(&self) -> Value {
+        let per_level = DISPLAY_ORDER.iter().map(|level| {
+            let r = &self.per_level[level.index()];
+            Value::object([
+                ("level", level.name().into()),
+                ("offered", r.offered.into()),
+                ("completed", r.stats.completed.into()),
+                ("p50_us", (r.latency.p50.as_secs_f64() * 1e6).into()),
+                ("p99_us", (r.latency.p99.as_secs_f64() * 1e6).into()),
+                ("deadline_misses", r.stats.deadline_misses.into()),
+                ("deadline_miss_rate", r.stats.miss_rate().into()),
+                ("shed", r.stats.shed.into()),
+                ("shed_rate", r.shed_rate().into()),
+            ])
+        });
+        Value::object([
+            ("name", self.name.into()),
+            ("offered_qps", self.rate_qps.into()),
+            ("saturated_drops", self.saturated_drops.into()),
+            ("per_level", per_level.collect()),
+        ])
+    }
 }
 
 fn print_phase(phase: &PhaseResult) {
@@ -189,7 +175,7 @@ fn print_phase(phase: &PhaseResult) {
 /// *served* level (demotions count against `BestEffort`, not the requested
 /// level) unless the ticket belongs to the warm-up prefix, and ignores
 /// shed/shutdown results (the runtime's counters account them).
-fn redeem(histograms: &[ShardedHistogram; 3], record: bool, ticket: ae_serve::ScoreTicket) {
+fn redeem(histograms: &[ShardedHistogram; 3], record: bool, ticket: ScoreTicket) {
     match ticket.wait() {
         Ok(outcome) => {
             if record {
@@ -223,71 +209,69 @@ fn redeem(histograms: &[ShardedHistogram; 3], record: bool, ticket: ae_serve::Sc
 /// [`ShardedHistogram`]s — no per-thread sample vectors to merge.
 fn drive_tagged_open_loop(
     threads: usize,
-    schedule: Arc<Vec<TaggedArrival>>,
-    plans: Arc<Vec<QueryPlan>>,
-    runtime: Arc<ScoringRuntime>,
+    schedule: &[TaggedArrival],
+    plans: &[QueryPlan],
+    runtime: &ScoringRuntime,
     blocking: bool,
 ) -> ([LatencyStats; 3], [u64; 3], Duration) {
     const OUTSTANDING_WINDOW: usize = 4096;
     let warmup = if blocking { 0 } else { schedule.len() / 4 };
     let start = Instant::now();
-    let histograms: Arc<[ShardedHistogram; 3]> = Arc::new(std::array::from_fn(|_| {
-        ShardedHistogram::new(Ladder::latency())
-    }));
-    let handles: Vec<_> = (0..threads)
-        .map(|t| {
-            let schedule = Arc::clone(&schedule);
-            let plans = Arc::clone(&plans);
-            let runtime = Arc::clone(&runtime);
-            let histograms = Arc::clone(&histograms);
-            std::thread::spawn(move || {
-                let mut offered = [0u64; 3];
-                let mut outstanding: std::collections::VecDeque<(bool, ae_serve::ScoreTicket)> =
-                    std::collections::VecDeque::new();
-                for (position, arrival) in schedule.iter().enumerate().skip(t).step_by(threads) {
-                    if let Some(wait) = arrival.at.checked_sub(start.elapsed()) {
-                        std::thread::sleep(wait);
-                    }
-                    let level = ServiceLevel::from_index(arrival.level_index)
-                        .expect("mix classes match the service levels");
-                    let request = ScoreRequest::from_plan(&plans[arrival.query_index])
-                        .with_level(level)
-                        .with_tenant(TenantId(arrival.tenant_index as u64));
-                    offered[arrival.level_index] += 1;
-                    if blocking {
-                        match runtime.submit(request) {
-                            Ok(outcome) => {
-                                histograms[outcome.level.index()].record_duration(outcome.latency)
+    let histograms: [ShardedHistogram; 3] =
+        std::array::from_fn(|_| ShardedHistogram::new(Ladder::latency()));
+    let offered = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let histograms = &histograms;
+                scope.spawn(move || {
+                    let mut offered = [0u64; 3];
+                    let mut outstanding: VecDeque<(bool, ScoreTicket)> = VecDeque::new();
+                    for (position, arrival) in schedule.iter().enumerate().skip(t).step_by(threads)
+                    {
+                        if let Some(wait) = arrival.at.checked_sub(start.elapsed()) {
+                            std::thread::sleep(wait);
+                        }
+                        let level = ServiceLevel::from_index(arrival.level_index)
+                            .expect("mix classes match the service levels");
+                        let request = ScoreRequest::from_plan(&plans[arrival.query_index])
+                            .with_level(level)
+                            .with_tenant(TenantId(arrival.tenant_index as u64));
+                        offered[arrival.level_index] += 1;
+                        if blocking {
+                            match runtime.submit(request) {
+                                Ok(outcome) => histograms[outcome.level.index()]
+                                    .record_duration(outcome.latency),
+                                Err(ServeError::Shed) => {}
+                                Err(other) => panic!("unexpected serving error: {other}"),
                             }
-                            Err(ServeError::Shed) => {}
-                            Err(other) => panic!("unexpected serving error: {other}"),
-                        }
-                    } else {
-                        match runtime.try_submit_detached(request) {
-                            Ok(ticket) => outstanding.push_back((position >= warmup, ticket)),
-                            Err(ServeError::Saturated) => {}
-                            Err(other) => panic!("unexpected serving error: {other}"),
-                        }
-                        if outstanding.len() >= OUTSTANDING_WINDOW {
-                            let (record, ticket) = outstanding.pop_front().unwrap();
-                            redeem(&histograms, record, ticket);
+                        } else {
+                            match runtime.try_submit_detached(request) {
+                                Ok(ticket) => outstanding.push_back((position >= warmup, ticket)),
+                                Err(ServeError::Saturated) => {}
+                                Err(other) => panic!("unexpected serving error: {other}"),
+                            }
+                            if outstanding.len() >= OUTSTANDING_WINDOW {
+                                let (record, ticket) = outstanding.pop_front().unwrap();
+                                redeem(histograms, record, ticket);
+                            }
                         }
                     }
-                }
-                for (record, ticket) in outstanding {
-                    redeem(&histograms, record, ticket);
-                }
-                offered
+                    for (record, ticket) in outstanding {
+                        redeem(histograms, record, ticket);
+                    }
+                    offered
+                })
             })
-        })
-        .collect();
-    let mut offered = [0u64; 3];
-    for handle in handles {
-        let counts = handle.join().unwrap();
-        for (into, from) in offered.iter_mut().zip(counts) {
-            *into += from;
+            .collect();
+        let mut offered = [0u64; 3];
+        for handle in handles {
+            let counts = handle.join().unwrap();
+            for (into, from) in offered.iter_mut().zip(counts) {
+                *into += from;
+            }
         }
-    }
+        offered
+    });
     let latencies = std::array::from_fn(|i| histograms[i].snapshot().latency_stats());
     (latencies, offered, start.elapsed())
 }
@@ -301,26 +285,18 @@ fn run_phase(
     seconds: f64,
     seed: u64,
     threads: usize,
-    plans: &Arc<Vec<QueryPlan>>,
-    runtime: &Arc<ScoringRuntime>,
+    plans: &[QueryPlan],
+    runtime: &ScoringRuntime,
     blocking: bool,
 ) -> PhaseResult {
     let requests = ((rate_qps * seconds) as usize).max(100);
     let levels = WeightedMix::new(LEVEL_WEIGHTS.to_vec());
     let tenants = WeightedMix::uniform(TENANTS);
-    let schedule = Arc::new(OpenLoop::new(rate_qps, requests, seed).schedule_tagged(
-        plans.len(),
-        &levels,
-        &tenants,
-    ));
+    let schedule =
+        OpenLoop::new(rate_qps, requests, seed).schedule_tagged(plans.len(), &levels, &tenants);
     let before = runtime.stats();
-    let (latencies, offered, elapsed) = drive_tagged_open_loop(
-        threads,
-        schedule,
-        Arc::clone(plans),
-        Arc::clone(runtime),
-        blocking,
-    );
+    let (latencies, offered, elapsed) =
+        drive_tagged_open_loop(threads, &schedule, plans, runtime, blocking);
     let mut per_level: [LevelResult; 3] = Default::default();
     let delta = runtime.stats().delta_since(&before);
     for (i, latency) in latencies.into_iter().enumerate() {
@@ -371,72 +347,66 @@ const LIGHT_REQUESTS: usize = 128;
 /// thousands of requests (guaranteed demotions) and the in-rate tenant
 /// always stays inside it (guaranteed grants), however slowly a loaded
 /// host executes them.
-fn run_fairness_phase(
-    registry: &Arc<ModelRegistry>,
-    config: &AutoExecutorConfig,
-    plans: &Arc<Vec<QueryPlan>>,
-    threads: usize,
-) -> FairnessResult {
+fn run_fairness_phase(served: &Served, threads: usize) -> FairnessResult {
     let policy = TenantPolicy::demote(0.0, 256.0);
-    let runtime = Arc::new(ScoringRuntime::new(
-        Arc::clone(registry),
-        "qos",
-        RuntimeConfig::from_auto_executor(config)
+    let runtime = served.runtime(
+        RuntimeConfig::from_auto_executor(&served.config)
             .with_workers(1)
             .with_queue_capacity(64)
             .with_inline_max_in_flight(0)
             .with_qos(QosConfig::default().with_fairness(policy)),
-    ));
-    runtime.warm().expect("model warm-up");
+    );
+    let plans = &served.plans;
     let heavy = TenantId(0);
     let light = TenantId(1);
-    let flood: Vec<_> = (0..threads.max(1))
-        .map(|t| {
-            let runtime = Arc::clone(&runtime);
-            let plans = Arc::clone(plans);
-            std::thread::spawn(move || {
-                let (mut offered, mut completed) = (0u64, 0u64);
-                for i in 0..FLOOD_REQUESTS_PER_THREAD {
-                    offered += 1;
-                    let request = ScoreRequest::from_plan(&plans[(t + i) % plans.len()])
-                        .with_level(ServiceLevel::Interactive)
-                        .with_tenant(heavy);
-                    match runtime.try_submit(request) {
-                        Ok(_) => completed += 1,
-                        Err(ServeError::Shed) | Err(ServeError::Saturated) => {}
-                        Err(other) => panic!("unexpected error under flood: {other}"),
-                    }
-                }
-                (offered, completed)
-            })
-        })
-        .collect();
-    // Starvation of the blocking in-rate submitter would manifest as an
-    // unbounded wait (hanging the bench), an error, or huge latency — so
-    // besides requiring every submit to return Ok at the requested level,
-    // the smoke bounds the in-rate tenant's p99 below.
     let light_histogram = AtomicHistogram::new(Ladder::latency());
     let (mut light_offered, mut light_completed) = (0u64, 0u64);
-    while light_offered < LIGHT_REQUESTS as u64 {
-        light_offered += 1;
-        let outcome = runtime
-            .submit(
-                ScoreRequest::from_plan(&plans[light_offered as usize % plans.len()])
-                    .with_level(ServiceLevel::Standard)
-                    .with_tenant(light),
-            )
-            .expect("the in-rate tenant must never be starved");
-        assert_eq!(outcome.level, ServiceLevel::Standard, "no demotion in-rate");
-        light_histogram.record_duration(outcome.latency);
-        light_completed += 1;
-        std::thread::sleep(Duration::from_millis(2));
-    }
     let (mut heavy_offered, mut heavy_completed) = (0u64, 0u64);
-    for handle in flood {
-        let (offered, completed) = handle.join().unwrap();
-        heavy_offered += offered;
-        heavy_completed += completed;
-    }
+    std::thread::scope(|scope| {
+        let flood: Vec<_> = (0..threads.max(1))
+            .map(|t| {
+                let runtime = &runtime;
+                scope.spawn(move || {
+                    let (mut offered, mut completed) = (0u64, 0u64);
+                    for i in 0..FLOOD_REQUESTS_PER_THREAD {
+                        offered += 1;
+                        let request = ScoreRequest::from_plan(&plans[(t + i) % plans.len()])
+                            .with_level(ServiceLevel::Interactive)
+                            .with_tenant(heavy);
+                        match runtime.try_submit(request) {
+                            Ok(_) => completed += 1,
+                            Err(ServeError::Shed) | Err(ServeError::Saturated) => {}
+                            Err(other) => panic!("unexpected error under flood: {other}"),
+                        }
+                    }
+                    (offered, completed)
+                })
+            })
+            .collect();
+        // Starvation of the blocking in-rate submitter would manifest as an
+        // unbounded wait (hanging the bench), an error, or huge latency — so
+        // besides requiring every submit to return Ok at the requested level,
+        // the smoke bounds the in-rate tenant's p99 below.
+        while light_offered < LIGHT_REQUESTS as u64 {
+            light_offered += 1;
+            let outcome = runtime
+                .submit(
+                    ScoreRequest::from_plan(&plans[light_offered as usize % plans.len()])
+                        .with_level(ServiceLevel::Standard)
+                        .with_tenant(light),
+                )
+                .expect("the in-rate tenant must never be starved");
+            assert_eq!(outcome.level, ServiceLevel::Standard, "no demotion in-rate");
+            light_histogram.record_duration(outcome.latency);
+            light_completed += 1;
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        for handle in flood {
+            let (offered, completed) = handle.join().unwrap();
+            heavy_offered += offered;
+            heavy_completed += completed;
+        }
+    });
     let stats = runtime.stats();
     runtime.shutdown();
     FairnessResult {
@@ -450,6 +420,23 @@ fn run_fairness_phase(
         light_offered,
         light_completed,
         light_p99: light_histogram.snapshot().latency_stats().p99,
+    }
+}
+
+impl FairnessResult {
+    fn report(&self) -> Value {
+        Value::object([
+            ("policy_rate_qps", self.policy_rate_qps.into()),
+            ("policy_burst", self.policy_burst.into()),
+            ("heavy_offered", self.heavy_offered.into()),
+            ("heavy_completed", self.heavy_completed.into()),
+            ("heavy_shed_or_dropped", self.heavy_rejected.into()),
+            ("demoted", self.demoted.into()),
+            ("shed", self.shed.into()),
+            ("light_offered", self.light_offered.into()),
+            ("light_completed", self.light_completed.into()),
+            ("light_p99_us", (self.light_p99.as_secs_f64() * 1e6).into()),
+        ])
     }
 }
 
@@ -480,16 +467,26 @@ struct QuoteRow {
     multiplier: f64,
 }
 
-fn quote_menu(
-    runtime: &ScoringRuntime,
-    names: &[&str],
-    plans: &[(String, QueryPlan)],
-) -> Vec<QuoteRow> {
+impl QuoteRow {
+    fn report(&self) -> Value {
+        Value::object([
+            ("query", self.query.as_str().into()),
+            ("level", self.level.name().into()),
+            ("executors", self.executors.into()),
+            ("predicted_seconds", self.predicted_seconds.into()),
+            ("price", self.price.into()),
+            ("multiplier", self.multiplier.into()),
+        ])
+    }
+}
+
+fn quote_menu(runtime: &ScoringRuntime, names: &[&str], served: &Served) -> Vec<QuoteRow> {
     let mut rows = Vec::new();
     for &name in names {
-        let Some((_, plan)) = plans.iter().find(|(n, _)| n == name) else {
+        let Some(query) = served.suite.iter().position(|q| q.name == name) else {
             continue;
         };
+        let plan = &served.plans[query];
         for level in DISPLAY_ORDER {
             let outcome = runtime
                 .submit(ScoreRequest::from_plan(plan).with_level(level))
@@ -508,177 +505,48 @@ fn quote_menu(
     rows
 }
 
-fn write_json(
-    path: &str,
-    threads: usize,
-    capacity_qps: f64,
-    phases: &[PhaseResult],
-    fairness: &FairnessResult,
-    quotes: &[QuoteRow],
-) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"comment\": \"ae-serve QoS benchmark: per-service-level latency, deadline-miss \
-         rate, and shed rate under tagged Poisson open-loop load. 'moderate' replays at a \
-         fraction of the measured closed-loop capacity with blocking submission (the SLA \
-         regime: Interactive must miss zero deadlines); 'overload' replays above capacity \
-         with non-blocking submission (the shedding regime: BestEffort is shed first and \
-         Interactive p99 stays below BestEffort p99). Both run with tenant fairness OFF \
-         (tenant tags exercise the mix plumbing only); 'fairness' is a dedicated phase on \
-         its own runtime with a per-tenant token bucket: a flooding tenant is demoted and \
-         shed while an in-rate tenant completes every request. Regenerate with: cargo run \
-         --release -p ae-bench --bin bench_qos -- --json BENCH_qos.json\",\n",
-    );
-    out.push_str(&format!(
-        "  \"host\": \"{}-core container (rustc 1.95, release profile)\",\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
-    out.push_str(&format!("  \"client_threads\": {threads},\n"));
-    out.push_str(&format!("  \"capacity_qps\": {capacity_qps:.0},\n"));
-    out.push_str(&format!(
-        "  \"level_mix\": {{\"interactive\": {}, \"standard\": {}, \"best_effort\": {}}},\n",
-        LEVEL_WEIGHTS[ServiceLevel::Interactive.index()],
-        LEVEL_WEIGHTS[ServiceLevel::Standard.index()],
-        LEVEL_WEIGHTS[ServiceLevel::BestEffort.index()]
-    ));
-    out.push_str(&format!("  \"tenants_in_mix\": {TENANTS},\n"));
-    out.push_str("  \"phases\": [\n");
-    for (pi, phase) in phases.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"name\": \"{}\",\n", phase.name));
-        out.push_str(&format!("      \"offered_qps\": {:.1},\n", phase.rate_qps));
-        out.push_str(&format!(
-            "      \"saturated_drops\": {},\n",
-            phase.saturated_drops
-        ));
-        out.push_str("      \"per_level\": [\n");
-        for (i, level) in DISPLAY_ORDER.iter().enumerate() {
-            let r = &phase.per_level[level.index()];
-            out.push_str(&format!(
-                "        {{\"level\": \"{}\", \"offered\": {}, \"completed\": {}, \
-                 \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"deadline_misses\": {}, \
-                 \"deadline_miss_rate\": {:.4}, \"shed\": {}, \"shed_rate\": {:.4}}}{}\n",
-                level.name(),
-                r.offered,
-                r.stats.completed,
-                r.latency.p50.as_secs_f64() * 1e6,
-                r.latency.p99.as_secs_f64() * 1e6,
-                r.stats.deadline_misses,
-                r.stats.miss_rate(),
-                r.stats.shed,
-                r.shed_rate(),
-                if i + 1 < DISPLAY_ORDER.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("      ]\n");
-        out.push_str(if pi + 1 < phases.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"fairness\": {{\"policy_rate_qps\": {}, \"policy_burst\": {}, \
-         \"heavy_offered\": {}, \"heavy_completed\": {}, \"heavy_shed_or_dropped\": {}, \
-         \"demoted\": {}, \"shed\": {}, \"light_offered\": {}, \"light_completed\": {}, \
-         \"light_p99_us\": {:.1}}},\n",
-        fairness.policy_rate_qps,
-        fairness.policy_burst,
-        fairness.heavy_offered,
-        fairness.heavy_completed,
-        fairness.heavy_rejected,
-        fairness.demoted,
-        fairness.shed,
-        fairness.light_offered,
-        fairness.light_completed,
-        fairness.light_p99.as_secs_f64() * 1e6,
-    ));
-    out.push_str("  \"price_menu\": [\n");
-    for (i, row) in quotes.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"query\": \"{}\", \"level\": \"{}\", \"executors\": {}, \
-             \"predicted_seconds\": {:.2}, \"price\": {:.2}, \"multiplier\": {:.2}}}{}\n",
-            row.query,
-            row.level.name(),
-            row.executors,
-            row.predicted_seconds,
-            row.price,
-            row.multiplier,
-            if i + 1 < quotes.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    let mut file = std::fs::File::create(path).expect("create json output");
-    file.write_all(out.as_bytes()).expect("write json output");
-    println!("wrote {path}");
-}
-
 fn main() {
-    let args = parse_args();
-
-    let generator = WorkloadGenerator::new(ScaleFactor::SF10);
-    let suite = generator.suite();
-    println!(
-        "==> training the parameter model ({}-query SF10 tpcds suite)",
-        suite.len()
+    let mut args = harness::args(
+        &[
+            "--threads N",
+            "--seconds S",
+            "--moderate-fraction F",
+            "--overload-factor F",
+        ],
+        |flags| {
+            Ok(Args {
+                smoke: flags.smoke(),
+                json: flags.json(),
+                threads: flags.get("--threads", 4)?,
+                seconds: flags.seconds("--seconds", 3.0)?,
+                moderate_fraction: flags.get("--moderate-fraction", 0.25)?,
+                overload_factor: flags.get("--overload-factor", 2.0)?,
+            })
+        },
     );
-    let mut config = AutoExecutorConfig::default();
-    config.training_run.noise_cv = 0.0;
-    let (_, model) = train_from_workload(&suite, &config).expect("training");
-    let registry = Arc::new(ModelRegistry::in_memory());
-    registry
-        .register("qos", model.to_portable("qos").unwrap())
-        .unwrap();
+    if args.smoke {
+        args.seconds = args.seconds.min(0.8);
+    }
 
-    let rewriter = Optimizer::with_default_rules();
-    let named_plans: Vec<(String, QueryPlan)> = suite
-        .iter()
-        .map(|q| {
-            (
-                q.name.clone(),
-                rewriter.optimize(q.plan.clone()).unwrap().plan,
-            )
-        })
-        .collect();
-    let plans: Arc<Vec<QueryPlan>> = Arc::new(named_plans.iter().map(|(_, p)| p.clone()).collect());
-
-    let runtime = Arc::new(ScoringRuntime::new(
-        Arc::clone(&registry),
+    let served = Served::train(
+        WorkloadGenerator::new(ScaleFactor::SF10).suite(),
+        "tpcds suite",
         "qos",
-        RuntimeConfig::from_auto_executor(&config),
-    ));
-    runtime.warm().expect("model warm-up");
+    );
+    let runtime = served.runtime(RuntimeConfig::from_auto_executor(&served.config));
 
     // --- Calibration: short closed-loop burst to measure capacity. ---
     let calibration_seconds = (args.seconds * 0.3).max(0.2);
-    let sequences = ClosedLoop::new(args.threads, 512, 1).sequences(plans.len());
-    let start = Instant::now();
-    let deadline = Duration::from_secs_f64(calibration_seconds);
-    let handles: Vec<_> = (0..args.threads)
-        .map(|t| {
-            let plans = Arc::clone(&plans);
-            let runtime = Arc::clone(&runtime);
-            let sequence = sequences[t % sequences.len()].clone();
-            std::thread::spawn(move || {
-                let mut count = 0u64;
-                let mut i = 0usize;
-                while start.elapsed() < deadline {
-                    runtime
-                        .submit(ScoreRequest::from_plan(
-                            &plans[sequence[i % sequence.len()]],
-                        ))
-                        .expect("calibration scoring");
-                    count += 1;
-                    i += 1;
-                }
-                count
-            })
-        })
-        .collect();
-    let calibration_requests: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-    let capacity_qps = calibration_requests as f64 / start.elapsed().as_secs_f64().max(1e-9);
+    let (calibration_requests, calibration_elapsed) = served.closed_loop(
+        args.threads,
+        Duration::from_secs_f64(calibration_seconds),
+        |plan| {
+            runtime
+                .submit(ScoreRequest::from_plan(plan))
+                .expect("calibration scoring");
+        },
+    );
+    let capacity_qps = calibration_requests as f64 / calibration_elapsed.as_secs_f64().max(1e-9);
     println!(
         "==> calibrated capacity: {capacity_qps:.0} qps at {} client threads",
         args.threads
@@ -691,7 +559,7 @@ fn main() {
         args.seconds,
         11,
         args.threads,
-        &plans,
+        &served.plans,
         &runtime,
         true,
     );
@@ -704,18 +572,18 @@ fn main() {
         args.seconds,
         12,
         args.threads,
-        &plans,
+        &served.plans,
         &runtime,
         false,
     );
     print_phase(&overload);
 
     // --- Fairness: flooding tenant vs in-rate tenant on a policed runtime. ---
-    let fairness = run_fairness_phase(&registry, &config, &plans, args.threads);
+    let fairness = run_fairness_phase(&served, args.threads);
     print_fairness(&fairness);
 
     // --- Price menu for three representative queries. ---
-    let quotes = quote_menu(&runtime, &["q1", "q42", "q88"], &named_plans);
+    let quotes = quote_menu(&runtime, &["q1", "q42", "q88"], &served);
     println!("==> price menu (executor-seconds, derived from each query's predicted curve)");
     for row in &quotes {
         println!(
@@ -730,16 +598,27 @@ fn main() {
     }
 
     let phases = [moderate, overload];
-    if let Some(path) = &args.json {
-        write_json(
-            path,
-            args.threads,
-            capacity_qps,
-            &phases,
-            &fairness,
-            &quotes,
-        );
-    }
+    let mix = |level: ServiceLevel| Value::from(LEVEL_WEIGHTS[level.index()]);
+    harness::write_report(
+        args.json.as_deref(),
+        COMMENT,
+        [
+            ("client_threads", args.threads.into()),
+            ("capacity_qps", capacity_qps.into()),
+            (
+                "level_mix",
+                Value::object([
+                    ("interactive", mix(ServiceLevel::Interactive)),
+                    ("standard", mix(ServiceLevel::Standard)),
+                    ("best_effort", mix(ServiceLevel::BestEffort)),
+                ]),
+            ),
+            ("tenants_in_mix", TENANTS.into()),
+            ("phases", phases.iter().map(PhaseResult::report).collect()),
+            ("fairness", fairness.report()),
+            ("price_menu", quotes.iter().map(QuoteRow::report).collect()),
+        ],
+    );
 
     if args.smoke {
         let mut failures = Vec::new();
@@ -808,13 +687,11 @@ fn main() {
         if fairness.demoted == 0 {
             failures.push("fairness: the flooding tenant was never demoted".to_string());
         }
-        if !failures.is_empty() {
-            eprintln!("qos smoke FAILED: {}", failures.join("; "));
-            std::process::exit(1);
-        }
-        println!(
-            "qos smoke OK (finite rates, Interactive holds its budget at moderate load, \
-             Interactive p99 < BestEffort p99 under overload, in-rate tenant never starved)"
+        harness::gate(
+            "qos smoke",
+            &failures,
+            "finite rates, Interactive holds its budget at moderate load, \
+             Interactive p99 < BestEffort p99 under overload, in-rate tenant never starved",
         );
     }
 }

@@ -26,66 +26,41 @@
 //!
 //! ```text
 //! cargo run --release -p ae-bench --bin bench_resilience               # full run
-//! cargo run --release -p ae-bench --bin bench_resilience -- --smoke    # CI gate
-//! cargo run --release -p ae-bench --bin bench_resilience -- --json BENCH_resilience.json
+//! cargo run --release -p ae-bench --bin bench_resilience -- --shards 2,4,8 --requests 8000
 //! ```
 //!
-//! `--smoke` shortens the run and exits non-zero unless, killing 1 of 4
-//! shards: no ticket is lost at any fleet size, surviving goodput stays
-//! at or above 60% of the pre-kill rate, and probation re-admits the
+//! `--shards` lists the fleet sizes and `--requests` sizes each load phase
+//! (at most 2,000 under `--smoke`). The smoke gate fails unless, killing 1
+//! of 4 shards: no ticket is lost at any fleet size, surviving goodput
+//! stays at or above 60% of the pre-kill rate, and probation re-admits the
 //! revived shard (finite time-to-recover).
 
-use std::io::Write as _;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ae_bench::harness::{self, Served};
+use ae_ml::json::Value;
 use ae_serve::{
     FleetConfig, HealthPolicy, InducedFault, RuntimeConfig, ScoreRequest, ServiceLevel,
     ShardedRuntime, TenantId,
 };
-use ae_workload::{FamilyRegistry, QueryInstance, ScaleFactor, WorkloadGenerator};
+use ae_workload::{ScaleFactor, WorkloadGenerator};
 use autoexecutor::prelude::*;
-use autoexecutor::ModelRegistry;
+
+const COMMENT: &str = "ae-serve fleet resilience benchmark: one full failure lifecycle per \
+    fleet size, live on this host. A closed-loop client measures pre-fault qps, then one shard \
+    is crashed: failover rescues in-flight failures while the health monitor quarantines the \
+    shard (time_to_quarantine_ms), survivors carry the load (fault_goodput_qps), the fault \
+    clears, and the probation trickle re-admits the shard (time_to_recover_ms), after which \
+    post_qps is measured on the restored ring. Detached tickets ride through the kill window; \
+    lost_tickets must be 0. accounting_exact checks completed == client Oks and errors == client \
+    errors + failover retries. Regenerate with: cargo run --release -p ae-bench --bin \
+    bench_resilience -- --json BENCH_resilience.json";
 
 struct Args {
     smoke: bool,
+    json: Option<String>,
     shards: Vec<usize>,
     requests: usize,
-    json: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        shards: vec![2, 4, 8],
-        requests: 8_000,
-        json: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--shards" => {
-                let list = it.next().expect("--shards needs a comma-separated list");
-                args.shards = list
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--shards needs numbers"))
-                    .collect();
-            }
-            "--requests" => {
-                args.requests = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--requests needs a number");
-            }
-            "--json" => args.json = it.next(),
-            other => panic!("unknown argument: {other}"),
-        }
-    }
-    if args.smoke {
-        args.requests = args.requests.min(2_000);
-    }
-    args
 }
 
 const TENANTS: u64 = 64;
@@ -227,21 +202,36 @@ impl LifecycleRun {
     fn post_vs_pre(&self) -> f64 {
         self.post_qps / self.pre_qps.max(1e-9)
     }
+
+    fn report(&self) -> Value {
+        let ms = |duration: Option<Duration>| duration.map(|d| d.as_secs_f64() * 1e3);
+        Value::object([
+            ("shards", self.shards.into()),
+            ("pre_fault_qps", self.pre_qps.into()),
+            ("fault_goodput_qps", self.fault_goodput_qps.into()),
+            ("goodput_retained", self.goodput_retained().into()),
+            ("post_recovery_qps", self.post_qps.into()),
+            ("post_vs_pre", self.post_vs_pre().into()),
+            ("time_to_quarantine_ms", ms(self.time_to_quarantine).into()),
+            ("time_to_recover_ms", ms(self.time_to_recover).into()),
+            ("detached_tickets", self.detached_submitted.into()),
+            ("lost_tickets", self.lost_tickets().into()),
+            ("client_errors", self.client_errors.into()),
+            ("quarantines", self.quarantines.into()),
+            ("recoveries", self.recoveries.into()),
+            ("evacuated_requests", self.evacuated_requests.into()),
+            ("failover_retries", self.failover_retries.into()),
+            ("retries_denied", self.retries_denied.into()),
+            ("accounting_exact", self.accounting_exact.into()),
+        ])
+    }
 }
 
-fn run_lifecycle(
-    registry: &Arc<ModelRegistry>,
-    config: &AutoExecutorConfig,
-    features: &[Vec<f64>],
-    shards: usize,
-    requests: usize,
-) -> LifecycleRun {
-    let fleet = ShardedRuntime::new(
-        Arc::clone(registry),
-        "fleet",
-        FleetConfig::new(shards, shard_runtime(config)).with_health(lifecycle_policy()),
+fn run_lifecycle(served: &Served, shards: usize, requests: usize) -> LifecycleRun {
+    let fleet = served.fleet(
+        FleetConfig::new(shards, shard_runtime(&served.config)).with_health(lifecycle_policy()),
     );
-    fleet.warm().expect("model warm-up");
+    let features = &served.features;
     let victim = fleet.shard_for_tenant(TenantId(0));
     let mut offset = 0usize;
     let mut total_ok = 0u64;
@@ -354,114 +344,28 @@ fn format_ms(duration: Option<Duration>) -> String {
     }
 }
 
-fn write_json(path: &str, runs: &[LifecycleRun]) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"comment\": \"ae-serve fleet resilience benchmark: one full failure lifecycle per \
-         fleet size, live on this host. A closed-loop client measures pre-fault qps, then one \
-         shard is crashed: failover rescues in-flight failures while the health monitor \
-         quarantines the shard (time_to_quarantine_ms), survivors carry the load \
-         (fault_goodput_qps), the fault clears, and the probation trickle re-admits the shard \
-         (time_to_recover_ms), after which post_qps is measured on the restored ring. Detached \
-         tickets ride through the kill window; lost_tickets must be 0. accounting_exact checks \
-         completed == client Oks and errors == client errors + failover retries. Regenerate \
-         with: cargo run --release -p ae-bench --bin bench_resilience -- --json \
-         BENCH_resilience.json\",\n",
-    );
-    out.push_str(&format!(
-        "  \"host\": \"{}-core container (rustc 1.95, release profile)\",\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
-    out.push_str("  \"fleet_sizes\": [\n");
-    for (i, run) in runs.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"shards\": {},\n", run.shards));
-        out.push_str(&format!("      \"pre_fault_qps\": {:.1},\n", run.pre_qps));
-        out.push_str(&format!(
-            "      \"fault_goodput_qps\": {:.1},\n",
-            run.fault_goodput_qps
-        ));
-        out.push_str(&format!(
-            "      \"goodput_retained\": {:.3},\n",
-            run.goodput_retained()
-        ));
-        out.push_str(&format!(
-            "      \"post_recovery_qps\": {:.1},\n",
-            run.post_qps
-        ));
-        out.push_str(&format!(
-            "      \"post_vs_pre\": {:.3},\n",
-            run.post_vs_pre()
-        ));
-        out.push_str(&format!(
-            "      \"time_to_quarantine_ms\": {},\n",
-            format_ms(run.time_to_quarantine)
-        ));
-        out.push_str(&format!(
-            "      \"time_to_recover_ms\": {},\n",
-            format_ms(run.time_to_recover)
-        ));
-        out.push_str(&format!(
-            "      \"detached_tickets\": {},\n      \"lost_tickets\": {},\n",
-            run.detached_submitted,
-            run.lost_tickets()
-        ));
-        out.push_str(&format!(
-            "      \"client_errors\": {},\n      \"quarantines\": {},\n      \
-             \"recoveries\": {},\n      \"evacuated_requests\": {},\n      \
-             \"failover_retries\": {},\n      \"retries_denied\": {},\n",
-            run.client_errors,
-            run.quarantines,
-            run.recoveries,
-            run.evacuated_requests,
-            run.failover_retries,
-            run.retries_denied,
-        ));
-        out.push_str(&format!(
-            "      \"accounting_exact\": {}\n",
-            run.accounting_exact
-        ));
-        out.push_str("    }");
-        out.push_str(if i + 1 < runs.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    let mut file = std::fs::File::create(path).expect("create json output");
-    file.write_all(out.as_bytes()).expect("write json output");
-    println!("wrote {path}");
-}
-
 fn main() {
-    let args = parse_args();
-
-    let registry_families = FamilyRegistry::builtin();
-    let family = registry_families.get("tpcds").expect("builtin tpcds");
-    let suite: Vec<QueryInstance> =
-        WorkloadGenerator::for_family(family, ScaleFactor::SF10).suite();
-    println!(
-        "==> training the parameter model ({}-query SF10 tpcds suite)",
-        suite.len()
-    );
-    let mut config = AutoExecutorConfig::default();
-    config.training_run.noise_cv = 0.0;
-    let (_, model) = train_from_workload(&suite, &config).expect("training");
-    let registry = Arc::new(ModelRegistry::in_memory());
-    registry
-        .register("fleet", model.to_portable("fleet").unwrap())
-        .unwrap();
-
-    let rewriter = Optimizer::with_default_rules();
-    let features: Vec<Vec<f64>> = suite
-        .iter()
-        .map(|q| {
-            let optimized = rewriter.optimize(q.plan.clone()).unwrap().plan;
-            autoexecutor::featurize_plan(&optimized)
+    let mut args = harness::args(&["--shards LIST", "--requests N"], |flags| {
+        Ok(Args {
+            smoke: flags.smoke(),
+            json: flags.json(),
+            shards: flags.list("--shards", vec![2, 4, 8])?,
+            requests: flags.get("--requests", 8_000)?,
         })
-        .collect();
+    });
+    if args.smoke {
+        args.requests = args.requests.min(2_000);
+    }
+
+    let served = Served::train(
+        WorkloadGenerator::new(ScaleFactor::SF10).suite(),
+        "tpcds suite",
+        "fleet",
+    );
 
     let mut runs = Vec::new();
     for &shards in &args.shards {
-        let run = run_lifecycle(&registry, &config, &features, shards, args.requests);
+        let run = run_lifecycle(&served, shards, args.requests);
         println!(
             "resilience: {:>2} shards   pre {:>8.0} qps   fault goodput {:>8.0} qps ({:>5.1}% retained)   post {:>8.0} qps   quarantine {:>7} ms   recover {:>7} ms   lost {}",
             run.shards,
@@ -476,9 +380,14 @@ fn main() {
         runs.push(run);
     }
 
-    if let Some(path) = &args.json {
-        write_json(path, &runs);
-    }
+    harness::write_report(
+        args.json.as_deref(),
+        COMMENT,
+        [(
+            "fleet_sizes",
+            runs.iter().map(LifecycleRun::report).collect(),
+        )],
+    );
 
     if args.smoke {
         let mut failures = Vec::new();
@@ -517,13 +426,11 @@ fn main() {
             }
             None => failures.push("smoke needs a 4-shard run (--shards must include 4)".into()),
         }
-        if !failures.is_empty() {
-            eprintln!("resilience smoke FAILED: {}", failures.join("; "));
-            std::process::exit(1);
-        }
-        println!(
-            "resilience smoke OK (zero lost tickets, >= 60% goodput through a 1-of-4 kill, \
-             probation re-admitted every revived shard)"
+        harness::gate(
+            "resilience smoke",
+            &failures,
+            "zero lost tickets, >= 60% goodput through a 1-of-4 kill, \
+             probation re-admitted every revived shard",
         );
     }
 }

@@ -1,4 +1,5 @@
-//! Minimal JSON reader/writer for the portable model format.
+//! Minimal JSON reader/writer for the portable model format and the bench
+//! drivers' reports.
 //!
 //! The real project serializes models with `serde_json`; that crate is not
 //! available offline, so this module provides the small subset the portable
@@ -179,6 +180,70 @@ impl Value {
             )));
         }
         Ok(value)
+    }
+}
+
+impl From<f64> for Value {
+    fn from(n: f64) -> Self {
+        Value::Number(n)
+    }
+}
+
+/// Exact up to 2^53; larger values round to the nearest `f64`.
+impl From<u64> for Value {
+    fn from(n: u64) -> Self {
+        Value::Number(n as f64)
+    }
+}
+
+/// Exact up to 2^53; larger values round to the nearest `f64`.
+impl From<usize> for Value {
+    fn from(n: usize) -> Self {
+        Value::Number(n as f64)
+    }
+}
+
+impl From<u32> for Value {
+    fn from(n: u32) -> Self {
+        Value::Number(n.into())
+    }
+}
+
+impl From<bool> for Value {
+    fn from(b: bool) -> Self {
+        Value::Bool(b)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Self {
+        Value::String(s.to_string())
+    }
+}
+
+impl From<String> for Value {
+    fn from(s: String) -> Self {
+        Value::String(s)
+    }
+}
+
+/// `None` becomes `null`.
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(value: Option<T>) -> Self {
+        value.map_or(Value::Null, Into::into)
+    }
+}
+
+impl<T: Into<Value>> From<Vec<T>> for Value {
+    fn from(items: Vec<T>) -> Self {
+        items.into_iter().collect()
+    }
+}
+
+/// Collects into an array.
+impl<T: Into<Value>> FromIterator<T> for Value {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Self {
+        Value::Array(items.into_iter().map(Into::into).collect())
     }
 }
 
@@ -434,6 +499,19 @@ mod tests {
         let text = value.to_json();
         let parsed = Value::parse(&text).unwrap();
         assert_eq!(parsed, value);
+    }
+
+    #[test]
+    fn conversions_build_values() {
+        assert_eq!(Value::from(None::<f64>), Value::Null);
+        assert_eq!(Value::from(Some(2u64)), Value::Number(2.0));
+        assert_eq!(
+            Value::from(vec!["a", "b"]),
+            Value::Array(vec![Value::String("a".into()), Value::String("b".into())])
+        );
+        let collected: Value = [1usize, 2].into_iter().collect();
+        assert_eq!(collected.as_f64_vec().unwrap(), vec![1.0, 2.0]);
+        assert_eq!(Value::from(false).to_json(), "false");
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //! * [`importance`] — permutation feature importance (Figure 15).
 //! * [`matrix`] — flat row-major feature matrices for the batched serving
 //!   path (one contiguous buffer per batch instead of a `Vec` per request).
-//! * [`portable`] — a compact, serialisable model format plus an in-process
-//!   scoring runtime, standing in for the ONNX export/score path.
+//! * [`portable`] — a compact, serialisable model format that scores
+//!   through the compiled forest, standing in for the ONNX export/score
+//!   path.
 //! * [`metrics`] — the error metrics used throughout the evaluation.
 //!
 //! Everything is deterministic given a seed so experiments are reproducible.
@@ -48,7 +49,7 @@ pub use forest::{RandomForestConfig, RandomForestRegressor};
 pub use importance::{permutation_importance, ImportanceReport};
 pub use linreg::{LinearRegression, SimpleLinearFit};
 pub use matrix::FeatureMatrix;
-pub use portable::{PortableModel, ScoringRuntime};
+pub use portable::PortableModel;
 pub use tree::{DecisionTreeConfig, DecisionTreeRegressor};
 
 /// Errors produced by the ML substrate.

@@ -28,7 +28,9 @@
 # work-steal drill), and a resilience smoke (one full shard failure
 # lifecycle per fleet size: zero lost tickets, surviving goodput >= 60%
 # of pre-kill through a 1-of-4 shard crash, and probationary recovery
-# re-admitting the revived shard), and a perfbench stage (the repository's
+# re-admitting the revived shard); every driver smoke also writes its JSON
+# report to a temporary file, which the shared writer parses back, so a
+# malformed report fails the gate; and a perfbench stage (the repository's
 # benchmark package builds against the current crates, its own tests pass,
 # and each workload runs once for one second, answering correctly with zero
 # failed operations — so an API change cannot break the benchmark
@@ -70,13 +72,13 @@ if ! grep -q '^bench:' <<<"$training_smoke"; then
 fi
 
 echo "==> inference smoke (compiled forest ≡ interpreter bit-for-bit; compiled batched throughput >= interpreted)"
-cargo run --offline --release -p ae-bench --bin bench_inference -- --smoke
+cargo run --offline --release -p ae-bench --bin bench_inference -- --smoke --json "$(mktemp -t inference-smoke.XXXXXX.json)"
 
 echo "==> serving smoke (fixed-duration run; asserts qps > 0, zero dropped)"
-cargo run --offline --release -p ae-bench --bin bench_serving -- --smoke
+cargo run --offline --release -p ae-bench --bin bench_serving -- --smoke --json "$(mktemp -t serving-smoke.XXXXXX.json)"
 
 echo "==> qos smoke (moderate + overload phases; asserts finite rates, Interactive budget holds at moderate load, Interactive p99 < BestEffort p99 under overload, no tenant starvation)"
-cargo run --offline --release -p ae-bench --bin bench_qos -- --smoke
+cargo run --offline --release -p ae-bench --bin bench_qos -- --smoke --json "$(mktemp -t qos-smoke.XXXXXX.json)"
 
 echo "==> generalization smoke (train tpcds, score tpch + skew; asserts a full finite matrix)"
 cargo run --offline --release -p ae-bench --bin bench_generalization -- --smoke --json "$(mktemp -t generalization-smoke.XXXXXX.json)"
@@ -88,10 +90,10 @@ echo "==> obs smoke (trace roundtrip bit-identical, capture→replay determinism
 cargo run --offline --release -p ae-bench --bin bench_obs -- --smoke --json "$(mktemp -t obs-smoke.XXXXXX.json)"
 
 echo "==> fleet smoke (4-shard aggregate qps >= 2x single-shard, finite per-shard p99 skew, zero dropped/errors)"
-cargo run --offline --release -p ae-bench --bin bench_fleet -- --smoke
+cargo run --offline --release -p ae-bench --bin bench_fleet -- --smoke --json "$(mktemp -t fleet-smoke.XXXXXX.json)"
 
 echo "==> resilience smoke (1-of-4 shard kill: zero lost tickets, >= 60% goodput retained, probation re-admits)"
-cargo run --offline --release -p ae-bench --bin bench_resilience -- --smoke
+cargo run --offline --release -p ae-bench --bin bench_resilience -- --smoke --json "$(mktemp -t resilience-smoke.XXXXXX.json)"
 
 echo "==> perfbench (benchmark builds and its tests pass; each workload runs once: correct, zero failed)"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
