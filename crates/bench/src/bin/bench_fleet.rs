@@ -193,7 +193,6 @@ fn run_steal_drill(served: &Served, requests: usize) -> StealDrill {
             RuntimeConfig::from_auto_executor(&served.config)
                 .with_workers(1)
                 .with_max_batch(4)
-                .with_batch_window(Duration::ZERO)
                 .with_inline_max_in_flight(0)
                 .with_queue_capacity(requests.max(1024)),
         )

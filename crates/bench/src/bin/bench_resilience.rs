@@ -84,7 +84,6 @@ fn shard_runtime(config: &AutoExecutorConfig) -> RuntimeConfig {
     RuntimeConfig::from_auto_executor(config)
         .with_workers(1)
         .with_max_batch(8)
-        .with_batch_window(Duration::ZERO)
         .with_inline_max_in_flight(0)
         .with_queue_capacity(4096)
 }

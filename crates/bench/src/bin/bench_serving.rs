@@ -50,14 +50,13 @@ use autoexecutor::prelude::*;
 use autoexecutor::scoring;
 
 const COMMENT: &str = "ae-serve serving benchmark. 'naive_one_at_a_time' reproduces the \
-    pre-PR serving path (global mutex, model deep-cloned + re-decoded from the registry per \
+    original serving path (global mutex, model deep-cloned + re-decoded from the registry per \
     request); 'sequential_cached_mutex' caches the decoded model but still scores one plan at a \
-    time; the ae_serve modes go through the concurrent batching runtime. On a 1-core host the \
-    runtime's inline fast path (no queue round-trip) carries most requests and the queue/batch \
-    machinery only absorbs overflow (its cross-thread handoff costs more than this small model's \
-    inference, so sequential_cached_mutex can still edge it out); on multi-core hosts the inline \
-    slots and batching workers score in parallel. Regenerate with: cargo run --release -p \
-    ae-bench --bin bench_serving -- --json BENCH_serving.json";
+    time; the ae_serve modes go through the concurrent batching runtime. The runtime's inline \
+    fast path (no queue round-trip) carries most requests; the queue absorbs the overflow in \
+    natural batches (a worker drains whatever queued while it was busy and never waits for \
+    more). Regenerate with: cargo run --release -p ae-bench --bin bench_serving -- --json \
+    BENCH_serving.json";
 
 struct Args {
     smoke: bool,
@@ -260,7 +259,7 @@ fn main() {
         &served,
         &args,
         "sequential_cached_mutex",
-        "global mutex; decoded model cached (pre-PR optimizer-rule cache)",
+        "global mutex; decoded model cached (the optimizer rule's cache)",
         |plan| {
             let _one_at_a_time = one_at_a_time.lock().unwrap();
             let features = autoexecutor::featurize_plan(plan);

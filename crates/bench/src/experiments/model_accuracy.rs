@@ -10,8 +10,7 @@ use ae_ppm::model::PpmKind;
 use ae_sparklens::SparklensAnalyzer;
 use ae_workload::ScaleFactor;
 use autoexecutor::evaluation::{
-    cross_validate, error_by_count, fitted_ppm_curves, sparklens_curves, ActualRuns,
-    CrossValidationConfig,
+    cross_validate, error_by_count, sparklens_curves, CrossValidationConfig,
 };
 use autoexecutor::{measure_overheads, FeatureSet, ParameterModel, TrainingData};
 
@@ -373,28 +372,4 @@ pub fn overheads(ctx: &mut ExperimentContext) {
         "inference per query:            {:.3} ms   (paper: ~0.9 ms ONNX / ~3.6 ms scikit-learn)",
         report.inference_per_query.as_secs_f64() * 1e3
     );
-}
-
-/// Helper exposed for ActualRuns-based experiments that need a reference to
-/// this module's fig-4 count grid.
-pub fn fig4_counts() -> &'static [usize] {
-    &FIG4_COUNTS
-}
-
-/// Re-exported so integration tests can exercise the same path cheaply.
-pub fn sparklens_reference_error(
-    data: &TrainingData,
-    actuals: &ActualRuns,
-    counts: &[usize],
-) -> BTreeMap<usize, f64> {
-    error_by_count(&sparklens_curves(data), actuals, counts)
-}
-
-/// Fitted-PPM curves helper kept public for the selection experiments.
-pub fn fitted_curves(
-    data: &TrainingData,
-    kind: PpmKind,
-    counts: &[usize],
-) -> BTreeMap<String, Vec<(usize, f64)>> {
-    fitted_ppm_curves(data, kind, counts)
 }

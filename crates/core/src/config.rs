@@ -4,7 +4,6 @@ use ae_engine::cluster::ClusterConfig;
 use ae_engine::scheduler::RunConfig;
 use ae_ml::forest::RandomForestConfig;
 use ae_ppm::model::PpmKind;
-use ae_ppm::risk::PreemptionRisk;
 use ae_ppm::selection::SelectionObjective;
 use ae_workload::BuiltinFamily;
 use serde::{Deserialize, Serialize};
@@ -41,11 +40,6 @@ pub struct AutoExecutorConfig {
     pub cluster: ClusterConfig,
     /// Per-run simulation settings used while collecting training data.
     pub training_run: RunConfig,
-    /// Optional preemption-risk model: when set, predicted curves are
-    /// adjusted to expected runtime under revocation before selection, so
-    /// the chosen `n` prices its exposure to spot preemption. `None` (the
-    /// default) keeps selection bit-identical to the risk-unaware rule.
-    pub preemption_risk: Option<PreemptionRisk>,
 }
 
 impl Default for AutoExecutorConfig {
@@ -65,17 +59,11 @@ impl Default for AutoExecutorConfig {
                 capture_task_log: true,
                 ..RunConfig::default()
             },
-            preemption_risk: None,
         }
     }
 }
 
 impl AutoExecutorConfig {
-    /// The paper's default configuration with the AE_PL model.
-    pub fn paper_power_law() -> Self {
-        Self::default()
-    }
-
     /// The paper's configuration with the AE_AL (Amdahl) model.
     pub fn paper_amdahl() -> Self {
         Self {
@@ -116,12 +104,6 @@ impl AutoExecutorConfig {
     /// Sets the default workload family (cross-family experiments).
     pub fn with_workload_family(mut self, family: BuiltinFamily) -> Self {
         self.workload_family = family;
-        self
-    }
-
-    /// Sets the preemption-risk model applied before selection.
-    pub fn with_preemption_risk(mut self, risk: PreemptionRisk) -> Self {
-        self.preemption_risk = Some(risk);
         self
     }
 }

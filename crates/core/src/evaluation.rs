@@ -10,7 +10,7 @@ use ae_engine::scheduler::{RunConfig, SimScratch, Simulator};
 use ae_ml::matrix::FeatureMatrix;
 use ae_ml::metrics::{iqr_filtered_mean, mean_and_std, total_absolute_error_ratio};
 use ae_ppm::curve::PerfCurve;
-use ae_ppm::model::{Ppm, PpmKind};
+use ae_ppm::model::Ppm;
 use ae_ppm::selection::{elbow_point, slowdown_config};
 use ae_workload::QueryInstance;
 use rayon::prelude::*;
@@ -370,30 +370,12 @@ pub fn cross_validate(
     })
 }
 
-/// Per-query curve maps derived from collected training data: the Sparklens
-/// estimate series ("S") and the fitted-PPM series, both evaluated at the
-/// training counts.
+/// Per-query Sparklens estimate series ("S") from collected training data,
+/// evaluated at the training counts.
 pub fn sparklens_curves(data: &TrainingData) -> BTreeMap<String, Vec<(usize, f64)>> {
     data.examples
         .iter()
         .map(|e| (e.name.clone(), e.sparklens_curve.clone()))
-        .collect()
-}
-
-/// Curves of the PPM fitted directly to the Sparklens estimates (the "fit"
-/// rather than "prediction" view, Figure 4).
-pub fn fitted_ppm_curves(
-    data: &TrainingData,
-    kind: PpmKind,
-    counts: &[usize],
-) -> BTreeMap<String, Vec<(usize, f64)>> {
-    data.examples
-        .iter()
-        .enumerate()
-        .map(|(idx, e)| {
-            let ppm = data.fitted_ppm(idx, kind);
-            (e.name.clone(), ppm.predict_curve(counts))
-        })
         .collect()
 }
 

@@ -169,10 +169,6 @@ pub struct AutoExecutorRule {
     model_name: String,
     objective: SelectionObjective,
     candidate_counts: Vec<usize>,
-    /// Optional preemption-risk model applied to predicted curves before
-    /// selection (`None` keeps the rule bit-identical to the risk-unaware
-    /// path).
-    preemption_risk: Option<ae_ppm::risk::PreemptionRisk>,
     /// `(registry handle, decoded model)`: the handle pins which registry
     /// version the decoded model came from, so a re-registration (an
     /// RCU-style `Arc` swap in the registry) is detected by pointer
@@ -204,32 +200,22 @@ impl AutoExecutorRule {
             model_name: model_name.into(),
             objective,
             candidate_counts,
-            preemption_risk: None,
             cached_model: Mutex::new(None),
         }
     }
 
-    /// Creates the rule from an [`AutoExecutorConfig`] (including its
-    /// optional preemption-risk model).
+    /// Creates the rule from an [`AutoExecutorConfig`].
     pub fn from_config(
         registry: Arc<ModelRegistry>,
         model_name: impl Into<String>,
         config: &AutoExecutorConfig,
     ) -> Self {
-        let mut rule = Self::new(
+        Self::new(
             registry,
             model_name,
             config.objective,
             config.candidate_counts(),
-        );
-        rule.preemption_risk = config.preemption_risk;
-        rule
-    }
-
-    /// Sets the preemption-risk model applied before selection.
-    pub fn with_preemption_risk(mut self, risk: ae_ppm::risk::PreemptionRisk) -> Self {
-        self.preemption_risk = Some(risk);
-        self
+        )
     }
 
     /// Whether the parameter model is already cached in-process.
@@ -286,13 +272,8 @@ impl OptimizerRule for AutoExecutorRule {
 
         // Steps 3–5: prediction, selection, resource request — the shared
         // scoring path, also driven (batched) by the `ae-serve` runtime.
-        let scored = scoring::score_features_with_risk(
-            &model,
-            &features,
-            self.objective,
-            &self.candidate_counts,
-            self.preemption_risk.as_ref(),
-        )?;
+        let scored =
+            scoring::score_features(&model, &features, self.objective, &self.candidate_counts)?;
         ctx.resource_request = Some(scored.request);
         ctx.rule_timings = Some(RuleTimings {
             model_load,

@@ -9,11 +9,15 @@
 //! [`ResourceRequest`]s to the sequential rule") a structural property
 //! rather than a test-enforced coincidence.
 //!
-//! Two entry points:
+//! Entry points:
 //!
 //! * [`score_features`] — one query: predict the PPM, evaluate the candidate
 //!   curve, select an executor count. Returns per-step timings for the
 //!   Section 5.6 overhead accounting.
+//! * [`score_features_with_risk`] — the same with a preemption-risk model
+//!   applied to the curve before selection; the fault benchmark
+//!   (`bench_faults`) measures risk-aware selection through it. Neither
+//!   the optimizer rule nor the serving runtime applies a risk model.
 //! * [`score_feature_batch`] — a micro-batch of queries laid out in one
 //!   [`FeatureMatrix`]: batched forest inference
 //!   ([`ParameterModel::predict_ppm_batch`], the compiled kernel
@@ -36,16 +40,6 @@ use ae_ppm::selection::SelectionObjective;
 use crate::optimizer::ResourceRequest;
 use crate::training::ParameterModel;
 use crate::{AutoExecutorError, Result};
-
-/// Applies the optional preemption-risk adjustment to a predicted curve.
-/// `None` (and inactive models) return the curve unchanged, preserving the
-/// bit-identity of the risk-unaware path.
-fn apply_risk(curve: Vec<(usize, f64)>, risk: Option<&PreemptionRisk>) -> Vec<(usize, f64)> {
-    match risk {
-        Some(model) if model.is_active() => model.adjust_samples(&curve),
-        _ => curve,
-    }
-}
 
 /// A scored query plus the per-step latencies of producing it.
 #[derive(Debug, Clone)]
@@ -86,7 +80,11 @@ pub fn score_features_with_risk(
     let inference = infer_start.elapsed();
 
     let select_start = Instant::now();
-    let curve = apply_risk(ppm.predict_curve(candidate_counts), risk);
+    let curve = ppm.predict_curve(candidate_counts);
+    let curve = match risk {
+        Some(risk) if risk.is_active() => risk.adjust_samples(&curve),
+        _ => curve,
+    };
     let executors = objective
         .select(&curve)
         .ok_or_else(|| AutoExecutorError::InvalidModel("empty candidate range".into()))?;
@@ -111,22 +109,10 @@ pub fn score_feature_batch(
     objective: SelectionObjective,
     candidate_counts: &[usize],
 ) -> Result<Vec<ResourceRequest>> {
-    score_feature_batch_with_risk(model, features, objective, candidate_counts, None)
-}
-
-/// Like [`score_feature_batch`], but with the optional preemption-risk
-/// adjustment of [`score_features_with_risk`] applied to every row.
-pub fn score_feature_batch_with_risk(
-    model: &ParameterModel,
-    features: &FeatureMatrix,
-    objective: SelectionObjective,
-    candidate_counts: &[usize],
-    risk: Option<&PreemptionRisk>,
-) -> Result<Vec<ResourceRequest>> {
     let ppms = model.predict_ppm_batch(features)?;
     let curves: Vec<Vec<(usize, f64)>> = ppms
         .iter()
-        .map(|ppm| apply_risk(ppm.predict_curve(candidate_counts), risk))
+        .map(|ppm| ppm.predict_curve(candidate_counts))
         .collect();
     let selected = objective.select_batch(&curves);
     ppms.into_iter()
@@ -258,30 +244,6 @@ mod tests {
             .zip(&plain.request.predicted_curve)
         {
             assert!(adj >= base, "E({n})={adj} must dominate t({n})={base}");
-        }
-    }
-
-    #[test]
-    fn batch_risk_matches_single_risk() {
-        let (model, config, plans) = trained_fixture();
-        let counts = config.candidate_counts();
-        let risk = PreemptionRisk::new(0.1, 30.0);
-        let mut matrix = FeatureMatrix::new(crate::features::full_feature_names().len());
-        let mut singles = Vec::new();
-        for plan in &plans {
-            let features = featurize_plan(plan);
-            singles.push(
-                score_features_with_risk(&model, &features, config.objective, &counts, Some(&risk))
-                    .unwrap()
-                    .request,
-            );
-            matrix.push_row(&features).unwrap();
-        }
-        let batched =
-            score_feature_batch_with_risk(&model, &matrix, config.objective, &counts, Some(&risk))
-                .unwrap();
-        for (single, batch) in singles.iter().zip(&batched) {
-            assert_eq!(single.executors, batch.executors);
         }
     }
 

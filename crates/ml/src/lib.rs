@@ -47,7 +47,7 @@ pub use compiled::CompiledForest;
 pub use dataset::{Dataset, FoldSplit, KFold, RepeatedKFold};
 pub use forest::{RandomForestConfig, RandomForestRegressor};
 pub use importance::{permutation_importance, ImportanceReport};
-pub use linreg::{LinearRegression, SimpleLinearFit};
+pub use linreg::SimpleLinearFit;
 pub use matrix::FeatureMatrix;
 pub use portable::PortableModel;
 pub use tree::{DecisionTreeConfig, DecisionTreeRegressor};

@@ -1,13 +1,7 @@
-//! Ordinary-least-squares linear regression.
-//!
-//! Two flavours are provided:
-//!
-//! * [`SimpleLinearFit`] — one-dimensional `y = intercept + slope·x`, used by
-//!   the PPM fitting procedures of Section 3.4 (log-space fit for the power
-//!   law, `1/n`-space fit for Amdahl's law).
-//! * [`LinearRegression`] — multi-feature OLS via normal equations with
-//!   Gaussian elimination and a small ridge fallback for near-singular
-//!   systems. Used as a cheap baseline parameter model in tests and benches.
+//! Ordinary-least-squares linear regression: [`SimpleLinearFit`], the
+//! one-dimensional `y = intercept + slope·x` fit used by the PPM fitting
+//! procedures of Section 3.4 (log-space fit for the power law, `1/n`-space
+//! fit for Amdahl's law).
 
 use serde::{Deserialize, Serialize};
 
@@ -70,144 +64,6 @@ impl SimpleLinearFit {
     }
 }
 
-/// Multi-feature ordinary least squares with an intercept column.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct LinearRegression {
-    coefficients: Vec<f64>,
-    intercept: f64,
-    fitted: bool,
-}
-
-impl LinearRegression {
-    /// Creates an unfitted model.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fitted coefficients (one per feature), empty before fitting.
-    pub fn coefficients(&self) -> &[f64] {
-        &self.coefficients
-    }
-
-    /// Fitted intercept.
-    pub fn intercept(&self) -> f64 {
-        self.intercept
-    }
-
-    /// Fits the model on `rows` (each a feature vector) against scalar `ys`.
-    pub fn fit(&mut self, rows: &[Vec<f64>], ys: &[f64]) -> Result<()> {
-        if rows.is_empty() || ys.is_empty() {
-            return Err(MlError::EmptyDataset);
-        }
-        if rows.len() != ys.len() {
-            return Err(MlError::ShapeMismatch {
-                detail: format!("{} rows but {} targets", rows.len(), ys.len()),
-            });
-        }
-        let d = rows[0].len();
-        if rows.iter().any(|r| r.len() != d) {
-            return Err(MlError::ShapeMismatch {
-                detail: "ragged feature rows".into(),
-            });
-        }
-        // Build the (d+1)x(d+1) normal-equation system including an intercept.
-        let dim = d + 1;
-        let mut xtx = vec![vec![0.0f64; dim]; dim];
-        let mut xty = vec![0.0f64; dim];
-        for (row, &y) in rows.iter().zip(ys) {
-            let mut aug = Vec::with_capacity(dim);
-            aug.push(1.0);
-            aug.extend_from_slice(row);
-            for i in 0..dim {
-                xty[i] += aug[i] * y;
-                for j in 0..dim {
-                    xtx[i][j] += aug[i] * aug[j];
-                }
-            }
-        }
-        // Small ridge term keeps near-singular systems solvable; it is far
-        // below the scale of any real feature in this workspace.
-        let solution = match solve_gaussian(xtx.clone(), xty.clone()) {
-            Ok(sol) => sol,
-            Err(_) => {
-                for (i, row) in xtx.iter_mut().enumerate() {
-                    row[i] += 1e-8;
-                }
-                solve_gaussian(xtx, xty)?
-            }
-        };
-        self.intercept = solution[0];
-        self.coefficients = solution[1..].to_vec();
-        self.fitted = true;
-        Ok(())
-    }
-
-    /// Predicts the target for one feature row.
-    pub fn predict(&self, row: &[f64]) -> Result<f64> {
-        if !self.fitted {
-            return Err(MlError::NotFitted);
-        }
-        if row.len() != self.coefficients.len() {
-            return Err(MlError::ShapeMismatch {
-                detail: format!(
-                    "row has {} features, model has {}",
-                    row.len(),
-                    self.coefficients.len()
-                ),
-            });
-        }
-        Ok(self.intercept
-            + self
-                .coefficients
-                .iter()
-                .zip(row)
-                .map(|(c, x)| c * x)
-                .sum::<f64>())
-    }
-}
-
-/// Solves `A·x = b` by Gaussian elimination with partial pivoting.
-fn solve_gaussian(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Result<Vec<f64>> {
-    let n = b.len();
-    for col in 0..n {
-        // Partial pivot.
-        let mut pivot = col;
-        for row in col + 1..n {
-            if a[row][col].abs() > a[pivot][col].abs() {
-                pivot = row;
-            }
-        }
-        if a[pivot][col].abs() < 1e-12 {
-            return Err(MlError::Numerical("singular normal-equation system".into()));
-        }
-        a.swap(col, pivot);
-        b.swap(col, pivot);
-        // Eliminate below, working from a copy of the pivot row so the
-        // mutable row update does not alias it.
-        let pivot_row = a[col].clone();
-        for row in col + 1..n {
-            let factor = a[row][col] / pivot_row[col];
-            for (cell, pivot_cell) in a[row].iter_mut().zip(&pivot_row).skip(col) {
-                *cell -= factor * pivot_cell;
-            }
-            b[row] -= factor * b[col];
-        }
-    }
-    // Back substitution.
-    let mut x = vec![0.0; n];
-    for col in (0..n).rev() {
-        let mut sum = b[col];
-        for (k, xk) in x.iter().enumerate().take(n).skip(col + 1) {
-            sum -= a[col][k] * xk;
-        }
-        x[col] = sum / a[col][col];
-        if !x[col].is_finite() {
-            return Err(MlError::Numerical("non-finite OLS solution".into()));
-        }
-    }
-    Ok(x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,44 +95,5 @@ mod tests {
     fn simple_fit_rejects_mismatched_lengths() {
         assert!(SimpleLinearFit::fit(&[1.0], &[1.0, 2.0]).is_err());
         assert!(SimpleLinearFit::fit(&[], &[]).is_err());
-    }
-
-    #[test]
-    fn multivariate_ols_recovers_plane() {
-        let rows: Vec<Vec<f64>> = (0..20)
-            .map(|i| vec![i as f64, (i * i) as f64 % 7.0])
-            .collect();
-        let ys: Vec<f64> = rows.iter().map(|r| 1.5 + 2.0 * r[0] - 0.5 * r[1]).collect();
-        let mut lr = LinearRegression::new();
-        lr.fit(&rows, &ys).unwrap();
-        assert!((lr.intercept() - 1.5).abs() < 1e-6);
-        assert!((lr.coefficients()[0] - 2.0).abs() < 1e-6);
-        assert!((lr.coefficients()[1] + 0.5).abs() < 1e-6);
-        let p = lr.predict(&[3.0, 2.0]).unwrap();
-        assert!((p - (1.5 + 6.0 - 1.0)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn ols_handles_collinear_features_via_ridge_fallback() {
-        // Second feature is an exact copy of the first — singular without ridge.
-        let rows: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64, i as f64]).collect();
-        let ys: Vec<f64> = rows.iter().map(|r| 4.0 * r[0]).collect();
-        let mut lr = LinearRegression::new();
-        lr.fit(&rows, &ys).unwrap();
-        let p = lr.predict(&[5.0, 5.0]).unwrap();
-        assert!((p - 20.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn predict_before_fit_errors() {
-        let lr = LinearRegression::new();
-        assert!(matches!(lr.predict(&[1.0]), Err(MlError::NotFitted)));
-    }
-
-    #[test]
-    fn predict_validates_width() {
-        let mut lr = LinearRegression::new();
-        lr.fit(&[vec![1.0], vec![2.0]], &[1.0, 2.0]).unwrap();
-        assert!(lr.predict(&[1.0, 2.0]).is_err());
     }
 }

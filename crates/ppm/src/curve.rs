@@ -95,14 +95,6 @@ impl PerfCurve {
         }
         self.evaluate(n) / min
     }
-
-    /// The expected-runtime-under-preemption view of this curve: every
-    /// point `(n, t)` becomes `(n, t / (1 − λ·n·R))` under the given risk
-    /// model (see [`crate::risk::PreemptionRisk`]). An inactive risk model
-    /// returns the curve unchanged.
-    pub fn under_preemption(&self, risk: &crate::risk::PreemptionRisk) -> PerfCurve {
-        risk.adjust_curve(self)
-    }
 }
 
 #[cfg(test)]

@@ -25,11 +25,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::curve::PerfCurve;
-
 /// Expected-runtime-under-preemption model: a revocation rate and the
-/// expected per-revocation recovery cost. `Copy`, so it can ride along in
-/// configuration structs.
+/// expected per-revocation recovery cost.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PreemptionRisk {
     /// Revocation rate per executor-minute (matching the engine's
@@ -92,25 +89,6 @@ impl PreemptionRisk {
             .map(|&(n, t)| (n, self.adjust(n, t)))
             .collect()
     }
-
-    /// Applies the adjustment to a [`PerfCurve`], re-sampling each stored
-    /// point. Fractional point positions are rounded to the nearest count
-    /// for the exposure term (curves built from integer samples, the only
-    /// kind the pipeline produces, are unaffected by the rounding).
-    pub fn adjust_curve(&self, curve: &PerfCurve) -> PerfCurve {
-        if !self.is_active() {
-            return curve.clone();
-        }
-        let samples: Vec<(usize, f64)> = curve
-            .points()
-            .iter()
-            .map(|&(n, t)| {
-                let count = n.round().max(0.0) as usize;
-                (count, self.adjust(count, t))
-            })
-            .collect();
-        PerfCurve::from_samples(&samples)
-    }
 }
 
 impl Default for PreemptionRisk {
@@ -152,23 +130,6 @@ mod tests {
         let risk = PreemptionRisk::new(1.0, 60.0);
         assert!(risk.hazard(60) >= 1.0);
         assert!(risk.adjust(60, 100.0).is_infinite());
-    }
-
-    #[test]
-    fn adjust_curve_reshapes_minimum() {
-        // Fault-free the curve keeps improving to n=48; with risk, the big
-        // configuration pays so much expected recovery that a smaller n
-        // wins.
-        let curve = PerfCurve::from_samples(&[(1, 500.0), (8, 140.0), (48, 100.0)]);
-        let risk = PreemptionRisk::new(0.02, 30.0);
-        let adjusted = risk.adjust_curve(&curve);
-        let t8 = adjusted.evaluate(8.0);
-        let t48 = adjusted.evaluate(48.0);
-        assert!(t8.is_finite() && t48.is_finite());
-        assert!(
-            t8 < t48,
-            "risk should flip the ordering: E(8)={t8} E(48)={t48}"
-        );
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Degraded-mode serving: a scoring watchdog and circuit breaker with a
-//! heuristic fallback sizing rule.
+//! Degraded-mode serving: a circuit breaker with a heuristic fallback
+//! sizing rule.
 //!
 //! The serving path depends on a registered, decodable model. When that
-//! dependency fails — the model is missing, corrupt, or scoring blows its
-//! latency budget — a naive runtime turns every request into an error and
-//! pushes the outage onto every client at once. The breaker here converts
+//! dependency fails — the model is missing or corrupt — a naive runtime
+//! turns every request into an error and pushes the outage onto every
+//! client at once. The breaker here converts
 //! that failure mode into *degraded service*: requests are still answered,
 //! but by a cheap heuristic sizing rule built from the plan's own feature
 //! tail, and the outcome is marked [`degraded`](crate::ScoreOutcome::degraded)
@@ -20,11 +20,6 @@
 //!   as a *probe*; concurrent requests keep taking the fallback. A probe
 //!   success closes the breaker, a probe failure re-opens it for another
 //!   cooldown.
-//!
-//! The optional [`BreakerConfig::scoring_budget`] is the watchdog: a model
-//! scoring call that takes longer than the budget *counts as a failure*
-//! (the answer, being correct, is still returned — only sustained
-//! slowness trips the breaker and moves traffic to the fallback).
 //!
 //! Breakers are disabled by default
 //! ([`RuntimeConfig::breaker`](crate::RuntimeConfig::breaker) is `None`),
@@ -50,10 +45,6 @@ pub struct BreakerConfig {
     /// How long the breaker stays open before letting a half-open probe
     /// through.
     pub cooldown: Duration,
-    /// Optional watchdog budget for one model scoring call (single or
-    /// batch): calls exceeding it count as breaker failures even though
-    /// their results are still used.
-    pub scoring_budget: Option<Duration>,
 }
 
 impl Default for BreakerConfig {
@@ -61,7 +52,6 @@ impl Default for BreakerConfig {
         Self {
             failure_threshold: 3,
             cooldown: Duration::from_millis(250),
-            scoring_budget: None,
         }
     }
 }
@@ -76,12 +66,6 @@ impl BreakerConfig {
     /// Overrides the open-state cooldown.
     pub fn with_cooldown(mut self, cooldown: Duration) -> Self {
         self.cooldown = cooldown;
-        self
-    }
-
-    /// Sets the scoring watchdog budget.
-    pub fn with_scoring_budget(mut self, budget: Duration) -> Self {
-        self.scoring_budget = Some(budget);
         self
     }
 }
@@ -133,8 +117,8 @@ impl Breaker {
         }
     }
 
-    /// A model-path call succeeded (within budget): the breaker closes and
-    /// the failure count resets. Returns `true` when this success
+    /// A model-path call succeeded: the breaker closes and the failure
+    /// count resets. Returns `true` when this success
     /// *recovered* the breaker — it was not already closed (a half-open
     /// probe succeeded, or a success raced a trip) — so callers can emit
     /// a recovery event exactly once per outage.
@@ -148,9 +132,9 @@ impl Breaker {
         recovered
     }
 
-    /// A model-path call failed (or blew the watchdog budget). Returns
-    /// `true` when this failure *trips* the breaker open — either the
-    /// closed-state threshold was reached or a half-open probe failed.
+    /// A model-path call failed. Returns `true` when this failure *trips*
+    /// the breaker open — either the closed-state threshold was reached or
+    /// a half-open probe failed.
     pub(crate) fn record_failure(&self, now: Instant) -> bool {
         let mut state = self
             .state
@@ -193,13 +177,6 @@ impl Breaker {
             State::Open { until } => now < until,
             State::Closed { .. } | State::HalfOpen => false,
         }
-    }
-
-    /// True when `elapsed` exceeds the configured scoring budget.
-    pub(crate) fn over_budget(&self, elapsed: Duration) -> bool {
-        self.config
-            .scoring_budget
-            .is_some_and(|budget| elapsed > budget)
     }
 }
 
@@ -332,16 +309,6 @@ mod tests {
             breaker.allow_model(after),
             "health check consumed the probe"
         );
-    }
-
-    #[test]
-    fn watchdog_budget_detection() {
-        let no_budget = Breaker::new(BreakerConfig::default());
-        assert!(!no_budget.over_budget(Duration::from_secs(3600)));
-        let tight =
-            Breaker::new(BreakerConfig::default().with_scoring_budget(Duration::from_millis(5)));
-        assert!(!tight.over_budget(Duration::from_millis(5)));
-        assert!(tight.over_budget(Duration::from_millis(6)));
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Configuration of the scoring runtime.
+//!
+//! Batching has no timing setting: a worker wakes on the first queued
+//! request and drains whatever is queued, up to `max_batch`, in the QoS
+//! drain order. Batches form only when requests arrive faster than a
+//! worker scores them.
 
-use std::time::Duration;
-
-use ae_ppm::risk::PreemptionRisk;
 use ae_ppm::selection::SelectionObjective;
 use autoexecutor::config::AutoExecutorConfig;
 
@@ -16,12 +18,9 @@ pub struct RuntimeConfig {
     /// Number of batching worker threads. `0` is allowed (requests queue
     /// until shutdown — only useful for tests exercising backpressure).
     pub workers: usize,
-    /// Maximum requests scored per forest call.
+    /// Maximum requests scored per forest call. A woken worker drains
+    /// `min(queued, max_batch)` requests at once; it never waits for more.
     pub max_batch: usize,
-    /// After the first request of a batch arrives, how long a worker tops
-    /// the batch up before scoring. `Duration::ZERO` drains whatever is
-    /// queued immediately (pure FIFO micro-batching).
-    pub batch_window: Duration,
     /// Bound on the admission queue. Blocking submitters wait when it is
     /// full ([`crate::ScoringRuntime::submit`]); non-blocking submitters
     /// are rejected with [`crate::ServeError::Saturated`]
@@ -39,20 +38,15 @@ pub struct RuntimeConfig {
     pub objective: SelectionObjective,
     /// Candidate executor counts evaluated per query.
     pub candidate_counts: Vec<usize>,
-    /// Service-level semantics: per-level deadline budgets, drain weights,
-    /// pricing targets, and the optional per-tenant fairness policy.
+    /// Service-level semantics: per-level deadline budgets, pricing
+    /// targets, and the optional per-tenant fairness policy.
     pub qos: QosConfig,
     /// Optional circuit breaker for degraded-mode serving: on repeated
-    /// model failures (or scoring-budget breaches) the runtime falls back
-    /// to a heuristic sizing rule instead of erroring every request, then
-    /// probes its way back (see [`crate::breaker`]). `None` (the default)
-    /// disables the breaker — model errors surface to callers unchanged.
+    /// model failures the runtime falls back to a heuristic sizing rule
+    /// instead of erroring every request, then probes its way back (see
+    /// [`crate::breaker`]). `None` (the default) disables the breaker —
+    /// model errors surface to callers unchanged.
     pub breaker: Option<BreakerConfig>,
-    /// Optional preemption-risk model applied before selection (the same
-    /// adjustment as [`autoexecutor::config::AutoExecutorConfig::preemption_risk`]):
-    /// predicted curves become expected runtime under revocation. `None`
-    /// keeps scoring bit-identical to the risk-unaware path.
-    pub preemption_risk: Option<PreemptionRisk>,
     /// Optional observability (see [`crate::obs`]): a metrics registry to
     /// publish counters/latency histograms into plus a bounded typed
     /// event sink. `None` (the default) makes every instrumentation site
@@ -63,34 +57,31 @@ pub struct RuntimeConfig {
 
 impl RuntimeConfig {
     /// Concurrent serving defaults derived from a pipeline configuration:
-    /// one worker per available core (at most 8), batches of up to 32, a
-    /// 100 µs batch window, and a 1024-deep admission queue.
+    /// one worker per available core (at most 8), batches of up to 32, and
+    /// a 1024-deep admission queue.
     pub fn from_auto_executor(config: &AutoExecutorConfig) -> Self {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         Self {
             workers: cores.clamp(1, 8),
             max_batch: 32,
-            batch_window: Duration::from_micros(100),
             queue_capacity: 1024,
             inline_max_in_flight: (2 * cores).max(6),
             objective: config.objective,
             candidate_counts: config.candidate_counts(),
             qos: QosConfig::default(),
             breaker: None,
-            preemption_risk: config.preemption_risk,
             observability: None,
         }
     }
 
     /// Deterministic mode: a single worker draining the queue strictly FIFO
-    /// with no batch window and no inline shortcut. Output is bit-identical
+    /// with no inline shortcut. Output is bit-identical
     /// to the sequential `AutoExecutorRule` (pinned by the regression test),
     /// and side effects (stats, completion order) are reproducible.
     pub fn deterministic(config: &AutoExecutorConfig) -> Self {
         Self {
             workers: 1,
             max_batch: 32,
-            batch_window: Duration::ZERO,
             queue_capacity: 1024,
             inline_max_in_flight: 0,
             objective: config.objective,
@@ -101,7 +92,6 @@ impl RuntimeConfig {
             // No breaker: degraded-mode fallback would make outcomes depend
             // on model availability and timing.
             breaker: None,
-            preemption_risk: config.preemption_risk,
             // Observability stays opt-in even here: it never changes
             // outcomes, only records them.
             observability: None,
@@ -120,12 +110,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Overrides the batch window.
-    pub fn with_batch_window(mut self, window: Duration) -> Self {
-        self.batch_window = window;
-        self
-    }
-
     /// Overrides the admission-queue capacity (clamped to at least 1).
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity.max(1);
@@ -139,8 +123,8 @@ impl RuntimeConfig {
         self
     }
 
-    /// Overrides the QoS configuration (service-level budgets, drain
-    /// weights, pricing targets, tenant fairness).
+    /// Overrides the QoS configuration (service-level budgets, pricing
+    /// targets, tenant fairness).
     pub fn with_qos(mut self, qos: QosConfig) -> Self {
         self.qos = qos;
         self
@@ -149,12 +133,6 @@ impl RuntimeConfig {
     /// Enables the degraded-mode circuit breaker.
     pub fn with_breaker(mut self, breaker: BreakerConfig) -> Self {
         self.breaker = Some(breaker);
-        self
-    }
-
-    /// Sets the preemption-risk model applied before selection.
-    pub fn with_preemption_risk(mut self, risk: PreemptionRisk) -> Self {
-        self.preemption_risk = Some(risk);
         self
     }
 
@@ -193,7 +171,6 @@ mod tests {
         let cfg = AutoExecutorConfig::default();
         let rt = RuntimeConfig::deterministic(&cfg);
         assert_eq!(rt.workers, 1);
-        assert_eq!(rt.batch_window, Duration::ZERO);
         assert_eq!(rt.inline_max_in_flight, 0);
     }
 
@@ -204,7 +181,6 @@ mod tests {
             .with_workers(3)
             .with_max_batch(0)
             .with_queue_capacity(0)
-            .with_batch_window(Duration::from_millis(1))
             .with_inline_max_in_flight(4);
         assert_eq!(rt.workers, 3);
         assert_eq!(rt.max_batch, 1);

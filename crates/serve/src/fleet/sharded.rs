@@ -60,17 +60,18 @@ use super::resilience::{
 use super::ring::HashRing;
 use super::stats::FleetStats;
 use crate::config::RuntimeConfig;
+use crate::obs::EVENT_CAPACITY;
 use crate::qos::{QueuedRequest, ServiceLevel};
 use crate::runtime::{lock, ScoreOutcome, ScoreRequest, ScoreTicket, ScoringRuntime};
 use crate::{Result, ServeError};
 
-/// Default virtual nodes per shard: enough that per-shard load shares
+/// Virtual nodes per shard: enough that per-shard load shares
 /// concentrate near `1/N` for the fleet sizes the bench drives (≤ 8).
-const DEFAULT_VNODES_PER_SHARD: usize = 128;
+const VNODES_PER_SHARD: usize = 128;
 
-/// Default ring seed. Fixed so that two fleets built from the same config
-/// route identically without the caller threading a seed through.
-const DEFAULT_RING_SEED: u64 = 0x0AE5_E11F_1EE7;
+/// Ring seed. Fixed so that every fleet of the same shard count routes
+/// identically.
+const RING_SEED: u64 = 0x0AE5_E11F_1EE7;
 
 /// Idle-backoff floor for the steal coordinator: a zero configured
 /// interval still doubles from here instead of spinning.
@@ -140,20 +141,15 @@ fn next_backoff(current: Duration, base: Duration) -> Duration {
     (current.max(STEAL_BACKOFF_FLOOR) * 2).min(cap)
 }
 
-/// Configuration of a [`ShardedRuntime`]: how many shards, how they are
-/// keyed onto the ring, whether (and how aggressively) to steal, the
-/// health/failover policy, the chaos plan, and the per-shard
-/// [`RuntimeConfig`] template.
+/// Configuration of a [`ShardedRuntime`]: how many shards, whether (and
+/// how aggressively) to steal, the health/failover policy, the chaos plan,
+/// and the per-shard [`RuntimeConfig`] template. The ring layout is fixed
+/// (128 vnodes per shard, one seed), so two fleets with the same shard
+/// count route every tenant identically.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Number of shard-local runtimes (clamped to `1..=u16::MAX`).
     pub shards: usize,
-    /// Virtual nodes per shard on the consistent-hash ring.
-    pub vnodes_per_shard: usize,
-    /// Seed of the vnode ring. Two fleets with equal
-    /// `(ring_seed, vnodes_per_shard, shards)` route every tenant
-    /// identically.
-    pub ring_seed: u64,
     /// Cross-shard work stealing; `None` disables it (required for the
     /// deterministic-mode contract — migration timing is load-dependent).
     pub steal: Option<StealPolicy>,
@@ -172,13 +168,11 @@ pub struct FleetConfig {
 
 impl FleetConfig {
     /// A fleet of `shards` runtimes built from the given per-shard
-    /// template, with default ring layout, default work stealing, no
-    /// health policy, and no fault plan.
+    /// template, with default work stealing, no health policy, and no
+    /// fault plan.
     pub fn new(shards: usize, runtime: RuntimeConfig) -> Self {
         Self {
             shards,
-            vnodes_per_shard: DEFAULT_VNODES_PER_SHARD,
-            ring_seed: DEFAULT_RING_SEED,
             steal: Some(StealPolicy::default()),
             health: None,
             fault_plan: FleetFaultPlan::none(),
@@ -202,25 +196,11 @@ impl FleetConfig {
     pub fn deterministic(shards: usize, config: &AutoExecutorConfig) -> Self {
         Self {
             shards,
-            vnodes_per_shard: DEFAULT_VNODES_PER_SHARD,
-            ring_seed: DEFAULT_RING_SEED,
             steal: None,
             health: None,
             fault_plan: FleetFaultPlan::none(),
             runtime: RuntimeConfig::deterministic(config),
         }
-    }
-
-    /// Overrides the vnode count per shard (clamped to at least 1).
-    pub fn with_vnodes_per_shard(mut self, vnodes: usize) -> Self {
-        self.vnodes_per_shard = vnodes.max(1);
-        self
-    }
-
-    /// Overrides the ring seed.
-    pub fn with_ring_seed(mut self, seed: u64) -> Self {
-        self.ring_seed = seed;
-        self
     }
 
     /// Enables stealing with the given policy.
@@ -249,15 +229,8 @@ impl FleetConfig {
         self
     }
 
-    /// Replaces the per-shard runtime template.
-    pub fn with_runtime(mut self, runtime: RuntimeConfig) -> Self {
-        self.runtime = runtime;
-        self
-    }
-
     fn sanitized(mut self) -> Self {
         self.shards = self.shards.clamp(1, u16::MAX as usize);
-        self.vnodes_per_shard = self.vnodes_per_shard.max(1);
         self.steal = self.steal.map(StealPolicy::sanitized);
         self.health = self.health.map(HealthPolicy::sanitized);
         self.fault_plan = self.fault_plan.sanitized();
@@ -273,8 +246,6 @@ struct FleetShared {
     /// [`HealthState::is_routable`]. Rebuilt (never mutated in place) on
     /// quarantine and recovery; with no health policy it never changes.
     ring: RwLock<HashRing>,
-    ring_seed: u64,
-    vnodes_per_shard: usize,
     /// Per-shard [`HealthState`] words (written only by the monitor).
     health: Vec<AtomicU8>,
     /// The sanitized health policy, when monitoring is enabled.
@@ -336,7 +307,7 @@ impl FleetShared {
             .into_iter()
             .map(|shard| shard as u16)
             .collect();
-        let ring = HashRing::with_shard_ids(self.ring_seed, self.vnodes_per_shard, &members);
+        let ring = HashRing::with_shard_ids(RING_SEED, VNODES_PER_SHARD, &members);
         *self.ring.write() = ring;
     }
 
@@ -786,7 +757,7 @@ impl std::fmt::Debug for ShardedRuntime {
 
 impl ShardedRuntime {
     /// Builds the fleet: `config.shards` runtimes over one registry and
-    /// model name, a vnode ring keyed by `config.ring_seed`, and the
+    /// model name, the fixed-seed vnode ring, and the
     /// configured background threads — the steal coordinator (unless
     /// disabled), the health monitor (when a policy is set on a
     /// multi-shard fleet), and the chaos injector (when the fault plan is
@@ -826,13 +797,7 @@ impl ShardedRuntime {
                 )
             });
         let shared = Arc::new(FleetShared {
-            ring: RwLock::new(HashRing::new(
-                config.ring_seed,
-                config.vnodes_per_shard,
-                config.shards,
-            )),
-            ring_seed: config.ring_seed,
-            vnodes_per_shard: config.vnodes_per_shard,
+            ring: RwLock::new(HashRing::new(RING_SEED, VNODES_PER_SHARD, config.shards)),
             health: (0..config.shards)
                 .map(|_| AtomicU8::new(HealthState::Healthy as u8))
                 .collect(),
@@ -848,9 +813,7 @@ impl ShardedRuntime {
             retries_denied: AtomicU64::new(0),
             probe_counter: AtomicU64::new(0),
             probation_active: AtomicBool::new(false),
-            events: base_obs
-                .as_ref()
-                .map(|obs| EventSink::new(obs.event_capacity)),
+            events: base_obs.as_ref().map(|_| EventSink::new(EVENT_CAPACITY)),
             stop_background: AtomicBool::new(false),
             shutting_down: AtomicBool::new(false),
         });
@@ -1162,15 +1125,10 @@ mod tests {
     #[test]
     fn fleet_config_builders_and_clamps() {
         let cfg = AutoExecutorConfig::default();
-        let fleet = FleetConfig::from_auto_executor(0, &cfg)
-            .with_vnodes_per_shard(0)
-            .with_ring_seed(99)
-            .without_steal();
+        let fleet = FleetConfig::from_auto_executor(0, &cfg).without_steal();
         assert!(fleet.steal.is_none());
-        assert_eq!(fleet.ring_seed, 99);
         let fleet = fleet.sanitized();
         assert_eq!(fleet.shards, 1);
-        assert_eq!(fleet.vnodes_per_shard, 1);
         let det = FleetConfig::deterministic(4, &cfg);
         assert!(det.steal.is_none());
         assert!(det.health.is_none());

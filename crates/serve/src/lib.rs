@@ -8,8 +8,9 @@
 //!
 //! * **[`ScoringRuntime`]** accepts scoring requests from any number of
 //!   threads, places them on a bounded queue (backpressure), and has worker
-//!   threads drain the queue in **micro-batches**: whatever is queued — up
-//!   to `max_batch`, topped up for at most `batch_window` — is featurized
+//!   threads drain the queue in **micro-batches**: a worker wakes on the
+//!   first queued request and takes whatever is queued, up to `max_batch`,
+//!   without waiting for more; the batch is laid out
 //!   into one flat [`ae_ml::matrix::FeatureMatrix`] and pushed through the
 //!   batched forest/selection path
 //!   ([`autoexecutor::scoring::score_feature_batch`]).
@@ -24,7 +25,7 @@
 //!   identity, so re-registering a model (RCU-style swap) is picked up by
 //!   the next batch without ever blocking scoring.
 //! * In **deterministic mode** ([`RuntimeConfig::deterministic`]: one
-//!   worker, FIFO drain, no batch window, no inline shortcut) the runtime
+//!   worker, FIFO drain, no inline shortcut) the runtime
 //!   produces bit-identical [`autoexecutor::optimizer::ResourceRequest`]s
 //!   to the sequential `AutoExecutorRule`, because both funnel through the
 //!   same [`autoexecutor::scoring`] entry points. The regression test in

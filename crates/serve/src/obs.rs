@@ -29,35 +29,29 @@ use ae_obs::{EventSink, HistogramSnapshot, Ladder, MetricsRegistry, ShardedHisto
 
 use crate::qos::ServiceLevel;
 
+/// Capacity of every runtime's (and fleet's) bounded event sink: events
+/// beyond it evict the oldest per shard and are counted, never blocking
+/// the hot path.
+pub(crate) const EVENT_CAPACITY: usize = 65_536;
+
 /// Opt-in observability for a [`crate::ScoringRuntime`]: where metrics
-/// go and how much event history to keep.
+/// go and under which name.
 #[derive(Debug, Clone)]
 pub struct ObsConfig {
     /// The metric namespace this runtime registers its instruments in
     /// and publishes its stats through.
     pub registry: Arc<MetricsRegistry>,
-    /// Capacity of the bounded event sink (events beyond it evict the
-    /// oldest per shard and are counted, never blocking the hot path).
-    pub event_capacity: usize,
     /// Metric-name prefix; must be unique per runtime within `registry`.
     pub prefix: String,
 }
 
 impl ObsConfig {
-    /// Observability into `registry` with the default `"serve"` prefix
-    /// and room for 65 536 events.
+    /// Observability into `registry` with the default `"serve"` prefix.
     pub fn new(registry: Arc<MetricsRegistry>) -> Self {
         Self {
             registry,
-            event_capacity: 65_536,
             prefix: "serve".to_string(),
         }
-    }
-
-    /// Overrides the event-sink capacity (clamped to at least 1).
-    pub fn with_event_capacity(mut self, capacity: usize) -> Self {
-        self.event_capacity = capacity.max(1);
-        self
     }
 
     /// Overrides the metric-name prefix.
@@ -85,7 +79,7 @@ impl RuntimeObs {
             )
         });
         Self {
-            events: EventSink::new(cfg.event_capacity),
+            events: EventSink::new(EVENT_CAPACITY),
             latency,
         }
     }

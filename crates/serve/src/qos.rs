@@ -9,8 +9,10 @@
 //!   `BestEffort`), each with a completion-deadline budget, a weighted
 //!   share of the drain bandwidth, and a run-time target on the predicted
 //!   performance curve that its price is derived from.
-//! * [`QosConfig`] — the per-level budgets, drain weights, curve targets,
-//!   and the optional per-tenant fairness policy.
+//! * [`QosConfig`] — the per-level budgets, curve targets, and the
+//!   optional per-tenant fairness policy. The drain weights (8/4/1) and the
+//!   protected `BestEffort` floor (128) are constants of the drain policy,
+//!   not settings.
 //! * [`PriceQuote`] — the executor count, predicted run time, and
 //!   executor-seconds price implied by scoring a query at a level, computed
 //!   from the predicted [`PerfCurve`](ae_ppm::PerfCurve)-shaped curve via
@@ -98,23 +100,11 @@ pub struct QosConfig {
     /// request is still answered — a miss is an SLA violation, not a
     /// failure).
     pub deadline_budgets: [Duration; ServiceLevel::COUNT],
-    /// Weighted-round-robin drain weights: within one batch-formation
-    /// round, each level contributes up to its weight before the next round
-    /// starts, highest priority first. Zero weights are treated as 1.
-    pub drain_weights: [u32; ServiceLevel::COUNT],
     /// Run-time target per level as a slowdown factor over the curve's
     /// minimum time (`1.05` = "within 5 % of the fastest possible run").
     /// `f64::INFINITY` means "no run-time promise" — the level is priced at
     /// the curve's cheapest operating point.
     pub slowdown_targets: [f64; ServiceLevel::COUNT],
-    /// Protected `BestEffort` queue floor: shedding never shrinks the
-    /// queued `BestEffort` class below this many requests (clamped to an
-    /// eighth of the queue capacity, so small test queues shed freely).
-    /// The floor guarantees best-effort traffic keeps *flowing* under
-    /// sustained overload — admitted survivors drain at the WRR share
-    /// instead of the class being evicted to extinction; overflow beyond
-    /// the floor is shed, bounding best-effort queueing.
-    pub best_effort_floor: usize,
     /// Price of one executor-second, the unit [`PriceQuote::price`] is
     /// denominated in.
     pub unit_price: f64,
@@ -129,18 +119,12 @@ impl Default for QosConfig {
         deadline_budgets[ServiceLevel::Interactive.index()] = Duration::from_millis(10);
         deadline_budgets[ServiceLevel::Standard.index()] = Duration::from_millis(50);
         deadline_budgets[ServiceLevel::BestEffort.index()] = Duration::from_millis(250);
-        let mut drain_weights = [1u32; ServiceLevel::COUNT];
-        drain_weights[ServiceLevel::Interactive.index()] = 8;
-        drain_weights[ServiceLevel::Standard.index()] = 4;
-        drain_weights[ServiceLevel::BestEffort.index()] = 1;
         let mut slowdown_targets = [f64::INFINITY; ServiceLevel::COUNT];
         slowdown_targets[ServiceLevel::Interactive.index()] = 1.05;
         slowdown_targets[ServiceLevel::Standard.index()] = 1.15;
         Self {
             deadline_budgets,
-            drain_weights,
             slowdown_targets,
-            best_effort_floor: 128,
             unit_price: 1.0,
             fairness: None,
         }
@@ -156,18 +140,6 @@ impl QosConfig {
     /// Overrides one level's completion-deadline budget.
     pub fn with_deadline_budget(mut self, level: ServiceLevel, budget: Duration) -> Self {
         self.deadline_budgets[level.index()] = budget;
-        self
-    }
-
-    /// Overrides one level's drain weight.
-    pub fn with_drain_weight(mut self, level: ServiceLevel, weight: u32) -> Self {
-        self.drain_weights[level.index()] = weight;
-        self
-    }
-
-    /// Overrides the protected `BestEffort` queue floor.
-    pub fn with_best_effort_floor(mut self, floor: usize) -> Self {
-        self.best_effort_floor = floor;
         self
     }
 
@@ -312,13 +284,26 @@ const DRAIN_ORDER: [ServiceLevel; ServiceLevel::COUNT] = [
     ServiceLevel::BestEffort,
 ];
 
+/// Weighted-round-robin drain weights, indexed like [`DRAIN_ORDER`]:
+/// within one round each level contributes up to its weight before the
+/// next level's turn, highest priority first.
+const DRAIN_WEIGHTS: [u32; ServiceLevel::COUNT] = [8, 4, 1];
+
+/// Protected `BestEffort` queue floor: shedding never shrinks the queued
+/// `BestEffort` class below this many requests (clamped to an eighth of
+/// the queue capacity, so small test queues shed freely). The floor keeps
+/// best-effort traffic *flowing* under sustained overload — admitted
+/// survivors drain at the WRR share instead of the class being evicted to
+/// extinction; overflow beyond the floor is shed, bounding best-effort
+/// queueing.
+const BEST_EFFORT_FLOOR: usize = 128;
+
 /// The per-level admission queues: one EDF heap per [`ServiceLevel`],
 /// drained weighted-round-robin across levels (highest priority first
 /// within a round), with `BestEffort` shed first under saturation.
 pub(crate) struct PriorityQueues {
     heaps: [BinaryHeap<EdfEntry>; ServiceLevel::COUNT],
-    drain_weights: [u32; ServiceLevel::COUNT],
-    /// Effective protected floor: `cfg.best_effort_floor` clamped to an
+    /// Effective protected floor: [`BEST_EFFORT_FLOOR`] clamped to an
     /// eighth of the queue capacity.
     best_effort_floor: usize,
     /// WRR position: index into [`DRAIN_ORDER`] of the level currently
@@ -333,13 +318,12 @@ pub(crate) struct PriorityQueues {
 }
 
 impl PriorityQueues {
-    pub(crate) fn new(cfg: &QosConfig, queue_capacity: usize) -> Self {
+    pub(crate) fn new(queue_capacity: usize) -> Self {
         Self {
             heaps: std::array::from_fn(|_| BinaryHeap::new()),
-            drain_weights: cfg.drain_weights,
-            best_effort_floor: cfg.best_effort_floor.min(queue_capacity / 8),
+            best_effort_floor: BEST_EFFORT_FLOOR.min(queue_capacity / 8),
             cursor: 0,
-            budget: cfg.drain_weights[DRAIN_ORDER[0].index()].max(1),
+            budget: DRAIN_WEIGHTS[0],
             next_seq: 0,
             len: 0,
         }
@@ -428,7 +412,7 @@ impl PriorityQueues {
             }
             // Level out of budget or empty: move the round to the next one.
             self.cursor = (self.cursor + 1) % DRAIN_ORDER.len();
-            self.budget = self.drain_weights[DRAIN_ORDER[self.cursor].index()].max(1);
+            self.budget = DRAIN_WEIGHTS[self.cursor];
         }
         out
     }
@@ -504,8 +488,7 @@ mod tests {
 
     #[test]
     fn edf_within_a_level_and_fifo_on_ties() {
-        let cfg = QosConfig::default();
-        let mut queues = PriorityQueues::new(&cfg, 4);
+        let mut queues = PriorityQueues::new(4);
         let base = Instant::now();
         // Out-of-deadline-order arrival within one level.
         queues.push(queued(
@@ -531,7 +514,7 @@ mod tests {
             ]
         );
         // Equal deadlines drain FIFO by admission order.
-        let mut queues = PriorityQueues::new(&cfg, 4);
+        let mut queues = PriorityQueues::new(4);
         for i in 0..4 {
             let mut request = queued(ServiceLevel::Standard, base);
             request.features = vec![i as f64];
@@ -543,8 +526,8 @@ mod tests {
 
     #[test]
     fn weighted_round_robin_across_levels() {
-        let cfg = QosConfig::default(); // weights: I=8, S=4, B=1
-        let mut queues = PriorityQueues::new(&cfg, 4);
+        // Drain weights: I=8, S=4, B=1.
+        let mut queues = PriorityQueues::new(4);
         let base = Instant::now();
         for _ in 0..20 {
             queues.push(queued(ServiceLevel::Interactive, base));
@@ -573,8 +556,8 @@ mod tests {
         // A batch size at or below the Interactive drain weight must not
         // restart the WRR round every batch: the cursor persists, so
         // Standard and BestEffort still get their share of the bandwidth.
-        let cfg = QosConfig::default(); // weights: I=8, S=4, B=1
-        let mut queues = PriorityQueues::new(&cfg, 4);
+        // Drain weights: I=8, S=4, B=1.
+        let mut queues = PriorityQueues::new(4);
         let base = Instant::now();
         for _ in 0..40 {
             queues.push(queued(ServiceLevel::Interactive, base));
@@ -608,8 +591,7 @@ mod tests {
 
     #[test]
     fn shedding_takes_best_effort_only_and_least_urgent_first() {
-        let cfg = QosConfig::default();
-        let mut queues = PriorityQueues::new(&cfg, 4);
+        let mut queues = PriorityQueues::new(4);
         let base = Instant::now();
         queues.push(queued(ServiceLevel::Interactive, base));
         queues.push(queued(
@@ -646,8 +628,7 @@ mod tests {
     #[test]
     fn protected_floor_stops_shedding_but_not_draining() {
         // Capacity 1024 → effective floor min(128, 1024/8) = 128.
-        let cfg = QosConfig::default();
-        let mut queues = PriorityQueues::new(&cfg, 1024);
+        let mut queues = PriorityQueues::new(1024);
         let base = Instant::now();
         for i in 0..130 {
             queues.push(queued(
@@ -665,15 +646,14 @@ mod tests {
         assert!(queues.is_empty());
         // A small queue capacity clamps the floor to zero: shedding works
         // on the first queued entry.
-        let mut small = PriorityQueues::new(&cfg, 4);
+        let mut small = PriorityQueues::new(4);
         small.push(queued(ServiceLevel::BestEffort, base));
         assert!(small.shed_best_effort().is_some());
     }
 
     #[test]
     fn stealing_takes_the_least_urgent_and_never_interactive() {
-        let cfg = QosConfig::default();
-        let mut queues = PriorityQueues::new(&cfg, 64);
+        let mut queues = PriorityQueues::new(64);
         let base = Instant::now();
         queues.push(queued(ServiceLevel::Interactive, base));
         queues.push(queued(
@@ -713,8 +693,7 @@ mod tests {
 
     #[test]
     fn stealing_preserves_edf_order_of_survivors() {
-        let cfg = QosConfig::default();
-        let mut queues = PriorityQueues::new(&cfg, 64);
+        let mut queues = PriorityQueues::new(64);
         let base = Instant::now();
         for ms in [40u64, 10, 30, 20, 50] {
             queues.push(queued(
@@ -747,8 +726,7 @@ mod tests {
             levels in proptest::prop::collection::vec(0usize..3, 1..40),
             max in 0usize..48,
         ) {
-            let cfg = QosConfig::default();
-            let mut queues = PriorityQueues::new(&cfg, 64);
+            let mut queues = PriorityQueues::new(64);
             let base = Instant::now();
             let mut interactive_pushed = 0usize;
             for (i, &level_index) in levels.iter().enumerate() {
@@ -776,8 +754,7 @@ mod tests {
 
     #[test]
     fn drain_all_empties_every_level() {
-        let cfg = QosConfig::default();
-        let mut queues = PriorityQueues::new(&cfg, 4);
+        let mut queues = PriorityQueues::new(4);
         let base = Instant::now();
         for level in ServiceLevel::ALL {
             queues.push(queued(level, base));

@@ -5,8 +5,8 @@
 //! ```text
 //!  client threads                        workers (config.workers)
 //!  ──────────────                        ────────────────────────
-//!  featurize plan, check width           wait for first request
-//!  tenant token bucket                   top batch up (batch_window, max_batch)
+//!  featurize plan, check width           wake on the first queued request
+//!  tenant token bucket                   drain min(queued, max_batch):
 //!  (grant / demote / reject)             WRR across levels, EDF within level
 //!  busy? → per-level EDF queue ────────▶ lay rows out in one FeatureMatrix
 //!          (full? shed BestEffort)                   │
@@ -22,6 +22,10 @@
 //!
 //! Inline and batched requests differ only in who calls the scoring
 //! point and which path counter they bump (`inline_scored` or a batch).
+//!
+//! Batching is natural: a worker never waits for a batch to fill. It takes
+//! whatever has queued while it was busy, so batches grow with load and a
+//! lone queued request is scored as soon as a worker is free.
 //!
 //! Scoring is pure (no RNG, no shared mutable state), so results are a
 //! function of the submitted plan and the registered model only — batching,
@@ -279,8 +283,8 @@ struct Shared {
     /// The per-level EDF admission queues (WRR-drained; see
     /// [`crate::qos::PriorityQueues`]).
     queues: StdMutex<PriorityQueues>,
-    /// Signalled when a request is enqueued (workers and batch top-up wait
-    /// on it) and on shutdown.
+    /// Signalled when a request is enqueued (idle workers wait on it) and
+    /// on shutdown.
     not_empty: Condvar,
     /// Signalled when a batch is drained (blocked submitters wait on it)
     /// and on shutdown.
@@ -386,11 +390,10 @@ impl Shared {
 
     /// The one scoring point: a worker batch and an inline request (a
     /// one-row matrix) both score here. Applies the induced fault, asks
-    /// the breaker, resolves the model, runs the batched kernel with the
-    /// configured risk adjustment, records the breaker's verdict, and falls
-    /// back to the heuristic row by row. The flag marks a fallback
-    /// (degraded) answer. Without a breaker, model errors surface
-    /// unchanged.
+    /// the breaker, resolves the model, runs the batched kernel, records
+    /// the breaker's verdict, and falls back to the heuristic row by row.
+    /// The flag marks a fallback (degraded) answer. Without a breaker,
+    /// model errors surface unchanged.
     fn score_rows(&self, rows: &FeatureMatrix) -> Result<(Vec<ResourceRequest>, bool)> {
         let outage = match self.induced() {
             // A crashed shard fails hard — past the breaker's fallback — so
@@ -421,17 +424,15 @@ impl Shared {
         if breaker.is_some_and(|breaker| !breaker.allow_model(Instant::now())) {
             return fallback();
         }
-        let begin = Instant::now();
         let scored = if outage {
             Err(ServeError::Model("induced model outage".into()))
         } else {
             self.resolve_model().and_then(|model| {
-                scoring::score_feature_batch_with_risk(
+                scoring::score_feature_batch(
                     &model,
                     rows,
                     self.config.objective,
                     &self.config.candidate_counts,
-                    self.config.preemption_risk.as_ref(),
                 )
                 .map_err(|e| ServeError::Scoring(e.to_string()))
             })
@@ -441,11 +442,7 @@ impl Shared {
         };
         match scored {
             Ok(requests) => {
-                if breaker.over_budget(begin.elapsed()) {
-                    // The answer is correct, only late: use it, but let the
-                    // slowness count toward tripping the breaker.
-                    self.breaker_failure(breaker);
-                } else if breaker.record_success() {
+                if breaker.record_success() {
                     // A half-open probe closed the breaker.
                     self.obs_event(EventKind::BreakerRecovered);
                 }
@@ -584,7 +581,7 @@ impl MetricSource for StatsSource {
     }
 }
 
-/// Worker loop: wait for work, top the batch up within the window, drain
+/// Worker loop: wait for the first queued request, drain up to `max_batch`
 /// by WRR-across-levels / EDF-within-level, score, repeat.
 fn worker_loop(shared: Arc<Shared>) {
     let mut matrix = FeatureMatrix::with_capacity(shared.feature_width, shared.config.max_batch);
@@ -604,45 +601,23 @@ fn worker_loop(shared: Arc<Shared>) {
                     .wait(queues)
                     .unwrap_or_else(|poison| poison.into_inner());
             }
-            // Top the batch up: wait at most `batch_window` for more
-            // requests, but never past `max_batch`.
-            // A batch can only grow to whichever bound is tighter: the
-            // batch size, or the queue capacity (a full queue cannot
-            // receive the requests the window would wait for).
-            let window = shared.config.batch_window;
-            let fill_target = shared.config.max_batch.min(shared.config.queue_capacity);
-            if !window.is_zero() && queues.len() < fill_target {
-                let deadline = Instant::now() + window;
-                while queues.len() < fill_target && !shared.shutdown.load(Ordering::Acquire) {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    let (guard, _timeout) = shared
-                        .not_empty
-                        .wait_timeout(queues, deadline - now)
-                        .unwrap_or_else(|poison| poison.into_inner());
-                    queues = guard;
-                }
-            }
-            let take = queues.len().min(shared.config.max_batch);
-            let batch = queues.pop_batch(take);
+            // The lock is held from the emptiness check to the drain, so
+            // the batch holds at least one request.
+            let batch = queues.pop_batch(shared.config.max_batch);
             shared.pending.fetch_sub(batch.len(), Ordering::AcqRel);
             shared.not_full.notify_all();
             batch
         };
-        if !batch.is_empty() {
-            let size = batch.len();
-            if shared.obs.is_some() {
-                let backlog = shared.pending.load(Ordering::Acquire);
-                shared.obs_event(EventKind::BatchDrain {
-                    size: size.min(u32::MAX as usize) as u32,
-                    backlog: backlog.min(u32::MAX as usize) as u32,
-                });
-            }
-            shared.process_batch(&mut matrix, batch);
-            shared.in_flight.fetch_sub(size, Ordering::AcqRel);
+        let size = batch.len();
+        if shared.obs.is_some() {
+            let backlog = shared.pending.load(Ordering::Acquire);
+            shared.obs_event(EventKind::BatchDrain {
+                size: size.min(u32::MAX as usize) as u32,
+                backlog: backlog.min(u32::MAX as usize) as u32,
+            });
         }
+        shared.process_batch(&mut matrix, batch);
+        shared.in_flight.fetch_sub(size, Ordering::AcqRel);
     }
 }
 
@@ -682,7 +657,7 @@ impl ScoringRuntime {
             registry,
             model_name: model_name.into(),
             feature_width: full_feature_names().len(),
-            queues: StdMutex::new(PriorityQueues::new(&config.qos, config.queue_capacity)),
+            queues: StdMutex::new(PriorityQueues::new(config.queue_capacity)),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             pending: AtomicUsize::new(0),
@@ -917,7 +892,7 @@ impl ScoringRuntime {
     /// *in-flight* count, not on "queue empty" — under concurrent
     /// submission the queue stays empty exactly because everyone would
     /// take the shortcut. Load beyond the bound overflows into the queue,
-    /// where the batch window amortizes it. On success the caller holds
+    /// where batching amortizes it. On success the caller holds
     /// one in-flight slot and must score and release via
     /// [`score_inline_claimed`](Self::score_inline_claimed).
     fn try_claim_inline(&self) -> bool {

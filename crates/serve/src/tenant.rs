@@ -133,7 +133,10 @@ impl TokenBucket {
 /// bucket is indistinguishable from a fully-refilled one, so eviction
 /// never changes an admission decision. (A `rate_qps` of `0` disables
 /// refill and therefore sweeping; that degenerate policy is meant for
-/// deterministic tests, not long-lived high-cardinality deployments.)
+/// deterministic tests, not long-lived high-cardinality deployments. A
+/// policy whose refill period `burst / rate_qps` is no finite,
+/// non-negative duration — an infinite, NaN or negative burst, or a rate
+/// so small the ratio overflows — never sweeps either.)
 pub(crate) struct TenantGovernor {
     policy: TenantPolicy,
     buckets: StdMutex<HashMap<TenantId, TokenBucket>>,
@@ -158,11 +161,13 @@ impl TenantGovernor {
         if buckets.len() >= SWEEP_THRESHOLD && self.policy.rate_qps > 0.0 {
             // Entries idle past a full refill period carry no state a
             // fresh bucket would not: drop them to bound the map.
-            let full_refill =
-                std::time::Duration::from_secs_f64(self.policy.burst / self.policy.rate_qps);
-            buckets.retain(|_, bucket| {
-                now.saturating_duration_since(bucket.last_refill) < full_refill
-            });
+            if let Ok(full_refill) =
+                std::time::Duration::try_from_secs_f64(self.policy.burst / self.policy.rate_qps)
+            {
+                buckets.retain(|_, bucket| {
+                    now.saturating_duration_since(bucket.last_refill) < full_refill
+                });
+            }
         }
         let bucket = buckets
             .entry(tenant)
@@ -230,6 +235,30 @@ mod tests {
         );
         assert_eq!(governor.buckets.lock().unwrap().len(), 1);
         assert_eq!(governor.admit(TenantId(0), later), Admission::Granted);
+    }
+
+    #[test]
+    fn unrepresentable_refill_periods_skip_the_sweep_instead_of_panicking() {
+        let start = Instant::now();
+        let later = start + Duration::from_secs(5);
+        for policy in [
+            TenantPolicy::demote(10.0, f64::INFINITY),
+            TenantPolicy::demote(10.0, f64::NAN),
+            TenantPolicy::demote(10.0, -2.0),
+            TenantPolicy::demote(1e-300, 2.0),
+        ] {
+            let governor = TenantGovernor::new(policy);
+            for id in 0..=super::SWEEP_THRESHOLD as u64 {
+                governor.admit(TenantId(id), start);
+            }
+            // Past the threshold: the next admission would sweep.
+            governor.admit(TenantId(u64::MAX), later);
+            assert_eq!(
+                governor.buckets.lock().unwrap().len(),
+                super::SWEEP_THRESHOLD + 2,
+                "{policy:?}: no refill period, so nothing is swept"
+            );
+        }
     }
 
     #[test]

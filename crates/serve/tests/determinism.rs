@@ -11,86 +11,27 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use ae_serve::{RuntimeConfig, ScoreRequest, ScoringRuntime, ServiceLevel};
-use ae_workload::{QueryInstance, ScaleFactor, WorkloadGenerator};
+use ae_workload::QueryInstance;
 use autoexecutor::optimizer::ResourceRequest;
 use autoexecutor::prelude::*;
 use autoexecutor::ModelRegistry;
 
+mod common;
+mod sequential;
+
+use sequential::{assert_bit_identical, sequential_requests};
+
 fn fixture() -> (Arc<ModelRegistry>, AutoExecutorConfig, Vec<QueryInstance>) {
-    let generator = WorkloadGenerator::new(ScaleFactor::SF10);
-    let training: Vec<QueryInstance> = ["q1", "q5", "q12", "q42", "q69", "q94", "q23b", "q77"]
-        .iter()
-        .map(|n| generator.instance(n))
-        .collect();
-    let mut config = AutoExecutorConfig::default();
-    config.forest.n_estimators = 12;
-    config.training_run.noise_cv = 0.0;
-    let (_, model) = train_from_workload(&training, &config).unwrap();
-    let registry = Arc::new(ModelRegistry::in_memory());
-    registry
-        .register("ppm", model.to_portable("ppm").unwrap())
-        .unwrap();
-    // A disjoint scoring set, large enough to form real batches.
-    let scoring: Vec<QueryInstance> = [
-        "q3", "q7", "q11", "q19", "q27", "q34", "q39b", "q46", "q55", "q59", "q64", "q68", "q72",
-        "q79", "q88", "q96", "q14b", "q2", "q31", "q50", "q65", "q80", "q93", "q99",
-    ]
-    .iter()
-    .map(|n| generator.instance(n))
-    .collect();
-    (registry, config, scoring)
-}
-
-/// Scores every query through the pre-PR-equivalent sequential path: an
-/// `Optimizer` with the `AutoExecutorRule` registered last, one query at a
-/// time.
-fn sequential_requests(
-    registry: &Arc<ModelRegistry>,
-    config: &AutoExecutorConfig,
-    queries: &[QueryInstance],
-) -> Vec<ResourceRequest> {
-    let rule = AutoExecutorRule::from_config(Arc::clone(registry), "ppm", config);
-    let optimizer = Optimizer::with_default_rules().with_rule(Box::new(rule));
-    queries
-        .iter()
-        .map(|q| {
-            optimizer
-                .optimize(q.plan.clone())
-                .unwrap()
-                .resource_request
-                .unwrap()
-        })
-        .collect()
-}
-
-/// Bit-level comparison of two resource requests (executor count, PPM
-/// parameters, and every point of the predicted curve).
-fn assert_bit_identical(name: &str, sequential: &ResourceRequest, served: &ResourceRequest) {
-    assert_eq!(sequential.executors, served.executors, "{name}: executors");
-    let seq_params: Vec<u64> = sequential
-        .predicted_ppm
-        .parameters()
-        .iter()
-        .map(|v| v.to_bits())
-        .collect();
-    let srv_params: Vec<u64> = served
-        .predicted_ppm
-        .parameters()
-        .iter()
-        .map(|v| v.to_bits())
-        .collect();
-    assert_eq!(seq_params, srv_params, "{name}: ppm parameters");
-    let seq_curve: Vec<(usize, u64)> = sequential
-        .predicted_curve
-        .iter()
-        .map(|&(n, t)| (n, t.to_bits()))
-        .collect();
-    let srv_curve: Vec<(usize, u64)> = served
-        .predicted_curve
-        .iter()
-        .map(|&(n, t)| (n, t.to_bits()))
-        .collect();
-    assert_eq!(seq_curve, srv_curve, "{name}: predicted curve");
+    common::fixture(
+        &["q1", "q5", "q12", "q42", "q69", "q94", "q23b", "q77"],
+        12,
+        42,
+        // A disjoint scoring set, large enough to form real batches.
+        &[
+            "q3", "q7", "q11", "q19", "q27", "q34", "q39b", "q46", "q55", "q59", "q64", "q68",
+            "q72", "q79", "q88", "q96", "q14b", "q2", "q31", "q50", "q65", "q80", "q93", "q99",
+        ],
+    )
 }
 
 #[test]

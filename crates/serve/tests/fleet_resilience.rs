@@ -22,27 +22,20 @@ use ae_serve::{
     FleetConfig, FleetFaultPlan, HealthPolicy, HealthState, InducedFault, RuntimeConfig,
     ScoreRequest, ScoreTicket, ServiceLevel, ShardedRuntime, TenantId,
 };
-use ae_workload::{QueryInstance, ScaleFactor, WorkloadGenerator};
+use ae_workload::{ScaleFactor, WorkloadGenerator};
 use autoexecutor::prelude::*;
 use autoexecutor::ModelRegistry;
 
+mod common;
+
 fn fixture() -> (Arc<ModelRegistry>, AutoExecutorConfig, Vec<f64>) {
-    let generator = WorkloadGenerator::new(ScaleFactor::SF10);
-    let training: Vec<QueryInstance> = ["q3", "q19", "q55", "q68", "q79", "q94"]
-        .iter()
-        .map(|n| generator.instance(n))
-        .collect();
-    let mut config = AutoExecutorConfig::default();
-    config.forest.n_estimators = 8;
-    config.forest.seed = 11;
-    config.training_run.noise_cv = 0.0;
-    let (_, model) = train_from_workload(&training, &config).unwrap();
-    let registry = Arc::new(ModelRegistry::in_memory());
-    registry
-        .register("ppm", model.to_portable("ppm").unwrap())
-        .unwrap();
-    let features = autoexecutor::featurize_plan(&generator.instance("q27").plan);
-    (registry, config, features)
+    let (registry, config, scoring) =
+        common::fixture(&["q3", "q19", "q55", "q68", "q79", "q94"], 8, 11, &["q27"]);
+    (
+        registry,
+        config,
+        autoexecutor::featurize_plan(&scoring[0].plan),
+    )
 }
 
 /// The per-shard template every resilience test uses: one worker, small
@@ -54,7 +47,6 @@ fn shard_runtime(config: &AutoExecutorConfig) -> RuntimeConfig {
     RuntimeConfig::from_auto_executor(config)
         .with_workers(1)
         .with_max_batch(4)
-        .with_batch_window(Duration::ZERO)
         .with_inline_max_in_flight(0)
         .with_queue_capacity(4096)
 }

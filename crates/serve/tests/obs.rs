@@ -11,29 +11,19 @@ use std::sync::Arc;
 
 use ae_obs::{EventKind, MetricValue, MetricsRegistry};
 use ae_serve::{ObsConfig, RuntimeConfig, ScoreRequest, ScoringRuntime, ServiceLevel};
-use ae_workload::{QueryInstance, ScaleFactor, WorkloadGenerator};
+use ae_workload::QueryInstance;
 use autoexecutor::prelude::*;
 use autoexecutor::ModelRegistry;
 
+mod common;
+
 fn fixture() -> (Arc<ModelRegistry>, AutoExecutorConfig, Vec<QueryInstance>) {
-    let generator = WorkloadGenerator::new(ScaleFactor::SF10);
-    let training: Vec<QueryInstance> = ["q1", "q5", "q12", "q42", "q69", "q94"]
-        .iter()
-        .map(|n| generator.instance(n))
-        .collect();
-    let mut config = AutoExecutorConfig::default();
-    config.forest.n_estimators = 8;
-    config.training_run.noise_cv = 0.0;
-    let (_, model) = train_from_workload(&training, &config).unwrap();
-    let registry = Arc::new(ModelRegistry::in_memory());
-    registry
-        .register("ppm", model.to_portable("ppm").unwrap())
-        .unwrap();
-    let scoring: Vec<QueryInstance> = ["q3", "q7", "q11", "q19", "q27", "q34", "q46", "q55"]
-        .iter()
-        .map(|n| generator.instance(n))
-        .collect();
-    (registry, config, scoring)
+    common::fixture(
+        &["q1", "q5", "q12", "q42", "q69", "q94"],
+        8,
+        42,
+        &["q3", "q7", "q11", "q19", "q27", "q34", "q46", "q55"],
+    )
 }
 
 #[test]

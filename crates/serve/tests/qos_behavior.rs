@@ -11,30 +11,19 @@ use ae_serve::{
     QosConfig, RuntimeConfig, ScoreRequest, ScoringRuntime, ServeError, ServiceLevel, TenantId,
     TenantPolicy,
 };
-use ae_workload::{QueryInstance, ScaleFactor, WorkloadGenerator};
+use ae_workload::QueryInstance;
 use autoexecutor::prelude::*;
 use autoexecutor::ModelRegistry;
 
+mod common;
+
 fn fixture(seed: u64) -> (Arc<ModelRegistry>, AutoExecutorConfig, Vec<QueryInstance>) {
-    let generator = WorkloadGenerator::new(ScaleFactor::SF10);
-    let training: Vec<QueryInstance> = ["q3", "q19", "q55", "q68", "q79", "q94"]
-        .iter()
-        .map(|n| generator.instance(n))
-        .collect();
-    let mut config = AutoExecutorConfig::default();
-    config.forest.n_estimators = 8;
-    config.forest.seed = seed;
-    config.training_run.noise_cv = 0.0;
-    let (_, model) = train_from_workload(&training, &config).unwrap();
-    let registry = Arc::new(ModelRegistry::in_memory());
-    registry
-        .register("ppm", model.to_portable("ppm").unwrap())
-        .unwrap();
-    let scoring = ["q7", "q11", "q27"]
-        .iter()
-        .map(|n| generator.instance(n))
-        .collect();
-    (registry, config, scoring)
+    common::fixture(
+        &["q3", "q19", "q55", "q68", "q79", "q94"],
+        8,
+        seed,
+        &["q7", "q11", "q27"],
+    )
 }
 
 #[test]

@@ -1,35 +1,27 @@
 //! Behavioural tests of the serving runtime: the inline idle shortcut,
-//! backpressure and saturation, shutdown semantics, missing models, and
-//! RCU-style pickup of model re-registration.
+//! backpressure and saturation, shutdown semantics, missing models,
+//! RCU-style pickup of model re-registration, and natural batching.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use ae_serve::{RuntimeConfig, ScoreRequest, ScoringRuntime, ServeError};
+use ae_serve::{
+    FleetConfig, InducedFault, RuntimeConfig, ScoreRequest, ScoringRuntime, ServeError,
+    ShardedRuntime,
+};
 use ae_workload::{QueryInstance, ScaleFactor, WorkloadGenerator};
 use autoexecutor::prelude::*;
 use autoexecutor::ModelRegistry;
 
+mod common;
+
 fn fixture(seed: u64) -> (Arc<ModelRegistry>, AutoExecutorConfig, Vec<QueryInstance>) {
-    let generator = WorkloadGenerator::new(ScaleFactor::SF10);
-    let training: Vec<QueryInstance> = ["q3", "q19", "q55", "q68", "q79", "q94"]
-        .iter()
-        .map(|n| generator.instance(n))
-        .collect();
-    let mut config = AutoExecutorConfig::default();
-    config.forest.n_estimators = 8;
-    config.forest.seed = seed;
-    config.training_run.noise_cv = 0.0;
-    let (_, model) = train_from_workload(&training, &config).unwrap();
-    let registry = Arc::new(ModelRegistry::in_memory());
-    registry
-        .register("ppm", model.to_portable("ppm").unwrap())
-        .unwrap();
-    let scoring = ["q7", "q11", "q27"]
-        .iter()
-        .map(|n| generator.instance(n))
-        .collect();
-    (registry, config, scoring)
+    common::fixture(
+        &["q3", "q19", "q55", "q68", "q79", "q94"],
+        8,
+        seed,
+        &["q7", "q11", "q27"],
+    )
 }
 
 #[test]
@@ -175,43 +167,42 @@ fn reregistration_is_picked_up_without_restart() {
     );
 }
 
+/// Natural batching: a worker drains whatever queued while it was busy,
+/// up to `max_batch`, and never waits for a batch to fill. The stalled
+/// worker holds a lone first request while 12 more queue behind it; the
+/// 12 then drain as one full batch of 8 and the remaining 4.
 #[test]
-fn batch_window_forms_batches_under_load() {
+fn queued_requests_drain_as_natural_batches() {
     let (registry, config, queries) = fixture(5);
-    let runtime = Arc::new(ScoringRuntime::new(
+    let fleet = ShardedRuntime::new(
         registry,
         "ppm",
-        RuntimeConfig::from_auto_executor(&config)
-            .with_workers(1)
-            .with_max_batch(16)
-            .with_batch_window(Duration::from_millis(2))
-            .with_inline_max_in_flight(0),
-    ));
-    runtime.warm().unwrap();
-    let handles: Vec<_> = (0..6)
-        .map(|t| {
-            let runtime = Arc::clone(&runtime);
-            let plan = queries[t % queries.len()].plan.clone();
-            std::thread::spawn(move || {
-                let mut served = 0usize;
-                for _ in 0..10 {
-                    runtime.submit(ScoreRequest::from_plan(&plan)).unwrap();
-                    served += 1;
-                }
-                served
-            })
-        })
-        .collect();
-    let total: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
-    assert_eq!(total, 60);
-    let stats = runtime.stats();
-    assert_eq!(stats.completed, 60);
-    assert_eq!(stats.errors, 0);
-    // With 6 competing submitters and a batch window, at least one batch
-    // must have scored more than one request.
-    assert!(
-        stats.mean_batch_size() > 1.0,
-        "expected micro-batching, histogram {:?}",
-        stats.batch_size_histogram
+        FleetConfig::new(1, RuntimeConfig::deterministic(&config).with_max_batch(8)),
     );
+    fleet.warm().unwrap();
+    let shard = fleet.shard(0);
+    let submit = || {
+        shard
+            .submit_detached(ScoreRequest::from_plan(&queries[0].plan))
+            .unwrap()
+    };
+    fleet.induce_shard_fault(0, InducedFault::Stall(Duration::from_millis(500)));
+    let first = submit();
+    // The worker has taken the first request and stalls before scoring it.
+    while shard.queue_depth() > 0 {
+        std::thread::yield_now();
+    }
+    let queued: Vec<_> = (0..12).map(|_| submit()).collect();
+    assert_eq!(shard.queue_depth(), 12);
+    fleet.clear_shard_fault(0);
+    first.wait().unwrap();
+    for ticket in queued {
+        ticket.wait().unwrap();
+    }
+    let stats = shard.stats();
+    assert_eq!(stats.completed, 13);
+    assert_eq!(stats.errors, 0);
+    // One batch each of sizes 1, 4 and 8.
+    assert_eq!(stats.batch_size_histogram, vec![1, 0, 0, 1, 0, 0, 0, 1]);
+    fleet.shutdown();
 }

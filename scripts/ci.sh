@@ -29,14 +29,18 @@
 # lifecycle per fleet size: zero lost tickets, surviving goodput >= 60%
 # of pre-kill through a 1-of-4 shard crash, and probationary recovery
 # re-admitting the revived shard); every driver smoke also writes its JSON
-# report to a temporary file, which the shared writer parses back, so a
-# malformed report fails the gate; and a perfbench stage (the repository's
-# benchmark package builds against the current crates, its own tests pass,
-# and each workload runs once for one second, answering correctly with zero
-# failed operations — so an API change cannot break the benchmark
-# unnoticed). Pass --full to also run the full bench suite (slow).
+# report into one temporary directory (removed on exit), and the shared
+# writer parses each report back, so a malformed report fails the gate; and
+# a perfbench stage (the repository's benchmark package builds against the
+# current crates, its own tests pass, and each workload runs once for one
+# second, answering correctly with zero failed operations — so an API change
+# cannot break the benchmark unnoticed). Pass --full to also run the full
+# bench suite (slow).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+reports="$(mktemp -d -t ci-reports.XXXXXX)"
+trap 'rm -rf "$reports"' EXIT
 
 echo "==> cargo build --release"
 cargo build --release --offline
@@ -72,28 +76,28 @@ if ! grep -q '^bench:' <<<"$training_smoke"; then
 fi
 
 echo "==> inference smoke (compiled forest ≡ interpreter bit-for-bit; compiled batched throughput >= interpreted)"
-cargo run --offline --release -p ae-bench --bin bench_inference -- --smoke --json "$(mktemp -t inference-smoke.XXXXXX.json)"
+cargo run --offline --release -p ae-bench --bin bench_inference -- --smoke --json "$reports/inference.json"
 
 echo "==> serving smoke (fixed-duration run; asserts qps > 0, zero dropped)"
-cargo run --offline --release -p ae-bench --bin bench_serving -- --smoke --json "$(mktemp -t serving-smoke.XXXXXX.json)"
+cargo run --offline --release -p ae-bench --bin bench_serving -- --smoke --json "$reports/serving.json"
 
 echo "==> qos smoke (moderate + overload phases; asserts finite rates, Interactive budget holds at moderate load, Interactive p99 < BestEffort p99 under overload, no tenant starvation)"
-cargo run --offline --release -p ae-bench --bin bench_qos -- --smoke --json "$(mktemp -t qos-smoke.XXXXXX.json)"
+cargo run --offline --release -p ae-bench --bin bench_qos -- --smoke --json "$reports/qos.json"
 
 echo "==> generalization smoke (train tpcds, score tpch + skew; asserts a full finite matrix)"
-cargo run --offline --release -p ae-bench --bin bench_generalization -- --smoke --json "$(mktemp -t generalization-smoke.XXXXXX.json)"
+cargo run --offline --release -p ae-bench --bin bench_generalization -- --smoke --json "$reports/generalization.json"
 
 echo "==> fault smoke (zero-fault pin bit-identical, >= 99% completion via retry at moderate preemption, breaker trips to the heuristic fallback and recovers)"
-cargo run --offline --release -p ae-bench --bin bench_faults -- --smoke --json "$(mktemp -t faults-smoke.XXXXXX.json)"
+cargo run --offline --release -p ae-bench --bin bench_faults -- --smoke --json "$reports/faults.json"
 
 echo "==> obs smoke (trace roundtrip bit-identical, capture→replay determinism gate clean, obs overhead under bound)"
-cargo run --offline --release -p ae-bench --bin bench_obs -- --smoke --json "$(mktemp -t obs-smoke.XXXXXX.json)"
+cargo run --offline --release -p ae-bench --bin bench_obs -- --smoke --json "$reports/obs.json"
 
 echo "==> fleet smoke (4-shard aggregate qps >= 2x single-shard, finite per-shard p99 skew, zero dropped/errors)"
-cargo run --offline --release -p ae-bench --bin bench_fleet -- --smoke --json "$(mktemp -t fleet-smoke.XXXXXX.json)"
+cargo run --offline --release -p ae-bench --bin bench_fleet -- --smoke --json "$reports/fleet.json"
 
 echo "==> resilience smoke (1-of-4 shard kill: zero lost tickets, >= 60% goodput retained, probation re-admits)"
-cargo run --offline --release -p ae-bench --bin bench_resilience -- --smoke --json "$(mktemp -t resilience-smoke.XXXXXX.json)"
+cargo run --offline --release -p ae-bench --bin bench_resilience -- --smoke --json "$reports/resilience.json"
 
 echo "==> perfbench (benchmark builds and its tests pass; each workload runs once: correct, zero failed)"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
