@@ -5,7 +5,9 @@
 use ae_ppm::fit::{fit_amdahl, fit_power_law};
 use ae_ppm::model::PpmKind;
 use ae_workload::{ScaleFactor, WorkloadGenerator};
-use autoexecutor::{AutoExecutorConfig, FeatureSet, ParameterModel, TrainingData};
+use autoexecutor::{
+    AutoExecutorConfig, FeatureSet, NonParametricModel, ParameterModel, TrainingData,
+};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
@@ -94,28 +96,12 @@ fn bench_parametric_vs_nonparametric_dataset(c: &mut Criterion) {
     });
 
     group.bench_function("nonparametric_row_per_configuration", |b| {
+        // Directly regress run time from (features, n) pairs: one row per
+        // Sparklens point, 6x the rows.
         b.iter(|| {
-            // Directly regress run time from (features, n) pairs: 6x the rows.
-            let mut dataset = ae_ml::dataset::Dataset::new(
-                {
-                    let mut names = autoexecutor::full_feature_names();
-                    names.push("executors".to_string());
-                    names
-                },
-                vec!["time".to_string()],
-            );
-            for example in &data.examples {
-                for &(n, t) in &example.sparklens_curve {
-                    let mut row = example.full_features.clone();
-                    row.push(n as f64);
-                    dataset
-                        .push_row(format!("{}@{n}", example.name), row, vec![t])
-                        .unwrap();
-                }
-            }
-            let mut forest = ae_ml::forest::RandomForestRegressor::new(config.forest);
-            forest.fit(&dataset).unwrap();
-            black_box(forest.num_trees())
+            let model =
+                NonParametricModel::train_with(&data, FeatureSet::F0, config.forest).unwrap();
+            black_box(model.training_rows())
         })
     });
     group.finish();

@@ -19,8 +19,9 @@
 //! A batch of detached tickets rides through the kill window; every one
 //! must resolve — the zero-lost-tickets invariant. The closed loop keeps
 //! at most one request in flight per client, so measured qps is honest
-//! round-trip throughput on this 1-core container, not queue-depth
-//! artifacts.
+//! round-trip throughput, not queue-depth artifacts. Every rate is a
+//! whole-window goodput (Ok answers over the phase's wall time), so
+//! `goodput_retained` and `post_vs_pre` divide like by like.
 //!
 //! Usage:
 //!
@@ -47,14 +48,15 @@ use ae_workload::{ScaleFactor, WorkloadGenerator};
 use autoexecutor::prelude::*;
 
 const COMMENT: &str = "ae-serve fleet resilience benchmark: one full failure lifecycle per \
-    fleet size, live on this host. A closed-loop client measures pre-fault qps, then one shard \
-    is crashed: failover rescues in-flight failures while the health monitor quarantines the \
-    shard (time_to_quarantine_ms), survivors carry the load (fault_goodput_qps), the fault \
-    clears, and the probation trickle re-admits the shard (time_to_recover_ms), after which \
-    post_qps is measured on the restored ring. Detached tickets ride through the kill window; \
-    lost_tickets must be 0. accounting_exact checks completed == client Oks and errors == client \
-    errors + failover retries. Regenerate with: cargo run --release -p ae-bench --bin \
-    bench_resilience -- --json BENCH_resilience.json";
+    fleet size, live on this host. Every rate is whole-window goodput (Ok answers over the \
+    phase's wall time). A closed-loop client measures pre-fault qps, then one shard is crashed: \
+    failover rescues in-flight failures while the health monitor quarantines the shard \
+    (time_to_quarantine_ms), survivors carry the load (fault_goodput_qps), the fault clears, and \
+    the probation trickle re-admits the shard (time_to_recover_ms), after which post_qps is \
+    measured on the restored ring. Detached tickets ride through the kill window; lost_tickets \
+    must be 0. accounting_exact checks completed == client Oks and errors == client errors + \
+    failover retries. Regenerate with: cargo run --release -p ae-bench --bin bench_resilience -- \
+    --json BENCH_resilience.json";
 
 struct Args {
     smoke: bool,
@@ -68,7 +70,7 @@ const TENANTS: u64 = 64;
 /// The health/failover policy the lifecycle runs under: fast detection
 /// (2 ms checks), a short quarantine hold, and an ample retry budget so
 /// the failover path — not budget exhaustion — is what's measured. The
-/// stall watchdog is parked: on a 1-core host a briefly descheduled
+/// stall watchdog is parked: on a busy host a briefly descheduled
 /// healthy shard must not add spurious quarantines to the timing.
 fn lifecycle_policy() -> HealthPolicy {
     HealthPolicy::default()
@@ -88,50 +90,43 @@ fn shard_runtime(config: &AutoExecutorConfig) -> RuntimeConfig {
         .with_queue_capacity(4096)
 }
 
-/// One closed-loop load phase: `count` synchronous submissions across
-/// the tenant space and three service levels.
+/// One closed-loop load phase: synchronous submissions across the tenant
+/// space and three service levels, and the wall time they took.
 struct Phase {
     ok: u64,
     err: u64,
-    /// Best sustained goodput over the phase's sub-chunks: the
-    /// steady-state rate, insensitive to transient scheduler stalls on a
-    /// loaded 1-core host (phase-to-phase whole-window qps varies ±20%
-    /// here; peak-of-chunks is the comparable number).
-    peak_qps: f64,
+    elapsed: Duration,
+}
+
+impl Phase {
+    /// Whole-window goodput: Ok answers over the phase's wall time.
+    fn qps(&self) -> f64 {
+        self.ok as f64 / self.elapsed.as_secs_f64().max(1e-9)
+    }
 }
 
 fn drive(fleet: &ShardedRuntime, features: &[Vec<f64>], count: usize, offset: usize) -> Phase {
-    const CHUNKS: usize = 8;
-    let chunk_size = (count / CHUNKS).max(1);
+    let start = Instant::now();
     let mut ok = 0u64;
     let mut err = 0u64;
-    let mut peak_qps = 0.0f64;
-    let mut i = offset;
-    let end = offset + count;
-    while i < end {
-        let chunk_end = (i + chunk_size).min(end);
-        let chunk_start = Instant::now();
-        let mut chunk_ok = 0u64;
-        for j in i..chunk_end {
-            let request = ScoreRequest::from_features(features[j % features.len()].clone())
-                .with_tenant(TenantId(j as u64 % TENANTS))
-                .with_level(ServiceLevel::from_index(j % 3).unwrap());
-            match fleet.submit(request) {
-                Ok(_) => {
-                    ok += 1;
-                    chunk_ok += 1;
-                }
-                Err(_) => err += 1,
-            }
+    for j in offset..offset + count {
+        let request = ScoreRequest::from_features(features[j % features.len()].clone())
+            .with_tenant(TenantId(j as u64 % TENANTS))
+            .with_level(ServiceLevel::from_index(j % 3).unwrap());
+        match fleet.submit(request) {
+            Ok(_) => ok += 1,
+            Err(_) => err += 1,
         }
-        peak_qps = peak_qps.max(chunk_ok as f64 / chunk_start.elapsed().as_secs_f64().max(1e-9));
-        i = chunk_end;
     }
-    Phase { ok, err, peak_qps }
+    Phase {
+        ok,
+        err,
+        elapsed: start.elapsed(),
+    }
 }
 
 /// Drives load in small chunks until `condition` holds (or the deadline
-/// passes), returning the elapsed wall time and the phase tallies.
+/// passes), returning when it held and the phase tallies.
 fn drive_until(
     fleet: &ShardedRuntime,
     features: &[Vec<f64>],
@@ -142,32 +137,24 @@ fn drive_until(
     let start = Instant::now();
     let mut ok = 0u64;
     let mut err = 0u64;
-    loop {
+    let held = loop {
         if condition() {
-            return (
-                Some(start.elapsed()),
-                Phase {
-                    ok,
-                    err,
-                    peak_qps: 0.0,
-                },
-            );
+            break true;
         }
         if start.elapsed() >= deadline {
-            return (
-                None,
-                Phase {
-                    ok,
-                    err,
-                    peak_qps: 0.0,
-                },
-            );
+            break false;
         }
         let chunk = drive(fleet, features, 16, *offset);
         *offset += 16;
         ok += chunk.ok;
         err += chunk.err;
-    }
+    };
+    let phase = Phase {
+        ok,
+        err,
+        elapsed: start.elapsed(),
+    };
+    (held.then_some(phase.elapsed), phase)
 }
 
 /// One fleet size's full failure lifecycle.
@@ -317,9 +304,9 @@ fn run_lifecycle(served: &Served, shards: usize, requests: usize) -> LifecycleRu
         aggregate.completed == total_ok && aggregate.errors == total_err + stats.failover_retries;
     let run = LifecycleRun {
         shards,
-        pre_qps: pre.peak_qps,
+        pre_qps: pre.qps(),
         fault_goodput_qps,
-        post_qps: post.peak_qps,
+        post_qps: post.qps(),
         time_to_quarantine,
         time_to_recover,
         detached_submitted: detached_submitted as u64,

@@ -39,8 +39,8 @@
 //! `tests/fault_determinism.rs` alongside `scheduler_regression.rs`).
 //!
 //! [`exp_sample`] is the workspace's one exponential sampler: the engine's
-//! lifetimes and node-failure times, the workload crate's open-loop
-//! arrivals and the serving fleet's fault schedule all draw through it.
+//! lifetimes and node-failure times and the workload crate's open-loop
+//! arrivals draw through it.
 
 use rand::rngs::StdRng;
 use rand::{derive_stream_seed, Rng, SeedableRng};

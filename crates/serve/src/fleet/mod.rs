@@ -19,8 +19,10 @@
 //!   `Interactive`) to the shallowest shard.
 //! * [`FleetStats`] aggregates per-shard counters exactly — every
 //!   request is counted by the one shard that scored it.
-//! * [`resilience`] makes shard loss a steady-state condition: a
-//!   deterministic [`FleetFaultPlan`] injects crashes/stalls/outages, a
+//! * [`resilience`] makes shard loss a steady-state condition: an
+//!   [`InducedFault`] (crash, stall or model outage, set and cleared with
+//!   [`ShardedRuntime::induce_shard_fault`] and
+//!   [`ShardedRuntime::clear_shard_fault`]) strikes one shard, a
 //!   per-shard [`HealthState`] machine quarantines failing shards
 //!   (successor rerouting + backlog evacuation), a bounded retry budget
 //!   rescues failed in-flight requests, and probation re-admits
@@ -31,7 +33,7 @@ pub mod ring;
 pub mod sharded;
 pub mod stats;
 
-pub use resilience::{FleetFaultPlan, HealthPolicy, HealthState, InducedFault};
+pub use resilience::{HealthPolicy, HealthState, InducedFault};
 pub use ring::HashRing;
 pub use sharded::{FleetConfig, ShardedRuntime, StealPolicy};
 pub use stats::FleetStats;

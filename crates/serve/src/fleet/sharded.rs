@@ -34,8 +34,7 @@
 //!   completes, never the
 //!   [`ResourceRequest`](autoexecutor::optimizer::ResourceRequest). A
 //!   1-shard fleet in deterministic mode is bit-identical to a bare
-//!   [`ScoringRuntime`], and a fleet with [`FleetFaultPlan::none`] and no health policy is
-//!   bit-identical to the fleet before resilience existed.
+//!   [`ScoringRuntime`].
 //! * **Counters are exact**: every request is counted by exactly one
 //!   shard — the one that scored it — so [`FleetStats::aggregate`]
 //!   totals equal the sum of per-shard counters with no double-count on
@@ -54,9 +53,7 @@ use autoexecutor::config::AutoExecutorConfig;
 use autoexecutor::registry::ModelRegistry;
 use parking_lot::RwLock;
 
-use super::resilience::{
-    FaultEvent, FleetFaultPlan, HealthPolicy, HealthState, InducedFault, RetryBudget,
-};
+use super::resilience::{HealthPolicy, HealthState, InducedFault, RetryBudget};
 use super::ring::HashRing;
 use super::stats::FleetStats;
 use crate::config::RuntimeConfig;
@@ -142,8 +139,8 @@ fn next_backoff(current: Duration, base: Duration) -> Duration {
 }
 
 /// Configuration of a [`ShardedRuntime`]: how many shards, whether (and
-/// how aggressively) to steal, the health/failover policy, the chaos plan,
-/// and the per-shard [`RuntimeConfig`] template. The ring layout is fixed
+/// how aggressively) to steal, the health/failover policy, and the
+/// per-shard [`RuntimeConfig`] template. The ring layout is fixed
 /// (128 vnodes per shard, one seed), so two fleets with the same shard
 /// count route every tenant identically.
 #[derive(Debug, Clone)]
@@ -157,9 +154,6 @@ pub struct FleetConfig {
     /// `None` (the default) spawns no monitor and leaves the fleet
     /// behaviorally identical to PR 8 (see `docs/resilience.md`).
     pub health: Option<HealthPolicy>,
-    /// Deterministic chaos schedule. [`FleetFaultPlan::none`] (the
-    /// default) is provably inert: no injector thread, no hot-path cost.
-    pub fault_plan: FleetFaultPlan,
     /// Template for every shard's [`ScoringRuntime`]. When observability
     /// is configured, each shard registers under
     /// `{prefix}.shard{i}` and the fleet itself under `{prefix}.fleet`.
@@ -168,14 +162,12 @@ pub struct FleetConfig {
 
 impl FleetConfig {
     /// A fleet of `shards` runtimes built from the given per-shard
-    /// template, with default work stealing, no health policy, and no
-    /// fault plan.
+    /// template, with default work stealing and no health policy.
     pub fn new(shards: usize, runtime: RuntimeConfig) -> Self {
         Self {
             shards,
             steal: Some(StealPolicy::default()),
             health: None,
-            fault_plan: FleetFaultPlan::none(),
             runtime,
         }
     }
@@ -187,8 +179,8 @@ impl FleetConfig {
     }
 
     /// Deterministic fleet: every shard in
-    /// [`RuntimeConfig::deterministic`] mode, **no work stealing**, no
-    /// health policy, and no fault plan, so completion sets, per-shard
+    /// [`RuntimeConfig::deterministic`] mode, **no work stealing**, and no
+    /// health policy, so completion sets, per-shard
     /// placement, and (for a 1-shard fleet) the full observable behavior
     /// are reproducible. Scores are bit-identical to the sequential rule
     /// at any shard count — routing only decides *where* a request is
@@ -198,7 +190,6 @@ impl FleetConfig {
             shards,
             steal: None,
             health: None,
-            fault_plan: FleetFaultPlan::none(),
             runtime: RuntimeConfig::deterministic(config),
         }
     }
@@ -222,24 +213,16 @@ impl FleetConfig {
         self
     }
 
-    /// Installs a deterministic chaos schedule (see
-    /// [`FleetFaultPlan`]; invalid rates are clamped to zero).
-    pub fn with_fault_plan(mut self, plan: FleetFaultPlan) -> Self {
-        self.fault_plan = plan;
-        self
-    }
-
     fn sanitized(mut self) -> Self {
         self.shards = self.shards.clamp(1, u16::MAX as usize);
         self.steal = self.steal.map(StealPolicy::sanitized);
         self.health = self.health.map(HealthPolicy::sanitized);
-        self.fault_plan = self.fault_plan.sanitized();
         self
     }
 }
 
 /// State shared between the fleet handle and its background threads
-/// (steal coordinator, health monitor, chaos injector).
+/// (steal coordinator, health monitor).
 struct FleetShared {
     shards: Vec<ScoringRuntime>,
     /// The current routing ring: members are exactly the shards whose
@@ -269,7 +252,7 @@ struct FleetShared {
     /// evacuations); present only when the per-shard template enables
     /// observability.
     events: Option<EventSink>,
-    /// Stops every background thread (steal, monitor, injector).
+    /// Stops every background thread (steal, monitor).
     stop_background: AtomicBool,
     /// Set by the first [`ShardedRuntime::shutdown`] caller; failover
     /// stops retrying so shutdown errors propagate unamplified.
@@ -477,9 +460,9 @@ struct ShardBook {
     stall_streak: u32,
     /// When the shard entered quarantine.
     quarantined_at: Option<Instant>,
-    /// Cumulative `(completed, errors)` at probation start.
-    probation_base: Option<(u64, u64)>,
-    /// Consecutive error-free probation checks.
+    /// Cumulative `(completed, errors, degraded)` at probation start.
+    probation_base: Option<(u64, u64, u64)>,
+    /// Consecutive clean probation checks.
     clean_checks: u32,
 }
 
@@ -564,15 +547,19 @@ fn check_shard(shared: &FleetShared, policy: &HealthPolicy, shard: usize, book: 
             };
             if held_long_enough {
                 shared.set_health(shard, HealthState::Probation);
-                book.probation_base = Some((stats.completed, stats.errors));
+                book.probation_base = Some((stats.completed, stats.errors, stats.degraded));
                 book.clean_checks = 0;
                 shared.refresh_probation_flag();
             }
         }
         HealthState::Probation => {
-            let (base_completed, base_errors) =
-                book.probation_base.unwrap_or((book.completed, book.errors));
-            if stats.errors.saturating_sub(base_errors) > 0 {
+            let (base_completed, base_errors, base_degraded) =
+                book.probation_base
+                    .unwrap_or((stats.completed, stats.errors, stats.degraded));
+            // A degraded answer fails the trickle as an error does: behind
+            // an open breaker, a shard whose model path is still down
+            // answers from the heuristic and produces no errors at all.
+            if stats.errors > base_errors || stats.degraded > base_degraded {
                 // The trickle failed: back to quarantine (counted again),
                 // and evacuate whatever the trickle queued on it.
                 quarantine(shared, shard, book);
@@ -677,36 +664,6 @@ fn evacuate(shared: &FleetShared, from: usize) {
     }
 }
 
-/// Chaos injector thread: replays the deterministic fault schedule
-/// against the wall clock, applying each fault at its start offset and
-/// clearing it at its end. Spawned only when the plan is active.
-fn injector_loop(shared: Arc<FleetShared>, schedule: Vec<FaultEvent>) {
-    // Interleave applies and clears into one timeline. Overlapping
-    // windows of *different* kinds on one shard resolve last-writer-wins
-    // (the fault word holds one fault), which the deterministic schedule
-    // makes reproducible.
-    let mut actions: Vec<(Duration, usize, Option<InducedFault>)> = Vec::new();
-    for event in &schedule {
-        actions.push((event.at, event.shard, Some(event.fault)));
-        actions.push((event.until, event.shard, None));
-    }
-    actions.sort_by_key(|&(at, shard, fault)| (at, fault.is_some(), shard));
-    let start = Instant::now();
-    for (at, shard, fault) in actions {
-        loop {
-            if shared.stop_background.load(Ordering::Acquire) {
-                return;
-            }
-            let elapsed = start.elapsed();
-            if elapsed >= at {
-                break;
-            }
-            std::thread::sleep((at - elapsed).min(STOP_POLL));
-        }
-        shared.shards[shard].set_induced_fault(fault);
-    }
-}
-
 /// True for errors a cross-shard retry can plausibly rescue: the failed
 /// shard's model/scoring path is down, or that one shard is shutting
 /// down. Saturation, shedding, and throttling are *policy* outcomes —
@@ -740,8 +697,8 @@ fn routing_key(request: &ScoreRequest) -> u64 {
 /// [`shutdown`](Self::shutdown) (or drop the handle).
 pub struct ShardedRuntime {
     shared: Arc<FleetShared>,
-    /// Background threads (steal coordinator, health monitor, chaos
-    /// injector), joined once by whichever shutdown call drains them.
+    /// Background threads (steal coordinator, health monitor), joined
+    /// once by whichever shutdown call drains them.
     background: StdMutex<Vec<JoinHandle<()>>>,
 }
 
@@ -759,9 +716,8 @@ impl ShardedRuntime {
     /// Builds the fleet: `config.shards` runtimes over one registry and
     /// model name, the fixed-seed vnode ring, and the
     /// configured background threads — the steal coordinator (unless
-    /// disabled), the health monitor (when a policy is set on a
-    /// multi-shard fleet), and the chaos injector (when the fault plan is
-    /// active).
+    /// disabled) and the health monitor (when a policy is set on a
+    /// multi-shard fleet).
     ///
     /// With observability configured in the per-shard template, shard `i`
     /// registers its metrics under `{prefix}.shard{i}` and the fleet
@@ -842,16 +798,6 @@ impl ShardedRuntime {
                     .expect("spawning the fleet health monitor"),
             );
         }
-        if config.fault_plan.is_active() {
-            let schedule = config.fault_plan.schedule(config.shards);
-            let shared_clone = Arc::clone(&shared);
-            background.push(
-                std::thread::Builder::new()
-                    .name("ae-serve-chaos".to_string())
-                    .spawn(move || injector_loop(shared_clone, schedule))
-                    .expect("spawning the fleet chaos injector"),
-            );
-        }
         Self {
             shared,
             background: StdMutex::new(background),
@@ -897,22 +843,23 @@ impl ShardedRuntime {
             .collect()
     }
 
-    /// Induces a chaos fault on one shard (the programmatic analogue of
-    /// a [`FleetFaultPlan`] window — tests and operational drills).
-    /// Takes effect on the shard's next batch; overwrites any prior
-    /// induced fault.
+    /// Induces a fault on one shard: the one way to fault a shard, for
+    /// tests and operational drills, which pick the window by calling
+    /// [`clear_shard_fault`](Self::clear_shard_fault) later. Takes effect
+    /// on the shard's next scoring call; overwrites any prior induced
+    /// fault.
     pub fn induce_shard_fault(&self, shard: usize, fault: InducedFault) {
         self.shared.shards[shard].set_induced_fault(Some(fault));
     }
 
-    /// Clears any induced chaos fault on one shard. Service recovers on
+    /// Clears any induced fault on one shard. Service recovers on
     /// the next batch (modulo a still-open breaker cooling down); ring
     /// re-admission is the health monitor's probation path, not this.
     pub fn clear_shard_fault(&self, shard: usize) {
         self.shared.shards[shard].set_induced_fault(None);
     }
 
-    /// The currently induced chaos fault on one shard, if any.
+    /// The currently induced fault on one shard, if any.
     pub fn shard_fault(&self, shard: usize) -> Option<InducedFault> {
         self.shared.shards[shard].induced_fault()
     }
@@ -1072,8 +1019,8 @@ impl ShardedRuntime {
         self.shared.events.as_ref()
     }
 
-    /// Stops the fleet: background threads first (so no steal, health
-    /// transition, or injected fault races the drain — an in-progress
+    /// Stops the fleet: background threads first (so no steal or health
+    /// transition races the drain — an in-progress
     /// evacuation completes before any shard begins draining), then
     /// every shard — in-flight batches finish, queued requests fail with
     /// [`ServeError::ShutDown`], workers are
@@ -1132,15 +1079,12 @@ mod tests {
         let det = FleetConfig::deterministic(4, &cfg);
         assert!(det.steal.is_none());
         assert!(det.health.is_none());
-        assert!(!det.fault_plan.is_active());
         assert_eq!(det.runtime.workers, 1);
         let stealing = FleetConfig::new(2, RuntimeConfig::deterministic(&cfg))
             .with_steal(StealPolicy::default())
-            .with_health(HealthPolicy::default())
-            .with_fault_plan(FleetFaultPlan::none().with_crashes(1.0, Duration::from_millis(10)));
+            .with_health(HealthPolicy::default());
         assert!(stealing.steal.is_some());
         assert!(stealing.health.is_some());
-        assert!(stealing.fault_plan.is_active());
     }
 
     #[test]

@@ -71,9 +71,9 @@
 //! `tests/fleet_determinism.rs`).
 //!
 //! The fleet is **resilient to shard loss** (see [`fleet::resilience`]
-//! and `docs/resilience.md`): a deterministic [`FleetFaultPlan`] injects
-//! shard crashes, stalls, and model outages on per-shard seed streams
-//! (mirroring the engine's `FaultPlan` contract); an opt-in
+//! and `docs/resilience.md`): [`ShardedRuntime::induce_shard_fault`]
+//! strikes one shard with an [`InducedFault`] — a crash, a stall, or a
+//! model outage — until [`ShardedRuntime::clear_shard_fault`]; an opt-in
 //! [`HealthPolicy`] drives each shard through `Healthy → Suspect →
 //! Quarantined → Probation` — quarantining removes the shard from the
 //! ring (only its keys move, each to its successor), evacuates its
@@ -108,8 +108,8 @@ pub mod tenant;
 pub use breaker::BreakerConfig;
 pub use config::RuntimeConfig;
 pub use fleet::{
-    FleetConfig, FleetFaultPlan, FleetStats, HashRing, HealthPolicy, HealthState, InducedFault,
-    ShardedRuntime, StealPolicy,
+    FleetConfig, FleetStats, HashRing, HealthPolicy, HealthState, InducedFault, ShardedRuntime,
+    StealPolicy,
 };
 pub use obs::{ObsConfig, RuntimeObs};
 pub use qos::{price_quote, price_quote_parts, PriceQuote, QosConfig, ServiceLevel};

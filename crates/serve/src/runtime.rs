@@ -313,7 +313,7 @@ struct Shared {
     /// The degraded-mode circuit breaker (present only when the config
     /// enables it; see [`crate::breaker`]).
     breaker: Option<Breaker>,
-    /// The chaos-injected fault word (see [`crate::fleet::resilience`]):
+    /// The induced fault word (see [`crate::fleet::resilience`]):
     /// zero when no fault is induced, so the production hot path pays one
     /// relaxed load per scoring call and stays bit-identical to a runtime
     /// built before fault injection existed.
@@ -334,7 +334,7 @@ impl Shared {
         }
     }
 
-    /// The currently induced chaos fault, if any (one relaxed load).
+    /// The currently induced fault, if any (one relaxed load).
     fn induced(&self) -> Option<InducedFault> {
         let word = self.induced.load(Ordering::Relaxed);
         if word == 0 {
@@ -1017,8 +1017,8 @@ impl ScoringRuntime {
         }
     }
 
-    /// Crate-internal (fleet chaos): induces or clears a fault on this
-    /// runtime. Takes effect on the next batch/inline score; clearing
+    /// Crate-internal (fleet fault drills): induces or clears a fault on
+    /// this runtime. Takes effect on the next batch/inline score; clearing
     /// restores normal service (modulo a still-open breaker cooling down).
     pub(crate) fn set_induced_fault(&self, fault: Option<InducedFault>) {
         self.shared
@@ -1026,7 +1026,8 @@ impl ScoringRuntime {
             .store(encode_fault(fault), Ordering::Relaxed);
     }
 
-    /// Crate-internal (fleet chaos): the currently induced fault, if any.
+    /// Crate-internal (fleet fault drills): the currently induced fault,
+    /// if any.
     pub(crate) fn induced_fault(&self) -> Option<InducedFault> {
         decode_fault(self.shared.induced.load(Ordering::Relaxed))
     }

@@ -1,30 +1,34 @@
-//! Fleet resilience suite:
+//! Fleet resilience suite. Every fault is set and cleared explicitly
+//! through `ShardedRuntime::induce_shard_fault` / `clear_shard_fault`:
 //!
-//! * a fleet with [`FleetFaultPlan::none`] is **bit-identical** to a fleet
-//!   built without a plan (scores *and* stats) at 1/2/4 shards,
-//! * a seeded chaos plan under 3-level concurrent load preserves the
-//!   accounting identities exactly: `aggregate().completed` equals the
-//!   client-visible Ok count and `aggregate().errors` equals client-visible
-//!   errors plus failover retry attempts — zero lost tickets,
+//! * seeded crash and stall windows, driven by a test-side thread under
+//!   3-level concurrent load, preserve the accounting identities exactly:
+//!   `aggregate().completed` equals the client-visible Ok count and
+//!   `aggregate().errors` equals client-visible errors plus failover retry
+//!   attempts — zero lost tickets,
 //! * an induced crash drives quarantine (successor rerouting off the
 //!   ring), failover rescues the in-flight failures, and probation
 //!   re-admits the shard once the fault clears,
+//! * a model outage behind a breaker (degraded answers, no errors) keeps
+//!   the shard out of the ring until the fault clears,
 //! * quarantine evacuation moves `Standard` backlog to survivors but
 //!   **never** `Interactive`,
 //! * shutdown is idempotent and safe concurrently with quarantine and
 //!   evacuation: every ticket resolves, nothing double-counted,
 //! * an induced stall delays inline answers, not only worker batches.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ae_serve::{
-    FleetConfig, FleetFaultPlan, HealthPolicy, HealthState, InducedFault, RuntimeConfig,
+    BreakerConfig, FleetConfig, HealthPolicy, HealthState, InducedFault, RuntimeConfig,
     ScoreRequest, ScoreTicket, ServiceLevel, ShardedRuntime, TenantId,
 };
-use ae_workload::{ScaleFactor, WorkloadGenerator};
 use autoexecutor::prelude::*;
 use autoexecutor::ModelRegistry;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 mod common;
 
@@ -86,103 +90,32 @@ fn wait_until(deadline: Duration, mut condition: impl FnMut() -> bool) -> bool {
     condition()
 }
 
-/// The tentpole inertness pin: a deterministic fleet with an explicit
-/// [`FleetFaultPlan::none`] (even a seeded one — zero rates are what make
-/// a plan inert) is bit-identical to a fleet built without one, at every
-/// shard count: same scores, same per-shard counters, all-healthy, every
-/// resilience counter zero.
-#[test]
-fn none_plan_fleet_is_bit_identical_to_a_plain_fleet() {
-    let (registry, config, _) = fixture();
-    let generator = WorkloadGenerator::new(ScaleFactor::SF10);
-    let scoring: Vec<Vec<f64>> = ["q7", "q11", "q27", "q34", "q46", "q59", "q72", "q88"]
-        .iter()
-        .map(|n| autoexecutor::featurize_plan(&generator.instance(n).plan))
-        .collect();
-    for shards in [1usize, 2, 4] {
-        let plain = ShardedRuntime::new(
-            Arc::clone(&registry),
-            "ppm",
-            FleetConfig::deterministic(shards, &config),
-        );
-        let chaos_free = ShardedRuntime::new(
-            Arc::clone(&registry),
-            "ppm",
-            FleetConfig::deterministic(shards, &config)
-                .with_fault_plan(FleetFaultPlan::none().with_seed(0xC0FFEE)),
-        );
-        for (i, features) in scoring.iter().enumerate() {
-            let tenant = TenantId(i as u64 * 17);
-            let a = plain
-                .submit(ScoreRequest::from_features(features.clone()).with_tenant(tenant))
-                .unwrap();
-            let b = chaos_free
-                .submit(ScoreRequest::from_features(features.clone()).with_tenant(tenant))
-                .unwrap();
-            assert_eq!(
-                a.request.executors, b.request.executors,
-                "{shards} shards, query {i}: executors"
-            );
-            let a_bits: Vec<u64> = a
-                .request
-                .predicted_ppm
-                .parameters()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            let b_bits: Vec<u64> = b
-                .request
-                .predicted_ppm
-                .parameters()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            assert_eq!(a_bits, b_bits, "{shards} shards, query {i}: ppm parameters");
-            let a_curve: Vec<(usize, u64)> = a
-                .request
-                .predicted_curve
-                .iter()
-                .map(|&(n, t)| (n, t.to_bits()))
-                .collect();
-            let b_curve: Vec<(usize, u64)> = b
-                .request
-                .predicted_curve
-                .iter()
-                .map(|&(n, t)| (n, t.to_bits()))
-                .collect();
-            assert_eq!(a_curve, b_curve, "{shards} shards, query {i}: curve");
-            assert_eq!(a.level, b.level);
+/// Sleeps up to `total`, waking early once `done` is set.
+fn sleep_unless(done: &AtomicBool, total: Duration) {
+    let deadline = Instant::now() + total;
+    while !done.load(Ordering::Acquire) {
+        let now = Instant::now();
+        if now >= deadline {
+            return;
         }
-        let a = plain.stats();
-        let b = chaos_free.stats();
-        assert_eq!(a, b, "{shards} shards: stats must match field for field");
-        assert_eq!(a.quarantines, 0);
-        assert_eq!(a.recoveries, 0);
-        assert_eq!(a.evacuated_requests, 0);
-        assert_eq!(a.failover_retries, 0);
-        assert_eq!(a.retries_denied, 0);
-        assert!(b.health.iter().all(|&h| h == HealthState::Healthy));
-        assert!(chaos_free.shard_fault(0).is_none());
-        plain.shutdown();
-        chaos_free.shutdown();
+        std::thread::sleep((deadline - now).min(Duration::from_millis(1)));
     }
 }
 
-/// The seeded chaos pin: a reproducible kill/stall schedule under
-/// 3-level concurrent load, with health monitoring and failover active.
-/// Whatever the schedule does, the accounting identities are exact:
-/// every submission resolves, `completed` equals the client Ok count,
-/// and `errors` equals client-visible errors plus failover attempts —
-/// a rescued retry leaves one error on the failed shard and one
-/// completion on the target.
+/// The seeded chaos pin: a test-side thread strikes seeded shards with
+/// alternating crash and stall windows of seeded lengths (a crash first)
+/// through `induce_shard_fault` / `clear_shard_fault`, under 3-level
+/// concurrent load, with health monitoring and failover active. Whatever
+/// the windows do, the accounting identities are exact: every submission
+/// resolves, `completed` equals the client Ok count, and `errors` equals
+/// client-visible errors plus failover attempts — a rescued retry leaves
+/// one error on the failed shard and one completion on the target. The
+/// faults demonstrably land: at least one quarantine and one rescued
+/// retry.
 #[test]
 fn seeded_chaos_accounting_is_exact_under_concurrent_load() {
+    const SHARDS: usize = 4;
     let (registry, config, features) = fixture();
-    let plan = FleetFaultPlan::none()
-        .with_seed(42)
-        .with_crashes(20.0, Duration::from_millis(100))
-        .with_stalls(10.0, Duration::from_millis(60), Duration::from_millis(1))
-        .with_horizon(Duration::from_secs(5));
     let policy = HealthPolicy::default()
         .with_check_interval(Duration::from_millis(1))
         .with_error_rate(0.5, 4)
@@ -193,11 +126,38 @@ fn seeded_chaos_accounting_is_exact_under_concurrent_load() {
     let fleet = Arc::new(ShardedRuntime::new(
         Arc::clone(&registry),
         "ppm",
-        FleetConfig::new(4, shard_runtime(&config))
-            .with_health(policy)
-            .with_fault_plan(plan),
+        FleetConfig::new(SHARDS, shard_runtime(&config)).with_health(policy),
     ));
     fleet.warm().unwrap();
+
+    // The chaos thread: one window at a time until the load is done,
+    // crashes of 20–40 ms alternating with 1 ms-per-call stalls of
+    // 10–30 ms, each on a seeded shard and followed by a 0–10 ms gap.
+    let load_done = Arc::new(AtomicBool::new(false));
+    let chaos = {
+        let fleet = Arc::clone(&fleet);
+        let load_done = Arc::clone(&load_done);
+        std::thread::spawn(move || {
+            let mut rng = StdRng::seed_from_u64(42);
+            let mut crash = true;
+            while !load_done.load(Ordering::Acquire) {
+                let shard = rng.gen_range(0..SHARDS);
+                let (fault, window) = if crash {
+                    (InducedFault::Crash, rng.gen_range(20..=40))
+                } else {
+                    (
+                        InducedFault::Stall(Duration::from_millis(1)),
+                        rng.gen_range(10..=30),
+                    )
+                };
+                fleet.induce_shard_fault(shard, fault);
+                sleep_unless(&load_done, Duration::from_millis(window));
+                fleet.clear_shard_fault(shard);
+                sleep_unless(&load_done, Duration::from_millis(rng.gen_range(0..=10)));
+                crash = !crash;
+            }
+        })
+    };
 
     const THREADS: usize = 3;
     const PER_THREAD: usize = 1200;
@@ -219,7 +179,7 @@ fn seeded_chaos_accounting_is_exact_under_concurrent_load() {
                         Err(_) => err += 1,
                     }
                     // Pace the load so it overlaps several fault windows
-                    // instead of finishing before the first arrival.
+                    // instead of finishing inside the first one.
                     if i % 16 == 0 {
                         std::thread::sleep(Duration::from_micros(300));
                     }
@@ -235,6 +195,8 @@ fn seeded_chaos_accounting_is_exact_under_concurrent_load() {
         ok_total += ok;
         err_total += err;
     }
+    load_done.store(true, Ordering::Release);
+    chaos.join().unwrap();
     assert_eq!(
         ok_total + err_total,
         (THREADS * PER_THREAD) as u64,
@@ -260,6 +222,14 @@ fn seeded_chaos_accounting_is_exact_under_concurrent_load() {
         err_total + stats.failover_retries,
         "shard errors = client errors + failover attempts (a rescued retry \
          leaves one error behind)"
+    );
+    assert!(
+        stats.quarantines >= 1,
+        "no crash window was ever quarantined"
+    );
+    assert!(
+        stats.failover_retries >= 1,
+        "no crashed-shard call was retried cross-shard"
     );
     fleet.shutdown();
 }
@@ -355,6 +325,84 @@ fn crash_quarantine_failover_and_probationary_recovery() {
         "no client-visible errors, so shard errors are exactly the \
          rescued attempts"
     );
+    fleet.shutdown();
+}
+
+/// Probation never re-admits a shard whose model path is still down.
+/// Behind a breaker, a model outage produces degraded answers, not
+/// errors: the monitor's breaker signal quarantines the shard, and each
+/// probation trickle answered from the heuristic sends it straight back,
+/// so it stays off the ring for the whole outage. Once the fault clears,
+/// a half-open probe closes the breaker and probation re-admits it.
+#[test]
+fn model_outage_keeps_the_shard_in_probation_until_cleared() {
+    let (registry, config, features) = fixture();
+    let policy = HealthPolicy::default()
+        .with_check_interval(Duration::from_millis(1))
+        // The breaker is this test's only signal: no errors occur, and a
+        // briefly descheduled healthy shard must not trip the watchdog.
+        .with_stall_watchdog(1024, 1000)
+        .with_quarantine_hold(Duration::from_millis(10))
+        .with_probation(2, 4, 2);
+    let runtime = shard_runtime(&config)
+        .with_breaker(BreakerConfig::default().with_cooldown(Duration::from_millis(20)));
+    let fleet = ShardedRuntime::new(
+        Arc::clone(&registry),
+        "ppm",
+        FleetConfig::new(2, runtime)
+            .without_steal()
+            .with_health(policy),
+    );
+    fleet.warm().unwrap();
+    let victim = fleet.shard_for_tenant(TenantId(0));
+    let survivor = 1 - victim;
+    let victim_tenants = tenants_for_shard(&fleet, victim, 8);
+    let survivor_tenants = tenants_for_shard(&fleet, survivor, 8);
+    let submit = |i: usize| {
+        let tenants = if i.is_multiple_of(2) {
+            &victim_tenants
+        } else {
+            &survivor_tenants
+        };
+        fleet
+            .submit(ScoreRequest::from_features(features.clone()).with_tenant(tenants[(i / 2) % 8]))
+            .expect("a model outage behind a breaker degrades answers, never fails them");
+    };
+
+    fleet.induce_shard_fault(victim, InducedFault::ModelOutage);
+    let outage = Instant::now();
+    let mut i = 0usize;
+    while outage.elapsed() < Duration::from_millis(300) {
+        submit(i);
+        i += 1;
+    }
+    let during = fleet.stats();
+    assert!(
+        during.quarantines >= 1,
+        "the breaker signal never quarantined the shard"
+    );
+    assert_eq!(
+        during.recoveries, 0,
+        "probation re-admitted a shard whose model path was down \
+         ({} quarantines)",
+        during.quarantines
+    );
+    assert!(during.aggregate().degraded > 0);
+    assert!(!fleet.shard_health(victim).is_routable());
+
+    fleet.clear_shard_fault(victim);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while fleet.stats().recoveries == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "probation never re-admitted the shard after the outage cleared"
+        );
+        submit(i);
+        i += 1;
+    }
+    assert_eq!(fleet.shard_health(victim), HealthState::Healthy);
+    assert!(fleet.ring().shard_ids().contains(&(victim as u16)));
+    assert_eq!(fleet.stats().aggregate().errors, 0);
     fleet.shutdown();
 }
 

@@ -34,16 +34,20 @@
 # a perfbench stage (the repository's benchmark package builds against the
 # current crates, its own tests pass, and each workload runs once for one
 # second, answering correctly with zero failed operations — so an API change
-# cannot break the benchmark unnoticed). Pass --full to also run the full
-# bench suite (slow).
+# cannot break the benchmark unnoticed). The workspace build and both perfbench
+# commands run with --locked: every crate perfbench links is a path dependency
+# recorded in perfbench/Cargo.lock, so a change that adds or drops a dependency
+# of one of them must update that lock (and Cargo.lock) in the same commit
+# instead of leaving cargo to rewrite it silently when the benchmark runs. Pass
+# --full to also run the full bench suite (slow).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 reports="$(mktemp -d -t ci-reports.XXXXXX)"
 trap 'rm -rf "$reports"' EXIT
 
-echo "==> cargo build --release"
-cargo build --release --offline
+echo "==> cargo build --release --locked"
+cargo build --release --offline --locked
 
 echo "==> cargo test -q"
 cargo test -q --offline
@@ -100,9 +104,9 @@ echo "==> resilience smoke (1-of-4 shard kill: zero lost tickets, >= 60% goodput
 cargo run --offline --release -p ae-bench --bin bench_resilience -- --smoke --json "$reports/resilience.json"
 
 echo "==> perfbench (benchmark builds and its tests pass; each workload runs once: correct, zero failed)"
-cargo test --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 for workload in serve_blocking retrain; do
-    result="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    result="$(cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
     if [[ "$result" != *'"correct": true'* || "$result" != *'"failed": 0,'* ]]; then
         echo "perfbench $workload: expected \"correct\": true and \"failed\": 0, got: $result" >&2
