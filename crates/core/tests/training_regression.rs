@@ -17,7 +17,10 @@
 use ae_engine::{AllocationPolicy, ClusterConfig, QueryRunResult, RunConfig, Simulator};
 use ae_ppm::model::PpmKind;
 use ae_workload::{mixed_suite, BuiltinFamily, FamilyRegistry, ScaleFactor, WorkloadGenerator};
-use autoexecutor::{ActualRuns, AutoExecutorConfig, FeatureSet, ParameterModel, TrainingData};
+use autoexecutor::{
+    cross_validate, ActualRuns, AutoExecutorConfig, CrossValidationConfig, FeatureSet,
+    ParameterModel, TrainingData,
+};
 
 /// FNV-1a over a byte stream.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -54,6 +57,44 @@ fn trained_models_match_the_recorded_fingerprints() {
         fingerprint(&data, PpmKind::Amdahl, FeatureSet::F2),
         7733191896455462160,
         "Amdahl / F2"
+    );
+}
+
+/// Repeated k-fold cross-validation of a 10-tree forest on the SF10
+/// TPC-DS-like suite (3 folds × 2 repeats, ground truth at 1, 8, 16 and 48
+/// executors) must reproduce every fold's train and test `E(n)` bit for
+/// bit. This pins the fold splits, the per-fold forest seeds and the
+/// batched scoring behind perfbench's `cv_err`, not only the model bytes.
+/// The fingerprint was recorded from the per-tree comparison presort that
+/// preceded the forest-wide feature ranks.
+#[test]
+fn cross_validation_matches_the_recorded_fingerprint() {
+    let suite = WorkloadGenerator::new(ScaleFactor::SF10).suite();
+    let mut config = AutoExecutorConfig::default().with_seed(42);
+    config.forest.n_estimators = 10;
+    let data = TrainingData::collect(&suite, &config).unwrap();
+    let counts = [1, 8, 16, 48];
+    let actuals =
+        ActualRuns::collect(&suite, &counts, 1, &ClusterConfig::paper_default(), 11).unwrap();
+    let cv = CrossValidationConfig::quick(7);
+    let report = cross_validate(&data, &actuals, &config, &cv, &counts).unwrap();
+    assert_eq!(report.folds.len(), 6);
+    let mut bytes = Bytes::default();
+    for fold in &report.folds {
+        bytes.u64(fold.repeat as u64);
+        bytes.u64(fold.fold as u64);
+        for errors in [&fold.train_error_by_count, &fold.test_error_by_count] {
+            assert_eq!(errors.len(), counts.len());
+            for (&n, &e) in errors {
+                bytes.u64(n as u64);
+                bytes.f64(e);
+            }
+        }
+    }
+    assert_eq!(
+        fnv1a(&bytes.0),
+        12731977935484085502,
+        "cross-validation E(n)"
     );
 }
 

@@ -4,9 +4,11 @@
 //! `RandomForestRegressor` with its default 100 estimators, trained once per
 //! workload on one row per query, predicting the PPM parameter vector.
 //!
-//! A fit lays the dataset out once — features column-major, targets flat —
-//! and shares that layout read-only across the trees, each grown by the
-//! presorted CART grower of [`crate::tree`] from its own bootstrap sample.
+//! A fit lays the dataset out once — features column-major, each feature's
+//! dense value rank per row, targets flat — and shares that layout read-only
+//! across the trees, each grown by the presorted CART grower of
+//! [`crate::tree`] from its own bootstrap sample. A tree's presort is then a
+//! counting sort of its sample by rank, with no float comparison.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

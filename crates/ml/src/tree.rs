@@ -8,9 +8,12 @@
 //!
 //! # The grower
 //!
-//! A tree is grown from presorted lists of sample row ids. Before the root,
-//! each feature's list holds the (bootstrap) sample stably sorted by that
-//! feature, once per tree, and one more list holds the sample in node order
+//! A tree is grown from presorted lists of sample row ids. The training
+//! layout ranks each feature once per fit (one `partial_cmp` sort per
+//! column): equal values share a rank, and ranks follow value order. Before
+//! the root, each feature's list holds the (bootstrap) sample stably
+//! counting-sorted by that rank, once per tree, which is exactly the stable
+//! `partial_cmp` sort by value; one more list holds the sample in node order
 //! (the order the caller passed it). All lists share one buffer, and every
 //! node owns the same `lo..hi` segment of each list. A split scan reads a
 //! candidate feature's segment in sorted order; applying a split stably
@@ -374,12 +377,19 @@ impl DecisionTreeConfig {
 
 /// Training data laid out for the grower and validated once: features
 /// column-major (`columns[f * rows + r]` is feature `f` of row `r`), so a
-/// split reads one contiguous column, and targets flat row-major
+/// split reads one contiguous column, each feature's dense value rank per
+/// row in the same layout, and targets flat row-major
 /// (`targets[r * num_outputs + o]`). The forest builds it once per fit and
 /// shares it read-only across trees.
 #[derive(Debug)]
 pub(crate) struct TrainingColumns {
     columns: Vec<f64>,
+    /// `ranks[f * rows + r]` is the number of distinct values of feature
+    /// `f` below row `r`'s, so equal values (`-0.0` and `0.0` included)
+    /// share a rank and ranks of a feature run densely over
+    /// `0..distinct[f]`.
+    ranks: Vec<u32>,
+    distinct: Vec<usize>,
     targets: Vec<f64>,
     rows: usize,
     num_features: usize,
@@ -424,8 +434,33 @@ impl TrainingColumns {
                 columns[f * n + r] = v;
             }
         }
+        let mut ranks = vec![0; n * num_features];
+        let mut distinct = Vec::with_capacity(num_features);
+        let mut order: Vec<u32> = Vec::with_capacity(n);
+        for (column, ranks) in columns.chunks_exact(n).zip(ranks.chunks_exact_mut(n)) {
+            order.clear();
+            order.extend(0..n as u32);
+            order.sort_unstable_by(|&a, &b| {
+                column[a as usize]
+                    .partial_cmp(&column[b as usize])
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+            let mut rank = 0;
+            let mut previous = column[order[0] as usize];
+            for &r in &order {
+                let v = column[r as usize];
+                if v != previous {
+                    rank += 1;
+                    previous = v;
+                }
+                ranks[r as usize] = rank;
+            }
+            distinct.push(rank as usize + 1);
+        }
         Ok(Self {
             columns,
+            ranks,
+            distinct,
             targets: targets.concat(),
             rows: n,
             num_features,
@@ -435,6 +470,10 @@ impl TrainingColumns {
 
     fn column(&self, feature: usize) -> &[f64] {
         &self.columns[feature * self.rows..(feature + 1) * self.rows]
+    }
+
+    fn ranks(&self, feature: usize) -> &[u32] {
+        &self.ranks[feature * self.rows..(feature + 1) * self.rows]
     }
 }
 
@@ -513,20 +552,39 @@ struct BestSplit {
 }
 
 impl<'a> Grower<'a> {
-    /// Sorts each feature's sample once: stably, with the comparator
-    /// per-node sorting used, so ties keep sample order.
+    /// Sorts each feature's sample once, with a stable counting sort by the
+    /// feature's dense rank. Equal ranks are exactly the values that
+    /// `partial_cmp` calls equal, and ties keep sample order, so each list
+    /// is the stable `partial_cmp` sort per-node sorting used.
     fn new(data: &'a TrainingColumns, config: DecisionTreeConfig, sample: &[usize]) -> Self {
         let m = sample.len();
-        let mut lists = Vec::with_capacity((data.num_features + 1) * m);
-        let mut keyed: Vec<(f64, u32)> = Vec::with_capacity(m);
-        for feature in 0..data.num_features {
-            let column = data.column(feature);
-            keyed.clear();
-            keyed.extend(sample.iter().map(|&r| (column[r], r as u32)));
-            keyed.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-            lists.extend(keyed.iter().map(|&(_, r)| r));
+        let mut lists = vec![0; (data.num_features + 1) * m];
+        let (feature_lists, node_order) = lists.split_at_mut(data.num_features * m);
+        let mut next_slot = vec![0u32; data.distinct.iter().copied().max().unwrap_or(0)];
+        for (feature, list) in feature_lists.chunks_exact_mut(m).enumerate() {
+            let ranks = data.ranks(feature);
+            // Count each rank, then turn the counts into each rank's first
+            // slot; placing the sample in order keeps ties in sample order.
+            let next_slot = &mut next_slot[..data.distinct[feature]];
+            next_slot.fill(0);
+            for &r in sample {
+                next_slot[ranks[r] as usize] += 1;
+            }
+            let mut start = 0;
+            for slot in next_slot.iter_mut() {
+                let count = *slot;
+                *slot = start;
+                start += count;
+            }
+            for &r in sample {
+                let slot = &mut next_slot[ranks[r] as usize];
+                list[*slot as usize] = r as u32;
+                *slot += 1;
+            }
         }
-        lists.extend(sample.iter().map(|&r| r as u32));
+        for (slot, &r) in node_order.iter_mut().zip(sample) {
+            *slot = r as u32;
+        }
         Self {
             data,
             config,
@@ -1203,6 +1261,76 @@ mod tests {
             }
         }
         assert!(checked_nodes > 5_000, "only {checked_nodes} nodes compared");
+    }
+
+    #[test]
+    fn presorted_lists_equal_a_stable_partial_cmp_sort() {
+        let ulp = |v: f64, steps: u64| f64::from_bits(v.to_bits() + steps);
+        let tiny = f64::MIN_POSITIVE;
+        let n = 24;
+        // Columns: signed zeros among ±1; values repeating in reverse row
+        // order; neighbours one ULP apart; subnormals around zero; a
+        // constant; and row-distinct values.
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                vec![
+                    [-0.0, 0.0, 1.0, -1.0, 0.0, -0.0][i % 6],
+                    ((n - i) / 3) as f64,
+                    ulp(1.0, (i % 5) as u64),
+                    [tiny / 4.0, -tiny / 8.0, tiny, 0.0, -0.0, tiny / 4.0][i % 6],
+                    2.5,
+                    (i as f64 * 0.37).sin(),
+                ]
+            })
+            .collect();
+        let targets: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64]).collect();
+        let data = TrainingColumns::new(&rows, &targets).unwrap();
+        let d = rows[0].len();
+
+        for feature in 0..d {
+            let column = data.column(feature);
+            let ranks = data.ranks(feature);
+            let distinct = data.distinct[feature];
+            let mut seen = vec![false; distinct];
+            for r in 0..n {
+                seen[ranks[r] as usize] = true;
+                for s in 0..n {
+                    assert_eq!(
+                        ranks[r].cmp(&ranks[s]),
+                        column[r].partial_cmp(&column[s]).unwrap(),
+                        "feature {feature}, rows {r} and {s}"
+                    );
+                }
+            }
+            assert!(
+                seen.iter().all(|&s| s),
+                "feature {feature}: ranks not dense"
+            );
+        }
+        assert_eq!(data.distinct, [3, 9, 5, 4, 1, n]);
+
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut samples: Vec<Vec<usize>> = vec![(0..n).collect(), (0..n).rev().collect()];
+        samples.extend((0..4).map(|_| (0..n).map(|_| rng.gen_range(0..n)).collect()));
+        samples.push(vec![5, 5, 0, 11, 5, 0]);
+        for sample in &samples {
+            let m = sample.len();
+            let grower = Grower::new(&data, DecisionTreeConfig::default(), sample);
+            for feature in 0..d {
+                let column = data.column(feature);
+                let mut keyed: Vec<(f64, u32)> =
+                    sample.iter().map(|&r| (column[r], r as u32)).collect();
+                keyed.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+                let expected: Vec<u32> = keyed.iter().map(|&(_, r)| r).collect();
+                assert_eq!(
+                    &grower.lists[feature * m..][..m],
+                    expected.as_slice(),
+                    "feature {feature}, sample {sample:?}"
+                );
+            }
+            let node_order: Vec<u32> = sample.iter().map(|&r| r as u32).collect();
+            assert_eq!(&grower.lists[d * m..], node_order.as_slice());
+        }
     }
 
     #[test]

@@ -89,13 +89,19 @@ pub trait SampleRange<T> {
     fn sample<R: RngCore + ?Sized>(self, rng: &mut R) -> T;
 }
 
+// A draw is `next_u64() % width` added to the start, the same value as the
+// remainder taken in `u128`. The width is taken with wrapping `u64`
+// arithmetic, which is exact for signed ranges with a negative start too:
+// sign extension moves both ends by the same multiple of 2^64. Every `a..b`
+// and every `a..=b` short of the full 2^64 span has a width that fits in
+// `u64`; the full span's remainder is the word itself.
 macro_rules! impl_int_sample_range {
     ($($t:ty),*) => {$(
         impl SampleRange<$t> for core::ops::Range<$t> {
             fn sample<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 assert!(self.start < self.end, "gen_range: empty range");
-                let width = (self.end as u128).wrapping_sub(self.start as u128) as u128;
-                let draw = ((rng.next_u64() as u128) % width) as $t;
+                let width = (self.end as u64).wrapping_sub(self.start as u64);
+                let draw = (rng.next_u64() % width) as $t;
                 self.start.wrapping_add(draw)
             }
         }
@@ -103,11 +109,12 @@ macro_rules! impl_int_sample_range {
             fn sample<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 let (start, end) = (*self.start(), *self.end());
                 assert!(start <= end, "gen_range: empty range");
-                // Wrapping width handles signed ranges with a negative
-                // start (sign-extension makes `start as u128` huge).
-                let width = (end as u128).wrapping_sub(start as u128).wrapping_add(1);
-                let draw = ((rng.next_u64() as u128) % width) as $t;
-                start.wrapping_add(draw)
+                let span = (end as u64).wrapping_sub(start as u64);
+                let draw = match span.checked_add(1) {
+                    Some(width) => rng.next_u64() % width,
+                    None => rng.next_u64(),
+                };
+                start.wrapping_add(draw as $t)
             }
         }
     )*};
@@ -271,6 +278,70 @@ mod tests {
             assert!((-5..=5).contains(&s));
             let f = rng.gen_range(-2.0f64..2.0);
             assert!((-2.0..2.0).contains(&f));
+        }
+    }
+
+    /// The `u128` formula: `start + word % width` over the inclusive range
+    /// `start..=end`, in integers wide enough that nothing wraps.
+    fn u128_draw(word: u64, start: i128, end: i128) -> i128 {
+        let width = (end - start + 1) as u128;
+        start + ((word as u128) % width) as i128
+    }
+
+    #[test]
+    fn integer_draws_equal_the_u128_formula() {
+        let widths: [u128; 9] = [
+            1,
+            2,
+            3,
+            1000,
+            1 << 32,
+            1 << 63,
+            (1 << 63) + 1,
+            u64::MAX as u128,
+            1 << 64,
+        ];
+        for (seed, &width) in widths.iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(seed as u64);
+            let mut words = rng.clone();
+            let w = width as i128;
+            // Unsigned from 0, and signed from the lowest start that fits.
+            let last = (w - 1) as u64;
+            let start = (-w / 2 - 1).max(i64::MIN as i128);
+            let (lo, hi) = (start as i64, (start + w - 1) as i64);
+            assert!(lo < 0, "width {width}: start {lo} is not negative");
+            for _ in 0..2000 {
+                let word = words.next_u64_public();
+                let draw = rng.gen_range(0..=last);
+                assert_eq!(draw as i128, u128_draw(word, 0, w - 1), "0..={last}");
+                let word = words.next_u64_public();
+                let draw = rng.gen_range(lo..=hi);
+                assert_eq!(draw as i128, u128_draw(word, start, start + w - 1));
+                if let Ok(end) = u64::try_from(width) {
+                    let word = words.next_u64_public();
+                    let draw = rng.gen_range(0..end);
+                    assert_eq!(draw as i128, u128_draw(word, 0, w - 1), "0..{end}");
+                    let word = words.next_u64_public();
+                    let draw = rng.gen_range(0..end as usize);
+                    assert_eq!(draw as i128, u128_draw(word, 0, w - 1));
+                }
+                if let Ok(end) = i64::try_from(start + w) {
+                    let word = words.next_u64_public();
+                    let draw = rng.gen_range(lo..end);
+                    assert_eq!(draw as i128, u128_draw(word, start, start + w - 1));
+                }
+                if w <= 1 << 32 {
+                    let start = (-w / 2 - 1).max(i32::MIN as i128);
+                    let (lo, hi) = (start as i32, (start + w - 1) as i32);
+                    let word = words.next_u64_public();
+                    let draw = rng.gen_range(lo..=hi);
+                    assert_eq!(draw as i128, u128_draw(word, start, start + w - 1));
+                    let word = words.next_u64_public();
+                    let draw = rng.gen_range(0..=last as u32);
+                    assert_eq!(draw as i128, u128_draw(word, 0, w - 1));
+                }
+            }
+            assert_eq!(rng, words, "width {width}: one word per draw");
         }
     }
 
