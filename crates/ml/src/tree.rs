@@ -555,12 +555,12 @@ impl<'a> Grower<'a> {
     /// Sorts each feature's sample once, with a stable counting sort by the
     /// feature's dense rank. Equal ranks are exactly the values that
     /// `partial_cmp` calls equal, and ties keep sample order, so each list
-    /// is the stable `partial_cmp` sort per-node sorting used.
+    /// is the stable `partial_cmp` sort that per-node sorting used.
     fn new(data: &'a TrainingColumns, config: DecisionTreeConfig, sample: &[usize]) -> Self {
         let m = sample.len();
         let mut lists = vec![0; (data.num_features + 1) * m];
         let (feature_lists, node_order) = lists.split_at_mut(data.num_features * m);
-        let mut next_slot = vec![0u32; data.distinct.iter().copied().max().unwrap_or(0)];
+        let mut next_slot = vec![0; data.distinct.iter().copied().max().unwrap_or(0)];
         for (feature, list) in feature_lists.chunks_exact_mut(m).enumerate() {
             let ranks = data.ranks(feature);
             // Count each rank, then turn the counts into each rank's first
@@ -578,7 +578,7 @@ impl<'a> Grower<'a> {
             }
             for &r in sample {
                 let slot = &mut next_slot[ranks[r] as usize];
-                list[*slot as usize] = r as u32;
+                list[*slot] = r as u32;
                 *slot += 1;
             }
         }
