@@ -10,8 +10,9 @@
 //! * [`linreg`] — ordinary-least-squares linear regression (used to fit the
 //!   PPM parameters in log space / `1/n` space).
 //! * [`tree`] — CART regression trees with multi-output targets, grown
-//!   from per-tree presorted feature lists that each split partitions
-//!   (no per-node sorting; bit-identical to it).
+//!   from per-tree presorted feature lists (a counting sort by ranks taken
+//!   once per fit) that each split partitions (no per-node sorting;
+//!   bit-identical to it).
 //! * [`forest`] — bagged random forests over those trees (the parameter
 //!   model), mirroring scikit-learn's defaults (100 estimators).
 //! * [`compiled`] — the fitted forest compiled into one flat
