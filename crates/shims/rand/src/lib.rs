@@ -305,7 +305,8 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed as u64);
             let mut words = rng.clone();
             let w = width as i128;
-            // Unsigned from 0, and signed from the lowest start that fits.
+            // Unsigned ranges start at 0, signed ones about half the width
+            // below 0 (at `i64::MIN` for the widest).
             let last = (w - 1) as u64;
             let start = (-w / 2 - 1).max(i64::MIN as i128);
             let (lo, hi) = (start as i64, (start + w - 1) as i64);
