@@ -386,10 +386,8 @@ pub(crate) struct TrainingColumns {
     columns: Vec<f64>,
     /// `ranks[f * rows + r]` is the number of distinct values of feature
     /// `f` below row `r`'s, so equal values (`-0.0` and `0.0` included)
-    /// share a rank and ranks of a feature run densely over
-    /// `0..distinct[f]`.
+    /// share a rank and every rank is below `rows`.
     ranks: Vec<u32>,
-    distinct: Vec<usize>,
     targets: Vec<f64>,
     rows: usize,
     num_features: usize,
@@ -435,7 +433,6 @@ impl TrainingColumns {
             }
         }
         let mut ranks = vec![0; n * num_features];
-        let mut distinct = Vec::with_capacity(num_features);
         let mut order: Vec<u32> = Vec::with_capacity(n);
         for (column, ranks) in columns.chunks_exact(n).zip(ranks.chunks_exact_mut(n)) {
             order.clear();
@@ -455,12 +452,10 @@ impl TrainingColumns {
                 }
                 ranks[r as usize] = rank;
             }
-            distinct.push(rank as usize + 1);
         }
         Ok(Self {
             columns,
             ranks,
-            distinct,
             targets: targets.concat(),
             rows: n,
             num_features,
@@ -560,12 +555,11 @@ impl<'a> Grower<'a> {
         let m = sample.len();
         let mut lists = vec![0; (data.num_features + 1) * m];
         let (feature_lists, node_order) = lists.split_at_mut(data.num_features * m);
-        let mut next_slot = vec![0; data.distinct.iter().copied().max().unwrap_or(0)];
+        let mut next_slot = vec![0; data.rows];
         for (feature, list) in feature_lists.chunks_exact_mut(m).enumerate() {
             let ranks = data.ranks(feature);
             // Count each rank, then turn the counts into each rank's first
             // slot; placing the sample in order keeps ties in sample order.
-            let next_slot = &mut next_slot[..data.distinct[feature]];
             next_slot.fill(0);
             for &r in sample {
                 next_slot[ranks[r] as usize] += 1;
@@ -1290,7 +1284,7 @@ mod tests {
         for feature in 0..d {
             let column = data.column(feature);
             let ranks = data.ranks(feature);
-            let distinct = data.distinct[feature];
+            let distinct = *ranks.iter().max().unwrap() as usize + 1;
             let mut seen = vec![false; distinct];
             for r in 0..n {
                 seen[ranks[r] as usize] = true;
@@ -1306,8 +1300,8 @@ mod tests {
                 seen.iter().all(|&s| s),
                 "feature {feature}: ranks not dense"
             );
+            assert_eq!(distinct, [3, 9, 5, 4, 1, n][feature], "feature {feature}");
         }
-        assert_eq!(data.distinct, [3, 9, 5, 4, 1, n]);
 
         let mut rng = StdRng::seed_from_u64(17);
         let mut samples: Vec<Vec<usize>> = vec![(0..n).collect(), (0..n).rev().collect()];

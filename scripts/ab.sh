@@ -2,31 +2,28 @@
 # Alternating-pairs A/B of one perfbench end-to-end metric: this checkout's
 # working tree (the change) against a parent revision.
 #
-#   scripts/ab.sh <parent-rev> <workload> <metric> [pairs] [seconds]
+#   scripts/ab.sh <parent-rev> <workload> <metric>
 #
 # Exports <parent-rev> with `git archive` into a temporary directory, so the
 # parent builds from its committed files into a target directory of its own,
-# and builds perfbench in both trees. It then runs <pairs> pairs (default
-# 10) of <seconds>-second runs (default 30) with `--trace 0`. Both runs of a
-# pair take the same seed, fresh for every pair and printed with it; odd
-# pairs run the parent first, even pairs the change. Every run must answer
-# correctly with zero failed operations. It prints every pair, both medians,
-# the parent's interquartile range and how many pairs the change won, on the
-# metric's better side as BENCHMARK.json declares it. The temporary
-# directory is removed on exit; nothing under perfbench/ changes apart from
-# its ignored build output. Needs jq.
+# and builds perfbench in both trees with --locked, so a stale
+# perfbench/Cargo.lock fails the build instead of being rewritten. It then
+# runs 10 pairs of runs with `--trace 0`, each as long as BENCHMARK.json's
+# `run_seconds`. Both runs of a pair take the same seed, fresh for every
+# pair and printed with it; odd pairs run the parent first, even pairs the
+# change. Every run must answer correctly with zero failed operations. It
+# prints every pair, both medians, the parent's interquartile range and how
+# many pairs the change won, on the metric's better side as BENCHMARK.json
+# declares it. The temporary directory is removed on exit; nothing under
+# perfbench/ changes apart from its ignored build output. Needs jq.
 set -euo pipefail
 shopt -s inherit_errexit
 cd "$(dirname "$0")/.."
 
-usage() {
-    echo "usage: scripts/ab.sh <parent-rev> <workload> <metric> [pairs] [seconds]" >&2
-    exit 2
-}
-[[ $# -ge 3 && $# -le 5 ]] || usage
-parent_rev=$1 workload=$2 metric=$3 pairs=${4:-10} seconds=${5:-30}
-[[ $pairs =~ ^[1-9][0-9]*$ && $seconds =~ ^[1-9][0-9]*$ ]] || usage
+[[ $# -eq 3 ]] || { echo "usage: scripts/ab.sh <parent-rev> <workload> <metric>" >&2; exit 2; }
+parent_rev=$1 workload=$2 metric=$3 pairs=10
 command -v jq >/dev/null || { echo "ab.sh: jq not found" >&2; exit 2; }
+seconds="$(jq -er .run_seconds BENCHMARK.json)"
 better="$(jq -r --arg m "$metric" '.end_to_end[] | select(.name == $m) | .better' BENCHMARK.json)"
 [[ -n $better ]] || { echo "ab.sh: '$metric' is not an end-to-end metric of BENCHMARK.json" >&2; exit 2; }
 rev="$(git rev-parse --verify --quiet "$parent_rev^{commit}")" ||
@@ -40,7 +37,7 @@ git archive "$rev" | tar -x -C "$parent"
 build() {
     echo "==> building perfbench in $1" >&2
     CARGO_TARGET_DIR="$1/perfbench/target" \
-        cargo build --release --offline --quiet --manifest-path "$1/perfbench/Cargo.toml"
+        cargo build --release --offline --locked --quiet --manifest-path "$1/perfbench/Cargo.toml"
 }
 build "$parent"
 build "$PWD"
