@@ -1,6 +1,6 @@
 //! Forest-inference benchmark: the compiled representation
-//! (`ae_ml::compiled::CompiledForest` — one flat SoA tree arena with leaves
-//! as self-loops, a pooled leaf table, and one branchless kernel walking
+//! (`ae_ml::compiled::CompiledForest` — one flat arena of 16-byte tree
+//! nodes with leaves as self-loops, a pooled leaf table, and one branchless kernel walking
 //! blocks of 8 trees in lockstep) against the interpreted
 //! `RandomForestRegressor` walk it replaced on every scoring path.
 //!
@@ -40,9 +40,9 @@ use ae_ml::matrix::FeatureMatrix;
 use ae_serve::{RuntimeConfig, ScoreRequest};
 use ae_workload::{ScaleFactor, WorkloadGenerator};
 
-const COMMENT: &str = "Compiled-forest inference benchmark: CompiledForest (flat SoA tree \
-    arena with leaves as self-loops, pooled leaf table, one branchless kernel walking blocks of \
-    8 trees in lockstep) vs the interpreted RandomForestRegressor walk every scoring path used \
+const COMMENT: &str = "Compiled-forest inference benchmark: CompiledForest (flat arena of \
+    16-byte tree nodes with leaves as self-loops, pooled leaf table, one branchless kernel \
+    walking blocks of 8 trees in lockstep) vs the interpreted RandomForestRegressor walk every scoring path used \
     before. 'interpreted predict_matrix' is the pre-compilation batched serving walk and is the \
     baseline the speedup is quoted against; the batch repeats the suite's rows in a cycle. \
     equivalence_bit_identical asserts compiled == interpreted bit-for-bit over the whole batch. \

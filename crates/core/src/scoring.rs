@@ -11,9 +11,9 @@
 //!
 //! Entry points:
 //!
-//! * [`score_features`] — one query: predict the PPM, evaluate the candidate
-//!   curve, select an executor count. Returns per-step timings for the
-//!   Section 5.6 overhead accounting.
+//! * [`score_features`] — one query: predict the PPM, then decide. Returns
+//!   the inference and decision timings for the Section 5.6 overhead
+//!   accounting.
 //! * [`score_features_with_risk`] — the same with a preemption-risk model
 //!   applied to the curve before selection; the fault benchmark
 //!   (`bench_faults`) measures risk-aware selection through it. Neither
@@ -21,21 +21,26 @@
 //! * [`score_feature_batch`] — a micro-batch of queries laid out in one
 //!   [`FeatureMatrix`]: batched forest inference
 //!   ([`ParameterModel::predict_ppm_batch`], the compiled kernel
-//!   accumulating into one flat output buffer) followed by batched
-//!   selection ([`SelectionObjective::select_batch`]). Per-row results are
-//!   bit-identical to [`score_features`].
+//!   accumulating into one flat output buffer), then each row's PPM
+//!   decided straight into its request.
 //!
-//! Both entry points run inference on the model's
-//! [`CompiledForest`](ae_ml::compiled::CompiledForest) — flat
-//! struct-of-arrays tree arenas compiled once per model — whose
-//! predictions are bit-identical to the interpreted forest, so the
-//! determinism guarantee is unchanged.
+//! [`score_features`] and [`score_feature_batch`] end in one private
+//! per-row step, `decide`: evaluate the PPM at the candidate counts, select
+//! on that curve, build the [`ResourceRequest`]. So a batched row's request
+//! is bit-identical to [`score_features`]' by construction.
+//!
+//! Every entry point runs inference on the model's
+//! [`CompiledForest`](ae_ml::compiled::CompiledForest) — one flat arena of
+//! 16-byte tree nodes compiled once per model — whose predictions are
+//! bit-identical to the interpreted forest, so the determinism guarantee
+//! is unchanged.
 
 use std::time::{Duration, Instant};
 
 use ae_ml::matrix::FeatureMatrix;
 use ae_ppm::risk::PreemptionRisk;
 use ae_ppm::selection::SelectionObjective;
+use ae_ppm::Ppm;
 
 use crate::optimizer::ResourceRequest;
 use crate::training::ParameterModel;
@@ -80,22 +85,17 @@ pub fn score_features_with_risk(
     let inference = infer_start.elapsed();
 
     let select_start = Instant::now();
-    let curve = ppm.predict_curve(candidate_counts);
-    let curve = match risk {
-        Some(risk) if risk.is_active() => risk.adjust_samples(&curve),
-        _ => curve,
-    };
-    let executors = objective
-        .select(&curve)
-        .ok_or_else(|| AutoExecutorError::InvalidModel("empty candidate range".into()))?;
+    let request = match risk {
+        Some(risk) if risk.is_active() => {
+            let curve = risk.adjust_samples(&ppm.predict_curve(candidate_counts));
+            select_on(ppm, objective, curve)
+        }
+        _ => decide(ppm, objective, candidate_counts),
+    }?;
     let selection = select_start.elapsed();
 
     Ok(ScoredQuery {
-        request: ResourceRequest {
-            executors,
-            predicted_ppm: ppm,
-            predicted_curve: curve,
-        },
+        request,
         inference,
         selection,
     })
@@ -109,25 +109,37 @@ pub fn score_feature_batch(
     objective: SelectionObjective,
     candidate_counts: &[usize],
 ) -> Result<Vec<ResourceRequest>> {
-    let ppms = model.predict_ppm_batch(features)?;
-    let curves: Vec<Vec<(usize, f64)>> = ppms
-        .iter()
-        .map(|ppm| ppm.predict_curve(candidate_counts))
-        .collect();
-    let selected = objective.select_batch(&curves);
-    ppms.into_iter()
-        .zip(curves)
-        .zip(selected)
-        .map(|((ppm, curve), executors)| {
-            let executors = executors
-                .ok_or_else(|| AutoExecutorError::InvalidModel("empty candidate range".into()))?;
-            Ok(ResourceRequest {
-                executors,
-                predicted_ppm: ppm,
-                predicted_curve: curve,
-            })
-        })
+    model
+        .predict_ppm_batch(features)?
+        .into_iter()
+        .map(|ppm| decide(ppm, objective, candidate_counts))
         .collect()
+}
+
+/// The per-row decision step of every entry point: the PPM's curve at the
+/// candidate counts, the objective's choice on it, and the request.
+fn decide(
+    ppm: Ppm,
+    objective: SelectionObjective,
+    candidate_counts: &[usize],
+) -> Result<ResourceRequest> {
+    select_on(ppm, objective, ppm.predict_curve(candidate_counts))
+}
+
+/// Selects on `curve` and builds the request that carries it.
+fn select_on(
+    ppm: Ppm,
+    objective: SelectionObjective,
+    curve: Vec<(usize, f64)>,
+) -> Result<ResourceRequest> {
+    let executors = objective
+        .select(&curve)
+        .ok_or_else(|| AutoExecutorError::InvalidModel("empty candidate range".into()))?;
+    Ok(ResourceRequest {
+        executors,
+        predicted_ppm: ppm,
+        predicted_curve: curve,
+    })
 }
 
 #[cfg(test)]

@@ -215,8 +215,8 @@ impl TrainingData {
 ///
 /// The fitted forest is carried in both representations: the interpreted
 /// [`RandomForestRegressor`] (training-time tooling walks it) and the
-/// [`CompiledForest`] every scoring path runs on — flat struct-of-arrays
-/// tree arenas with a pooled leaf table, compiled once per model, with
+/// [`CompiledForest`] every scoring path runs on — one flat arena of
+/// 16-byte tree nodes with a pooled leaf table, compiled once per model, with
 /// predictions bit-identical to the interpreter.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ParameterModel {

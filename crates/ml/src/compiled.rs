@@ -8,10 +8,11 @@
 //! forest walk, so scoring runs on a representation built for the walk
 //! alone:
 //!
-//! * **Struct-of-arrays node storage** — one arena across *all* trees:
-//!   `feature: Vec<u32>`, `threshold: Vec<f64>`, `right: Vec<u32>`. Nodes
-//!   are emitted in preorder DFS, so the **left child is implicit** (always
-//!   the next arena slot) and needs no storage.
+//! * **One 16-byte record per node** — one arena across *all* trees, a
+//!   `Vec` of `{ threshold: f64, feature: u32, right: u32 }` records, so a
+//!   walk step reads its split from one cache line, not from three
+//!   parallel arrays. Nodes are emitted in preorder DFS, so the **left
+//!   child is implicit** (always the next arena slot) and needs no storage.
 //! * **Leaves are self-loops** — a leaf node reads feature 0, has a NaN
 //!   threshold and is its own right child. `x <= NaN` is false for every
 //!   `x` (NaN included), so a step from a leaf stays on it, and walking a
@@ -24,11 +25,12 @@
 //!   `BLOCK` (8) consecutive trees outside, rows inside. A row walks all of
 //!   a block's trees side by side for the block's maximum depth (recorded
 //!   at compile time), each step a [`select_unpredictable`] between
-//!   `i + 1` and `right[i]`: optimized builds emit a conditional move, so
-//!   there is no branch to mispredict, and the block's independent walks
-//!   overlap their loads. A block's nodes stay in cache while every row of
-//!   a batch walks it. The kernel runs on the calling thread: serving
-//!   batches are already spread over the runtime's worker threads.
+//!   `i + 1` and the node's right child: optimized builds emit a
+//!   conditional move, so there is no branch to mispredict, and the
+//!   block's independent walks overlap their loads. A block's nodes stay
+//!   in cache while every row of a batch walks it. The kernel runs on the
+//!   calling thread: serving batches are already spread over the
+//!   runtime's worker threads.
 //!
 //! Bit-identity with [`RandomForestRegressor::predict`] is a structural
 //! property, not a coincidence: both paths zero an accumulator, add each
@@ -50,7 +52,21 @@ use crate::{MlError, Result};
 /// Number of consecutive trees the kernel walks in lockstep.
 const BLOCK: usize = 8;
 
-/// A fitted forest compiled into flat struct-of-arrays storage for fast
+/// One arena node: the split a walk step reads, packed into 16 bytes.
+#[derive(Debug, Clone, Copy)]
+struct PackedNode {
+    /// Split threshold (NaN for leaves).
+    threshold: f64,
+    /// Split feature (0 for leaves).
+    feature: u32,
+    /// Right child arena index; a leaf is its own right child. The left
+    /// child needs no storage: preorder emission makes it `idx + 1`.
+    right: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<PackedNode>() == 16);
+
+/// A fitted forest compiled into one flat node arena for fast
 /// inference. Build one with [`CompiledForest::compile`]; predictions are
 /// bit-identical to the source [`RandomForestRegressor`].
 #[derive(Debug, Clone)]
@@ -61,13 +77,8 @@ pub struct CompiledForest {
     roots: Vec<u32>,
     /// Maximum tree depth of each block of `BLOCK` consecutive trees.
     block_depths: Vec<usize>,
-    /// Split feature per node (0 for leaves).
-    feature: Vec<u32>,
-    /// Split threshold per node (NaN for leaves).
-    threshold: Vec<f64>,
-    /// Right child arena index per node; a leaf is its own right child. The
-    /// left child needs no storage: preorder emission makes it `idx + 1`.
-    right: Vec<u32>,
+    /// Every tree's nodes, in preorder per tree.
+    nodes: Vec<PackedNode>,
     /// Leaf id per node, indexing `leaf_values`. Splits hold `u32::MAX`,
     /// which a walk never reads: it always ends on a leaf.
     leaf: Vec<u32>,
@@ -107,16 +118,14 @@ impl CompiledForest {
             num_outputs,
             roots: Vec::with_capacity(trees.len()),
             block_depths: Vec::with_capacity(trees.len().div_ceil(BLOCK)),
-            feature: Vec::with_capacity(total_nodes),
-            threshold: Vec::with_capacity(total_nodes),
-            right: Vec::with_capacity(total_nodes),
+            nodes: Vec::with_capacity(total_nodes),
             leaf: Vec::with_capacity(total_nodes),
             leaf_values: Vec::with_capacity(total_leaves * num_outputs),
         };
         for block in trees.chunks(BLOCK) {
             let mut block_depth = 0;
             for tree in block {
-                compiled.roots.push(compiled.feature.len() as u32);
+                compiled.roots.push(compiled.nodes.len() as u32);
                 block_depth = block_depth.max(compiled.emit_tree(tree.nodes()));
             }
             compiled.block_depths.push(block_depth);
@@ -135,9 +144,9 @@ impl CompiledForest {
         // children).
         let mut stack: Vec<(usize, usize, Option<usize>)> = vec![(0, 0, None)];
         while let Some((node_idx, node_depth, patch)) = stack.pop() {
-            let pos = self.feature.len();
+            let pos = self.nodes.len();
             if let Some(parent) = patch {
-                self.right[parent] = pos as u32;
+                self.nodes[parent].right = pos as u32;
             }
             match &nodes[node_idx] {
                 Node::Split {
@@ -146,18 +155,22 @@ impl CompiledForest {
                     left,
                     right,
                 } => {
-                    self.feature.push(*feature as u32);
-                    self.threshold.push(*threshold);
-                    self.right.push(0); // patched when the right child is emitted
+                    self.nodes.push(PackedNode {
+                        threshold: *threshold,
+                        feature: *feature as u32,
+                        right: 0, // patched when the right child is emitted
+                    });
                     self.leaf.push(u32::MAX);
                     stack.push((*right, node_depth + 1, Some(pos)));
                     stack.push((*left, node_depth + 1, None)); // emitted next: left = pos + 1
                 }
                 Node::Leaf { value, .. } => {
                     depth = depth.max(node_depth);
-                    self.feature.push(0);
-                    self.threshold.push(f64::NAN);
-                    self.right.push(pos as u32);
+                    self.nodes.push(PackedNode {
+                        threshold: f64::NAN,
+                        feature: 0,
+                        right: pos as u32,
+                    });
                     self.leaf.push(self.num_leaves() as u32);
                     self.leaf_values.extend_from_slice(value);
                 }
@@ -183,7 +196,7 @@ impl CompiledForest {
 
     /// Total nodes in the arena (equals the source forest's `total_nodes`).
     pub fn num_nodes(&self) -> usize {
-        self.feature.len()
+        self.nodes.len()
     }
 
     /// Number of pooled leaves across all trees.
@@ -267,10 +280,7 @@ impl CompiledForest {
     /// checked the row width and the buffer length.
     fn run<'r>(&self, rows: impl Iterator<Item = &'r [f64]> + Clone, out: &mut [f64]) {
         let k = self.num_outputs;
-        // One length for the three node arrays: a step checks its index once.
-        let n = self.feature.len();
-        let (feature, threshold, right) =
-            (&self.feature[..n], &self.threshold[..n], &self.right[..n]);
+        let arena = self.nodes.as_slice();
         out.fill(0.0);
         for (roots, &depth) in self.roots.chunks(BLOCK).zip(&self.block_depths) {
             // A partial last block fills its spare lanes with its last tree,
@@ -285,8 +295,9 @@ impl CompiledForest {
                 for _ in 0..depth {
                     for node in nodes.iter_mut() {
                         let i = *node;
-                        let go_left = row[feature[i] as usize] <= threshold[i];
-                        *node = select_unpredictable(go_left, i + 1, right[i] as usize);
+                        let split = arena[i];
+                        let go_left = row[split.feature as usize] <= split.threshold;
+                        *node = select_unpredictable(go_left, i + 1, split.right as usize);
                     }
                 }
                 for &node in &nodes[..roots.len()] {
@@ -359,14 +370,14 @@ mod tests {
         let rf = fitted(7, 80); // 12 trees: one full block and one partial
         let compiled = CompiledForest::compile(&rf).unwrap();
         let mut leaves = 0;
-        for i in 0..compiled.num_nodes() {
+        for (i, node) in compiled.nodes.iter().enumerate() {
             if compiled.leaf[i] == u32::MAX {
                 continue;
             }
             leaves += 1;
-            assert_eq!(compiled.right[i] as usize, i, "node {i}");
-            assert_eq!(compiled.feature[i], 0, "node {i}");
-            assert!(compiled.threshold[i].is_nan(), "node {i}");
+            assert_eq!(node.right as usize, i, "node {i}");
+            assert_eq!(node.feature, 0, "node {i}");
+            assert!(node.threshold.is_nan(), "node {i}");
         }
         assert_eq!(leaves, compiled.num_leaves());
         let depths: Vec<usize> = rf.trees().iter().map(|t| t.depth()).collect();

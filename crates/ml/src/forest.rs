@@ -249,7 +249,7 @@ impl RandomForestRegressor {
         Ok(())
     }
 
-    /// Compiles the fitted forest into the flat struct-of-arrays inference
+    /// Compiles the fitted forest into the flat node-arena inference
     /// representation (see [`crate::compiled::CompiledForest`]).
     pub fn compile(&self) -> Result<crate::compiled::CompiledForest> {
         crate::compiled::CompiledForest::compile(self)

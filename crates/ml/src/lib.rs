@@ -15,8 +15,8 @@
 //!   bit-identical to it).
 //! * [`forest`] — bagged random forests over those trees (the parameter
 //!   model), mirroring scikit-learn's defaults (100 estimators).
-//! * [`compiled`] — the fitted forest compiled into one flat
-//!   struct-of-arrays tree arena (leaves as self-loops) with a pooled leaf
+//! * [`compiled`] — the fitted forest compiled into one flat tree arena
+//!   of 16-byte node records (leaves as self-loops) with a pooled leaf
 //!   table and one branchless kernel walking blocks of 8 trees in lockstep
 //!   (the inference representation of every scoring path, one row or
 //!   many; bit-identical to the interpreter).

@@ -68,8 +68,37 @@ impl PowerLawPpm {
 
     /// Evaluates `t(n)`.
     pub fn predict(&self, n: f64) -> f64 {
-        let n = n.max(1.0);
-        (self.b * n.powf(self.a)).max(self.m)
+        self.scaled(n).max(self.m)
+    }
+
+    /// `b·n^a` before the floor applies, with `n` clamped to 1.
+    fn scaled(&self, n: f64) -> f64 {
+        self.b * n.max(1.0).powf(self.a)
+    }
+
+    /// [`predict`](Self::predict) at each count, under the floor rule of
+    /// [`Ppm::predict_curve`].
+    fn predict_curve(&self, counts: &[usize]) -> Vec<(usize, f64)> {
+        let floor_rule = self.a <= 0.0
+            && self.b.is_finite()
+            && self.b >= 0.0
+            && self.m.is_normal()
+            && self.m > 0.0;
+        let below_floor = self.m * (1.0 - 1e-9);
+        // The last count, once an evaluated point has passed the floor.
+        let mut past_floor: Option<usize> = None;
+        counts
+            .iter()
+            .map(|&n| {
+                if past_floor.is_some_and(|prev| n >= prev) {
+                    past_floor = Some(n);
+                    return (n, self.m);
+                }
+                let scaled = self.scaled(n as f64);
+                past_floor = (floor_rule && scaled <= below_floor).then_some(n);
+                (n, scaled.max(self.m))
+            })
+            .collect()
     }
 
     /// The resource count at which the power-law part reaches the floor `m`
@@ -138,11 +167,25 @@ impl Ppm {
     }
 
     /// Evaluates the model at each integer resource count in `counts`.
+    /// Every point equals [`predict`](Self::predict) bit for bit.
+    ///
+    /// A power law with `a ≤ 0`, finite `b ≥ 0` and normal `m > 0` skips
+    /// `powf` past its floor. The counts are walked in order; once an
+    /// evaluated point's `b·n^a` is at most `m·(1 − 1e-9)`, every later
+    /// count not smaller than its predecessor returns `m`, and a smaller
+    /// count is evaluated in full and starts the rule afresh. This is
+    /// exact: for such parameters the true `b·n^a` never increases with
+    /// `n`, and the computed value lies within a few ULPs of the true one
+    /// (libm's `pow` errs by less than one ULP and the product rounds
+    /// once). A later point's computed value thus exceeds an earlier one's
+    /// by far less than the 1e-9 margin (~10^7 ULPs), so it stays below
+    /// `m` and `max` returns `m`, as `predict` does. A normal `m` keeps the
+    /// margin above the absolute error of subnormal values.
     pub fn predict_curve(&self, counts: &[usize]) -> Vec<(usize, f64)> {
-        counts
-            .iter()
-            .map(|&n| (n, self.predict(n as f64)))
-            .collect()
+        match self {
+            Ppm::PowerLaw(m) => m.predict_curve(counts),
+            Ppm::Amdahl(m) => counts.iter().map(|&n| (n, m.predict(n as f64))).collect(),
+        }
     }
 
     /// The parameter vector, ordered as in [`PpmKind::parameter_names`].
@@ -272,6 +315,77 @@ mod tests {
         // partial chunk is dropped.
         assert!(ppms_from_flat(PpmKind::Amdahl, &flat, 0).is_empty());
         assert_eq!(ppms_from_flat(PpmKind::Amdahl, &flat[..5], 2).len(), 2);
+    }
+
+    /// One SplitMix64 step: the seeded stream of the curve tests.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A uniform draw from `[0, 1)`.
+    fn unit(state: &mut u64) -> f64 {
+        (splitmix(state) >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    fn assert_curve_is_predict(ppm: Ppm, counts: &[usize]) {
+        let curve = ppm.predict_curve(counts);
+        assert_eq!(curve.len(), counts.len(), "{ppm:?}");
+        for (&(n, t), &count) in curve.iter().zip(counts) {
+            assert_eq!(n, count, "{ppm:?}");
+            assert_eq!(
+                t.to_bits(),
+                ppm.predict(n as f64).to_bits(),
+                "{ppm:?} at n = {n} in {counts:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn curve_points_equal_predict_bit_for_bit() {
+        let count_lists: [Vec<usize>; 4] = [
+            (1..=48).collect(),
+            vec![48, 3, 17, 1, 40, 2, 33, 9, 47, 46],
+            vec![8, 8, 16, 16, 16, 4, 4, 48, 48, 1, 1],
+            vec![0, 1, 0, 2, 48, 0, 5, 0, 0],
+        ];
+        let subnormal = f64::MIN_POSITIVE / 4.0;
+        for a in [-0.0, -1e-300, -1e-12, -3.0] {
+            for b in [0.0, 5e-324, 1e-300, 400.0, 1e300, f64::MAX] {
+                for m in [subnormal, f64::MIN_POSITIVE, 60.0, 1e300] {
+                    for counts in &count_lists {
+                        // A literal, not `new`: the parameters stay exact.
+                        assert_curve_is_predict(Ppm::PowerLaw(PowerLawPpm { a, b, m }), counts);
+                    }
+                }
+            }
+        }
+
+        // Seeded power laws whose floors fall anywhere on the curve, from
+        // below n = 1 to beyond n = 48, over ascending and random counts.
+        let mut state = 0x00c0_ffee;
+        for i in 0..2_000 {
+            let a = -3.0 * unit(&mut state);
+            let b = 10f64.powf(8.0 * unit(&mut state) - 2.0);
+            let m = b * 10f64.powf(-6.0 * unit(&mut state) + 0.5);
+            let counts: Vec<usize> = if i % 2 == 0 {
+                (1..=48).collect()
+            } else {
+                let len = (splitmix(&mut state) % 60) as usize;
+                (0..len)
+                    .map(|_| (splitmix(&mut state) % 100) as usize)
+                    .collect()
+            };
+            assert_curve_is_predict(Ppm::PowerLaw(PowerLawPpm { a, b, m }), &counts);
+        }
+
+        for counts in &count_lists {
+            assert_curve_is_predict(Ppm::Amdahl(AmdahlPpm::new(30.0, 470.0)), counts);
+            assert_curve_is_predict(Ppm::Amdahl(AmdahlPpm::new(0.0, 1e300)), counts);
+        }
     }
 
     #[test]

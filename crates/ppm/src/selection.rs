@@ -40,14 +40,6 @@ impl SelectionObjective {
             SelectionObjective::Elbow => elbow_point(curve),
         }
     }
-
-    /// Applies the objective to many curves at once — the selection stage of
-    /// the batched serving path, where one micro-batch of predicted curves
-    /// is resolved to executor counts in a single call. Each result is
-    /// exactly what [`select`](Self::select) returns for that curve.
-    pub fn select_batch<C: AsRef<[(usize, f64)]>>(&self, curves: &[C]) -> Vec<Option<usize>> {
-        curves.iter().map(|c| self.select(c.as_ref())).collect()
-    }
 }
 
 use std::borrow::Cow;
@@ -128,34 +120,31 @@ pub fn elbow_point(curve: &[(usize, f64)]) -> Option<usize> {
     let u = |n: f64| (n - n_min) / (n_max - n_min);
     let v = |t: f64| (t - t_min) / (t_max - t_min);
 
-    // slope_i: normalized drop from point i-1 to point i.
-    let slopes: Vec<f64> = pts
-        .windows(2)
-        .map(|w| {
-            let du = u(w[1].0 as f64) - u(w[0].0 as f64);
-            let dv = v(w[0].1) - v(w[1].1);
-            if du.abs() < 1e-12 {
-                0.0
-            } else {
-                dv / du
-            }
-        })
-        .collect();
-
-    // Find the first i where slope into point i is ≥ 1 and slope out of it is ≤ 1.
-    for i in 0..slopes.len() {
-        let slope_in = slopes[i];
-        let slope_out = slopes.get(i + 1).copied().unwrap_or(0.0);
+    // One pass over the slopes (the normalized drop from one point to the
+    // next): the elbow is the first point whose slope in is ≥ 1 and whose
+    // slope out is ≤ 1. The first point has no slope in (NaN never
+    // compares true).
+    let mut slope_in = f64::NAN;
+    // Whether some slope fails `s < 1.0` (a NaN slope does).
+    let mut steep = false;
+    for w in pts.windows(2) {
+        let du = u(w[1].0 as f64) - u(w[0].0 as f64);
+        let dv = v(w[0].1) - v(w[1].1);
+        let slope_out = if du.abs() < 1e-12 { 0.0 } else { dv / du };
         if slope_in >= 1.0 && slope_out <= 1.0 {
-            return Some(pts[i + 1].0);
+            return Some(w[0].0);
         }
+        steep |= slope_out >= 1.0 || slope_out.is_nan();
+        slope_in = slope_out;
     }
-    // No crossover: if the curve never reached unit steepness it is shallow
-    // everywhere → pick the smallest n; otherwise it stays steep → largest n.
-    if slopes.iter().all(|&s| s < 1.0) {
-        Some(pts[0].0)
-    } else {
+    // The last point's slope out counts as 0, so it is the elbow when its
+    // slope in is ≥ 1 — which makes `steep` true. Otherwise there is no
+    // crossover: a curve that never reached unit steepness is shallow
+    // everywhere → the smallest n; one that did stays steep → the largest.
+    if steep {
         Some(pts[pts.len() - 1].0)
+    } else {
+        Some(pts[0].0)
     }
 }
 
@@ -291,24 +280,74 @@ mod tests {
         );
     }
 
+    /// The elbow rule over a collected list of slopes: the reference for
+    /// `elbow_point`'s one-pass loop, on clean curves with ≥ 2 points.
+    fn elbow_from_slope_list(pts: &[(usize, f64)]) -> usize {
+        let (n_min, n_max) = (pts[0].0 as f64, pts[pts.len() - 1].0 as f64);
+        let t_min = pts.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
+        let t_max = pts.iter().map(|p| p.1).fold(f64::NEG_INFINITY, f64::max);
+        if (n_max - n_min).abs() < 1e-12 || (t_max - t_min).abs() < 1e-12 {
+            return pts[0].0;
+        }
+        let u = |n: f64| (n - n_min) / (n_max - n_min);
+        let v = |t: f64| (t - t_min) / (t_max - t_min);
+        let slopes: Vec<f64> = pts
+            .windows(2)
+            .map(|w| {
+                let du = u(w[1].0 as f64) - u(w[0].0 as f64);
+                let dv = v(w[0].1) - v(w[1].1);
+                if du.abs() < 1e-12 {
+                    0.0
+                } else {
+                    dv / du
+                }
+            })
+            .collect();
+        for i in 0..slopes.len() {
+            let slope_out = slopes.get(i + 1).copied().unwrap_or(0.0);
+            if slopes[i] >= 1.0 && slope_out <= 1.0 {
+                return pts[i + 1].0;
+            }
+        }
+        if slopes.iter().all(|&s| s < 1.0) {
+            pts[0].0
+        } else {
+            pts[pts.len() - 1].0
+        }
+    }
+
     #[test]
-    fn select_batch_matches_per_curve_select() {
-        let a = amdahl_curve();
-        let b: Vec<(usize, f64)> = (1..=48).map(|n| (n, 100.0)).collect();
-        let c: Vec<(usize, f64)> = Vec::new();
-        for objective in [
-            SelectionObjective::MinTime,
-            SelectionObjective::BoundedSlowdown(1.2),
-            SelectionObjective::Elbow,
-        ] {
-            let batch = objective.select_batch(&[a.clone(), b.clone(), c.clone()]);
+    fn elbow_point_matches_a_collected_slope_list() {
+        let power_law = Ppm::PowerLaw(PowerLawPpm::new(-1.0, 480.0, 20.0));
+        let mut curves = vec![
+            amdahl_curve(),
+            power_law.predict_curve(&(1..=48).collect::<Vec<_>>()),
+            (1..=10).map(|n| (n, 100.0 - n as f64)).collect(),
+            // Steepest at the end: no crossover, the largest n.
+            (1..=10).map(|n| (n, 100.0 - (n * n) as f64)).collect(),
+            // t_max − t_min overflows, so the first slope is NaN.
+            vec![(1, 1e308), (2, 0.0), (3, -1e308)],
+        ];
+        // Seeded random decreasing curves with a random step per count.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        for _ in 0..300 {
+            let mut t = 1e3;
+            let curve = (1..=48)
+                .map(|n| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    t -= (state % 1000) as f64 * 0.01;
+                    (n, t)
+                })
+                .collect();
+            curves.push(curve);
+        }
+        for curve in &curves {
             assert_eq!(
-                batch,
-                vec![
-                    objective.select(&a),
-                    objective.select(&b),
-                    objective.select(&c)
-                ]
+                elbow_point(curve),
+                Some(elbow_from_slope_list(curve)),
+                "{curve:?}"
             );
         }
     }

@@ -306,8 +306,8 @@ struct Shared {
     /// is picked up by the next batch; scoring threads holding the old
     /// decoded model finish their batch against it unperturbed. The decoded
     /// [`ParameterModel`] carries the forest's compiled inference
-    /// representation (flat SoA arenas), so a re-registration compiles the
-    /// new model **once** here — never per batch — and every drain-loop
+    /// representation (one flat node arena), so a re-registration compiles
+    /// the new model **once** here — never per batch — and every drain-loop
     /// batch runs the compiled kernel.
     model: RwLock<Option<(Arc<PortableModel>, Arc<ParameterModel>)>>,
     /// The degraded-mode circuit breaker (present only when the config

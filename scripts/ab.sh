@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Alternating-pairs A/B of one perfbench end-to-end metric: this checkout's
+# Alternating-pairs A/B of perfbench's end-to-end metrics: this checkout's
 # working tree (the change) against a parent revision.
 #
 #   scripts/ab.sh <parent-rev> <workload> <metric>
@@ -11,11 +11,23 @@
 # runs 10 pairs of runs with `--trace 0`, each as long as BENCHMARK.json's
 # `run_seconds`. Both runs of a pair take the same seed, fresh for every
 # pair and printed with it; odd pairs run the parent first, even pairs the
-# change. Every run must answer correctly with zero failed operations. It
-# prints every pair, both medians, the parent's interquartile range and how
-# many pairs the change won, on the metric's better side as BENCHMARK.json
-# declares it. The temporary directory is removed on exit; nothing under
-# perfbench/ changes apart from its ignored build output. Needs jq.
+# change. Every run must answer correctly with zero failed operations.
+#
+# It prints every pair of <metric>, the claimed metric, and then one row
+# per end-to-end metric of BENCHMARK.json, all read from the same pairs:
+# both medians, the change in %, the parent's interquartile range, the
+# pairs the change won on the metric's better side, and a verdict:
+#   gain          at least 9 of 10 wins, the change's median on the better
+#                 side and further from the parent's than the parent's IQR;
+#   worse         the change's median is past the metric's `bound`;
+#   within bound  otherwise.
+# cv_err, transfer_err, auc_saving_da and speedup_da are deterministic per
+# seed, so both runs of every pair must print the same value ("same"
+# column; goodput is not checked: a host stall can miss a deadline). The
+# last line is one JSON object holding the same fields. The script exits 1
+# when a checked metric differs. The temporary directory is removed on
+# exit; nothing under perfbench/ changes apart from its ignored build
+# output. Needs jq.
 set -euo pipefail
 shopt -s inherit_errexit
 cd "$(dirname "$0")/.."
@@ -29,8 +41,10 @@ better="$(jq -r --arg m "$metric" '.end_to_end[] | select(.name == $m) | .better
 rev="$(git rev-parse --verify --quiet "$parent_rev^{commit}")" ||
     { echo "ab.sh: '$parent_rev' is not a revision" >&2; exit 2; }
 
-parent="$(mktemp -d -t ab-parent.XXXXXX)"
-trap 'rm -rf "$parent"' EXIT
+tmp="$(mktemp -d -t ab.XXXXXX)"
+trap 'rm -rf "$tmp"' EXIT
+parent="$tmp/parent"
+mkdir "$parent"
 git archive "$rev" | tar -x -C "$parent"
 
 # Each side builds into its own target directory and runs from its own root.
@@ -42,58 +56,80 @@ build() {
 build "$parent"
 build "$PWD"
 
+# One run's last stdout line (its JSON report), appended to the file $3.
 run() {
     local root=$1 seed=$2 line
     line="$(cd "$root" && perfbench/target/release/perfbench --workload "$workload" \
         --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1)" &&
-        jq -er --arg m "$metric" \
-            'if .correct and .failed == 0 then .metrics[$m].value else empty end' <<<"$line" ||
+        jq -ce 'select(.correct and .failed == 0)' <<<"$line" >>"$3" ||
         { echo "ab.sh: $root, seed $seed: run failed: ${line:-no output}" >&2; exit 1; }
-}
-
-# Quartiles (linear interpolation between order statistics) of the numbers
-# on standard input: "q1 median q3".
-quartiles() {
-    sort -g | awk '{ v[NR - 1] = $1 }
-        END {
-            for (i = 1; i <= 3; i++) {
-                h = (NR - 1) * i / 4; lo = int(h); hi = lo + 1 < NR ? lo + 1 : lo
-                printf "%.9g%s", v[lo] + (h - lo) * (v[hi] - v[lo]), i < 3 ? " " : "\n"
-            }
-        }'
 }
 
 base_seed="$(date +%s)"
 echo "A/B $workload $metric ($better is better): parent $rev vs working tree," \
     "$pairs pairs of ${seconds}-s runs, seeds $base_seed + pair"
-parent_values=() change_values=() wins=0
 for ((pair = 1; pair <= pairs; pair++)); do
     seed=$((base_seed + pair))
     if ((pair % 2)); then
         first=parent
-        p="$(run "$parent" "$seed")"
-        c="$(run "$PWD" "$seed")"
+        run "$parent" "$seed" "$tmp/parent.jsonl"
+        run "$PWD" "$seed" "$tmp/change.jsonl"
     else
         first=change
-        c="$(run "$PWD" "$seed")"
-        p="$(run "$parent" "$seed")"
+        run "$PWD" "$seed" "$tmp/change.jsonl"
+        run "$parent" "$seed" "$tmp/parent.jsonl"
     fi
-    parent_values+=("$p") change_values+=("$c")
-    won="$(awk -v p="$p" -v c="$c" -v b="$better" \
-        'BEGIN { print ((b == "lower" && c < p) || (b == "higher" && c > p)) ? 1 : 0 }')"
-    wins=$((wins + won))
-    printf 'pair %2d  seed %s  first %-6s  parent %-12s  change %-12s  %s\n' \
-        "$pair" "$seed" "$first" "$p" "$c" "$( ((won)) && echo win || echo loss)"
+    jq -nr --arg m "$metric" --arg b "$better" --arg pair "$pair" --arg seed "$seed" \
+        --arg first "$first" --slurpfile p "$tmp/parent.jsonl" --slurpfile c "$tmp/change.jsonl" \
+        '$p[-1].metrics[$m].value as $pv | $c[-1].metrics[$m].value as $cv
+        | "pair \($pair)  seed \($seed)  first \($first)  parent \($pv)  change \($cv)  "
+          + (if ($b == "lower" and $cv < $pv) or ($b == "higher" and $cv > $pv)
+             then "win" else "loss" end)'
 done
 
-read -r pq1 pmed pq3 < <(printf '%s\n' "${parent_values[@]}" | quartiles)
-read -r cq1 cmed cq3 < <(printf '%s\n' "${change_values[@]}" | quartiles)
-awk -v pq1="$pq1" -v pmed="$pmed" -v pq3="$pq3" -v cq1="$cq1" -v cmed="$cmed" -v cq3="$cq3" \
-    -v wins="$wins" -v pairs="$pairs" 'BEGIN {
-        printf "parent  median %.6g  IQR %.6g (%.6g .. %.6g)\n", pmed, pq3 - pq1, pq1, pq3
-        printf "change  median %.6g  IQR %.6g (%.6g .. %.6g)  %+.1f %%\n", cmed, cq3 - cq1, cq1, cq3,
-            100 * (cmed - pmed) / pmed
-        gap = cmed > pmed ? cmed - pmed : pmed - cmed
-        printf "change won %d of %d pairs; medians %.6g apart, parent IQR %.6g\n", wins, pairs,
-            gap, pq3 - pq1
-    }'
+# Every end-to-end metric over the same pairs. Quartiles interpolate
+# linearly between order statistics.
+report="$(jq -nc --slurpfile bench BENCHMARK.json \
+    --slurpfile p "$tmp/parent.jsonl" --slurpfile c "$tmp/change.jsonl" \
+    --arg workload "$workload" --arg rev "$rev" --arg claimed "$metric" \
+    --argjson seconds "$seconds" --argjson base_seed "$base_seed" '
+    def quartiles: sort as $v | ($v | length) as $n
+        | [1, 2, 3] | map(($n - 1) * . / 4 | floor as $lo
+            | (if $lo + 1 < $n then $lo + 1 else $lo end) as $hi
+            | $v[$lo] + (. - $lo) * ($v[$hi] - $v[$lo]));
+    ($p | length) as $pairs
+    | {workload: $workload, parent: $rev, pairs: $pairs, run_seconds: $seconds,
+       seeds: [range(1; $pairs + 1) | . + $base_seed], claimed: $claimed,
+       metrics: [$bench[0].end_to_end[] | .name as $m | .better as $better
+        | [$p[].metrics[$m].value] as $pv | [$c[].metrics[$m].value] as $cv
+        | ($pv | quartiles) as [$pq1, $pmed, $pq3] | ($cv | quartiles)[1] as $cmed
+        # Positive when the change is on the better side.
+        | (if $better == "lower" then -1 else 1 end) as $sign
+        | (if $pmed == 0 then null else ($cmed - $pmed) / ($pmed | fabs) end) as $change
+        | [range($pairs) | select(($cv[.] - $pv[.]) * $sign > 0)] as $won
+        | {name: $m, better: $better, bound,
+           parent_median: $pmed, change_median: $cmed,
+           change_pct: (if $change == null then null else 100 * $change end),
+           parent_iqr: ($pq3 - $pq1), wins: ($won | length),
+           same: (if $m | IN("cv_err", "transfer_err", "auc_saving_da", "speedup_da")
+                  then $pv == $cv else null end),
+           verdict: (if ($won | length) * 10 >= $pairs * 9 and ($cmed - $pmed) * $sign > 0
+                        and ($cmed - $pmed | fabs) > $pq3 - $pq1 then "gain"
+                     elif (if $change == null then ($cmed - $pmed) * $sign < 0
+                           else -$sign * $change > .bound end) then "worse"
+                     else "within bound" end)}]}')"
+
+jq -r '.pairs as $n | .metrics[]
+    | [.name, .parent_median, .change_median,
+       (if .change_pct == null then "n/a" else (.change_pct * 10 | round / 10 | tostring) + " %" end),
+       .parent_iqr, "\(.wins)/\($n)",
+       (if .same == null then "-" elif .same then "yes" else "NO" end), .verdict]
+    | @tsv' <<<"$report" |
+    awk -F '\t' 'BEGIN {
+            printf "%-15s %12s %12s %9s %12s %6s %5s  %s\n", "metric", "parent", "change",
+                "delta", "parent IQR", "wins", "same", "verdict"
+        }
+        { printf "%-15s %12.6g %12.6g %9s %12.6g %6s %5s  %s\n", $1, $2, $3, $4, $5, $6, $7, $8 }'
+echo "$report"
+jq -e '[.metrics[] | select(.same == false)] | length == 0' <<<"$report" >/dev/null ||
+    { echo "ab.sh: a deterministic metric differs between parent and change" >&2; exit 1; }

@@ -2,8 +2,8 @@
 //! interpreted [`RandomForestRegressor::predict`] across all three builtin
 //! workload families.
 //!
-//! The compiled representation (one flat SoA tree arena, pooled leaf
-//! table, one lockstep kernel) is what every scoring path — the sequential
+//! The compiled representation (one flat arena of 16-byte tree nodes,
+//! pooled leaf table, one lockstep kernel) is what every scoring path — the sequential
 //! `AutoExecutorRule`, the `ScoringRuntime` micro-batches, CV/evaluation,
 //! and the QoS price quotes — now runs on, so it must be **bit-identical**
 //! to the interpreter, not approximately equal: serving determinism
