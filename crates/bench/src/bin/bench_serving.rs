@@ -5,10 +5,12 @@
 //! Modes measured (each for a fixed duration at `--threads` client threads):
 //!
 //! * `naive_one_at_a_time` — the pre-PR serving path: a global mutex
-//!   serializes requests, and every request fetches the model from the
-//!   registry with owned (deep-clone) semantics and re-decodes it before
-//!   scoring — exactly what `ModelRegistry::load` did for every call before
-//!   the `Arc`-handle refactor.
+//!   serializes requests, and every request fetches an owned copy of the
+//!   model from the registry and re-decodes it before scoring, as
+//!   `ModelRegistry::load` did for every call before the `Arc`-handle
+//!   refactor. (The copy and the decode now share the forest and its
+//!   compiled arena, so this baseline no longer pays for cloning them;
+//!   `BENCH_serving.json` was recorded when it did.)
 //! * `sequential_cached_mutex` — a fairer sequential baseline: the decoded
 //!   model is cached, but a global mutex still scores one plan at a time.
 //! * `ae_serve_closed_loop` — the batching runtime under closed-loop load
@@ -50,7 +52,7 @@ use autoexecutor::prelude::*;
 use autoexecutor::scoring;
 
 const COMMENT: &str = "ae-serve serving benchmark. 'naive_one_at_a_time' reproduces the \
-    original serving path (global mutex, model deep-cloned + re-decoded from the registry per \
+    original serving path (global mutex, model copied + re-decoded from the registry per \
     request); 'sequential_cached_mutex' caches the decoded model but still scores one plan at a \
     time; the ae_serve modes go through the concurrent batching runtime. The runtime's inline \
     fast path (no queue round-trip) carries most requests; the queue absorbs the overflow in \
@@ -240,11 +242,12 @@ fn main() {
         &served,
         &args,
         "naive_one_at_a_time",
-        "global mutex; model deep-cloned from registry and re-decoded per request",
+        "global mutex; model copied from registry and re-decoded per request",
         |plan| {
             let _one_at_a_time = one_at_a_time.lock().unwrap();
-            // Deep-clone fetch + re-decode per request: what every request
-            // paid when `ModelRegistry::load` returned owned models.
+            // Owned fetch + re-decode per request, as when
+            // `ModelRegistry::load` returned owned models (the copy now
+            // shares the forest and arena instead of cloning them).
             let portable = served.registry.load_owned(served.name).unwrap();
             let model = ParameterModel::from_portable(&portable).unwrap();
             let features = autoexecutor::featurize_plan(plan);

@@ -12,8 +12,8 @@
 //! built read-mostly:
 //!
 //! * models are stored behind `Arc<PortableModel>` handles and [`load`]
-//!   returns a cheap handle clone — the pre-refactor deep copy of the whole
-//!   forest per call survives only as the explicit [`load_owned`] shim;
+//!   returns a cheap handle clone — an owned copy per call survives only as
+//!   the explicit [`load_owned`] shim;
 //! * the name → model map is split into [`SHARD_COUNT`] shards, each behind
 //!   its own `RwLock`, so concurrent lookups of different models never
 //!   contend and lookups of the same model share a read lock;
@@ -133,11 +133,11 @@ impl ModelRegistry {
         Err(AutoExecutorError::ModelNotFound(name.to_string()))
     }
 
-    /// Loads a model by name and returns an owned deep copy — the
-    /// pre-refactor `load` semantics, kept for callers that genuinely need
-    /// to mutate or re-serialize the model. The serving path should use
-    /// [`load`](Self::load); cloning a trained forest costs roughly as much
-    /// as scoring hundreds of queries.
+    /// Loads a model by name and returns an owned copy — the pre-refactor
+    /// `load` semantics, kept for callers that need to rename or
+    /// re-serialize the model. The copy owns its name and metadata and
+    /// shares the immutable forest and compiled arena. The serving path
+    /// should use [`load`](Self::load).
     pub fn load_owned(&self, name: &str) -> Result<PortableModel> {
         Ok((*self.load(name)?).clone())
     }

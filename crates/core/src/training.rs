@@ -217,10 +217,13 @@ impl TrainingData {
 /// [`RandomForestRegressor`] (training-time tooling walks it) and the
 /// [`CompiledForest`] every scoring path runs on — one flat arena of
 /// 16-byte tree nodes with a pooled leaf table, compiled once per model, with
-/// predictions bit-identical to the interpreter.
+/// predictions bit-identical to the interpreter. Both sit behind `Arc`s, so
+/// a clone, an export ([`to_portable`](Self::to_portable)) and a decode
+/// ([`from_portable`](Self::from_portable)) share them; only
+/// [`with_own_arena`](Self::with_own_arena) copies the arena.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ParameterModel {
-    forest: RandomForestRegressor,
+    forest: Arc<RandomForestRegressor>,
     compiled: Arc<CompiledForest>,
     kind: PpmKind,
     feature_set: FeatureSet,
@@ -246,7 +249,7 @@ impl ParameterModel {
         forest.fit(dataset).map_err(AutoExecutorError::Ml)?;
         let compiled = Arc::new(forest.compile().map_err(AutoExecutorError::Ml)?);
         Ok(Self {
-            forest,
+            forest: Arc::new(forest),
             compiled,
             kind,
             feature_set,
@@ -271,6 +274,21 @@ impl ParameterModel {
     /// The compiled inference representation the scoring paths run on.
     pub fn compiled(&self) -> &CompiledForest {
         &self.compiled
+    }
+
+    /// A copy of this model with a compiled arena of its own (~0.6 MB for
+    /// a 100-tree serving model), sharing everything else. A scoring
+    /// thread makes one so that its kernel reads nodes no other thread
+    /// reads: two threads walking one shared arena each score slower than
+    /// one thread alone. Predictions are bit-identical: the copy holds the
+    /// same bits.
+    pub fn with_own_arena(&self) -> Self {
+        Self {
+            forest: Arc::clone(&self.forest),
+            compiled: Arc::new(CompiledForest::clone(&self.compiled)),
+            kind: self.kind,
+            feature_set: self.feature_set,
+        }
     }
 
     /// Predicts the PPM for a query plan (features are derived internally).
@@ -316,9 +334,11 @@ impl ParameterModel {
         Ok(self.predict_ppm(plan)?.predict_curve(counts))
     }
 
-    /// Exports the model to the portable (ONNX-stand-in) format.
+    /// Exports the model to the portable (ONNX-stand-in) format, sharing
+    /// its forest and compiled arena (no copy, no recompilation).
     pub fn to_portable(&self, name: impl Into<String>) -> Result<PortableModel> {
-        PortableModel::from_forest(name, self.forest.clone()).map_err(AutoExecutorError::Ml)
+        PortableModel::from_compiled(name, Arc::clone(&self.forest), Arc::clone(&self.compiled))
+            .map_err(AutoExecutorError::Ml)
     }
 
     /// Reconstructs a parameter model from a portable model. The PPM family
@@ -345,10 +365,10 @@ impl ParameterModel {
                 ))
             })?;
         Ok(Self {
-            forest: portable.forest().clone(),
-            // The portable model already compiled its forest at
-            // construction/deserialization; share that arena (Arc clone)
-            // instead of recompiling or deep-copying it.
+            // Share the portable model's forest and the arena it compiled
+            // at construction or deserialization (`Arc` clones): a decode
+            // copies and recompiles nothing.
+            forest: portable.forest_handle(),
             compiled: portable.compiled_handle(),
             kind,
             feature_set,
@@ -455,6 +475,26 @@ mod tests {
             model.predict_ppm(plan).unwrap().parameters(),
             restored.predict_ppm(plan).unwrap().parameters()
         );
+    }
+
+    #[test]
+    fn export_and_decode_share_the_forest_and_only_own_arena_copies() {
+        let queries = small_workload();
+        let (_, model) = train_from_workload(&queries, &fast_config()).unwrap();
+        let decoded = ParameterModel::from_portable(&model.to_portable("shared").unwrap()).unwrap();
+        assert!(std::ptr::eq(decoded.forest(), model.forest()));
+        assert!(std::ptr::eq(decoded.compiled(), model.compiled()));
+
+        let own = decoded.with_own_arena();
+        assert!(std::ptr::eq(own.forest(), model.forest()));
+        assert!(!std::ptr::eq(own.compiled(), model.compiled()));
+        let bits = |m: &ParameterModel, plan| -> Vec<u64> {
+            let ppm = m.predict_ppm(plan).unwrap();
+            ppm.parameters().iter().map(|v| v.to_bits()).collect()
+        };
+        for query in &queries {
+            assert_eq!(bits(&own, &query.plan), bits(&model, &query.plan));
+        }
     }
 
     #[test]

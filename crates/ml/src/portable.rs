@@ -16,7 +16,6 @@ use serde::{Deserialize, Serialize};
 use crate::compiled::CompiledForest;
 use crate::forest::RandomForestRegressor;
 use crate::json::Value;
-use crate::matrix::FeatureMatrix;
 use crate::{MlError, Result};
 
 /// Current on-disk format version.
@@ -34,13 +33,16 @@ pub struct PortableModel {
     pub feature_names: Vec<String>,
     /// Names of the outputs (PPM parameters) the model predicts.
     pub target_names: Vec<String>,
-    /// The underlying forest.
-    forest: RandomForestRegressor,
-    /// The forest compiled for inference. Derived (never serialized):
-    /// rebuilt once at construction and at deserialization, so every loaded
-    /// model scores through the flat kernel. Shared via `Arc` so decoded
-    /// consumers (e.g. `ParameterModel`) reference the same arena instead
-    /// of cloning hundreds of KB of node storage per model.
+    /// The underlying forest. Shared via `Arc`: serving never walks it, so
+    /// a clone or a decode of the model references it instead of copying
+    /// its ~19 k nodes and ~9 k leaf vectors.
+    forest: Arc<RandomForestRegressor>,
+    /// The forest compiled for inference. Derived (never serialized): built
+    /// once at deserialization, or taken over from the model that was
+    /// exported, so every loaded model scores through the flat kernel.
+    /// Shared via `Arc` by the decodes of this model (e.g.
+    /// `ParameterModel`), which decode without copying it; a scoring
+    /// thread that wants the nodes to itself copies the arena once.
     compiled: Arc<CompiledForest>,
 }
 
@@ -51,6 +53,42 @@ impl PortableModel {
             return Err(MlError::NotFitted);
         }
         let compiled = Arc::new(forest.compile()?);
+        Self::from_compiled(name, Arc::new(forest), compiled)
+    }
+
+    /// Wraps a fitted forest and its compiled form for export, sharing both
+    /// (no copy, no recompilation). `compiled` must be `forest` compiled;
+    /// fails with [`MlError::ShapeMismatch`] when their tree, node,
+    /// feature or output counts differ, and with [`MlError::NotFitted`] on
+    /// an unfitted forest.
+    pub fn from_compiled(
+        name: impl Into<String>,
+        forest: Arc<RandomForestRegressor>,
+        compiled: Arc<CompiledForest>,
+    ) -> Result<Self> {
+        if !forest.is_fitted() {
+            return Err(MlError::NotFitted);
+        }
+        let forest_shape = (
+            forest.num_trees(),
+            forest.total_nodes(),
+            forest.feature_names().len(),
+            forest.target_names().len(),
+        );
+        let compiled_shape = (
+            compiled.num_trees(),
+            compiled.num_nodes(),
+            compiled.num_features(),
+            compiled.num_outputs(),
+        );
+        if forest_shape != compiled_shape {
+            return Err(MlError::ShapeMismatch {
+                detail: format!(
+                    "compiled forest (trees, nodes, features, outputs) {compiled_shape:?} \
+                     does not match the forest's {forest_shape:?}"
+                ),
+            });
+        }
         Ok(Self {
             version: PORTABLE_FORMAT_VERSION,
             name: name.into(),
@@ -65,6 +103,12 @@ impl PortableModel {
     /// training-time tooling such as permutation importance walks it).
     pub fn forest(&self) -> &RandomForestRegressor {
         &self.forest
+    }
+
+    /// A shared handle to the wrapped forest (decodes clone the `Arc`, not
+    /// the trees).
+    pub fn forest_handle(&self) -> Arc<RandomForestRegressor> {
+        Arc::clone(&self.forest)
     }
 
     /// The compiled inference representation of the forest.
@@ -101,7 +145,9 @@ impl PortableModel {
                 "unsupported portable-model version {version} (expected {PORTABLE_FORMAT_VERSION})"
             )));
         }
-        let forest = RandomForestRegressor::from_json_value(value.field("forest")?)?;
+        let forest = Arc::new(RandomForestRegressor::from_json_value(
+            value.field("forest")?,
+        )?);
         let compiled = Arc::new(forest.compile()?);
         Ok(Self {
             version,
@@ -132,32 +178,10 @@ impl PortableModel {
         Self::from_bytes(&bytes)
     }
 
-    /// Serialized size in bytes (the paper reports ~1 MB for 103 queries).
-    pub fn serialized_size(&self) -> Result<usize> {
-        Ok(self.to_bytes()?.len())
-    }
-
     /// Scores one feature row through the compiled forest (bit-identical to
     /// the interpreted [`RandomForestRegressor::predict`]).
     pub fn predict(&self, row: &[f64]) -> Result<Vec<f64>> {
         self.compiled.predict(row)
-    }
-
-    /// Scores every row of a feature matrix through the compiled
-    /// kernel; bit-identical to calling
-    /// [`predict`](Self::predict) per row.
-    pub fn predict_matrix(&self, matrix: &FeatureMatrix) -> Result<Vec<Vec<f64>>> {
-        let k = self.compiled.num_outputs();
-        let mut flat = Vec::new();
-        self.compiled.predict_batch(matrix, &mut flat)?;
-        Ok(flat.chunks(k.max(1)).map(<[f64]>::to_vec).collect())
-    }
-
-    /// Flat-output batched scoring: fills `out` with
-    /// `matrix.len() × num_outputs` values, row-major, through the compiled
-    /// kernel.
-    pub fn predict_matrix_into(&self, matrix: &FeatureMatrix, out: &mut Vec<f64>) -> Result<()> {
-        self.compiled.predict_batch(matrix, out)
     }
 }
 
@@ -168,6 +192,10 @@ mod tests {
     use crate::forest::{RandomForestConfig, RandomForestRegressor};
 
     fn fitted_forest() -> RandomForestRegressor {
+        forest_of(10)
+    }
+
+    fn forest_of(n_estimators: usize) -> RandomForestRegressor {
         let mut d = Dataset::new(vec!["x".into()], vec!["y".into(), "z".into()]);
         for i in 0..40 {
             let x = i as f64;
@@ -175,7 +203,7 @@ mod tests {
                 .unwrap();
         }
         let mut rf = RandomForestRegressor::new(RandomForestConfig {
-            n_estimators: 10,
+            n_estimators,
             seed: 3,
             ..Default::default()
         });
@@ -218,21 +246,25 @@ mod tests {
     }
 
     #[test]
-    fn garbage_bytes_are_rejected() {
-        assert!(PortableModel::from_bytes(b"not json at all").is_err());
+    fn from_compiled_shares_the_forest_and_rejects_a_foreign_arena() {
+        let forest = Arc::new(fitted_forest());
+        let compiled = Arc::new(forest.compile().unwrap());
+        let portable =
+            PortableModel::from_compiled("shared", Arc::clone(&forest), Arc::clone(&compiled))
+                .unwrap();
+        assert!(Arc::ptr_eq(&portable.forest_handle(), &forest));
+        assert!(Arc::ptr_eq(&portable.compiled_handle(), &compiled));
+
+        let foreign = Arc::new(forest_of(3).compile().unwrap());
+        assert!(matches!(
+            PortableModel::from_compiled("mixed", forest, foreign),
+            Err(MlError::ShapeMismatch { .. })
+        ));
     }
 
     #[test]
-    fn score_matrix_matches_per_row_scoring() {
-        let rf = fitted_forest();
-        let portable = PortableModel::from_forest("batch", rf).unwrap();
-        let rows = vec![vec![3.0], vec![7.0], vec![21.0]];
-        let matrix = FeatureMatrix::from_rows(&rows).unwrap();
-        let batched = portable.predict_matrix(&matrix).unwrap();
-        assert_eq!(batched.len(), 3);
-        for (row, out) in rows.iter().zip(&batched) {
-            assert_eq!(out, &portable.predict(row).unwrap());
-        }
+    fn garbage_bytes_are_rejected() {
+        assert!(PortableModel::from_bytes(b"not json at all").is_err());
     }
 
     #[test]
@@ -245,7 +277,6 @@ mod tests {
         portable.save(&path).unwrap();
         let loaded = PortableModel::load(&path).unwrap();
         assert_eq!(loaded.name, "file-test");
-        assert!(portable.serialized_size().unwrap() > 0);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -12,8 +12,9 @@
 //!          (full? shed BestEffort)                   │
 //!  idle? → one-row FeatureMatrix ──┐                 │
 //!                                  ▼                 ▼
-//!           score_rows: induced fault, breaker, model resolve,
-//!                       batched kernel, heuristic fallback
+//!           score_rows: induced fault, breaker, registry lookup,
+//!                       the thread's own model copy, batched
+//!                       kernel, heuristic fallback
 //!                                  │
 //!           complete: deadline hit/miss per level, degraded, latency
 //!                                  │
@@ -22,6 +23,11 @@
 //!
 //! Inline and batched requests differ only in who calls the scoring
 //! point and which path counter they bump (`inline_scored` or a batch).
+//!
+//! Every scoring thread, client or worker, runs the kernel on its own copy
+//! of the registered model's compiled arena, made on its first score of a
+//! registration: one arena per scoring thread is the memory the runtime
+//! trades for threads that never walk the same nodes.
 //!
 //! Batching is natural: a worker never waits for a batch to fill. It takes
 //! whatever has queued while it was busy, so batches grow with load and a
@@ -34,6 +40,7 @@
 //! (its queueing delay, and whether it survives saturation), never
 //! *answers*.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard as StdMutexGuard, Weak};
 use std::thread::JoinHandle;
@@ -274,6 +281,20 @@ impl std::fmt::Debug for ScoreTicket {
     }
 }
 
+thread_local! {
+    /// The model this thread last scored, keyed by the registry handle it
+    /// was decoded from: a copy of the runtime's decode with a compiled
+    /// arena of its own, so that no two threads walk the same nodes (two
+    /// threads on one shared arena each score a row about a third slower
+    /// than two threads on arenas of their own). The handle is held, so
+    /// its address cannot be reused while it keys the entry. Every runtime
+    /// over one registry (the shards of a fleet) shares the entry; a
+    /// re-registration replaces it on the thread's next score, so a thread
+    /// holds at most one copy, dropped when the thread exits.
+    static OWN_MODEL: RefCell<Option<(Arc<PortableModel>, ParameterModel)>> =
+        const { RefCell::new(None) };
+}
+
 /// State shared between the handle, submitters, and workers.
 struct Shared {
     registry: Arc<ModelRegistry>,
@@ -301,14 +322,14 @@ struct Shared {
     /// The per-tenant token-bucket governor (present only when the config
     /// enables fairness).
     governor: Option<TenantGovernor>,
-    /// Decoded-model cache: `(registry handle, decoded model)`. Re-resolved
-    /// by `Arc` pointer identity so an RCU re-registration in the registry
-    /// is picked up by the next batch; scoring threads holding the old
-    /// decoded model finish their batch against it unperturbed. The decoded
-    /// [`ParameterModel`] carries the forest's compiled inference
-    /// representation (one flat node arena), so a re-registration compiles
-    /// the new model **once** here — never per batch — and every drain-loop
-    /// batch runs the compiled kernel.
+    /// The runtime's decode of the registered model: `(registry handle,
+    /// decoded model)`, re-resolved by `Arc` pointer identity so an RCU
+    /// re-registration is validated and announced once per runtime. The
+    /// decode shares the registered model's compiled arena; no thread
+    /// scores on it. Each scoring thread copies the arena from it on its
+    /// first score of a registration (see [`OWN_MODEL`]), so the runtime's
+    /// memory grows by one compiled arena per scoring thread (~0.6 MB for
+    /// the 100-tree serving model).
     model: RwLock<Option<(Arc<PortableModel>, Arc<ParameterModel>)>>,
     /// The degraded-mode circuit breaker (present only when the config
     /// enables it; see [`crate::breaker`]).
@@ -344,14 +365,18 @@ impl Shared {
         }
     }
 
-    /// Returns the decoded parameter model, fetching/decoding it if the
-    /// registry holds a model the cache has not seen (never holds a cache
-    /// lock across registry access or deserialization).
-    fn resolve_model(&self) -> Result<Arc<ParameterModel>> {
-        let portable = self
-            .registry
+    /// The registry's current handle for the served model.
+    fn registered_model(&self) -> Result<Arc<PortableModel>> {
+        self.registry
             .load(&self.model_name)
-            .map_err(|e| ServeError::Model(e.to_string()))?;
+            .map_err(|e| ServeError::Model(e.to_string()))
+    }
+
+    /// Returns the runtime's decode of `portable`, the registry's current
+    /// handle, validating and decoding it if the cache has not seen that
+    /// handle (never holds a cache lock across deserialization) and
+    /// announcing a swap when it replaces an earlier decode.
+    fn resolve_model(&self, portable: Arc<PortableModel>) -> Result<Arc<ParameterModel>> {
         {
             let cached = self.model.read();
             if let Some((handle, decoded)) = cached.as_ref() {
@@ -378,6 +403,29 @@ impl Shared {
             self.obs_event(EventKind::ModelSwap);
         }
         Ok(decoded)
+    }
+
+    /// Runs the batched kernel on this thread's own copy of the registered
+    /// model ([`OWN_MODEL`]), making the copy from the runtime's decode when
+    /// the thread has none for the registry's current handle.
+    fn score_model(&self, rows: &FeatureMatrix) -> Result<Vec<ResourceRequest>> {
+        let portable = self.registered_model()?;
+        OWN_MODEL.with_borrow_mut(|own| {
+            let model = match own {
+                Some((handle, model)) if Arc::ptr_eq(handle, &portable) => model,
+                _ => {
+                    let decoded = self.resolve_model(Arc::clone(&portable))?;
+                    &own.insert((portable, decoded.with_own_arena())).1
+                }
+            };
+            scoring::score_feature_batch(
+                model,
+                rows,
+                self.config.objective,
+                &self.config.candidate_counts,
+            )
+            .map_err(|e| ServeError::Scoring(e.to_string()))
+        })
     }
 
     /// Records a breaker failure, counting the trip if this one opened it.
@@ -427,15 +475,7 @@ impl Shared {
         let scored = if outage {
             Err(ServeError::Model("induced model outage".into()))
         } else {
-            self.resolve_model().and_then(|model| {
-                scoring::score_feature_batch(
-                    &model,
-                    rows,
-                    self.config.objective,
-                    &self.config.candidate_counts,
-                )
-                .map_err(|e| ServeError::Scoring(e.to_string()))
-            })
+            self.score_model(rows)
         };
         let Some(breaker) = breaker else {
             return scored.map(|requests| (requests, false));
@@ -696,10 +736,14 @@ impl ScoringRuntime {
         }
     }
 
-    /// Pre-resolves (fetches and decodes) the model so the first scored
-    /// query does not pay the cold-start cost.
+    /// Pre-resolves (fetches, validates and decodes) the model so the first
+    /// scored query does not pay the cold-start cost. Each scoring thread
+    /// still copies the compiled arena on its first score (one arena per
+    /// scoring thread, ~0.6 MB for the 100-tree serving model); the calling
+    /// thread makes no copy here.
     pub fn warm(&self) -> Result<()> {
-        self.shared.resolve_model().map(|_| ())
+        let portable = self.shared.registered_model()?;
+        self.shared.resolve_model(portable).map(|_| ())
     }
 
     /// Scores with a full QoS envelope, blocking while the admission queue

@@ -5,16 +5,19 @@
 //!   the sequential rule over the synthetic suite, and
 //! * N threads × M queries through one concurrent runtime produce the same
 //!   per-query results as the sequential rule (determinism under
-//!   concurrency).
+//!   concurrency), and
+//! * every scoring thread answers from the model registered at the time,
+//!   whatever it scored before: after a re-registration, and when one
+//!   thread alternates between runtimes over different models.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use ae_serve::{RuntimeConfig, ScoreRequest, ScoringRuntime, ServiceLevel};
 use ae_workload::QueryInstance;
 use autoexecutor::optimizer::ResourceRequest;
 use autoexecutor::prelude::*;
-use autoexecutor::ModelRegistry;
+use autoexecutor::{featurize_plan, scoring, ModelRegistry};
 
 mod common;
 mod sequential;
@@ -32,6 +35,46 @@ fn fixture() -> (Arc<ModelRegistry>, AutoExecutorConfig, Vec<QueryInstance>) {
             "q72", "q79", "q88", "q96", "q14b", "q2", "q31", "q50", "q65", "q80", "q93", "q99",
         ],
     )
+}
+
+/// The fixture's training and scoring sets with a forest of another seed.
+fn other_model() -> Arc<ModelRegistry> {
+    common::fixture(
+        &["q1", "q5", "q12", "q42", "q69", "q94", "q23b", "q77"],
+        12,
+        43,
+        &[],
+    )
+    .0
+}
+
+/// What `scoring::score_features` answers for each row on the model
+/// `registry` holds as "ppm".
+fn reference_answers(
+    registry: &ModelRegistry,
+    config: &AutoExecutorConfig,
+    rows: &[Vec<f64>],
+) -> Vec<ResourceRequest> {
+    let model = ParameterModel::from_portable(&registry.load("ppm").unwrap()).unwrap();
+    let counts = config.candidate_counts();
+    rows.iter()
+        .map(|row| {
+            scoring::score_features(&model, row, config.objective, &counts)
+                .unwrap()
+                .request
+        })
+        .collect()
+}
+
+fn assert_answers(
+    queries: &[QueryInstance],
+    expected: &[ResourceRequest],
+    served: &[ResourceRequest],
+) {
+    assert_eq!(expected.len(), served.len());
+    for ((query, expected), served) in queries.iter().zip(expected).zip(served) {
+        assert_bit_identical(&query.name, expected, served);
+    }
 }
 
 #[test]
@@ -174,4 +217,121 @@ fn concurrent_scoring_matches_sequential_results() {
         stats.completed,
         "every request is either inline or batched"
     );
+}
+
+/// Two clients submit at once through one inline runtime, before and after
+/// a re-registration. Each scores on its own copy of the model, and every
+/// answer is bit-identical to `scoring::score_features` on the model
+/// registered during that phase.
+#[test]
+fn concurrent_inline_clients_answer_from_the_registered_model() {
+    let (registry, config, queries) = fixture();
+    let replacement = other_model();
+    let rows: Vec<Vec<f64>> = queries.iter().map(|q| featurize_plan(&q.plan)).collect();
+    let phases = [
+        reference_answers(&registry, &config, &rows),
+        reference_answers(&replacement, &config, &rows),
+    ];
+    assert_ne!(
+        phases[0][0].predicted_ppm.parameters(),
+        phases[1][0].predicted_ppm.parameters(),
+        "the two forests must predict different parameters"
+    );
+    let runtime = ScoringRuntime::new(
+        Arc::clone(&registry),
+        "ppm",
+        RuntimeConfig::from_auto_executor(&config),
+    );
+    runtime.warm().unwrap();
+
+    const CLIENTS: usize = 2;
+    // The clients and this thread meet before and after each phase.
+    let barrier = Barrier::new(CLIENTS + 1);
+    let served: Vec<Vec<Vec<ResourceRequest>>> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                scope.spawn(|| {
+                    (0..phases.len())
+                        .map(|_| {
+                            barrier.wait();
+                            let answers = rows
+                                .iter()
+                                .map(|row| {
+                                    runtime
+                                        .submit(ScoreRequest::from_features(row.clone()))
+                                        .unwrap()
+                                        .request
+                                })
+                                .collect();
+                            barrier.wait();
+                            answers
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        barrier.wait();
+        barrier.wait();
+        let model = replacement.load("ppm").unwrap();
+        registry.register("ppm", (*model).clone()).unwrap();
+        barrier.wait();
+        barrier.wait();
+        clients
+            .into_iter()
+            .map(|client| client.join().unwrap())
+            .collect()
+    });
+
+    for client in &served {
+        for (expected, answers) in phases.iter().zip(client) {
+            assert_answers(&queries, expected, answers);
+        }
+    }
+    let stats = runtime.stats();
+    assert_eq!(
+        stats.inline_scored,
+        (CLIENTS * phases.len() * rows.len()) as u64
+    );
+    assert_eq!(stats.errors, 0);
+}
+
+/// One thread alternates between two inline runtimes over two registries
+/// that hold different models under the same name: each runtime answers
+/// from its own registry's model every time.
+#[test]
+fn one_thread_alternating_runtimes_gets_each_runtimes_model() {
+    let (registry, config, queries) = fixture();
+    let registries = [registry, other_model()];
+    let rows: Vec<Vec<f64>> = queries.iter().map(|q| featurize_plan(&q.plan)).collect();
+    let runtimes = registries.each_ref().map(|registry| {
+        let expected = reference_answers(registry, &config, &rows);
+        let runtime = ScoringRuntime::new(
+            Arc::clone(registry),
+            "ppm",
+            RuntimeConfig::from_auto_executor(&config),
+        );
+        (runtime, expected)
+    });
+    assert_ne!(
+        runtimes[0].1[0].predicted_ppm.parameters(),
+        runtimes[1].1[0].predicted_ppm.parameters(),
+        "the two forests must predict different parameters"
+    );
+    for _round in 0..3 {
+        for (runtime, expected) in &runtimes {
+            let served: Vec<ResourceRequest> = rows
+                .iter()
+                .map(|row| {
+                    runtime
+                        .submit(ScoreRequest::from_features(row.clone()))
+                        .unwrap()
+                        .request
+                })
+                .collect();
+            assert_answers(&queries, expected, &served);
+        }
+    }
+    for (runtime, _) in &runtimes {
+        assert_eq!(runtime.stats().inline_scored, 3 * rows.len() as u64);
+    }
 }

@@ -137,34 +137,42 @@ fn scoring_after_shutdown_fails_cleanly() {
     drop(runtime);
 }
 
+/// Deterministic mode scores on the worker thread, the inline
+/// configuration on this one. Either thread keeps its own copy of the model
+/// between submits and must replace it once the registry holds a new one.
 #[test]
 fn reregistration_is_picked_up_without_restart() {
-    let (registry, config, queries) = fixture(4);
-    let runtime = ScoringRuntime::new(
-        Arc::clone(&registry),
-        "ppm",
-        RuntimeConfig::deterministic(&config),
-    );
-    let before = runtime
-        .submit(ScoreRequest::from_plan(&queries[0].plan))
-        .map(|o| o.request)
-        .unwrap();
-
-    // Re-register a model trained with a different seed (an RCU swap in the
-    // registry); the runtime must serve the new model on the next request.
     let (registry2, _, _) = fixture(99);
     let replacement = registry2.load("ppm").unwrap();
-    registry.register("ppm", (*replacement).clone()).unwrap();
-    let after = runtime
-        .submit(ScoreRequest::from_plan(&queries[0].plan))
-        .map(|o| o.request)
-        .unwrap();
+    for inline in [false, true] {
+        let (registry, config, queries) = fixture(4);
+        let runtime_config = if inline {
+            RuntimeConfig::from_auto_executor(&config)
+        } else {
+            RuntimeConfig::deterministic(&config)
+        };
+        let runtime = ScoringRuntime::new(Arc::clone(&registry), "ppm", runtime_config);
+        let score = || {
+            runtime
+                .submit(ScoreRequest::from_plan(&queries[0].plan))
+                .map(|o| o.request)
+                .unwrap()
+        };
+        let before = score();
 
-    assert_ne!(
-        before.predicted_ppm.parameters(),
-        after.predicted_ppm.parameters(),
-        "a different forest must predict different parameters"
-    );
+        // Re-register a model trained with a different seed (an RCU swap in
+        // the registry); the runtime must serve the new model on the next
+        // request.
+        registry.register("ppm", (*replacement).clone()).unwrap();
+        let after = score();
+
+        assert_ne!(
+            before.predicted_ppm.parameters(),
+            after.predicted_ppm.parameters(),
+            "a different forest must predict different parameters (inline: {inline})"
+        );
+        assert_eq!(runtime.stats().inline_scored, if inline { 2 } else { 0 });
+    }
 }
 
 /// Natural batching: a worker drains whatever queued while it was busy,
