@@ -49,9 +49,6 @@ pub struct PortableModel {
 impl PortableModel {
     /// Wraps a fitted forest for export. Fails if the forest is not fitted.
     pub fn from_forest(name: impl Into<String>, forest: RandomForestRegressor) -> Result<Self> {
-        if !forest.is_fitted() {
-            return Err(MlError::NotFitted);
-        }
         let compiled = Arc::new(forest.compile()?);
         Self::from_compiled(name, Arc::new(forest), compiled)
     }

@@ -375,7 +375,10 @@ impl Shared {
     /// Returns the runtime's decode of `portable`, the registry's current
     /// handle, validating and decoding it if the cache has not seen that
     /// handle (never holds a cache lock across deserialization) and
-    /// announcing a swap when it replaces an earlier decode.
+    /// announcing a swap when it replaces an earlier decode. Only a thread
+    /// without a copy of `portable` asks, so a fleet shard whose scoring
+    /// threads all copied a registration through another shard records no
+    /// swap for it.
     fn resolve_model(&self, portable: Arc<PortableModel>) -> Result<Arc<ParameterModel>> {
         {
             let cached = self.model.read();

@@ -25,10 +25,14 @@ mod sequential;
 use sequential::{assert_bit_identical, sequential_requests};
 
 fn fixture() -> (Arc<ModelRegistry>, AutoExecutorConfig, Vec<QueryInstance>) {
+    fixture_with_seed(42)
+}
+
+fn fixture_with_seed(seed: u64) -> (Arc<ModelRegistry>, AutoExecutorConfig, Vec<QueryInstance>) {
     common::fixture(
         &["q1", "q5", "q12", "q42", "q69", "q94", "q23b", "q77"],
         12,
-        42,
+        seed,
         // A disjoint scoring set, large enough to form real batches.
         &[
             "q3", "q7", "q11", "q19", "q27", "q34", "q39b", "q46", "q55", "q59", "q64", "q68",
@@ -37,15 +41,10 @@ fn fixture() -> (Arc<ModelRegistry>, AutoExecutorConfig, Vec<QueryInstance>) {
     )
 }
 
-/// The fixture's training and scoring sets with a forest of another seed.
+/// A registry holding, as "ppm", the fixture's model grown from another
+/// forest seed.
 fn other_model() -> Arc<ModelRegistry> {
-    common::fixture(
-        &["q1", "q5", "q12", "q42", "q69", "q94", "q23b", "q77"],
-        12,
-        43,
-        &[],
-    )
-    .0
+    fixture_with_seed(43).0
 }
 
 /// What `scoring::score_features` answers for each row on the model
@@ -245,9 +244,11 @@ fn concurrent_inline_clients_answer_from_the_registered_model() {
     runtime.warm().unwrap();
 
     const CLIENTS: usize = 2;
-    // The clients and this thread meet before and after each phase.
+    // The clients and this thread meet before and after each phase. A
+    // client keeps its errors until after the phase, so a failed submit
+    // cannot leave this thread waiting at a barrier.
     let barrier = Barrier::new(CLIENTS + 1);
-    let served: Vec<Vec<Vec<ResourceRequest>>> = std::thread::scope(|scope| {
+    let served: Vec<Vec<Result<Vec<ResourceRequest>, _>>> = std::thread::scope(|scope| {
         let clients: Vec<_> = (0..CLIENTS)
             .map(|_| {
                 scope.spawn(|| {
@@ -259,8 +260,7 @@ fn concurrent_inline_clients_answer_from_the_registered_model() {
                                 .map(|row| {
                                     runtime
                                         .submit(ScoreRequest::from_features(row.clone()))
-                                        .unwrap()
-                                        .request
+                                        .map(|outcome| outcome.request)
                                 })
                                 .collect();
                             barrier.wait();
@@ -282,9 +282,9 @@ fn concurrent_inline_clients_answer_from_the_registered_model() {
             .collect()
     });
 
-    for client in &served {
+    for client in served {
         for (expected, answers) in phases.iter().zip(client) {
-            assert_answers(&queries, expected, answers);
+            assert_answers(&queries, expected, &answers.unwrap());
         }
     }
     let stats = runtime.stats();
