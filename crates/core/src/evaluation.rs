@@ -32,11 +32,14 @@ impl ActualRuns {
     /// Runs every query `repeats` times at each executor count in `counts`
     /// and stores the outlier-filtered mean elapsed times.
     ///
-    /// The `(query, count)` grid is simulated in parallel. Every repeat's
-    /// noise seed is a pure function of `(seed, repeat, count)` — the same
-    /// derivation the sequential loop used — and simulation scratch buffers
-    /// are reused across the repeats of one grid cell, so ground truth is
-    /// bit-identical at any worker-thread count.
+    /// Each executor count is one parallel unit with one simulator and one
+    /// scratch, looping over the repeats and, inside each repeat, over the
+    /// queries. A repeat's noise seed is a pure function of
+    /// `(seed, repeat, count)` and the same for every query, so the
+    /// scratch draws each `(count, repeat)` cell's noise stream once and
+    /// every query reads its prefix. Each query's samples are kept in
+    /// repeat order, so ground truth is bit-identical at any worker-thread
+    /// count.
     pub fn collect(
         queries: &[QueryInstance],
         counts: &[usize],
@@ -44,37 +47,45 @@ impl ActualRuns {
         cluster: &ClusterConfig,
         seed: u64,
     ) -> Result<Self> {
-        let units: Vec<(&QueryInstance, usize)> = queries
-            .iter()
-            .flat_map(|q| counts.iter().map(move |&n| (q, n)))
-            .collect();
-        let cells = units
-            .into_par_iter()
-            .map(|(query, n)| {
+        let repeats = repeats.max(1);
+        let means_by_count = counts
+            .par_iter()
+            .map(|&n| {
                 let simulator = Simulator::new(*cluster, AllocationPolicy::static_allocation(n))
                     .map_err(AutoExecutorError::Engine)?;
                 let mut scratch = SimScratch::new();
-                let samples: Vec<f64> = (0..repeats.max(1))
-                    .map(|r| {
-                        let run_cfg = RunConfig {
-                            seed: seed
-                                .wrapping_add(r as u64)
-                                .wrapping_mul(31)
-                                .wrapping_add(n as u64),
-                            ..RunConfig::default()
-                        };
-                        simulator
-                            .run_with_scratch(&query.name, &query.dag, &run_cfg, &mut scratch)
-                            .elapsed_secs
-                    })
-                    .collect();
-                Ok((query.name.clone(), n, iqr_filtered_mean(&samples)))
+                let mut samples = vec![Vec::new(); queries.len()];
+                for r in 0..repeats {
+                    let run_cfg = RunConfig {
+                        seed: seed
+                            .wrapping_add(r as u64)
+                            .wrapping_mul(31)
+                            .wrapping_add(n as u64),
+                        ..RunConfig::default()
+                    };
+                    for (query, samples) in queries.iter().zip(&mut samples) {
+                        let run = simulator.run_with_scratch(
+                            &query.name,
+                            &query.dag,
+                            &run_cfg,
+                            &mut scratch,
+                        );
+                        samples.push(run.elapsed_secs);
+                    }
+                }
+                Ok(samples.iter().map(|s| iqr_filtered_mean(s)).collect())
             })
-            .collect::<Result<Vec<_>>>()?;
+            .collect::<Result<Vec<Vec<f64>>>>()?;
 
         let mut curves: BTreeMap<String, Vec<(usize, f64)>> = BTreeMap::new();
-        for (name, n, mean) in cells {
-            curves.entry(name).or_default().push((n, mean));
+        for (q, query) in queries.iter().enumerate() {
+            let curve = curves.entry(query.name.clone()).or_default();
+            curve.extend(
+                counts
+                    .iter()
+                    .zip(&means_by_count)
+                    .map(|(&n, means)| (n, means[q])),
+            );
         }
         Ok(Self { curves })
     }

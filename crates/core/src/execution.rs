@@ -11,7 +11,7 @@
 
 use ae_engine::allocation::AllocationPolicy;
 use ae_engine::cluster::ClusterConfig;
-use ae_engine::scheduler::{QueryRunResult, RunConfig, Simulator};
+use ae_engine::scheduler::{QueryRunResult, RunConfig, SimScratch, Simulator};
 use ae_engine::stage::StageDag;
 use serde::{Deserialize, Serialize};
 
@@ -100,7 +100,8 @@ fn ratio(numerator: f64, denominator: f64) -> f64 {
 /// Runs the three policies for one query and packages the comparison.
 ///
 /// `max_executors` is the upper bound shared by SA and DA (48 in the paper);
-/// `predicted` is the AutoExecutor prediction for the query.
+/// `predicted` is the AutoExecutor prediction for the query. The three runs
+/// share `run_config` and one scratch, so the query's noise is drawn once.
 pub fn compare_allocations(
     cluster: &ClusterConfig,
     name: &str,
@@ -109,27 +110,15 @@ pub fn compare_allocations(
     max_executors: usize,
     run_config: &RunConfig,
 ) -> Result<AllocationComparison> {
-    let static_max = run_with_policy(
-        cluster,
-        AllocationPolicy::static_allocation(max_executors),
-        name,
-        dag,
-        run_config,
-    )?;
-    let dynamic = run_with_policy(
-        cluster,
-        AllocationPolicy::dynamic(1, max_executors),
-        name,
-        dag,
-        run_config,
-    )?;
-    let rule = run_with_policy(
-        cluster,
-        AllocationPolicy::predictive(predicted),
-        name,
-        dag,
-        run_config,
-    )?;
+    let mut scratch = SimScratch::new();
+    let mut run = |policy| {
+        Simulator::new(*cluster, policy)
+            .map(|simulator| simulator.run_with_scratch(name, dag, run_config, &mut scratch))
+            .map_err(AutoExecutorError::Engine)
+    };
+    let static_max = run(AllocationPolicy::static_allocation(max_executors))?;
+    let dynamic = run(AllocationPolicy::dynamic(1, max_executors))?;
+    let rule = run(AllocationPolicy::predictive(predicted))?;
     let fully_allocated = rule.max_executors >= predicted;
     Ok(AllocationComparison {
         name: name.to_string(),
@@ -186,6 +175,36 @@ mod tests {
         )
         .unwrap();
         assert!(comparison.fully_allocated);
+    }
+
+    #[test]
+    fn comparison_matches_fresh_runs_of_each_policy() {
+        // The three runs share one scratch and its noise stream; each must
+        // match its own fresh run bit for bit.
+        let cluster = ClusterConfig::paper_default();
+        let query = WorkloadGenerator::new(ScaleFactor::SF10).instance("q94");
+        let cfg = RunConfig::default().with_seed(17);
+        let comparison = compare_allocations(&cluster, "q94", &query.dag, 12, 48, &cfg).unwrap();
+        for (policy, run) in [
+            (
+                AllocationPolicy::static_allocation(48),
+                &comparison.static_max,
+            ),
+            (AllocationPolicy::dynamic(1, 48), &comparison.dynamic),
+            (AllocationPolicy::predictive(12), &comparison.rule),
+        ] {
+            let fresh = run_with_policy(&cluster, policy, "q94", &query.dag, &cfg).unwrap();
+            assert_eq!(fresh.elapsed_secs.to_bits(), run.elapsed_secs.to_bits());
+            assert_eq!(
+                fresh.auc_executor_secs.to_bits(),
+                run.auc_executor_secs.to_bits()
+            );
+            assert_eq!(
+                fresh.total_task_secs.to_bits(),
+                run.total_task_secs.to_bits()
+            );
+            assert_eq!(fresh.skyline.points(), run.skyline.points());
+        }
     }
 
     #[test]

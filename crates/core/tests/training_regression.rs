@@ -138,6 +138,35 @@ fn sf100_ground_truth_matches_the_recorded_fingerprint() {
     let actuals =
         ActualRuns::collect(&suite, &counts, 1, &ClusterConfig::paper_default(), 11).unwrap();
     assert_eq!(actuals.names().len(), 149);
+    assert_eq!(
+        curves_fingerprint(&actuals),
+        10354075345226541346,
+        "SF100 ground truth"
+    );
+}
+
+/// The sweep at perfbench's three repeats: every builtin family at SF10,
+/// six counts, seed 11. With fewer than four samples the IQR filter keeps
+/// them all and sums them in the order they were pushed, so this pins that
+/// order as well as each repeat's noise, which one repeat cannot. Recorded
+/// from the sweep that simulated one (query, count) cell per parallel unit.
+#[test]
+fn sf10_three_repeat_ground_truth_matches_the_recorded_fingerprint() {
+    let suite = mixed_suite(FamilyRegistry::builtin().families(), ScaleFactor::SF10);
+    assert_eq!(suite.len(), 149);
+    let counts = [1, 2, 8, 16, 32, 48];
+    let actuals =
+        ActualRuns::collect(&suite, &counts, 3, &ClusterConfig::paper_default(), 11).unwrap();
+    assert_eq!(actuals.names().len(), 149);
+    assert_eq!(
+        curves_fingerprint(&actuals),
+        12264408925454739648,
+        "SF10 ground truth, 3 repeats"
+    );
+}
+
+/// Every query name, then each point of its curve, in name order.
+fn curves_fingerprint(actuals: &ActualRuns) -> u64 {
     let mut bytes = Bytes::default();
     for name in actuals.names() {
         bytes.0.extend_from_slice(name.as_bytes());
@@ -146,7 +175,7 @@ fn sf100_ground_truth_matches_the_recorded_fingerprint() {
             bytes.f64(t);
         }
     }
-    assert_eq!(fnv1a(&bytes.0), 10354075345226541346, "SF100 ground truth");
+    fnv1a(&bytes.0)
 }
 
 /// One SA(48), one DA(1,48) and one Rule(16) run per SF10 query of every

@@ -61,6 +61,11 @@
 //! [`Simulator::run_with_scratch`] reuses a caller's [`SimScratch`] across
 //! runs, so collection loops do not re-allocate the buffers per run;
 //! `Simulator::run` allocates a fresh scratch and is bit-identical to it.
+//! The scratch keeps the prefix of the last run's noise stream (seed and
+//! noise level, the generator after the prefix, the drawn factors). A run
+//! with the same seed and level reads the prefix and draws only the tasks
+//! past its end; any other run restarts the stream. A fresh scratch draws
+//! every factor, so both entry points take the one path.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -301,8 +306,18 @@ struct RetryTask {
 /// runs should allocate one scratch (per worker thread) and pass it to
 /// [`Simulator::run_with_scratch`]; all buffers are cleared, not freed,
 /// between runs.
+///
+/// The scratch also keeps the noise factors it last drew and the seeded
+/// stream positioned after them. A run whose seed and noise level match
+/// reuses that prefix and draws only the tasks past its end; any other run
+/// restarts the stream. Loops that run many queries under one seed (each
+/// cell of a ground-truth sweep, the three policies of one comparison)
+/// should pass them through one scratch, so the shared stream is drawn
+/// once.
 #[derive(Debug, Default)]
 pub struct SimScratch {
+    /// The noise stream of the last run, kept across runs.
+    noise: NoisePrefix,
     /// Flattened noisy task durations, stage-major.
     noisy: Vec<f64>,
     /// Start offset of each stage within `noisy` (plus a final sentinel).
@@ -343,6 +358,38 @@ pub struct SimScratch {
     retry: VecDeque<RetryTask>,
     /// Loss count per task, flattened stage-major.
     task_retries: Vec<u32>,
+}
+
+/// The noise factors drawn so far from one seeded stream, in task order,
+/// and the stream positioned after the last of them.
+#[derive(Debug, Default)]
+struct NoisePrefix {
+    /// The stream's seed and the bits of the `noise_cv` its factors were
+    /// drawn at, with the generator; `None` before the first draw.
+    stream: Option<((u64, u64), StdRng)>,
+    /// Factor of task `i` (stage-major over a run's DAG) at index `i`.
+    factors: Vec<f64>,
+}
+
+impl NoisePrefix {
+    /// Extends the factors to `len` tasks of the stream seeded with
+    /// `seed` at coefficient of variation `cv`, drawing only those past
+    /// the stored prefix. A different seed or `cv` restarts the stream, so
+    /// the first `len` factors are always the ones a fresh generator
+    /// draws.
+    fn draw(&mut self, seed: u64, cv: f64, len: usize) {
+        let key = (seed, cv.to_bits());
+        let rng = match &mut self.stream {
+            Some((stored, rng)) if *stored == key => rng,
+            stream => {
+                self.factors.clear();
+                &mut stream.insert((key, StdRng::seed_from_u64(seed))).1
+            }
+        };
+        let drawn = self.factors.len();
+        self.factors
+            .extend((drawn..len).map(|_| noise_factor(rng, cv)));
+    }
 }
 
 impl SimScratch {
@@ -473,7 +520,8 @@ impl Simulator {
     ///
     /// Results are bit-identical to `run`; collection loops that simulate
     /// thousands of runs avoid re-allocating the event queues and duration
-    /// matrix on every run.
+    /// matrix on every run, and runs that share a noise seed draw its
+    /// stream once (see [`SimScratch`]).
     pub fn run_with_scratch(
         &self,
         query_name: &str,
@@ -611,19 +659,21 @@ impl<'a> Run<'a> {
 
     /// Materialises every task's noisy duration, stage-major. The
     /// cores-per-executor penalty keeps ec≠4 configurations slightly off
-    /// the ec=4 trend (Figure 5). Straggler multipliers come from their own
-    /// seed stream, consumed in the same order, so enabling them does not
+    /// the ec=4 trend (Figure 5). Task `i` takes factor `i` of the noise
+    /// stream, which the scratch extends (or restarts on another seed) to
+    /// cover the DAG. Straggler multipliers come from their own seed
+    /// stream, consumed in the same order, so enabling them does not
     /// perturb the base noise draws.
     fn draw_durations(&mut self, dag: &StageDag) {
         let cfg = self.cfg;
-        let mut noise = StdRng::seed_from_u64(cfg.seed);
+        self.s.noise.draw(cfg.seed, cfg.noise_cv, dag.num_tasks());
         let mut stragglers = cfg.faults.straggler_rng();
         let ec_penalty = 1.0 + 0.02 * (self.ec as f64 - 4.0).abs();
         for stage in dag.stages() {
             self.s.stage_offsets.push(self.s.noisy.len());
             for (task, t) in stage.tasks.iter().enumerate() {
                 let mut duration =
-                    t.work_secs * ec_penalty * noise_factor(&mut noise, cfg.noise_cv);
+                    t.work_secs * ec_penalty * self.s.noise.factors[self.s.noisy.len()];
                 if let Some(rng) = stragglers.as_mut() {
                     let factor = cfg.faults.straggler_factor(rng);
                     if factor > 1.0 {

@@ -11,7 +11,9 @@
 
 use ae_engine::cluster::AllocationLag;
 use ae_engine::scheduler::SimScratch;
-use ae_engine::{AllocationPolicy, ClusterConfig, RunConfig, Simulator, Stage, StageDag, Task};
+use ae_engine::{
+    AllocationPolicy, ClusterConfig, FaultPlan, RunConfig, Simulator, Stage, StageDag, Task,
+};
 
 /// The reference DAG: a wide scan feeding two mid stages that join into a
 /// narrow tail (fan-out/fan-in exercises the ready-queue bookkeeping).
@@ -105,6 +107,37 @@ fn predictive_allocation_pins() {
     );
 }
 
+/// The reference DAG's first two stages: a shorter prefix of its task
+/// order, so a noise stream drawn for one DAG covers part of the other.
+fn short_dag() -> StageDag {
+    let mut stages = reference_dag().stages().to_vec();
+    stages.truncate(2);
+    StageDag::new(stages).unwrap()
+}
+
+/// Runs `dag` on `scratch` and on a fresh scratch and asserts that every
+/// output matches bit for bit.
+fn assert_reuse_matches_fresh(
+    simulator: &Simulator,
+    dag: &StageDag,
+    cfg: &RunConfig,
+    scratch: &mut SimScratch,
+) {
+    let cfg = cfg.with_task_log();
+    let fresh = simulator.run("q", dag, &cfg);
+    let reused = simulator.run_with_scratch("q", dag, &cfg, scratch);
+    let case = format!("{} tasks, {cfg:?}", dag.num_tasks());
+    assert_eq!(fresh.elapsed_secs, reused.elapsed_secs, "{case}");
+    assert_eq!(fresh.auc_executor_secs, reused.auc_executor_secs, "{case}");
+    assert_eq!(fresh.max_executors, reused.max_executors, "{case}");
+    assert_eq!(fresh.total_task_secs, reused.total_task_secs, "{case}");
+    assert_eq!(fresh.faults, reused.faults, "{case}");
+    assert_eq!(fresh.skyline.points(), reused.skyline.points(), "{case}");
+    let (fresh_log, reused_log) = (fresh.task_log.unwrap(), reused.task_log.unwrap());
+    assert_eq!(fresh_log.records, reused_log.records, "{case}");
+    assert_eq!(fresh_log.stages.len(), reused_log.stages.len(), "{case}");
+}
+
 #[test]
 fn scratch_reuse_is_bit_identical_to_fresh_runs() {
     let dag = reference_dag();
@@ -116,18 +149,42 @@ fn scratch_reuse_is_bit_identical_to_fresh_runs() {
     ] {
         let simulator = Simulator::new(ClusterConfig::paper_default(), policy).unwrap();
         for seed in [0u64, 3, 9] {
-            let cfg = RunConfig::default().with_seed(seed).with_task_log();
-            let fresh = simulator.run("q", &dag, &cfg);
-            let reused = simulator.run_with_scratch("q", &dag, &cfg, &mut scratch);
-            assert_eq!(fresh.elapsed_secs, reused.elapsed_secs);
-            assert_eq!(fresh.auc_executor_secs, reused.auc_executor_secs);
-            assert_eq!(fresh.max_executors, reused.max_executors);
-            assert_eq!(fresh.total_task_secs, reused.total_task_secs);
-            assert_eq!(fresh.skyline.points(), reused.skyline.points());
-            let (fresh_log, reused_log) = (fresh.task_log.unwrap(), reused.task_log.unwrap());
-            assert_eq!(fresh_log.records, reused_log.records);
-            assert_eq!(fresh_log.stages.len(), reused_log.stages.len());
+            let cfg = RunConfig::default().with_seed(seed);
+            assert_reuse_matches_fresh(&simulator, &dag, &cfg, &mut scratch);
         }
+    }
+
+    // One scratch carried through runs that share a noise seed and runs
+    // that do not: a longer DAG after a shorter one and the reverse, a
+    // return to a seed after another, other noise levels on one seed, and
+    // stragglers drawn on top of the noise.
+    let simulator = Simulator::new(
+        ClusterConfig::paper_default(),
+        AllocationPolicy::static_allocation(12),
+    )
+    .unwrap();
+    let short = short_dag();
+    let seeded = |seed: u64, noise_cv: f64| RunConfig {
+        seed,
+        noise_cv,
+        ..RunConfig::default()
+    };
+    let stragglers = seeded(5, 0.05).with_faults(FaultPlan::none().with_stragglers(0.2, 3.0));
+    let cases = [
+        (&short, seeded(5, 0.05)),
+        (&dag, seeded(5, 0.05)),
+        (&short, seeded(5, 0.05)),
+        (&dag, seeded(6, 0.05)),
+        (&dag, seeded(5, 0.05)),
+        (&dag, seeded(5, 0.0)),
+        (&dag, seeded(5, 0.05)),
+        (&dag, seeded(5, 0.1)),
+        (&short, seeded(5, 0.05)),
+        (&dag, stragglers),
+        (&dag, seeded(5, 0.05)),
+    ];
+    for (dag, cfg) in cases {
+        assert_reuse_matches_fresh(&simulator, dag, &cfg, &mut scratch);
     }
 }
 

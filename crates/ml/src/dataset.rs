@@ -137,28 +137,6 @@ impl Dataset {
         out
     }
 
-    /// Builds a new dataset keeping only the feature columns whose names are
-    /// listed in `keep` (order follows `keep`). Unknown names are ignored.
-    /// Used by the Section 5.7 feature-set ablation (F0–F3).
-    pub fn select_features(&self, keep: &[&str]) -> Dataset {
-        let col_indices: Vec<usize> = keep
-            .iter()
-            .filter_map(|name| self.feature_names.iter().position(|f| f == name))
-            .collect();
-        let feature_names = col_indices
-            .iter()
-            .map(|&c| self.feature_names[c].clone())
-            .collect();
-        let mut out = Dataset::new(feature_names, self.target_names.clone());
-        for i in 0..self.len() {
-            out.ids.push(self.ids[i].clone());
-            out.rows
-                .push(col_indices.iter().map(|&c| self.rows[i][c]).collect());
-            out.targets.push(self.targets[i].clone());
-        }
-        out
-    }
-
     /// Single-column view of a target, useful for fitting per-parameter models.
     pub fn target_column(&self, col: usize) -> Vec<f64> {
         self.targets.iter().map(|t| t[col]).collect()
@@ -243,11 +221,6 @@ impl RepeatedKFold {
         Self { k, repeats, seed }
     }
 
-    /// The paper's evaluation protocol: 5 folds, 10 repeats.
-    pub fn paper_protocol(seed: u64) -> Self {
-        Self::new(5, 10, seed)
-    }
-
     /// Produces all `k × repeats` splits, grouped by repeat.
     pub fn splits(&self, n: usize) -> Result<Vec<Vec<FoldSplit>>> {
         (0..self.repeats)
@@ -298,17 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn select_features_projects_columns() {
-        let d = toy_dataset(3);
-        let s = d.select_features(&["y"]);
-        assert_eq!(s.num_features(), 1);
-        assert_eq!(s.row(2), &[4.0]);
-        // Unknown names are ignored rather than erroring.
-        let s2 = d.select_features(&["y", "nope", "x"]);
-        assert_eq!(s2.feature_names(), &["y".to_string(), "x".to_string()]);
-    }
-
-    #[test]
     fn kfold_covers_all_rows_exactly_once() {
         let splits = KFold::new(5, 42).splits(103).unwrap();
         assert_eq!(splits.len(), 5);
@@ -344,7 +306,7 @@ mod tests {
 
     #[test]
     fn repeated_kfold_produces_distinct_repeats() {
-        let r = RepeatedKFold::paper_protocol(1);
+        let r = RepeatedKFold::new(5, 10, 1);
         let all = r.splits(103).unwrap();
         assert_eq!(all.len(), 10);
         assert_eq!(all[0].len(), 5);

@@ -21,20 +21,6 @@ pub fn mean_absolute_error(predicted: &[f64], actual: &[f64]) -> f64 {
         / predicted.len() as f64
 }
 
-/// Mean squared error between predictions and actuals.
-pub fn mean_squared_error(predicted: &[f64], actual: &[f64]) -> f64 {
-    assert_eq!(predicted.len(), actual.len(), "length mismatch in MSE");
-    if predicted.is_empty() {
-        return 0.0;
-    }
-    predicted
-        .iter()
-        .zip(actual)
-        .map(|(p, a)| (p - a) * (p - a))
-        .sum::<f64>()
-        / predicted.len() as f64
-}
-
 /// The paper's `E(n)` metric (Equation 6): `Σ|t̂ - t| / Σ t`.
 ///
 /// Both sums run over the provided query-level values; the caller groups by
@@ -58,33 +44,6 @@ pub fn total_absolute_error_ratio(predicted: &[f64], actual: &[f64]) -> f64 {
     }
 }
 
-/// Coefficient of determination R².
-///
-/// Returns 1.0 when the actuals are constant and perfectly predicted, and can
-/// be negative for predictions worse than the mean.
-pub fn r_squared(predicted: &[f64], actual: &[f64]) -> f64 {
-    assert_eq!(predicted.len(), actual.len(), "length mismatch in R²");
-    if actual.is_empty() {
-        return 0.0;
-    }
-    let mean = actual.iter().sum::<f64>() / actual.len() as f64;
-    let ss_tot: f64 = actual.iter().map(|a| (a - mean) * (a - mean)).sum();
-    let ss_res: f64 = predicted
-        .iter()
-        .zip(actual)
-        .map(|(p, a)| (a - p) * (a - p))
-        .sum();
-    if ss_tot.abs() < f64::EPSILON {
-        if ss_res.abs() < f64::EPSILON {
-            1.0
-        } else {
-            0.0
-        }
-    } else {
-        1.0 - ss_res / ss_tot
-    }
-}
-
 /// Mean and (population) standard deviation of a sample.
 ///
 /// Used for the ±1 standard-deviation error bars across CV folds.
@@ -96,17 +55,6 @@ pub fn mean_and_std(values: &[f64]) -> (f64, f64) {
     let mean = values.iter().sum::<f64>() / n;
     let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
     (mean, var.sqrt())
-}
-
-/// Coefficient of variation in percent (std / mean × 100), as used for the
-/// production-workload variation analysis (Figure 2b).
-pub fn coefficient_of_variation_pct(values: &[f64]) -> f64 {
-    let (mean, std) = mean_and_std(values);
-    if mean.abs() < f64::EPSILON {
-        0.0
-    } else {
-        std / mean * 100.0
-    }
 }
 
 /// Empirical CDF evaluation points: returns `(value, cumulative_percent)`
@@ -172,11 +120,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mae_and_mse_basic_values() {
+    fn mae_basic_values() {
         let p = [1.0, 2.0, 3.0];
         let a = [1.0, 4.0, 2.0];
         assert!((mean_absolute_error(&p, &a) - 1.0).abs() < 1e-12);
-        assert!((mean_squared_error(&p, &a) - (0.0 + 4.0 + 1.0) / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -191,26 +138,6 @@ mod tests {
     fn e_metric_perfect_prediction_is_zero() {
         let a = [3.0, 7.0, 11.0];
         assert_eq!(total_absolute_error_ratio(&a, &a), 0.0);
-    }
-
-    #[test]
-    fn r_squared_perfect_and_mean_predictor() {
-        let a = [1.0, 2.0, 3.0, 4.0];
-        assert!((r_squared(&a, &a) - 1.0).abs() < 1e-12);
-        let mean_pred = [2.5; 4];
-        assert!(r_squared(&mean_pred, &a).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cov_of_constant_series_is_zero() {
-        assert_eq!(coefficient_of_variation_pct(&[5.0, 5.0, 5.0]), 0.0);
-    }
-
-    #[test]
-    fn cov_matches_manual_value() {
-        // mean 10, std sqrt(8/3)... use simpler: [8, 12] mean 10, pop std 2 → 20%
-        let cov = coefficient_of_variation_pct(&[8.0, 12.0]);
-        assert!((cov - 20.0).abs() < 1e-9);
     }
 
     #[test]

@@ -184,28 +184,6 @@ impl SparklensAnalyzer {
         let report = self.analyze(log);
         self.estimate_curve(&report, executor_counts)
     }
-
-    /// Recommends the smallest executor count whose estimated time is within
-    /// `slack` (e.g. 1.05 = 5%) of the best estimated time over `candidates`
-    /// — the "better executor count" suggestion Sparklens gives users.
-    pub fn recommend_executors(
-        &self,
-        report: &SparklensReport,
-        candidates: &[usize],
-        slack: f64,
-    ) -> Option<usize> {
-        if candidates.is_empty() {
-            return None;
-        }
-        let times: Vec<(usize, f64)> = self.estimate_curve(report, candidates);
-        let best = times.iter().map(|&(_, t)| t).fold(f64::INFINITY, f64::min);
-        let mut sorted = times;
-        sorted.sort_by_key(|&(n, _)| n);
-        sorted
-            .into_iter()
-            .find(|&(_, t)| t <= best * slack.max(1.0))
-            .map(|(n, _)| n)
-    }
 }
 
 #[cfg(test)]
@@ -297,28 +275,5 @@ mod tests {
         assert_eq!(curve[0].0, 8);
         assert_eq!(curve[1].0, 1);
         assert_eq!(curve[2].0, 32);
-    }
-
-    #[test]
-    fn recommendation_picks_smallest_count_within_slack() {
-        let analyzer = SparklensAnalyzer::paper_default();
-        let report = analyzer.analyze(&toy_log());
-        let candidates: Vec<usize> = (1..=48).collect();
-        let rec = analyzer
-            .recommend_executors(&report, &candidates, 1.05)
-            .unwrap();
-        // Stage 0 needs 64 slots = 16 executors for one wave, but the 10 s
-        // serial tail dominates, so far fewer executors stay within 5%.
-        assert!(rec < 16, "recommended {rec}");
-        let t_rec = analyzer.estimate_elapsed_secs(&report, rec);
-        let t_best = analyzer.estimate_elapsed_secs(&report, 48);
-        assert!(t_rec <= t_best * 1.05 + 1e-9);
-    }
-
-    #[test]
-    fn recommendation_empty_candidates_is_none() {
-        let analyzer = SparklensAnalyzer::paper_default();
-        let report = analyzer.analyze(&toy_log());
-        assert_eq!(analyzer.recommend_executors(&report, &[], 1.1), None);
     }
 }
