@@ -1,5 +1,6 @@
 //! Model-accuracy experiments: Figures 4, 8, 9, 14, 15, the Section 5.7
-//! feature ablation and the Section 5.6 overheads.
+//! feature ablation, the Section 5.6 overheads and the Section 3.4
+//! comparison with the non-parametric baseline.
 
 use std::collections::BTreeMap;
 
@@ -12,7 +13,9 @@ use ae_workload::ScaleFactor;
 use autoexecutor::evaluation::{
     cross_validate, error_by_count, sparklens_curves, CrossValidationConfig,
 };
-use autoexecutor::{measure_overheads, FeatureSet, ParameterModel, TrainingData};
+use autoexecutor::{
+    measure_overheads, FeatureSet, NonParametricModel, ParameterModel, TrainingData,
+};
 
 use crate::context::ExperimentContext;
 use crate::table;
@@ -333,7 +336,8 @@ pub fn ablation_feature_sets(ctx: &mut ExperimentContext) {
     );
 }
 
-/// Section 5.6: training and scoring overheads.
+/// Section 5.6: training and scoring overheads, then the Section 3.4
+/// argument for the parametric model in counts (no timing).
 pub fn overheads(ctx: &mut ExperimentContext) {
     table::section("Section 5.6", "Training and scoring overheads");
     let data = ctx.training_data(ScaleFactor::SF100);
@@ -371,5 +375,32 @@ pub fn overheads(ctx: &mut ExperimentContext) {
     println!(
         "inference per query:            {:.3} ms   (paper: ~0.9 ms ONNX / ~3.6 ms scikit-learn)",
         report.inference_per_query.as_secs_f64() * 1e3
+    );
+
+    // Section 3.4: the parametric model trains on one row per query (the
+    // report's query count) and scores once per decision; the baseline
+    // regresses run time from (features, n) pairs.
+    let baseline = NonParametricModel::train(&data, &ctx.config).expect("non-parametric baseline");
+    let baseline_scorings = baseline
+        .predict_curve(&suite[0].plan, &ctx.config.candidate_counts())
+        .expect("baseline curve")
+        .len();
+    println!();
+    println!("Section 3.4: parametric model vs non-parametric baseline (same training data)");
+    println!("{:<31} {:>10} {:>16}", "", "parametric", "non-parametric");
+    for (label, ours, theirs) in [
+        (
+            "training rows:",
+            report.training_queries,
+            baseline.training_rows(),
+        ),
+        ("forest nodes:", report.forest_nodes, baseline.total_nodes()),
+        ("forest scorings per decision:", 1, baseline_scorings),
+    ] {
+        println!("{label:<31} {ours:>10} {theirs:>16}");
+    }
+    println!(
+        "paper: one row per query instead of one per (query, configuration), a smaller model, \
+         and one scoring per query instead of one per candidate count"
     );
 }

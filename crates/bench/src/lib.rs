@@ -5,9 +5,6 @@
 //! * the `experiments` binary regenerates every table and figure of the
 //!   paper's evaluation section (`cargo run -p ae-bench --release --bin
 //!   experiments -- all`), printing the same rows/series the paper reports;
-//! * the criterion benches (`cargo bench -p ae-bench`) measure the
-//!   Section 5.6 overheads: parameter-model training, scoring, plan
-//!   featurization, simulation, and configuration selection;
 //! * eight `bench_*` drivers, each with a `--smoke` gate that CI runs and a
 //!   `--json PATH` report: `bench_inference` (compiled vs interpreted
 //!   forest), `bench_serving` (the scoring runtime against one-at-a-time

@@ -7,12 +7,12 @@
 //! one model scoring per *candidate* configuration instead of one per query.
 //! The paper argues the parametric PPM is preferable on training-set size,
 //! model size, and scoring cost; this module provides the baseline so those
-//! claims can be measured (see `bench_training`'s
-//! `training_set_design` group and the unit tests below).
+//! claims can be measured (`experiments -- overheads` prints all three, and
+//! the unit tests below check the first two).
 
 use ae_engine::plan::QueryPlan;
 use ae_ml::dataset::Dataset;
-use ae_ml::forest::{RandomForestConfig, RandomForestRegressor};
+use ae_ml::forest::RandomForestRegressor;
 use serde::{Deserialize, Serialize};
 
 use crate::config::AutoExecutorConfig;
@@ -34,18 +34,11 @@ pub struct NonParametricModel {
 
 impl NonParametricModel {
     /// Trains the baseline on the same collected training data the
-    /// parametric pipeline uses: every `(query, executor count)` point of the
+    /// parametric pipeline uses, with `config`'s feature set and forest
+    /// settings: every `(query, executor count)` point of the
     /// Sparklens-augmented curves becomes one training row.
     pub fn train(data: &TrainingData, config: &AutoExecutorConfig) -> Result<Self> {
-        Self::train_with(data, config.feature_set, config.forest)
-    }
-
-    /// Trains the baseline with explicit feature-set and forest settings.
-    pub fn train_with(
-        data: &TrainingData,
-        feature_set: FeatureSet,
-        forest_config: RandomForestConfig,
-    ) -> Result<Self> {
+        let feature_set = config.feature_set;
         if data.is_empty() {
             return Err(AutoExecutorError::EmptyWorkload);
         }
@@ -64,7 +57,7 @@ impl NonParametricModel {
                 rows += 1;
             }
         }
-        let mut forest = RandomForestRegressor::new(forest_config);
+        let mut forest = RandomForestRegressor::new(config.forest);
         forest.fit(&dataset).map_err(AutoExecutorError::Ml)?;
         Ok(Self {
             forest,

@@ -64,14 +64,6 @@ impl Default for AutoExecutorConfig {
 }
 
 impl AutoExecutorConfig {
-    /// The paper's configuration with the AE_AL (Amdahl) model.
-    pub fn paper_amdahl() -> Self {
-        Self {
-            ppm_kind: PpmKind::Amdahl,
-            ..Self::default()
-        }
-    }
-
     /// Candidate executor counts as a vector (`min..=max`).
     pub fn candidate_counts(&self) -> Vec<usize> {
         (self.min_candidate_executors..=self.max_candidate_executors).collect()
@@ -126,7 +118,8 @@ mod tests {
 
     #[test]
     fn builders_override_fields() {
-        let cfg = AutoExecutorConfig::paper_amdahl()
+        let cfg = AutoExecutorConfig::default()
+            .with_ppm_kind(PpmKind::Amdahl)
             .with_feature_set(FeatureSet::F2)
             .with_objective(SelectionObjective::BoundedSlowdown(1.05))
             .with_workload_family(BuiltinFamily::Skew)

@@ -29,6 +29,8 @@ pub struct OverheadReport {
     pub forest_training: Duration,
     /// Size of the exported portable model in bytes.
     pub portable_model_bytes: usize,
+    /// Tree nodes of the trained forest, summed over its trees.
+    pub forest_nodes: usize,
     /// Mean plan-featurization time per query.
     pub featurization_per_query: Duration,
     /// One-time model deserialisation (load) time.
@@ -105,6 +107,7 @@ pub fn measure_overheads(
         ppm_fit_per_point,
         forest_training,
         portable_model_bytes,
+        forest_nodes: model.forest().total_nodes(),
         featurization_per_query: per_query(featurization_total),
         model_load,
         session_setup,

@@ -136,11 +136,6 @@ impl Dataset {
         }
         out
     }
-
-    /// Single-column view of a target, useful for fitting per-parameter models.
-    pub fn target_column(&self, col: usize) -> Vec<f64> {
-        self.targets.iter().map(|t| t[col]).collect()
-    }
 }
 
 /// One train/test split: indices into the parent dataset.
@@ -311,11 +306,5 @@ mod tests {
         assert_eq!(all.len(), 10);
         assert_eq!(all[0].len(), 5);
         assert_ne!(all[0], all[1]);
-    }
-
-    #[test]
-    fn target_column_extracts_single_output() {
-        let d = toy_dataset(4);
-        assert_eq!(d.target_column(0), vec![0.0, 0.5, 1.0, 1.5]);
     }
 }

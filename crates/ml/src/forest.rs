@@ -278,20 +278,38 @@ impl RandomForestRegressor {
         ])
     }
 
-    /// Decodes a forest from the portable-model JSON format.
+    /// Decodes a forest from the portable-model JSON format. Fails with
+    /// [`MlError::Serialization`] on a malformed tree or on a tree whose
+    /// feature or output count differs from the forest's name lists.
     pub(crate) fn from_json_value(value: &Value) -> Result<Self> {
         let config = forest_config_from_json(value.field("config")?)?;
+        let feature_names = value.field("feature_names")?.as_string_vec()?;
+        let target_names = value.field("target_names")?.as_string_vec()?;
         let trees = value
             .field("trees")?
             .as_array()?
             .iter()
-            .map(DecisionTreeRegressor::from_json_value)
+            .map(|tree| {
+                let tree = DecisionTreeRegressor::from_json_value(tree)?;
+                if (tree.num_features(), tree.num_outputs())
+                    != (feature_names.len(), target_names.len())
+                {
+                    return Err(MlError::Serialization(format!(
+                        "tree of {} features and {} outputs in a forest of {} and {}",
+                        tree.num_features(),
+                        tree.num_outputs(),
+                        feature_names.len(),
+                        target_names.len()
+                    )));
+                }
+                Ok(tree)
+            })
             .collect::<Result<Vec<_>>>()?;
         Ok(Self {
             config,
             trees,
-            feature_names: value.field("feature_names")?.as_string_vec()?,
-            target_names: value.field("target_names")?.as_string_vec()?,
+            feature_names,
+            target_names,
         })
     }
 }

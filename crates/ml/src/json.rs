@@ -12,6 +12,12 @@ use std::fmt::Write as _;
 
 use crate::{MlError, Result};
 
+/// Deepest nesting of arrays and objects `Value::parse` accepts. The
+/// parser recurses once per level, so without a limit a document of
+/// nested brackets could overflow the stack. The portable-model format
+/// nests 7 levels and the bench reports at most 5.
+const MAX_DEPTH: usize = 64;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -164,11 +170,13 @@ impl Value {
         }
     }
 
-    /// Parses a JSON document.
+    /// Parses a JSON document. Fails on malformed input and on arrays and
+    /// objects nested more than 64 deep.
     pub fn parse(input: &str) -> Result<Value> {
         let mut parser = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_whitespace();
         let value = parser.parse_value()?;
@@ -268,6 +276,8 @@ fn write_json_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -300,8 +310,19 @@ impl Parser<'_> {
 
     fn parse_value(&mut self) -> Result<Value> {
         match self.peek().ok_or_else(|| self.error("unexpected end"))? {
-            b'{' => self.parse_object(),
-            b'[' => self.parse_array(),
+            open @ (b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.parse_object()
+                } else {
+                    self.parse_array()
+                };
+                self.depth -= 1;
+                value
+            }
             b'"' => Ok(Value::String(self.parse_string()?)),
             b't' => self.parse_literal("true", Value::Bool(true)),
             b'f' => self.parse_literal("false", Value::Bool(false)),
@@ -539,6 +560,17 @@ mod tests {
         assert!(Value::parse("\"\\ud83d\"").is_err()); // unpaired high
         assert!(Value::parse("\"\\ude00\"").is_err()); // lone low
         assert!(Value::parse("\"\\ud83d\\u0041\"").is_err()); // bad pair
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_rejected() {
+        let nested = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        assert!(Value::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Value::parse(&nested(MAX_DEPTH + 1)).is_err());
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(Value::parse(&objects).is_err());
+        // Deep enough to overflow a test thread's stack without the limit.
+        assert!(Value::parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -131,7 +131,8 @@ impl PortableModel {
         Ok(value.to_json().into_bytes())
     }
 
-    /// Deserialises a model from bytes, checking the format version.
+    /// Deserialises a model from bytes, checking the format version, every
+    /// tree, and that the model's name lists equal its forest's.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         let text = std::str::from_utf8(bytes)
             .map_err(|e| MlError::Serialization(format!("invalid UTF-8: {e}")))?;
@@ -145,12 +146,19 @@ impl PortableModel {
         let forest = Arc::new(RandomForestRegressor::from_json_value(
             value.field("forest")?,
         )?);
+        let feature_names = value.field("feature_names")?.as_string_vec()?;
+        let target_names = value.field("target_names")?.as_string_vec()?;
+        if feature_names != forest.feature_names() || target_names != forest.target_names() {
+            return Err(MlError::Serialization(
+                "the model's feature or target names differ from its forest's".into(),
+            ));
+        }
         let compiled = Arc::new(forest.compile()?);
         Ok(Self {
             version,
             name: value.field("name")?.as_str()?.to_string(),
-            feature_names: value.field("feature_names")?.as_string_vec()?,
-            target_names: value.field("target_names")?.as_string_vec()?,
+            feature_names,
+            target_names,
             forest,
             compiled,
         })
@@ -187,6 +195,7 @@ mod tests {
     use super::*;
     use crate::dataset::Dataset;
     use crate::forest::{RandomForestConfig, RandomForestRegressor};
+    use std::collections::BTreeMap;
 
     fn fitted_forest() -> RandomForestRegressor {
         forest_of(10)
@@ -257,6 +266,125 @@ mod tests {
             PortableModel::from_compiled("mixed", forest, foreign),
             Err(MlError::ShapeMismatch { .. })
         ));
+    }
+
+    /// A 2-tree model, decoded to JSON, changed by `edit` (given the model
+    /// object), and loaded back.
+    fn load_edited(edit: impl FnOnce(&mut BTreeMap<String, Value>)) -> Result<PortableModel> {
+        let bytes = PortableModel::from_forest("edited", forest_of(2))
+            .unwrap()
+            .to_bytes()
+            .unwrap();
+        let mut model = Value::parse(std::str::from_utf8(&bytes).unwrap()).unwrap();
+        edit(object(&mut model));
+        PortableModel::from_bytes(model.to_json().as_bytes())
+    }
+
+    fn object(value: &mut Value) -> &mut BTreeMap<String, Value> {
+        match value {
+            Value::Object(map) => map,
+            other => panic!("expected an object, got {other:?}"),
+        }
+    }
+
+    fn array(value: &mut Value) -> &mut Vec<Value> {
+        match value {
+            Value::Array(items) => items,
+            other => panic!("expected an array, got {other:?}"),
+        }
+    }
+
+    fn forest(model: &mut BTreeMap<String, Value>) -> &mut BTreeMap<String, Value> {
+        object(model.get_mut("forest").unwrap())
+    }
+
+    /// Tree `t`'s node list in a model object.
+    fn nodes(model: &mut BTreeMap<String, Value>, t: usize) -> &mut Vec<Value> {
+        let tree = &mut array(forest(model).get_mut("trees").unwrap())[t];
+        array(object(tree).get_mut("nodes").unwrap())
+    }
+
+    /// Sets `field` of node `i` of tree 0 (the root is a split in every
+    /// tree of `forest_of`).
+    fn set(model: &mut BTreeMap<String, Value>, i: usize, field: &str, to: f64) {
+        object(&mut nodes(model, 0)[i]).insert(field.into(), Value::Number(to));
+    }
+
+    fn is_rejected(loaded: Result<PortableModel>) -> bool {
+        matches!(loaded, Err(MlError::Serialization(_)))
+    }
+
+    #[test]
+    fn a_tree_without_nodes_is_rejected() {
+        assert!(is_rejected(load_edited(|m| nodes(m, 0).clear())));
+    }
+
+    #[test]
+    fn a_child_index_out_of_range_is_rejected() {
+        assert!(is_rejected(load_edited(|m| set(m, 0, "left", 999_999.0))));
+        assert!(is_rejected(load_edited(|m| set(m, 0, "right", 999_999.0))));
+    }
+
+    #[test]
+    fn a_child_at_or_before_its_split_is_rejected() {
+        // A split that is its own child, or whose child points back at an
+        // ancestor, would make the compiled arena grow without bound.
+        assert!(is_rejected(load_edited(|m| set(m, 0, "left", 0.0))));
+        assert!(is_rejected(load_edited(|m| {
+            let split = (1..)
+                .find(|&i| nodes(m, 0)[i].field("left").is_ok())
+                .unwrap();
+            set(m, split, "right", 0.0);
+        })));
+    }
+
+    #[test]
+    fn a_node_with_two_parents_or_none_is_rejected() {
+        // The root's children shared (the right subtree left orphaned) ...
+        assert!(is_rejected(load_edited(|m| set(m, 0, "right", 1.0))));
+        // ... and a node no split reaches.
+        assert!(is_rejected(load_edited(|m| {
+            let leaf = nodes(m, 0)
+                .iter()
+                .find(|n| n.field("value").is_ok())
+                .cloned();
+            nodes(m, 0).push(leaf.unwrap());
+        })));
+    }
+
+    #[test]
+    fn a_split_on_a_feature_past_the_count_is_rejected() {
+        // A 1-feature model: a split on feature 7 would index past every
+        // row at the first prediction.
+        assert!(is_rejected(load_edited(|m| set(m, 0, "feature", 7.0))));
+    }
+
+    #[test]
+    fn a_leaf_of_the_wrong_width_is_rejected() {
+        assert!(is_rejected(load_edited(|m| {
+            let leaf = nodes(m, 0).iter_mut().find(|n| n.field("value").is_ok());
+            array(object(leaf.unwrap()).get_mut("value").unwrap()).push(Value::Number(1.0));
+        })));
+    }
+
+    #[test]
+    fn tree_shapes_must_match_the_forest_names() {
+        assert!(is_rejected(load_edited(|m| {
+            let tree = object(&mut array(forest(m).get_mut("trees").unwrap())[1]);
+            tree.insert("num_features".into(), Value::Number(2.0));
+        })));
+        assert!(is_rejected(load_edited(|m| {
+            array(forest(m).get_mut("target_names").unwrap()).pop();
+        })));
+    }
+
+    #[test]
+    fn model_names_must_match_the_forest_names() {
+        // One target name more than the forest predicts: a scorer that
+        // trusts the list reads a third parameter that is never predicted.
+        assert!(is_rejected(load_edited(|m| {
+            array(m.get_mut("target_names").unwrap()).push("m".into());
+        })));
     }
 
     #[test]

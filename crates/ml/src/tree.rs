@@ -301,7 +301,9 @@ impl DecisionTreeRegressor {
         ])
     }
 
-    /// Decodes a tree from the portable-model JSON format.
+    /// Decodes a tree from the portable-model JSON format. Fails with
+    /// [`MlError::Serialization`] unless the nodes form a tree that every
+    /// walk can take (`check_arena`).
     pub(crate) fn from_json_value(value: &Value) -> Result<Self> {
         let config = DecisionTreeConfig::from_json_value(value.field("config")?)?;
         let nodes = value
@@ -324,12 +326,66 @@ impl DecisionTreeRegressor {
                 }
             })
             .collect::<Result<Vec<Node>>>()?;
-        Ok(Self {
+        let tree = Self {
             config,
             nodes,
             num_features: value.field("num_features")?.as_usize()?,
             num_outputs: value.field("num_outputs")?.as_usize()?,
-        })
+        };
+        tree.check_arena()?;
+        Ok(tree)
+    }
+
+    /// Checks a decoded arena in one pass: it has a node; each split's
+    /// children lie past the split and inside the arena; every node but the
+    /// root is the child of exactly one split, so the arena is one tree with
+    /// no cycle and no shared subtree; each split's feature is below
+    /// `num_features`; and each leaf holds `num_outputs` values.
+    fn check_arena(&self) -> Result<()> {
+        let n = self.nodes.len();
+        let malformed = |detail: String| Err(MlError::Serialization(format!("tree: {detail}")));
+        if n == 0 {
+            return malformed("no nodes".into());
+        }
+        let mut has_parent = vec![false; n];
+        for (i, node) in self.nodes.iter().enumerate() {
+            match node {
+                Node::Split {
+                    feature,
+                    left,
+                    right,
+                    ..
+                } => {
+                    if *feature >= self.num_features {
+                        return malformed(format!(
+                            "node {i} splits on feature {feature} of {}",
+                            self.num_features
+                        ));
+                    }
+                    for &child in [left, right] {
+                        if child <= i || child >= n {
+                            return malformed(format!("node {i} has child {child} of {n} nodes"));
+                        }
+                        if std::mem::replace(&mut has_parent[child], true) {
+                            return malformed(format!("node {child} has two parents"));
+                        }
+                    }
+                }
+                Node::Leaf { value, .. } => {
+                    if value.len() != self.num_outputs {
+                        return malformed(format!(
+                            "leaf {i} holds {} values for {} outputs",
+                            value.len(),
+                            self.num_outputs
+                        ));
+                    }
+                }
+            }
+        }
+        match has_parent[1..].iter().position(|&p| !p) {
+            Some(orphan) => malformed(format!("node {} has no parent", orphan + 1)),
+            None => Ok(()),
+        }
     }
 }
 

@@ -24,6 +24,7 @@
 //! configuration must reproduce every captured outcome bit-identically
 //! ([`ReplayRun::verify_against_capture`]).
 
+use crate::drift::ResidualTracker;
 use crate::trace::{RequestStatus, ServingTrace, TraceQuery, TRACE_LEVELS};
 use crate::{escape_json, json_f64};
 
@@ -140,7 +141,8 @@ pub struct ReplayReport {
     pub errored: u64,
     /// SLO accounting per service level, indexed by level index.
     pub levels: [LevelSlo; TRACE_LEVELS],
-    /// Number of residual samples (completions with an on-curve count).
+    /// Number of residual samples: completions at an on-curve count with
+    /// a finite prediction and a finite, positive actual runtime.
     pub residual_samples: u64,
     /// Mean |predicted − actual| / actual over the residual samples.
     pub mean_abs_residual: f64,
@@ -275,8 +277,7 @@ where
     let mut outcomes = Vec::with_capacity(trace.records.len());
     let mut levels = [LevelSlo::default(); TRACE_LEVELS];
     let (mut completed, mut shed, mut dropped, mut throttled, mut errored) = (0u64, 0, 0, 0, 0);
-    let mut residual_samples = 0u64;
-    let (mut sum_abs, mut sum_signed, mut max_abs) = (0.0f64, 0.0f64, 0.0f64);
+    let residuals = ResidualTracker::new();
     let (mut gross, mut penalties) = (0.0f64, 0.0f64);
     let mut executor_sum = 0u64;
 
@@ -320,15 +321,7 @@ where
                         gross += score.price;
                         if let Some(actual) = query.actual_secs(score.executors) {
                             outcome.actual_secs = actual;
-                            if actual > 0.0 {
-                                let rel = (score.predicted_secs - actual) / actual;
-                                residual_samples += 1;
-                                sum_abs += rel.abs();
-                                sum_signed += rel;
-                                if rel.abs() > max_abs {
-                                    max_abs = rel.abs();
-                                }
-                            }
+                            residuals.record(score.predicted_secs, actual);
                         }
                     }
                 }
@@ -337,6 +330,7 @@ where
         outcomes.push(outcome);
     }
 
+    let residuals = residuals.signal();
     let report = ReplayReport {
         label: policy.label.clone(),
         requests: trace.records.len() as u64,
@@ -346,18 +340,10 @@ where
         throttled,
         errored,
         levels,
-        residual_samples,
-        mean_abs_residual: if residual_samples == 0 {
-            0.0
-        } else {
-            sum_abs / residual_samples as f64
-        },
-        mean_residual_bias: if residual_samples == 0 {
-            0.0
-        } else {
-            sum_signed / residual_samples as f64
-        },
-        max_abs_residual: max_abs,
+        residual_samples: residuals.samples,
+        mean_abs_residual: residuals.mean_abs_rel,
+        mean_residual_bias: residuals.mean_rel_bias,
+        max_abs_residual: residuals.max_abs_rel,
         gross_revenue: gross,
         miss_penalties: penalties,
         net_revenue: gross - penalties,

@@ -401,7 +401,7 @@ impl ServingTrace {
                 .ok_or_else(|| TraceError(format!("bad queries line: {count_line:?}")))?,
             "query count",
         )?;
-        let mut queries = Vec::with_capacity(num_queries);
+        let mut queries = Vec::new();
         for _ in 0..num_queries {
             let line = next("query line")?;
             let mut parts = line.split(' ');
@@ -425,7 +425,7 @@ impl ServingTrace {
                     .ok_or_else(|| TraceError("query line missing feature count".into()))?,
                 "feature count",
             )?;
-            let mut features = Vec::with_capacity(num_features);
+            let mut features = Vec::new();
             for _ in 0..num_features {
                 features.push(parse_hex_f64(parts.next().ok_or_else(|| {
                     TraceError(format!("query {name}: truncated feature list"))
@@ -437,7 +437,7 @@ impl ServingTrace {
                     .ok_or_else(|| TraceError("query line missing curve count".into()))?,
                 "curve point count",
             )?;
-            let mut actual_curve = Vec::with_capacity(num_points);
+            let mut actual_curve = Vec::new();
             for _ in 0..num_points {
                 let pair = parts
                     .next()
@@ -470,7 +470,7 @@ impl ServingTrace {
                 .ok_or_else(|| TraceError(format!("bad records line: {count_line:?}")))?,
             "record count",
         )?;
-        let mut records = Vec::with_capacity(num_records);
+        let mut records = Vec::new();
         for _ in 0..num_records {
             let line = next("record line")?;
             let parts: Vec<&str> = line.split(' ').collect();
@@ -682,6 +682,30 @@ mod tests {
         // Truncation.
         let truncated: String = text.lines().take(5).collect::<Vec<_>>().join("\n");
         assert!(ServingTrace::parse(&truncated).is_err());
+    }
+
+    #[test]
+    fn counts_past_the_text_are_rejected_without_allocating_them() {
+        let text = sample_trace().render();
+        let q_line = text.lines().nth(7).unwrap();
+        let mut parts: Vec<&str> = q_line.split(' ').collect();
+        for huge in ["100000000000000", "18446744073709551615"] {
+            for (from, to) in [("queries 1", "queries"), ("records 2", "records")] {
+                let edited = text.replacen(from, &format!("{to} {huge}"), 1);
+                assert!(ServingTrace::parse(&edited).is_err(), "{to} {huge}");
+            }
+            // The feature count, then the curve point count.
+            for field in [3, 8] {
+                let count = std::mem::replace(&mut parts[field], huge);
+                assert_eq!(count, "4", "fixture layout changed: {q_line}");
+                let edited = text.replacen(q_line, &parts.join(" "), 1);
+                assert!(
+                    ServingTrace::parse(&edited).is_err(),
+                    "field {field}: {huge}"
+                );
+                parts[field] = count;
+            }
+        }
     }
 
     #[test]

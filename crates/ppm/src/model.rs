@@ -100,18 +100,6 @@ impl PowerLawPpm {
             })
             .collect()
     }
-
-    /// The resource count at which the power-law part reaches the floor `m`
-    /// (the saturation point), or `None` when the curve never saturates
-    /// (e.g. `m = 0` or `a = 0`).
-    pub fn saturation_point(&self) -> Option<f64> {
-        if self.m <= 0.0 || self.b <= 0.0 || self.a >= 0.0 {
-            return None;
-        }
-        // b·n^a = m  →  n = (m/b)^(1/a)
-        let n = (self.m / self.b).powf(1.0 / self.a);
-        n.is_finite().then_some(n.max(1.0))
-    }
 }
 
 /// Amdahl's-law PPM: `t(n) = s + p/n`.
@@ -237,8 +225,6 @@ mod tests {
         assert!(ppm.predict(8.0) < ppm.predict(2.0));
         // Far out the floor applies.
         assert_eq!(ppm.predict(1e6), 60.0);
-        let sat = ppm.saturation_point().unwrap();
-        assert!((ppm.predict(sat) - 60.0).abs() < 1e-6);
     }
 
     #[test]

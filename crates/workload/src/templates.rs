@@ -87,11 +87,6 @@ impl QueryTemplate {
         self.input_gb_per_sf.iter().sum::<f64>() * multiplier
     }
 
-    /// Total gigabytes read at the given scale factor (linear semantics).
-    pub fn total_input_gb(&self, sf: ScaleFactor) -> f64 {
-        self.total_input_gb_at(sf.multiplier())
-    }
-
     /// Total task work in core-seconds at the given size multiplier.
     ///
     /// Work grows slightly sub-linearly with data size (larger scans amortise
@@ -144,10 +139,6 @@ mod tests {
         assert_eq!(
             t.total_work_secs(ScaleFactor::SF100).to_bits(),
             t.total_work_secs_at(100.0).to_bits()
-        );
-        assert_eq!(
-            t.total_input_gb(ScaleFactor::SF10).to_bits(),
-            t.total_input_gb_at(10.0).to_bits()
         );
     }
 

@@ -4,8 +4,7 @@
 # Runs the tier-1 verification (release build + tests), the compiled-forest
 # bit-identity suites again in a release build, lint/format gates
 # over every workspace crate (including ae-serve), a rustdoc gate (no-deps
-# docs must build with zero warnings), a quick criterion smoke over the two
-# benches most sensitive to scheduler/training regressions, a serving smoke
+# docs must build with zero warnings), a serving smoke
 # (short fixed-duration bench_serving run that must sustain qps > 0 with
 # zero dropped requests), an inference smoke (compiled-forest output must
 # be bit-identical to the interpreted forest and its batched throughput at
@@ -32,14 +31,16 @@
 # report into one temporary directory (removed on exit), and the shared
 # writer parses each report back, so a malformed report fails the gate; and
 # a perfbench stage (the repository's benchmark package builds against the
-# current crates, its own tests pass, and each workload runs once for one
-# second, answering correctly with zero failed operations — so an API change
-# cannot break the benchmark unnoticed). The workspace build and both perfbench
-# commands run with --locked: every crate perfbench links is a path dependency
-# recorded in perfbench/Cargo.lock, so a change that adds or drops a dependency
-# of one of them must update that lock (and Cargo.lock) in the same commit
-# instead of leaving cargo to rewrite it silently when the benchmark runs. Pass
-# --full to also run the full bench suite (slow).
+# current crates, its own tests pass, and each workload runs once untraced and
+# once traced for one second, answering correctly with zero failed operations,
+# so an API change cannot break the benchmark unnoticed; the traced run must
+# read each per-layer metric listed for its workload as finite and above 0,
+# since a metric a workload does not measure still prints, as 0.0). The
+# workspace build and the perfbench commands run with --locked: every crate
+# perfbench links is a path dependency recorded in perfbench/Cargo.lock, so a
+# change that adds or drops a dependency of one of them must update that lock
+# (and Cargo.lock) in the same commit instead of leaving cargo to rewrite it
+# silently when the benchmark runs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,20 +66,6 @@ cargo fmt --all -- --check
 echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --quiet
 
-echo "==> bench smoke (quick samples)"
-simulation_smoke="$(cargo bench --offline -p ae-bench --bench bench_simulation -- --quick)"
-echo "$simulation_smoke"
-if ! grep -q '^bench: simulation/q94_sf100/static_1 ' <<<"$simulation_smoke"; then
-    echo "bench_simulation smoke: no 'bench:' line for simulation/q94_sf100/static_1" >&2
-    exit 1
-fi
-training_smoke="$(cargo bench --offline -p ae-bench --bench bench_training -- --quick random_forest)"
-echo "$training_smoke"
-if ! grep -q '^bench:' <<<"$training_smoke"; then
-    echo "bench_training smoke: the filter matched no benchmark (no 'bench:' line)" >&2
-    exit 1
-fi
-
 echo "==> inference smoke (compiled forest ≡ interpreter bit-for-bit; compiled batched throughput >= interpreted)"
 cargo run --offline --release -p ae-bench --bin bench_inference -- --smoke --json "$reports/inference.json"
 
@@ -103,20 +90,32 @@ cargo run --offline --release -p ae-bench --bin bench_fleet -- --smoke --json "$
 echo "==> resilience smoke (1-of-4 shard kill: zero lost tickets, >= 60% goodput retained, probation re-admits)"
 cargo run --offline --release -p ae-bench --bin bench_resilience -- --smoke --json "$reports/resilience.json"
 
-echo "==> perfbench (benchmark builds and its tests pass; each workload runs once: correct, zero failed)"
+echo "==> perfbench (benchmark builds and its tests pass; each workload runs untraced and traced: correct, zero failed, per-layer metrics above 0)"
 cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
+# The per-layer metrics each workload measures when traced: the offline
+# pipeline's on retrain, the scoring path's on serve_blocking.
+declare -A layer_metrics=(
+    [retrain]="engine.simulate_us sparklens.estimate_us ppm.fit_us ml.forest_fit_ms eval.collect_s workload.suite_ms"
+    [serve_blocking]="core.featurize_us ml.predict_row_us core.score_one_us ppm.select_us"
+)
 for workload in serve_blocking retrain; do
-    result="$(cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
-        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
-    if [[ "$result" != *'"correct": true'* || "$result" != *'"failed": 0,'* ]]; then
-        echo "perfbench $workload: expected \"correct\": true and \"failed\": 0, got: $result" >&2
-        exit 1
-    fi
+    for trace in 0 1; do
+        result="$(cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
+            --workload "$workload" --seed 1 --seconds 1 --trace "$trace" | tail -n 1)"
+        if [[ "$result" != *'"correct": true'* || "$result" != *'"failed": 0,'* ]]; then
+            echo "perfbench $workload --trace $trace: expected \"correct\": true and \"failed\": 0, got: $result" >&2
+            exit 1
+        fi
+        ((trace)) || continue
+        for metric in ${layer_metrics[$workload]}; do
+            value="$(grep -o "\"${metric//./\\.}\": {\"value\": [^,}]*" <<<"$result" | sed 's/.*: //' || true)"
+            if ! [[ "$value" =~ ^[0-9]+(\.[0-9]+)?(e-?[0-9]+)?$ ]] ||
+                ! awk -v v="$value" 'BEGIN { exit !(v > 0) }'; then
+                echo "perfbench $workload --trace 1: $metric should read finite and above 0, got: ${value:-no such metric}" >&2
+                exit 1
+            fi
+        done
+    done
 done
-
-if [[ "${1:-}" == "--full" ]]; then
-    echo "==> full bench suite"
-    cargo bench --offline -p ae-bench
-fi
 
 echo "CI OK"
