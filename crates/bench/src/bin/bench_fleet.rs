@@ -1,26 +1,23 @@
-//! Fleet benchmark: aggregate throughput, per-shard p99 skew, and
-//! work-steal accounting of the `ae-serve` sharded runtime at 1/2/4/8
-//! shards under tagged open-loop traffic.
+//! Fleet benchmark: aggregate throughput and per-shard p99 skew of the
+//! `ae-serve` sharded runtime at 1/2/4/8 shards under tagged open-loop
+//! traffic.
 //!
 //! **Measurement model (shard = node).** A fleet shard maps 1:1 onto an
 //! independent node: shards share no queues, no model cache, and no
 //! stats, so a real deployment runs them on disjoint cores or machines.
-//! This container is 1-core, so running all shards live would only
-//! interleave them on the same core and measure the scheduler, not the
-//! architecture. Instead the throughput phase routes the tagged request
-//! stream through the fleet's ring into per-shard substreams and drives
-//! each shard's substream to completion *sequentially* on its own
-//! runtime, timing each shard separately; the aggregate is
+//! Whenever a fleet has more shards than its host has cores, running all
+//! shards live would interleave them on shared cores and measure the
+//! scheduler, not the architecture. Instead the bench routes the tagged
+//! request stream through the fleet's ring into per-shard substreams and
+//! drives each shard's substream to completion *sequentially* on its
+//! own runtime, timing each shard separately; the aggregate is
 //!
 //! ```text
 //! aggregate_qps = total_requests / max(per-shard elapsed)
 //! ```
 //!
 //! — the fleet finishes when its slowest node finishes. Per-shard p99
-//! skew (`max p99 / min p99`) comes from the same per-shard runs. The
-//! work-steal drill is the one *live* concurrent phase: it floods a
-//! single shard's tenants with detached submissions while the steal
-//! coordinator runs, and reports how much backlog migrated.
+//! skew (`max p99 / min p99`) comes from the same per-shard runs.
 //!
 //! Usage:
 //!
@@ -40,17 +37,16 @@ use std::time::{Duration, Instant};
 use ae_bench::harness::{self, Served};
 use ae_ml::json::Value;
 use ae_obs::{Ladder, LatencyStats, ShardedHistogram};
-use ae_serve::{FleetConfig, RuntimeConfig, ScoreRequest, ServiceLevel, StealPolicy, TenantId};
+use ae_serve::{FleetConfig, RuntimeConfig, ScoreRequest, TenantId};
 use ae_workload::{ScaleFactor, WorkloadGenerator};
 
 const COMMENT: &str = "ae-serve fleet benchmark (shard = node model). Shards share no state, so \
     each fleet size routes one tagged request stream through the consistent-hash ring and drives \
     every shard's substream to completion sequentially on its own runtime; aggregate_qps = \
     total_requests / max(per-shard elapsed) — the fleet finishes when its slowest node finishes. \
-    Running shards live-concurrently on this 1-core host would measure the kernel scheduler, not \
-    the architecture. The steal drill is live and concurrent: it floods one shard's tenants and \
-    reports how much Standard backlog the coordinator migrated. Regenerate with: cargo run \
-    --release -p ae-bench --bin bench_fleet -- --json BENCH_fleet.json";
+    Whenever shards outnumber the host's cores, running them live-concurrently would measure the \
+    kernel scheduler, not the architecture. Regenerate with: cargo run --release -p ae-bench \
+    --bin bench_fleet -- --json BENCH_fleet.json";
 
 struct Args {
     smoke: bool,
@@ -136,11 +132,12 @@ impl FleetRun {
 
 /// Routes the tagged stream through the fleet's ring and drives each
 /// shard's substream to completion sequentially (see the module docs for
-/// why this is the honest 1-core measurement).
+/// why shards are not run live).
 fn run_fleet(served: &Served, shards: usize, stream: &[(TenantId, usize)]) -> FleetRun {
-    let fleet = served.fleet(
-        FleetConfig::new(shards, RuntimeConfig::from_auto_executor(&served.config)).without_steal(),
-    );
+    let fleet = served.fleet(FleetConfig::new(
+        shards,
+        RuntimeConfig::from_auto_executor(&served.config),
+    ));
 
     let mut substreams: Vec<Vec<usize>> = vec![Vec::new(); shards];
     for &(tenant, plan) in stream {
@@ -174,70 +171,6 @@ fn run_fleet(served: &Served, shards: usize, stream: &[(TenantId, usize)]) -> Fl
     };
     fleet.shutdown();
     run
-}
-
-/// Live steal drill: floods one shard's tenants with detached
-/// submissions while the coordinator runs, and reports the migration.
-struct StealDrill {
-    requests: u64,
-    steal_ops: u64,
-    stolen_requests: u64,
-    foreign_completed: u64,
-}
-
-fn run_steal_drill(served: &Served, requests: usize) -> StealDrill {
-    const SHARDS: usize = 4;
-    let fleet = served.fleet(
-        FleetConfig::new(
-            SHARDS,
-            RuntimeConfig::from_auto_executor(&served.config)
-                .with_workers(1)
-                .with_max_batch(4)
-                .with_inline_max_in_flight(0)
-                .with_queue_capacity(requests.max(1024)),
-        )
-        .with_steal(StealPolicy {
-            imbalance_ratio: 1.5,
-            min_backlog: 16,
-            max_steal: 32,
-            interval: Duration::from_micros(50),
-        }),
-    );
-    let victim = fleet.shard_for_tenant(TenantId(0));
-    let tenants: Vec<TenantId> = (0..100_000u64)
-        .map(TenantId)
-        .filter(|&t| fleet.shard_for_tenant(t) == victim)
-        .take(8)
-        .collect();
-    let features = &served.features;
-    let mut tickets = Vec::with_capacity(requests);
-    for i in 0..requests {
-        tickets.push(
-            fleet
-                .submit_detached(
-                    ScoreRequest::from_features(features[i % features.len()].clone())
-                        .with_tenant(tenants[i % tenants.len()])
-                        .with_level(ServiceLevel::Standard)
-                        .with_deadline_budget(Duration::from_secs(60)),
-                )
-                .expect("steal-drill admission"),
-        );
-    }
-    for ticket in tickets {
-        ticket.wait().expect("steal-drill scoring");
-    }
-    let stats = fleet.stats();
-    let foreign_completed = (0..SHARDS)
-        .filter(|&s| s != victim)
-        .map(|s| stats.shard(s).completed)
-        .sum();
-    fleet.shutdown();
-    StealDrill {
-        requests: requests as u64,
-        steal_ops: stats.steal_ops,
-        stolen_requests: stats.stolen_requests,
-        foreign_completed,
-    }
 }
 
 fn main() {
@@ -286,13 +219,6 @@ fn main() {
         runs.push(run);
     }
 
-    let drill_requests = if args.smoke { 1_500 } else { 6_000 };
-    let drill = run_steal_drill(&served, drill_requests);
-    println!(
-        "steal drill: {} requests flooded one shard — {} steal ops migrated {} requests, {} completed off the victim",
-        drill.requests, drill.steal_ops, drill.stolen_requests, drill.foreign_completed,
-    );
-
     let base_qps = runs
         .iter()
         .find(|r| r.shards == 1)
@@ -314,15 +240,6 @@ fn main() {
             (
                 "fleet_sizes",
                 runs.iter().map(|run| run.report(base_qps)).collect(),
-            ),
-            (
-                "steal_drill",
-                Value::object([
-                    ("requests", drill.requests.into()),
-                    ("steal_ops", drill.steal_ops.into()),
-                    ("stolen_requests", drill.stolen_requests.into()),
-                    ("completed_off_victim", drill.foreign_completed.into()),
-                ]),
             ),
         ],
     );

@@ -19,7 +19,7 @@
 //!    deadline budgets and (b) a `MinTime` selection objective, and diff
 //!    SLO/accuracy/revenue against the baseline without re-simulation.
 //! 5. **Drift** — feed the baseline replay's predicted-vs-actual pairs
-//!    into an `ae-ppm` [`ResidualMonitor`] and report the drift signal.
+//!    into an [`ae_obs::ResidualTracker`] and report the drift signal.
 //! 6. **Overhead A/B** — closed-loop qps of the runtime with and without
 //!    observability attached; the regression percentage is the headline
 //!    overhead number.
@@ -48,9 +48,9 @@ use ae_bench::harness::{self, Served};
 use ae_ml::json::Value;
 use ae_obs::{
     feature_digest, replay, MetricsRegistry, ReplayDiff, ReplayPolicy, ReplayScore, RequestStatus,
-    ServingTrace, TraceMeta, TraceQuery, TraceRecord, TraceRecorder, TRACE_LEVELS,
+    ResidualTracker, ServingTrace, TraceMeta, TraceQuery, TraceRecord, TraceRecorder, TRACE_LEVELS,
 };
-use ae_ppm::{ResidualMonitor, SelectionObjective};
+use ae_ppm::SelectionObjective;
 use ae_serve::{
     price_quote_parts, ObsConfig, QosConfig, RuntimeConfig, ScoreRequest, ScoringRuntime,
     ServiceLevel,
@@ -478,10 +478,10 @@ fn main() {
     );
 
     // --- Drift signal from the baseline replay's residuals. ---
-    let drift = ResidualMonitor::new(0.25);
+    let drift = ResidualTracker::new();
     for outcome in &baseline.outcomes {
         if outcome.status == RequestStatus::Completed && outcome.actual_secs > 0.0 {
-            drift.observe(outcome.predicted_secs, outcome.actual_secs);
+            drift.record(outcome.predicted_secs, outcome.actual_secs);
         }
     }
     let drift_signal = drift.signal();
@@ -489,7 +489,7 @@ fn main() {
         "==> drift signal: {} samples, mean |rel| {:.4}, drifted(0.25) = {}",
         drift_signal.samples,
         drift_signal.mean_abs_rel,
-        drift.drifted()
+        drift_signal.drifted(0.25)
     );
 
     // --- Overhead A/B: closed-loop qps without vs with observability. ---

@@ -12,7 +12,7 @@
 //!   `bench_generalization` (the cross-family accuracy matrix),
 //!   `bench_faults` (preemption sweep and the breaker drill), `bench_obs`
 //!   (trace capture/replay and observability overhead), `bench_fleet`
-//!   (sharded throughput and work stealing) and `bench_resilience` (a shard
+//!   (sharded throughput per fleet size) and `bench_resilience` (a shard
 //!   failure lifecycle). They share one [`harness`]: flag parser, trained
 //!   fixture, closed-loop driver, report writer and smoke gate.
 //!

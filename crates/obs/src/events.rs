@@ -124,16 +124,6 @@ pub enum EventKind {
         /// True when every task completed; false for failed runs.
         completed: bool,
     },
-    /// The fleet steal coordinator migrated queued requests from an
-    /// overloaded shard to an underloaded one.
-    WorkSteal {
-        /// Shard index the requests were stolen from (the victim).
-        from_shard: u16,
-        /// Shard index the requests were injected into (the thief).
-        to_shard: u16,
-        /// Requests migrated in this steal operation.
-        count: u32,
-    },
     /// The serving runtime began shutdown.
     Shutdown,
     /// The fleet health monitor quarantined a shard: it was removed from
@@ -185,7 +175,6 @@ impl EventKind {
             EventKind::FaultReplacement { .. } => "fault_replacement",
             EventKind::Straggler { .. } => "straggler",
             EventKind::RunOutcome { .. } => "run_outcome",
-            EventKind::WorkSteal { .. } => "work_steal",
             EventKind::Shutdown => "shutdown",
             EventKind::ShardQuarantine { .. } => "shard_quarantine",
             EventKind::ShardRecover { .. } => "shard_recover",
@@ -220,13 +209,6 @@ impl EventKind {
             }
             EventKind::FaultReplacement { executor } => format!(",\"executor\":{executor}"),
             EventKind::RunOutcome { completed } => format!(",\"completed\":{completed}"),
-            EventKind::WorkSteal {
-                from_shard,
-                to_shard,
-                count,
-            } => {
-                format!(",\"from_shard\":{from_shard},\"to_shard\":{to_shard},\"count\":{count}")
-            }
             EventKind::ShardQuarantine { shard } | EventKind::ShardRecover { shard } => {
                 format!(",\"shard\":{shard}")
             }
@@ -521,24 +503,5 @@ mod tests {
         assert!(json.contains("\"type\":\"backlog_evacuation\",\"from_shard\":2,\"count\":37"));
         assert!(json.contains("\"type\":\"failover_retry\",\"from_shard\":2,\"to_shard\":0"));
         assert!(json.contains("\"type\":\"shard_recover\",\"shard\":2"));
-    }
-
-    #[test]
-    fn work_steal_payload_renders() {
-        let sink = EventSink::new(16);
-        sink.record_at(
-            1,
-            EventKind::WorkSteal {
-                from_shard: 3,
-                to_shard: 0,
-                count: 12,
-            },
-        );
-        let events = sink.snapshot();
-        assert_eq!(events[0].kind.name(), "work_steal");
-        let json = EventSink::to_json(&events);
-        assert!(
-            json.contains("\"type\":\"work_steal\",\"from_shard\":3,\"to_shard\":0,\"count\":12")
-        );
     }
 }

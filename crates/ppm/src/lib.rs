@@ -23,8 +23,6 @@
 //! * [`risk`] — expected-runtime-under-preemption adjustment: selection on
 //!   spot-priced capacity prices the risk that larger `n` means more
 //!   exposure to revocation.
-//! * [`residual`] — observed-vs-predicted runtime residuals as a
-//!   model-drift signal, publishable into an `ae_obs` metrics registry.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -33,7 +31,6 @@ pub mod cores;
 pub mod curve;
 pub mod fit;
 pub mod model;
-pub mod residual;
 pub mod risk;
 pub mod selection;
 
@@ -41,7 +38,6 @@ pub use cores::{factorize_total_cores, interpolate_by_cores, FactorizationConstr
 pub use curve::PerfCurve;
 pub use fit::{fit_amdahl, fit_power_law, FitError};
 pub use model::{ppms_from_flat, AmdahlPpm, PowerLawPpm, Ppm, PpmKind};
-pub use residual::{predicted_at, ResidualMonitor};
 pub use risk::PreemptionRisk;
 pub use selection::{
     cheapest_config, cost_at, deadline_config, elbow_point, min_time_config, price_for_deadline,

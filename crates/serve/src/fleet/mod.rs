@@ -1,5 +1,5 @@
 //! Fleet-scale serving: shard-local runtimes behind a deterministic
-//! consistent-hash router, with bounded cross-shard work stealing.
+//! consistent-hash router.
 //!
 //! One [`ScoringRuntime`](crate::ScoringRuntime) tops out near the
 //! throughput of a single admission queue and batcher; the fleet layer
@@ -12,11 +12,9 @@
 //!   no hot state and a fleet maps 1:1 onto N independent nodes.
 //! * [`HashRing`] routes by tenant (or feature content) on a fixed
 //!   virtual-node ring: placement is a pure function of `(seed, shard
-//!   set, key)`, stable under unrelated shard removal.
-//! * [`StealPolicy`] bounds the one cross-shard interaction: when a
-//!   shard's backlog exceeds the imbalance threshold, the coordinator
-//!   migrates least-urgent `Standard`/`BestEffort` entries (never
-//!   `Interactive`) to the shallowest shard.
+//!   set, key)`, stable under unrelated shard removal. Routing alone
+//!   decides placement: without a health policy, every request is
+//!   scored on the shard the ring names.
 //! * [`FleetStats`] aggregates per-shard counters exactly — every
 //!   request is counted by the one shard that scored it.
 //! * [`resilience`] makes shard loss a steady-state condition: an
@@ -24,7 +22,8 @@
 //!   [`ShardedRuntime::induce_shard_fault`] and
 //!   [`ShardedRuntime::clear_shard_fault`]) strikes one shard, a
 //!   per-shard [`HealthState`] machine quarantines failing shards
-//!   (successor rerouting + backlog evacuation), a bounded retry budget
+//!   (successor rerouting + backlog evacuation, the one cross-shard
+//!   move of queued work), a bounded retry budget
 //!   rescues failed in-flight requests, and probation re-admits
 //!   recovered shards on a trickle of real traffic.
 
@@ -35,5 +34,5 @@ pub mod stats;
 
 pub use resilience::{HealthPolicy, HealthState, InducedFault};
 pub use ring::HashRing;
-pub use sharded::{FleetConfig, ShardedRuntime, StealPolicy};
+pub use sharded::{FleetConfig, ShardedRuntime};
 pub use stats::FleetStats;

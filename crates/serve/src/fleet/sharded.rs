@@ -1,6 +1,5 @@
 //! The sharded fleet runtime: N shard-local [`ScoringRuntime`]s behind a
-//! deterministic consistent-hash router, with bounded cross-shard work
-//! stealing and health-driven failover.
+//! deterministic consistent-hash router, with health-driven failover.
 //!
 //! Request flow:
 //!
@@ -10,10 +9,6 @@
 //!  hash tenant (or features) ──────▶ shard-local ScoringRuntime:
 //!  onto the current vnode ring        own queues / workers / model
 //!                                     cache / breaker / stats / obs
-//!                steal coordinator (policy.interval, backs off idle):
-//!                deepest backlog ≥ ratio × shallowest?
-//!                → migrate EDF-tail Standard/BestEffort
-//!                  entries to the shallowest routable shard
 //!                health monitor (policy.check_interval):
 //!                error rate / open breaker / drain stall
 //!                → Suspect → Quarantined (ring removal + backlog
@@ -27,9 +22,10 @@
 //!   `(ring seed, current ring membership, tenant)` — never of thread
 //!   interleaving, load, or wall-clock (see [`HashRing`]). With no
 //!   health policy the membership never changes, so routing reduces to
-//!   the PR-8 pure function of `(seed, shard count, tenant)`.
+//!   a pure function of `(seed, shard count, tenant)`, and every request
+//!   is scored on the shard the ring names.
 //! * **Sharding never changes answers**: scoring is a pure function of
-//!   features and model, so which shard (thief, evacuee host, or
+//!   features and model, so which shard (routed shard, evacuee host, or
 //!   failover target) scores a request can only change *when* it
 //!   completes, never the
 //!   [`ResourceRequest`](autoexecutor::optimizer::ResourceRequest). A
@@ -38,10 +34,14 @@
 //! * **Counters are exact**: every request is counted by exactly one
 //!   shard — the one that scored it — so [`FleetStats::aggregate`]
 //!   totals equal the sum of per-shard counters with no double-count on
-//!   stolen, evacuated, or retried requests. A rescued failover retry
+//!   evacuated or retried requests. A rescued failover retry
 //!   leaves one error on the failed shard and one completion on the
 //!   target, so `aggregate().errors` equals client-visible errors plus
 //!   [`FleetStats::failover_retries`].
+//!
+//! There is no cross-shard work stealing: on skewed floods it made the
+//! slowest shard finish later, not sooner (`docs/fleet.md`, "No work
+//! stealing"). Quarantine evacuation is the only cross-shard move.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex as StdMutex, Weak};
@@ -70,89 +70,21 @@ const VNODES_PER_SHARD: usize = 128;
 /// identically.
 const RING_SEED: u64 = 0x0AE5_E11F_1EE7;
 
-/// Idle-backoff floor for the steal coordinator: a zero configured
-/// interval still doubles from here instead of spinning.
-const STEAL_BACKOFF_FLOOR: Duration = Duration::from_micros(50);
-
-/// Idle-backoff ceiling for the steal coordinator (an idle fleet polls
-/// at ~100 Hz instead of 10 kHz).
-const STEAL_BACKOFF_CAP: Duration = Duration::from_millis(10);
-
-/// Background threads chunk their sleeps to this so shutdown never waits
+/// The health monitor chunks its sleeps to this so shutdown never waits
 /// a full (possibly long) configured interval.
 const STOP_POLL: Duration = Duration::from_millis(2);
 
-/// When and how much the fleet's steal coordinator rebalances.
-///
-/// Stealing is **bounded and priority-safe**: at most
-/// [`max_steal`](Self::max_steal) requests move per operation, only from
-/// the deepest backlog to the shallowest routable shard, only when the
-/// imbalance test fires, and only `Standard`/`BestEffort` entries from
-/// the EDF tail — never `Interactive` (see
-/// [`PriorityQueues::steal_least_urgent`](crate::qos)).
-#[derive(Debug, Clone)]
-pub struct StealPolicy {
-    /// Trigger threshold: steal only when the deepest shard's queue depth
-    /// is at least `imbalance_ratio × (shallowest depth + 1)`. Clamped to
-    /// at least 1.0 (values below would "rebalance" toward imbalance).
-    pub imbalance_ratio: f64,
-    /// Victim floor: never steal from a shard whose backlog is below this
-    /// many requests — shallow queues drain faster than a migration pays
-    /// off.
-    pub min_backlog: usize,
-    /// Upper bound on requests migrated per steal operation (clamped to
-    /// at least 1).
-    pub max_steal: usize,
-    /// Base poll interval of the steal coordinator thread. When a pass
-    /// moves nothing the interval doubles (capped near 10 ms); any
-    /// migrated work resets it.
-    pub interval: Duration,
-}
-
-impl Default for StealPolicy {
-    fn default() -> Self {
-        Self {
-            imbalance_ratio: 2.0,
-            min_backlog: 32,
-            max_steal: 16,
-            interval: Duration::from_micros(100),
-        }
-    }
-}
-
-impl StealPolicy {
-    fn sanitized(mut self) -> Self {
-        if self.imbalance_ratio.is_nan() || self.imbalance_ratio < 1.0 {
-            self.imbalance_ratio = 1.0;
-        }
-        self.max_steal = self.max_steal.max(1);
-        self
-    }
-}
-
-/// The steal coordinator's idle backoff: double the current delay (from
-/// a spin-safe floor) up to the larger of the configured base and
-/// [`STEAL_BACKOFF_CAP`]. Pure, so the schedule is unit-testable.
-fn next_backoff(current: Duration, base: Duration) -> Duration {
-    let cap = base.max(STEAL_BACKOFF_CAP);
-    (current.max(STEAL_BACKOFF_FLOOR) * 2).min(cap)
-}
-
-/// Configuration of a [`ShardedRuntime`]: how many shards, whether (and
-/// how aggressively) to steal, the health/failover policy, and the
-/// per-shard [`RuntimeConfig`] template. The ring layout is fixed
-/// (128 vnodes per shard, one seed), so two fleets with the same shard
-/// count route every tenant identically.
+/// Configuration of a [`ShardedRuntime`]: how many shards, the
+/// health/failover policy, and the per-shard [`RuntimeConfig`] template.
+/// The ring layout is fixed (128 vnodes per shard, one seed), so two
+/// fleets with the same shard count route every tenant identically.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Number of shard-local runtimes (clamped to `1..=u16::MAX`).
     pub shards: usize,
-    /// Cross-shard work stealing; `None` disables it (required for the
-    /// deterministic-mode contract — migration timing is load-dependent).
-    pub steal: Option<StealPolicy>,
     /// Health monitoring, quarantine/failover, and probationary recovery;
-    /// `None` (the default) spawns no monitor and leaves the fleet
-    /// behaviorally identical to PR 8 (see `docs/resilience.md`).
+    /// `None` (the default) spawns no thread and never changes the ring
+    /// (see `docs/resilience.md`).
     pub health: Option<HealthPolicy>,
     /// Template for every shard's [`ScoringRuntime`]. When observability
     /// is configured, each shard registers under
@@ -162,48 +94,23 @@ pub struct FleetConfig {
 
 impl FleetConfig {
     /// A fleet of `shards` runtimes built from the given per-shard
-    /// template, with default work stealing and no health policy.
+    /// template, with no health policy.
     pub fn new(shards: usize, runtime: RuntimeConfig) -> Self {
         Self {
             shards,
-            steal: Some(StealPolicy::default()),
             health: None,
             runtime,
         }
     }
 
-    /// Serving defaults per shard ([`RuntimeConfig::from_auto_executor`])
-    /// with default stealing.
-    pub fn from_auto_executor(shards: usize, config: &AutoExecutorConfig) -> Self {
-        Self::new(shards, RuntimeConfig::from_auto_executor(config))
-    }
-
     /// Deterministic fleet: every shard in
-    /// [`RuntimeConfig::deterministic`] mode, **no work stealing**, and no
-    /// health policy, so completion sets, per-shard
-    /// placement, and (for a 1-shard fleet) the full observable behavior
-    /// are reproducible. Scores are bit-identical to the sequential rule
-    /// at any shard count — routing only decides *where* a request is
-    /// scored, never its answer.
+    /// [`RuntimeConfig::deterministic`] mode and no health policy, so
+    /// completion sets, per-shard placement, and (for a 1-shard fleet)
+    /// the full observable behavior are reproducible. Scores are
+    /// bit-identical to the sequential rule at any shard count — routing
+    /// only decides *where* a request is scored, never its answer.
     pub fn deterministic(shards: usize, config: &AutoExecutorConfig) -> Self {
-        Self {
-            shards,
-            steal: None,
-            health: None,
-            runtime: RuntimeConfig::deterministic(config),
-        }
-    }
-
-    /// Enables stealing with the given policy.
-    pub fn with_steal(mut self, policy: StealPolicy) -> Self {
-        self.steal = Some(policy);
-        self
-    }
-
-    /// Disables work stealing.
-    pub fn without_steal(mut self) -> Self {
-        self.steal = None;
-        self
+        Self::new(shards, RuntimeConfig::deterministic(config))
     }
 
     /// Enables health monitoring, quarantine/failover, and probationary
@@ -215,14 +122,12 @@ impl FleetConfig {
 
     fn sanitized(mut self) -> Self {
         self.shards = self.shards.clamp(1, u16::MAX as usize);
-        self.steal = self.steal.map(StealPolicy::sanitized);
         self.health = self.health.map(HealthPolicy::sanitized);
         self
     }
 }
 
-/// State shared between the fleet handle and its background threads
-/// (steal coordinator, health monitor).
+/// State shared between the fleet handle and its health monitor.
 struct FleetShared {
     shards: Vec<ScoringRuntime>,
     /// The current routing ring: members are exactly the shards whose
@@ -236,8 +141,6 @@ struct FleetShared {
     /// The failover retry token bucket (present iff a health policy with
     /// a non-zero budget is configured on a multi-shard fleet).
     retry_budget: Option<RetryBudget>,
-    steal_ops: AtomicU64,
-    stolen_requests: AtomicU64,
     quarantines: AtomicU64,
     recoveries: AtomicU64,
     evacuated_requests: AtomicU64,
@@ -248,12 +151,12 @@ struct FleetShared {
     /// Fast-path gate: true iff some shard is in [`HealthState::Probation`].
     /// False in steady state, so submission pays one relaxed load.
     probation_active: AtomicBool,
-    /// Fleet-level event sink (steals, quarantines, recoveries, retries,
+    /// Fleet-level event sink (quarantines, recoveries, retries,
     /// evacuations); present only when the per-shard template enables
     /// observability.
     events: Option<EventSink>,
-    /// Stops every background thread (steal, monitor).
-    stop_background: AtomicBool,
+    /// Stops the health monitor.
+    stop_monitor: AtomicBool,
     /// Set by the first [`ShardedRuntime::shutdown`] caller; failover
     /// stops retrying so shutdown errors propagate unamplified.
     shutting_down: AtomicBool,
@@ -274,7 +177,7 @@ impl FleetShared {
         self.health[shard].store(state as u8, Ordering::Release);
     }
 
-    /// Shard indices currently eligible for routing and stealing.
+    /// Shard indices currently eligible for routing.
     fn routable_shards(&self) -> Vec<usize> {
         (0..self.shards.len())
             .filter(|&shard| self.health_state(shard).is_routable())
@@ -302,7 +205,7 @@ impl FleetShared {
     }
 }
 
-/// Publishes the fleet's own counters (steal + resilience accounting,
+/// Publishes the fleet's own counters (resilience accounting,
 /// membership, per-shard health) under `{prefix}.fleet`; the per-shard
 /// runtime counters are published by each shard's own stats source under
 /// `{prefix}.shard{i}`.
@@ -318,8 +221,6 @@ impl MetricSource for FleetSource {
         };
         let p = &self.prefix;
         let counters = [
-            ("steal_ops", &shared.steal_ops),
-            ("stolen_requests", &shared.stolen_requests),
             ("quarantines", &shared.quarantines),
             ("recoveries", &shared.recoveries),
             ("evacuated_requests", &shared.evacuated_requests),
@@ -350,7 +251,7 @@ impl MetricSource for FleetSource {
 }
 
 /// Sleeps up to `total`, waking early (within [`STOP_POLL`]) when `stop`
-/// is set — background threads must not pin shutdown to their interval.
+/// is set — the monitor must not pin shutdown to its interval.
 fn sleep_interruptible(stop: &AtomicBool, total: Duration) {
     let deadline = Instant::now() + total;
     loop {
@@ -362,91 +263,6 @@ fn sleep_interruptible(stop: &AtomicBool, total: Duration) {
             return;
         }
         std::thread::sleep((deadline - now).min(STOP_POLL));
-    }
-}
-
-/// One pass of the steal coordinator over the routable shards: find the
-/// deepest and shallowest backlogs, apply the imbalance test, migrate a
-/// bounded batch of least-urgent non-`Interactive` entries. Returns the
-/// number of requests migrated (0 when balanced, bounded, or nothing
-/// sheddable). Quarantined/probation shards neither donate nor receive —
-/// stealing into a dead shard would re-strand evacuated work.
-fn rebalance_once(shared: &FleetShared, policy: &StealPolicy) -> usize {
-    let routable = shared.routable_shards();
-    if routable.len() < 2 {
-        return 0;
-    }
-    let depths: Vec<(usize, usize)> = routable
-        .iter()
-        .map(|&shard| (shard, shared.shards[shard].queue_depth()))
-        .collect();
-    let Some(&(victim, max_depth)) = depths.iter().max_by_key(|&&(_, depth)| depth) else {
-        return 0;
-    };
-    let Some(&(thief, min_depth)) = depths.iter().min_by_key(|&&(_, depth)| depth) else {
-        return 0;
-    };
-    if victim == thief || max_depth < policy.min_backlog {
-        return 0;
-    }
-    if (max_depth as f64) < policy.imbalance_ratio * (min_depth as f64 + 1.0) {
-        return 0;
-    }
-    // Bounded: per-op cap, half the gap (stealing more would overshoot
-    // and invite a steal back), the thief's free queue room, and the
-    // victim's actually-migratable (non-Interactive) backlog.
-    let budget = policy
-        .max_steal
-        .min((max_depth - min_depth) / 2)
-        .min(shared.shards[thief].free_queue_capacity())
-        .min(shared.shards[victim].evacuable_backlog());
-    if budget == 0 {
-        return 0;
-    }
-    let stolen = shared.shards[victim].steal_backlog(budget);
-    if stolen.is_empty() {
-        return 0;
-    }
-    let count = stolen.len();
-    let rejected = shared.shards[thief].inject_backlog(stolen);
-    if !rejected.is_empty() {
-        // The thief is shutting down: re-home the batch. If the victim is
-        // shutting down too, fail the stranded requests — exactly what
-        // shutdown does to its own queue.
-        let stranded = shared.shards[victim].inject_backlog(rejected);
-        if !stranded.is_empty() {
-            shared.shards[victim].abandon_backlog(stranded);
-        }
-        return 0;
-    }
-    shared.steal_ops.fetch_add(1, Ordering::Relaxed);
-    shared
-        .stolen_requests
-        .fetch_add(count as u64, Ordering::Relaxed);
-    shared.record_event(EventKind::WorkSteal {
-        from_shard: victim as u16,
-        to_shard: thief as u16,
-        count: count.min(u32::MAX as usize) as u32,
-    });
-    count
-}
-
-/// Steal coordinator thread: poll at the policy interval while work
-/// moves, back off exponentially (to ~10 ms) while the fleet is
-/// balanced, reset on the first migrated request.
-fn stealer_loop(shared: Arc<FleetShared>, policy: StealPolicy) {
-    let mut delay = policy.interval;
-    loop {
-        sleep_interruptible(&shared.stop_background, delay);
-        if shared.stop_background.load(Ordering::Acquire) {
-            return;
-        }
-        let moved = rebalance_once(&shared, &policy);
-        delay = if moved > 0 {
-            policy.interval
-        } else {
-            next_backoff(delay, policy.interval)
-        };
     }
 }
 
@@ -466,7 +282,8 @@ struct ShardBook {
     clean_checks: u32,
 }
 
-/// Health monitor thread: one [`check_shard`] per shard per interval.
+/// Health monitor thread: one [`check_shard`] per shard per interval,
+/// every check of a pass judged at the one `now` read after the sleep.
 fn monitor_loop(shared: Arc<FleetShared>, policy: HealthPolicy) {
     let mut books: Vec<ShardBook> = shared
         .shards
@@ -481,19 +298,28 @@ fn monitor_loop(shared: Arc<FleetShared>, policy: HealthPolicy) {
         })
         .collect();
     loop {
-        sleep_interruptible(&shared.stop_background, policy.check_interval);
-        if shared.stop_background.load(Ordering::Acquire) {
+        sleep_interruptible(&shared.stop_monitor, policy.check_interval);
+        if shared.stop_monitor.load(Ordering::Acquire) {
             return;
         }
+        let now = Instant::now();
         for (shard, book) in books.iter_mut().enumerate() {
-            check_shard(&shared, &policy, shard, book);
+            check_shard(&shared, &policy, shard, book, now);
         }
     }
 }
 
-/// One health check of one shard: advance the window deltas, then drive
-/// the `Healthy → Suspect → Quarantined → Probation` machine.
-fn check_shard(shared: &FleetShared, policy: &HealthPolicy, shard: usize, book: &mut ShardBook) {
+/// One health check of one shard at `now`: advance the window deltas,
+/// then drive the `Healthy → Suspect → Quarantined → Probation` machine.
+/// Reads no clock itself: the breaker and the quarantine hold are judged
+/// at `now`.
+fn check_shard(
+    shared: &FleetShared,
+    policy: &HealthPolicy,
+    shard: usize,
+    book: &mut ShardBook,
+    now: Instant,
+) {
     let stats = shared.shards[shard].stats();
     let window_completed = stats.completed.saturating_sub(book.completed);
     let window_errors = stats.errors.saturating_sub(book.errors);
@@ -512,7 +338,7 @@ fn check_shard(shared: &FleetShared, policy: &HealthPolicy, shard: usize, book: 
             }
             // Breaker signal: an open breaker means the model path is
             // down (read-only check; the half-open probe is preserved).
-            if shared.shards[shard].breaker_open() {
+            if shared.shards[shard].breaker_open(now) {
                 bad = true;
             }
             // Drain-stall watchdog: queued work, zero progress, for
@@ -533,7 +359,7 @@ fn check_shard(shared: &FleetShared, policy: &HealthPolicy, shard: usize, book: 
                 if state == HealthState::Healthy {
                     shared.set_health(shard, HealthState::Suspect);
                 } else {
-                    quarantine(shared, shard, book);
+                    quarantine(shared, shard, book, now);
                 }
             } else if state == HealthState::Suspect && events > 0 {
                 // A clean window with real traffic clears the suspicion.
@@ -542,7 +368,7 @@ fn check_shard(shared: &FleetShared, policy: &HealthPolicy, shard: usize, book: 
         }
         HealthState::Quarantined => {
             let held_long_enough = match book.quarantined_at {
-                Some(at) => at.elapsed() >= policy.quarantine_hold,
+                Some(at) => now.saturating_duration_since(at) >= policy.quarantine_hold,
                 None => true,
             };
             if held_long_enough {
@@ -562,7 +388,7 @@ fn check_shard(shared: &FleetShared, policy: &HealthPolicy, shard: usize, book: 
             if stats.errors > base_errors || stats.degraded > base_degraded {
                 // The trickle failed: back to quarantine (counted again),
                 // and evacuate whatever the trickle queued on it.
-                quarantine(shared, shard, book);
+                quarantine(shared, shard, book, now);
             } else {
                 book.clean_checks += 1;
                 let proven = stats.completed.saturating_sub(base_completed)
@@ -576,10 +402,10 @@ fn check_shard(shared: &FleetShared, policy: &HealthPolicy, shard: usize, book: 
 }
 
 /// Quarantines a shard: off the ring (successor rerouting), backlog
-/// evacuated to survivors, hold timer started. Refuses to remove the
-/// last routable shard — a fleet with nowhere to route keeps serving
-/// (however badly) rather than blackholing everything.
-fn quarantine(shared: &FleetShared, shard: usize, book: &mut ShardBook) {
+/// evacuated to survivors, hold timer started at `now`. Refuses to
+/// remove the last routable shard — a fleet with nowhere to route keeps
+/// serving (however badly) rather than blackholing everything.
+fn quarantine(shared: &FleetShared, shard: usize, book: &mut ShardBook, now: Instant) {
     let was_probation = shared.health_state(shard) == HealthState::Probation;
     if !was_probation && shared.routable_shards().len() <= 1 {
         return;
@@ -590,7 +416,7 @@ fn quarantine(shared: &FleetShared, shard: usize, book: &mut ShardBook) {
         shared.rebuild_ring();
     }
     shared.quarantines.fetch_add(1, Ordering::Relaxed);
-    book.quarantined_at = Some(Instant::now());
+    book.quarantined_at = Some(now);
     book.stall_streak = 0;
     book.probation_base = None;
     book.clean_checks = 0;
@@ -618,14 +444,14 @@ fn recover(shared: &FleetShared, shard: usize, book: &mut ShardBook) {
 
 /// Evacuates a quarantined shard's migratable backlog (`Standard` ∪
 /// `BestEffort`; `Interactive` always drains on its home shard) into the
-/// surviving routable shards, shallowest first, split evenly. Every
-/// ticket survives: a survivor rejects an injection only while shutting
-/// down, in which case the batch cascades to the next survivor, then
-/// re-homes to the victim (whose workers still run under quarantine),
-/// then — both ends shutting down — fails with `ShutDown` exactly like
-/// shutdown's own queue drain.
+/// surviving routable shards, shallowest first, split evenly; each
+/// survivor's EDF heaps order what it receives. Every ticket survives: a
+/// survivor rejects an injection only while shutting down, in which case
+/// the batch cascades to the next survivor, then re-homes to the victim
+/// (whose workers still run under quarantine), then — both ends shutting
+/// down — fails with `ShutDown` exactly like shutdown's own queue drain.
 fn evacuate(shared: &FleetShared, from: usize) {
-    let mut remaining: Vec<QueuedRequest> = shared.shards[from].steal_backlog(usize::MAX);
+    let mut remaining: Vec<QueuedRequest> = shared.shards[from].take_evacuable();
     if remaining.is_empty() {
         return;
     }
@@ -685,9 +511,8 @@ fn routing_key(request: &ScoreRequest) -> u64 {
 }
 
 /// A fleet of shard-local [`ScoringRuntime`]s behind a deterministic
-/// consistent-hash router, with optional bounded work stealing and
-/// health-driven failover. See the [module docs](self) for the
-/// architecture and contracts.
+/// consistent-hash router, with optional health-driven failover. See the
+/// [module docs](self) for the architecture and contracts.
 ///
 /// Construct with [`ShardedRuntime::new`]; submit from any thread with
 /// the same request vocabulary as a single runtime
@@ -697,9 +522,9 @@ fn routing_key(request: &ScoreRequest) -> u64 {
 /// [`shutdown`](Self::shutdown) (or drop the handle).
 pub struct ShardedRuntime {
     shared: Arc<FleetShared>,
-    /// Background threads (steal coordinator, health monitor), joined
-    /// once by whichever shutdown call drains them.
-    background: StdMutex<Vec<JoinHandle<()>>>,
+    /// The health monitor thread, if any, joined once by whichever
+    /// shutdown call takes it.
+    monitor: StdMutex<Option<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for ShardedRuntime {
@@ -714,10 +539,9 @@ impl std::fmt::Debug for ShardedRuntime {
 
 impl ShardedRuntime {
     /// Builds the fleet: `config.shards` runtimes over one registry and
-    /// model name, the fixed-seed vnode ring, and the
-    /// configured background threads — the steal coordinator (unless
-    /// disabled) and the health monitor (when a policy is set on a
-    /// multi-shard fleet).
+    /// model name, the fixed-seed vnode ring, and — when a health policy
+    /// is set on a multi-shard fleet — the health monitor thread, the
+    /// fleet's only background thread.
     ///
     /// With observability configured in the per-shard template, shard `i`
     /// registers its metrics under `{prefix}.shard{i}` and the fleet
@@ -760,8 +584,6 @@ impl ShardedRuntime {
             health_policy,
             retry_budget,
             shards,
-            steal_ops: AtomicU64::new(0),
-            stolen_requests: AtomicU64::new(0),
             quarantines: AtomicU64::new(0),
             recoveries: AtomicU64::new(0),
             evacuated_requests: AtomicU64::new(0),
@@ -770,7 +592,7 @@ impl ShardedRuntime {
             probe_counter: AtomicU64::new(0),
             probation_active: AtomicBool::new(false),
             events: base_obs.as_ref().map(|_| EventSink::new(EVENT_CAPACITY)),
-            stop_background: AtomicBool::new(false),
+            stop_monitor: AtomicBool::new(false),
             shutting_down: AtomicBool::new(false),
         });
         if let Some(obs) = &base_obs {
@@ -779,28 +601,16 @@ impl ShardedRuntime {
                 shared: Arc::downgrade(&shared),
             }));
         }
-        let mut background = Vec::new();
-        if let Some(policy) = config.steal.filter(|_| config.shards > 1) {
+        let monitor = shared.health_policy.clone().map(|policy| {
             let shared = Arc::clone(&shared);
-            background.push(
-                std::thread::Builder::new()
-                    .name("ae-serve-stealer".to_string())
-                    .spawn(move || stealer_loop(shared, policy))
-                    .expect("spawning the fleet steal coordinator"),
-            );
-        }
-        if let Some(policy) = shared.health_policy.clone() {
-            let shared_clone = Arc::clone(&shared);
-            background.push(
-                std::thread::Builder::new()
-                    .name("ae-serve-health".to_string())
-                    .spawn(move || monitor_loop(shared_clone, policy))
-                    .expect("spawning the fleet health monitor"),
-            );
-        }
+            std::thread::Builder::new()
+                .name("ae-serve-health".to_string())
+                .spawn(move || monitor_loop(shared, policy))
+                .expect("spawning the fleet health monitor")
+        });
         Self {
             shared,
-            background: StdMutex::new(background),
+            monitor: StdMutex::new(monitor),
         }
     }
 
@@ -996,12 +806,10 @@ impl ShardedRuntime {
     }
 
     /// A point-in-time snapshot of every shard's counters plus the
-    /// fleet's steal and resilience accounting.
+    /// fleet's resilience accounting.
     pub fn stats(&self) -> FleetStats {
         FleetStats {
             shards: self.shared.shards.iter().map(|s| s.stats()).collect(),
-            steal_ops: self.shared.steal_ops.load(Ordering::Relaxed),
-            stolen_requests: self.shared.stolen_requests.load(Ordering::Relaxed),
             quarantines: self.shared.quarantines.load(Ordering::Relaxed),
             recoveries: self.shared.recoveries.load(Ordering::Relaxed),
             evacuated_requests: self.shared.evacuated_requests.load(Ordering::Relaxed),
@@ -1011,27 +819,27 @@ impl ShardedRuntime {
         }
     }
 
-    /// The fleet-level event sink (work steals, quarantines, recoveries,
-    /// failover retries, evacuations), when the per-shard template
+    /// The fleet-level event sink (quarantines, recoveries, failover
+    /// retries, evacuations), when the per-shard template
     /// enables observability. Per-shard events stay in each shard's own
     /// sink ([`ScoringRuntime::observability`]).
     pub fn events(&self) -> Option<&EventSink> {
         self.shared.events.as_ref()
     }
 
-    /// Stops the fleet: background threads first (so no steal or health
-    /// transition races the drain — an in-progress
-    /// evacuation completes before any shard begins draining), then
-    /// every shard — in-flight batches finish, queued requests fail with
-    /// [`ServeError::ShutDown`], workers are
-    /// joined. Idempotent and safe to call concurrently (each background
-    /// thread and worker is joined exactly once; stats are not
-    /// double-counted); dropping the handle shuts down too.
+    /// Stops the fleet: the health monitor first (so no health
+    /// transition races the drain — an in-progress evacuation completes
+    /// before any shard begins draining), then every shard — in-flight
+    /// batches finish, queued requests fail with
+    /// [`ServeError::ShutDown`], workers are joined. Idempotent and safe
+    /// to call concurrently (the monitor and each worker are joined
+    /// exactly once; stats are not double-counted); dropping the handle
+    /// shuts down too.
     pub fn shutdown(&self) {
         self.shared.shutting_down.store(true, Ordering::Release);
-        self.shared.stop_background.store(true, Ordering::Release);
-        let handles: Vec<JoinHandle<()>> = lock(&self.background).drain(..).collect();
-        for handle in handles {
+        self.shared.stop_monitor.store(true, Ordering::Release);
+        let monitor = lock(&self.monitor).take();
+        if let Some(handle) = monitor {
             let _ = handle.join();
         }
         for shard in &self.shared.shards {
@@ -1051,66 +859,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn steal_policy_sanitizes() {
-        let policy = StealPolicy {
-            imbalance_ratio: 0.2,
-            min_backlog: 0,
-            max_steal: 0,
-            interval: Duration::ZERO,
-        }
-        .sanitized();
-        assert!(policy.imbalance_ratio >= 1.0);
-        assert_eq!(policy.max_steal, 1);
-        let nan = StealPolicy {
-            imbalance_ratio: f64::NAN,
-            ..StealPolicy::default()
-        }
-        .sanitized();
-        assert!(nan.imbalance_ratio >= 1.0);
-    }
-
-    #[test]
     fn fleet_config_builders_and_clamps() {
         let cfg = AutoExecutorConfig::default();
-        let fleet = FleetConfig::from_auto_executor(0, &cfg).without_steal();
-        assert!(fleet.steal.is_none());
+        let fleet = FleetConfig::new(0, RuntimeConfig::from_auto_executor(&cfg));
+        assert!(fleet.health.is_none());
         let fleet = fleet.sanitized();
         assert_eq!(fleet.shards, 1);
         let det = FleetConfig::deterministic(4, &cfg);
-        assert!(det.steal.is_none());
         assert!(det.health.is_none());
         assert_eq!(det.runtime.workers, 1);
-        let stealing = FleetConfig::new(2, RuntimeConfig::deterministic(&cfg))
-            .with_steal(StealPolicy::default())
+        let monitored = FleetConfig::new(2, RuntimeConfig::deterministic(&cfg))
             .with_health(HealthPolicy::default());
-        assert!(stealing.steal.is_some());
-        assert!(stealing.health.is_some());
-    }
-
-    #[test]
-    fn steal_backoff_doubles_to_cap_and_has_a_spin_floor() {
-        let base = Duration::from_micros(100);
-        // Doubling schedule from the base...
-        let mut delay = base;
-        let mut schedule = Vec::new();
-        for _ in 0..12 {
-            delay = next_backoff(delay, base);
-            schedule.push(delay);
-        }
-        assert_eq!(schedule[0], Duration::from_micros(200));
-        assert_eq!(schedule[1], Duration::from_micros(400));
-        // ...strictly growing until the cap, then pinned there.
-        for pair in schedule.windows(2) {
-            assert!(pair[1] >= pair[0]);
-        }
-        assert_eq!(*schedule.last().unwrap(), STEAL_BACKOFF_CAP);
-        // A zero interval cannot spin: the floor kicks the doubling off.
-        let from_zero = next_backoff(Duration::ZERO, Duration::ZERO);
-        assert!(from_zero >= STEAL_BACKOFF_FLOOR);
-        assert!(next_backoff(from_zero, Duration::ZERO) > from_zero);
-        // A base above the cap is honored as the cap.
-        let slow = Duration::from_millis(50);
-        assert_eq!(next_backoff(slow, slow), slow);
+        assert!(monitored.health.is_some());
     }
 
     #[test]

@@ -1,45 +1,37 @@
 //! Fleet-level statistics: per-shard snapshots plus exact aggregation.
 //!
-//! Every counter in the fleet lives in exactly one shard's
+//! Every request counter in the fleet lives in exactly one shard's
 //! [`StatsInner`](crate::stats)-backed [`RuntimeStats`] — the fleet layer
-//! adds only the two steal counters it owns itself. Aggregation is
+//! adds only the resilience counters it owns itself. Aggregation is
 //! therefore pure summation ([`RuntimeStats::merge_from`]), and the
 //! invariant the test battery pins is *exactness*: fleet totals equal the
-//! sum of per-shard counters, with stolen requests counted once, by the
-//! shard that scored them (`tests/fleet_stress.rs`).
+//! sum of per-shard counters, with evacuated and retried requests counted
+//! once, by the shard that scored them (`tests/fleet_stress.rs`).
 
 use super::resilience::HealthState;
 use crate::stats::RuntimeStats;
 
 /// A point-in-time snapshot of every shard's counters plus the fleet's
-/// own steal accounting, as returned by
+/// own resilience accounting, as returned by
 /// [`ShardedRuntime::stats`](super::ShardedRuntime::stats).
 ///
 /// The consistency contract is the per-shard one (see
 /// [`crate::stats`]): each shard snapshot may be torn across counters
 /// while requests are in flight, and is exact once that shard is
-/// quiescent. `steal_ops`/`stolen_requests` are read after the shard
+/// quiescent. The fleet's own counters are read after the shard
 /// snapshots, so a quiescent fleet's snapshot is exact end to end.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FleetStats {
     /// One counter snapshot per shard, indexed by shard id.
     pub shards: Vec<RuntimeStats>,
-    /// Steal operations the coordinator executed (each migrates ≥ 1
-    /// request).
-    pub steal_ops: u64,
-    /// Queued requests migrated across shards by work stealing. A stolen
-    /// request's *completion* is counted by the shard that scored it, so
-    /// this is a flow counter, not part of any completion total.
-    pub stolen_requests: u64,
     /// Shard quarantine transitions (a shard re-quarantined after a
     /// failed probation counts again).
     pub quarantines: u64,
     /// Probationary re-admissions back onto the routing ring.
     pub recoveries: u64,
     /// Queued requests evacuated out of quarantined shards into
-    /// survivors. A flow counter like
-    /// [`stolen_requests`](Self::stolen_requests): each evacuee's
-    /// completion is counted once, by the shard that scored it.
+    /// survivors. A flow counter, not part of any completion total: each
+    /// evacuee's completion is counted once, by the shard that scored it.
     pub evacuated_requests: u64,
     /// Cross-shard failover retry *attempts* (each consumed one budget
     /// token). A rescued retry leaves one error on the failed shard and
@@ -67,7 +59,7 @@ impl FleetStats {
 
     /// The fleet-wide totals: every shard's counters summed field-by-field
     /// via [`RuntimeStats::merge_from`]. Because each request is counted
-    /// by exactly one shard (stolen requests by the shard that scored
+    /// by exactly one shard (evacuated requests by the shard that scored
     /// them), `aggregate().completed` equals the number of requests the
     /// fleet answered successfully — the exactness `tests/fleet_stress.rs`
     /// proves under concurrent load.
@@ -81,8 +73,8 @@ impl FleetStats {
 
     /// Counter-wise difference against an earlier snapshot of the same
     /// fleet: each shard diffed via [`RuntimeStats::delta_since`]
-    /// (saturating, per the per-runtime contract), steal counters diffed
-    /// saturating too.
+    /// (saturating, per the per-runtime contract), the fleet's own
+    /// counters diffed saturating too.
     ///
     /// # Panics
     ///
@@ -101,8 +93,6 @@ impl FleetStats {
                 .zip(&before.shards)
                 .map(|(now, then)| now.delta_since(then))
                 .collect(),
-            steal_ops: self.steal_ops.saturating_sub(before.steal_ops),
-            stolen_requests: self.stolen_requests.saturating_sub(before.stolen_requests),
             quarantines: self.quarantines.saturating_sub(before.quarantines),
             recoveries: self.recoveries.saturating_sub(before.recoveries),
             evacuated_requests: self
@@ -149,8 +139,7 @@ mod tests {
     fn aggregate_sums_every_shard_exactly() {
         let fleet = FleetStats {
             shards: vec![shard_stats(10), shard_stats(20), shard_stats(31)],
-            steal_ops: 2,
-            stolen_requests: 9,
+            evacuated_requests: 9,
             ..FleetStats::default()
         };
         let total = fleet.aggregate();
@@ -177,8 +166,6 @@ mod tests {
     fn delta_is_per_shard_and_saturating() {
         let before = FleetStats {
             shards: vec![shard_stats(10), shard_stats(20)],
-            steal_ops: 1,
-            stolen_requests: 4,
             quarantines: 1,
             recoveries: 0,
             evacuated_requests: 5,
@@ -188,8 +175,6 @@ mod tests {
         };
         let after = FleetStats {
             shards: vec![shard_stats(15), shard_stats(20)],
-            steal_ops: 3,
-            stolen_requests: 10,
             quarantines: 2,
             recoveries: 1,
             evacuated_requests: 12,
@@ -200,8 +185,6 @@ mod tests {
         let delta = after.delta_since(&before);
         assert_eq!(delta.shard(0).completed, 5);
         assert_eq!(delta.shard(1).completed, 0);
-        assert_eq!(delta.steal_ops, 2);
-        assert_eq!(delta.stolen_requests, 6);
         assert_eq!(delta.quarantines, 1);
         assert_eq!(delta.recoveries, 1);
         assert_eq!(delta.evacuated_requests, 7);
@@ -224,7 +207,7 @@ mod tests {
         // Saturation instead of wraparound on torn counters.
         let torn = before.delta_since(&after);
         assert_eq!(torn.shard(0).completed, 0);
-        assert_eq!(torn.steal_ops, 0);
+        assert_eq!(torn.evacuated_requests, 0);
     }
 
     #[test]

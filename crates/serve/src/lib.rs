@@ -63,12 +63,10 @@
 //! Past one runtime's throughput ceiling sits the **fleet layer** (see
 //! [`fleet`] and `docs/fleet.md`): a [`ShardedRuntime`] owns N complete
 //! shard-local runtimes behind a deterministic consistent-hash router
-//! ([`HashRing`], keyed by [`TenantId`] or feature content), with
-//! bounded cross-shard work stealing that migrates least-urgent
-//! `Standard`/`BestEffort` backlog — never `Interactive` — from the
-//! deepest queue to the shallowest. A 1-shard fleet in deterministic
-//! mode is bit-identical to a bare [`ScoringRuntime`] (pinned by
-//! `tests/fleet_determinism.rs`).
+//! ([`HashRing`], keyed by [`TenantId`] or feature content); routing
+//! alone decides which shard scores a request. A 1-shard fleet in
+//! deterministic mode is bit-identical to a bare [`ScoringRuntime`]
+//! (pinned by `tests/fleet_determinism.rs`).
 //!
 //! The fleet is **resilient to shard loss** (see [`fleet::resilience`]
 //! and `docs/resilience.md`): [`ShardedRuntime::induce_shard_fault`]
@@ -109,7 +107,6 @@ pub use breaker::BreakerConfig;
 pub use config::RuntimeConfig;
 pub use fleet::{
     FleetConfig, FleetStats, HashRing, HealthPolicy, HealthState, InducedFault, ShardedRuntime,
-    StealPolicy,
 };
 pub use obs::{ObsConfig, RuntimeObs};
 pub use qos::{price_quote, price_quote_parts, PriceQuote, QosConfig, ServiceLevel};

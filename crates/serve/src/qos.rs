@@ -338,16 +338,6 @@ impl PriorityQueues {
         self.len == 0
     }
 
-    /// Queued requests at `Standard` ∪ `BestEffort` — the migratable
-    /// backlog. [`steal_least_urgent`](Self::steal_least_urgent) moves
-    /// exactly these; `Interactive` never leaves its home shard, so the
-    /// steal coordinator and the quarantine evacuator size their work
-    /// from this count, not [`len`](Self::len).
-    pub(crate) fn evacuable_len(&self) -> usize {
-        self.heaps[ServiceLevel::Standard.index()].len()
-            + self.heaps[ServiceLevel::BestEffort.index()].len()
-    }
-
     /// Admits one request into its level's EDF heap.
     pub(crate) fn push(&mut self, request: QueuedRequest) {
         let level = request.level;
@@ -417,36 +407,23 @@ impl PriorityQueues {
         out
     }
 
-    /// Removes up to `max` of the **least-urgent** queued requests for
-    /// cross-shard work stealing: latest deadline first (newest on ties)
-    /// across `Standard` ∪ `BestEffort`. `Interactive` entries are never
-    /// stolen — their deadlines are tight enough that a migration (queue
-    /// hand-off plus the thief's batch formation) could itself cause the
-    /// deadline inversion stealing exists to prevent, so they always drain
-    /// on their home shard. The surviving entries are re-heapified, so
-    /// drain order afterwards is still EDF within each level.
-    ///
-    /// Costs one O(n log n) rebuild of the two sheddable heaps, paid only
-    /// when the steal coordinator fires (imbalance, not the hot path).
-    pub(crate) fn steal_least_urgent(&mut self, max: usize) -> Vec<QueuedRequest> {
-        if max == 0 || self.len == 0 {
-            return Vec::new();
-        }
-        let mut entries: Vec<EdfEntry> = Vec::new();
+    /// Empties the `Standard` and `BestEffort` heaps for quarantine
+    /// evacuation, in heap order, without sorting: the survivor that
+    /// admits them pushes each into its own EDF heap, which orders them
+    /// again. `Interactive` entries stay — their deadline budget would not
+    /// survive a queue hop, and tenant → shard affinity is part of the
+    /// Interactive promise, so they always drain on their home shard.
+    pub(crate) fn take_evacuable(&mut self) -> Vec<QueuedRequest> {
+        let mut out = Vec::new();
         for level in [ServiceLevel::Standard, ServiceLevel::BestEffort] {
-            entries.extend(std::mem::take(&mut self.heaps[level.index()]).into_vec());
+            out.extend(
+                std::mem::take(&mut self.heaps[level.index()])
+                    .into_iter()
+                    .map(|entry| entry.request),
+            );
         }
-        // Least urgent first: latest deadline, newest admission on ties —
-        // the EDF tail, exactly the entries with the most slack to spend
-        // on a migration.
-        entries.sort_by_key(|entry| std::cmp::Reverse((entry.deadline, entry.seq)));
-        let take = max.min(entries.len());
-        let stolen: Vec<QueuedRequest> = entries.drain(..take).map(|entry| entry.request).collect();
-        for entry in entries {
-            self.heaps[entry.request.level.index()].push(entry);
-        }
-        self.len -= stolen.len();
-        stolen
+        self.len -= out.len();
+        out
     }
 
     /// Empties every queue (shutdown), returning the abandoned requests.
@@ -651,104 +628,39 @@ mod tests {
         assert!(small.shed_best_effort().is_some());
     }
 
-    #[test]
-    fn stealing_takes_the_least_urgent_and_never_interactive() {
-        let mut queues = PriorityQueues::new(64);
-        let base = Instant::now();
-        queues.push(queued(ServiceLevel::Interactive, base));
-        queues.push(queued(
-            ServiceLevel::Standard,
-            base + Duration::from_millis(50),
-        ));
-        queues.push(queued(
-            ServiceLevel::Standard,
-            base + Duration::from_millis(10),
-        ));
-        queues.push(queued(
-            ServiceLevel::BestEffort,
-            base + Duration::from_millis(250),
-        ));
-        // The overall latest deadline goes first, regardless of level.
-        let stolen = queues.steal_least_urgent(2);
-        assert_eq!(stolen.len(), 2);
-        assert_eq!(stolen[0].deadline, base + Duration::from_millis(250));
-        assert_eq!(stolen[0].level, ServiceLevel::BestEffort);
-        assert_eq!(stolen[1].deadline, base + Duration::from_millis(50));
-        assert_eq!(stolen[1].level, ServiceLevel::Standard);
-        assert_eq!(queues.len(), 2);
-        // Asking for more than the sheddable backlog leaves Interactive
-        // untouched.
-        let rest = queues.steal_least_urgent(10);
-        assert_eq!(rest.len(), 1);
-        assert_eq!(rest[0].level, ServiceLevel::Standard);
-        assert_eq!(queues.len(), 1);
-        let remaining = queues.pop_batch(10);
-        assert_eq!(remaining.len(), 1);
-        assert_eq!(remaining[0].level, ServiceLevel::Interactive);
-        // An empty queue (or a zero budget) steals nothing.
-        assert!(queues.steal_least_urgent(4).is_empty());
-        queues.push(queued(ServiceLevel::Standard, base));
-        assert!(queues.steal_least_urgent(0).is_empty());
-    }
-
-    #[test]
-    fn stealing_preserves_edf_order_of_survivors() {
-        let mut queues = PriorityQueues::new(64);
-        let base = Instant::now();
-        for ms in [40u64, 10, 30, 20, 50] {
-            queues.push(queued(
-                ServiceLevel::Standard,
-                base + Duration::from_millis(ms),
-            ));
-        }
-        let stolen = queues.steal_least_urgent(2); // takes 50 and 40
-        assert_eq!(stolen[0].deadline, base + Duration::from_millis(50));
-        assert_eq!(stolen[1].deadline, base + Duration::from_millis(40));
-        let drained: Vec<Instant> = queues.pop_batch(3).iter().map(|r| r.deadline).collect();
-        assert_eq!(
-            drained,
-            vec![
-                base + Duration::from_millis(10),
-                base + Duration::from_millis(20),
-                base + Duration::from_millis(30)
-            ]
-        );
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        /// Steal-victim selection never picks an `Interactive` entry, no
-        /// matter the queue mix or how much is asked for, and accounting
-        /// stays exact: stolen + remaining = pushed.
+        /// Evacuation takes every `Standard` and `BestEffort` entry and
+        /// leaves every `Interactive` one, no matter the queue mix, and
+        /// accounting stays exact: taken + remaining = pushed.
         #[test]
-        fn steal_victims_are_never_interactive(
+        fn evacuation_takes_every_non_interactive_entry(
             levels in proptest::prop::collection::vec(0usize..3, 1..40),
-            max in 0usize..48,
         ) {
             let mut queues = PriorityQueues::new(64);
             let base = Instant::now();
-            let mut interactive_pushed = 0usize;
+            let mut pushed = [0usize; ServiceLevel::COUNT];
             for (i, &level_index) in levels.iter().enumerate() {
                 let level = ServiceLevel::from_index(level_index).unwrap();
-                if level == ServiceLevel::Interactive {
-                    interactive_pushed += 1;
-                }
+                pushed[level.index()] += 1;
                 queues.push(queued(level, base + Duration::from_millis(i as u64 % 7)));
             }
-            let stolen = queues.steal_least_urgent(max);
-            proptest::prop_assert!(
-                stolen.iter().all(|r| r.level != ServiceLevel::Interactive)
-            );
-            proptest::prop_assert!(stolen.len() <= max);
-            proptest::prop_assert_eq!(stolen.len() + queues.len(), levels.len());
+            let taken = queues.take_evacuable();
+            let interactive = pushed[ServiceLevel::Interactive.index()];
+            proptest::prop_assert_eq!(taken.len(), levels.len() - interactive);
+            for level in [ServiceLevel::Standard, ServiceLevel::BestEffort] {
+                let count = taken.iter().filter(|r| r.level == level).count();
+                proptest::prop_assert_eq!(count, pushed[level.index()]);
+            }
+            proptest::prop_assert_eq!(queues.len(), interactive);
             // Every Interactive entry is still drainable from its heap.
             let drained = queues.pop_batch(levels.len());
-            let interactive_left = drained
-                .iter()
-                .filter(|r| r.level == ServiceLevel::Interactive)
-                .count();
-            proptest::prop_assert_eq!(interactive_left, interactive_pushed);
+            proptest::prop_assert_eq!(drained.len(), interactive);
+            proptest::prop_assert!(
+                drained.iter().all(|r| r.level == ServiceLevel::Interactive)
+            );
+            proptest::prop_assert!(queues.is_empty());
         }
     }
 

@@ -997,34 +997,26 @@ impl ScoringRuntime {
         }
     }
 
-    /// Crate-internal (fleet work stealing): removes up to `max` of the
-    /// least-urgent non-`Interactive` queued requests, transferring their
-    /// pending/in-flight accounting out of this runtime. The stolen
+    /// Crate-internal (fleet evacuation): removes every queued
+    /// `Standard` and `BestEffort` request, transferring their
+    /// pending/in-flight accounting out of this runtime. The taken
     /// requests keep their admission timestamps, deadlines, and completion
     /// slots — whichever runtime scores them fulfills (and counts) them,
-    /// so a stolen request is never double-counted.
-    pub(crate) fn steal_backlog(&self, max: usize) -> Vec<QueuedRequest> {
-        if max == 0 {
-            return Vec::new();
-        }
-        let stolen = {
-            let mut queues = lock(&self.shared.queues);
-            queues.steal_least_urgent(max)
-        };
-        if !stolen.is_empty() {
-            self.shared
-                .pending
-                .fetch_sub(stolen.len(), Ordering::AcqRel);
+    /// so an evacuated request is never double-counted.
+    pub(crate) fn take_evacuable(&self) -> Vec<QueuedRequest> {
+        let taken = lock(&self.shared.queues).take_evacuable();
+        if !taken.is_empty() {
+            self.shared.pending.fetch_sub(taken.len(), Ordering::AcqRel);
             self.shared
                 .in_flight
-                .fetch_sub(stolen.len(), Ordering::AcqRel);
+                .fetch_sub(taken.len(), Ordering::AcqRel);
             // Room opened up: unblock submitters waiting on a full queue.
             self.shared.not_full.notify_all();
         }
-        stolen
+        taken
     }
 
-    /// Crate-internal (fleet work stealing): admits stolen requests into
+    /// Crate-internal (fleet evacuation): admits evacuated requests into
     /// this runtime's queues, taking over their pending/in-flight
     /// accounting. Returns the batch unchanged (nothing admitted) when
     /// this runtime is shutting down — the caller must re-home or fail
@@ -1053,7 +1045,7 @@ impl ScoringRuntime {
         Vec::new()
     }
 
-    /// Crate-internal (fleet work stealing): fails stranded stolen
+    /// Crate-internal (fleet evacuation): fails stranded evacuated
     /// requests (both runtimes shutting down) with
     /// [`ServeError::ShutDown`], counting them as errors here — the same
     /// accounting shutdown applies to its own abandoned queue.
@@ -1080,29 +1072,13 @@ impl ScoringRuntime {
     }
 
     /// Crate-internal (fleet health): true while this runtime's breaker
-    /// is open (degraded mode). Read-only — never consumes the half-open
-    /// probe. Always false without a configured breaker.
-    pub(crate) fn breaker_open(&self) -> bool {
+    /// is open (degraded mode) at `now`. Read-only — never consumes the
+    /// half-open probe. Always false without a configured breaker.
+    pub(crate) fn breaker_open(&self, now: Instant) -> bool {
         self.shared
             .breaker
             .as_ref()
-            .is_some_and(|breaker| breaker.is_open(Instant::now()))
-    }
-
-    /// Crate-internal (fleet work stealing / evacuation): queued requests
-    /// the steal hooks may migrate (`Standard` ∪ `BestEffort`; never
-    /// `Interactive`).
-    pub(crate) fn evacuable_backlog(&self) -> usize {
-        lock(&self.shared.queues).evacuable_len()
-    }
-
-    /// Crate-internal (fleet work stealing): admission-queue slots
-    /// currently free (capacity minus queued requests).
-    pub(crate) fn free_queue_capacity(&self) -> usize {
-        self.shared
-            .config
-            .queue_capacity
-            .saturating_sub(self.shared.pending.load(Ordering::Acquire))
+            .is_some_and(|breaker| breaker.is_open(now))
     }
 
     /// A point-in-time snapshot of the runtime counters.

@@ -76,7 +76,7 @@ fn routing_is_identical_across_fleet_instances_with_the_same_seed() {
 
 /// The single-shard pin: a 1-shard deterministic fleet is the bare
 /// deterministic `ScoringRuntime`, bit for bit — same scores, same
-/// counters, no steal activity.
+/// counters.
 #[test]
 fn one_shard_deterministic_fleet_is_bit_identical_to_bare_runtime() {
     let (registry, config, queries) = fixture();
@@ -128,8 +128,6 @@ fn one_shard_deterministic_fleet_is_bit_identical_to_bare_runtime() {
     // field, and the aggregate adds nothing.
     assert_eq!(*fleet_stats.shard(0), bare_stats);
     assert_eq!(fleet_stats.aggregate(), bare_stats);
-    assert_eq!(fleet_stats.steal_ops, 0);
-    assert_eq!(fleet_stats.stolen_requests, 0);
     fleet.shutdown();
     bare.shutdown();
 }
@@ -188,7 +186,7 @@ fn fnv(name: &str) -> u64 {
 /// N threads × M queries through a 4-shard fleet: every served result is
 /// bit-identical to the sequential rule (set equality keyed by query
 /// name), totals are exact, and each shard completed exactly the requests
-/// routed to it (stealing disabled so placement is the routing).
+/// routed to it (routing alone decides placement).
 #[test]
 fn concurrent_submitters_produce_the_sequential_result_set_across_shards() {
     let (registry, config, queries) = fixture();
@@ -218,8 +216,7 @@ fn concurrent_submitters_produce_the_sequential_result_set_across_shards() {
             RuntimeConfig::from_auto_executor(&config)
                 .with_workers(1)
                 .with_max_batch(8),
-        )
-        .without_steal(),
+        ),
     ));
     fleet.warm().unwrap();
 
@@ -271,7 +268,6 @@ fn concurrent_submitters_produce_the_sequential_result_set_across_shards() {
     assert_eq!(aggregate.completed, total as u64);
     assert_eq!(aggregate.errors, 0);
     assert_eq!(aggregate.dropped, 0);
-    assert_eq!(stats.stolen_requests, 0, "stealing was disabled");
     let repeats = (THREADS * ROUNDS) as u64;
     for shard in 0..SHARDS {
         let expected_count = routed.get(&shard).copied().unwrap_or(0) * repeats;

@@ -255,9 +255,7 @@ fn crash_quarantine_failover_and_probationary_recovery() {
     let fleet = ShardedRuntime::new(
         Arc::clone(&registry),
         "ppm",
-        FleetConfig::new(2, shard_runtime(&config))
-            .without_steal()
-            .with_health(policy),
+        FleetConfig::new(2, shard_runtime(&config)).with_health(policy),
     );
     fleet.warm().unwrap();
     let victim = fleet.shard_for_tenant(TenantId(0));
@@ -349,9 +347,7 @@ fn model_outage_keeps_the_shard_in_probation_until_cleared() {
     let fleet = ShardedRuntime::new(
         Arc::clone(&registry),
         "ppm",
-        FleetConfig::new(2, runtime)
-            .without_steal()
-            .with_health(policy),
+        FleetConfig::new(2, runtime).with_health(policy),
     );
     fleet.warm().unwrap();
     let victim = fleet.shard_for_tenant(TenantId(0));
@@ -425,9 +421,7 @@ fn evacuation_moves_standard_backlog_but_never_interactive() {
     let fleet = ShardedRuntime::new(
         Arc::clone(&registry),
         "ppm",
-        FleetConfig::new(2, shard_runtime(&config))
-            .without_steal()
-            .with_health(policy),
+        FleetConfig::new(2, shard_runtime(&config)).with_health(policy),
     );
     fleet.warm().unwrap();
     let victim = fleet.shard_for_tenant(TenantId(0));

@@ -1,9 +1,9 @@
 //! Fleet stress battery:
 //!
-//! * flooding one shard's tenants triggers bounded work stealing that
-//!   migrates only `Standard`/`BestEffort` backlog — the per-shard QoS
-//!   invariants (Interactive isolation, nothing shed below saturation,
-//!   no lost or double-counted requests) hold throughout,
+//! * flooding one shard's tenants keeps every request on the shard the
+//!   ring routes it to — routing alone decides placement — and the
+//!   per-shard QoS invariants (nothing shed below saturation, no lost or
+//!   double-counted requests) hold throughout,
 //! * graceful shutdown drains all shards with **no lost tickets**: every
 //!   detached submission resolves to a score or `ShutDown`, and the two
 //!   client-side counts match the fleet's counters exactly, and
@@ -15,8 +15,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ae_serve::{
-    FleetConfig, RuntimeConfig, ScoreRequest, ServeError, ServiceLevel, ShardedRuntime,
-    StealPolicy, TenantId,
+    FleetConfig, RuntimeConfig, ScoreRequest, ServeError, ServiceLevel, ShardedRuntime, TenantId,
 };
 use autoexecutor::prelude::*;
 use autoexecutor::ModelRegistry;
@@ -53,21 +52,14 @@ fn tenants_of_shard(fleet: &ShardedRuntime, shard: usize, count: usize) -> Vec<T
 }
 
 /// Floods a single shard's tenants at a rate its one worker cannot match
-/// and checks the steal path end to end: stealing happens, it is bounded
-/// by the policy, it never migrates `Interactive` work, and the fleet's
-/// books stay exact (every request completes exactly once, on exactly one
-/// shard).
+/// and checks that the backlog stays where routing put it: every request
+/// completes exactly once, on the flooded shard, and the fleet's books
+/// stay exact.
 #[test]
-fn flooding_one_shard_steals_bounded_non_interactive_backlog() {
+fn flooding_one_shard_completes_every_request_on_its_routed_shard() {
     let (registry, config, features) = fixture(31);
     const SHARDS: usize = 4;
     const TOTAL: usize = 3000;
-    let policy = StealPolicy {
-        imbalance_ratio: 1.5,
-        min_backlog: 16,
-        max_steal: 32,
-        interval: Duration::from_micros(50),
-    };
     let fleet = ShardedRuntime::new(
         Arc::clone(&registry),
         "ppm",
@@ -78,20 +70,17 @@ fn flooding_one_shard_steals_bounded_non_interactive_backlog() {
                 .with_max_batch(4)
                 .with_inline_max_in_flight(0)
                 .with_queue_capacity(4096),
-        )
-        .with_steal(policy.clone()),
+        ),
     );
     fleet.warm().unwrap();
 
-    // All traffic targets tenants of one shard, so only stealing can put
-    // work anywhere else.
+    // All traffic targets tenants of one shard.
     let victim = fleet.shard_for_tenant(TenantId(0));
     let tenants = tenants_of_shard(&fleet, victim, 8);
 
     let mut tickets = Vec::with_capacity(TOTAL);
     for i in 0..TOTAL {
-        // ~10% Interactive (must stay on the victim), the rest Standard
-        // (eligible for migration).
+        // ~10% Interactive, the rest Standard.
         let level = if i % 10 == 0 {
             ServiceLevel::Interactive
         } else {
@@ -110,35 +99,15 @@ fn flooding_one_shard_steals_bounded_non_interactive_backlog() {
     let stats = fleet.stats();
     let aggregate = stats.aggregate();
 
-    // Work actually migrated, within the policy's bounds.
-    assert!(stats.steal_ops > 0, "the flood never triggered a steal");
-    assert!(stats.stolen_requests > 0);
-    assert!(
-        stats.stolen_requests <= stats.steal_ops * policy.max_steal as u64,
-        "a steal operation exceeded max_steal"
-    );
-    let foreign_completed: u64 = (0..SHARDS)
-        .filter(|&s| s != victim)
-        .map(|s| stats.shard(s).completed)
-        .sum();
-    assert!(
-        foreign_completed > 0,
-        "stolen requests never completed off the victim shard"
-    );
-
-    // Interactive isolation: every Interactive request completed on the
-    // shard it was routed to — stealing never moves them.
-    for shard in 0..SHARDS {
-        if shard != victim {
-            assert_eq!(
-                stats
-                    .shard(shard)
-                    .level(ServiceLevel::Interactive)
-                    .completed,
-                0,
-                "an Interactive request was scored off its home shard {shard}"
-            );
-        }
+    // Every request completed on the shard it was routed to: no other
+    // shard scored anything.
+    assert_eq!(stats.shard(victim).completed, TOTAL as u64);
+    for shard in (0..SHARDS).filter(|&s| s != victim) {
+        assert_eq!(
+            stats.shard(shard).completed,
+            0,
+            "shard {shard} scored a request routed to shard {victim}"
+        );
     }
     assert_eq!(
         stats
@@ -148,9 +117,9 @@ fn flooding_one_shard_steals_bounded_non_interactive_backlog() {
         (TOTAL as u64).div_ceil(10)
     );
 
-    // Exact books: every request completed exactly once somewhere, none
-    // double-counted on migration, none shed/dropped/errored (the queue
-    // never saturated and no tenant policy is set).
+    // Exact books: every request completed exactly once, none
+    // shed/dropped/errored (the queue never saturated and no tenant
+    // policy is set).
     assert_eq!(aggregate.completed, TOTAL as u64);
     assert_eq!(
         (0..SHARDS).map(|s| stats.shard(s).completed).sum::<u64>(),
@@ -233,11 +202,10 @@ fn shutdown_drains_all_shards_without_losing_tickets() {
     );
 }
 
-/// `FleetStats` exactness under concurrent multi-level load with stealing
-/// enabled: per-shard counters sum to the client-observed totals (no
-/// double-count on stolen requests), per-level completions match what the
-/// clients submitted, and `delta_since` isolates a second traffic phase
-/// exactly.
+/// `FleetStats` exactness under concurrent multi-level load: per-shard
+/// counters sum to the client-observed totals, per-level completions
+/// match what the clients submitted, and `delta_since` isolates a second
+/// traffic phase exactly.
 #[test]
 fn fleet_stats_sum_exactly_under_concurrent_load() {
     let (registry, config, features) = fixture(33);
@@ -253,13 +221,7 @@ fn fleet_stats_sum_exactly_under_concurrent_load() {
                 .with_workers(1)
                 .with_max_batch(8)
                 .with_queue_capacity(4096),
-        )
-        .with_steal(StealPolicy {
-            imbalance_ratio: 1.5,
-            min_backlog: 8,
-            max_steal: 16,
-            interval: Duration::from_micros(50),
-        }),
+        ),
     ));
     fleet.warm().unwrap();
 
@@ -309,7 +271,7 @@ fn fleet_stats_sum_exactly_under_concurrent_load() {
     assert_eq!(phase2.iter().sum::<u64>(), phase_total);
 
     // Snapshot after phase 1: per-shard counters sum exactly to what the
-    // clients observed — no request lost or double-counted by stealing.
+    // clients observed — no request lost or double-counted.
     let agg1 = snapshot.aggregate();
     assert_eq!(agg1.completed, phase_total);
     assert_eq!(
@@ -336,10 +298,6 @@ fn fleet_stats_sum_exactly_under_concurrent_load() {
         (0..SHARDS).map(|s| delta.shard(s).completed).sum::<u64>(),
         phase_total
     );
-    // Steal accounting deltas never run backwards.
-    assert!(finish.steal_ops >= snapshot.steal_ops);
-    assert_eq!(delta.steal_ops, finish.steal_ops - snapshot.steal_ops);
-
     let agg_final = finish.aggregate();
     assert_eq!(agg_final.completed, 2 * phase_total);
     assert_eq!(agg_final.errors, 0);

@@ -1,46 +1,15 @@
 #!/usr/bin/env bash
-# CI gate for the AutoExecutor workspace.
+# CI gate for the AutoExecutor workspace. Each stage announces what it
+# checks on its `==>` line. Two things the stages do not show:
 #
-# Runs the tier-1 verification (release build + tests), the compiled-forest
-# bit-identity suites again in a release build, lint/format gates
-# over every workspace crate (including ae-serve), a rustdoc gate (no-deps
-# docs must build with zero warnings), a serving smoke
-# (short fixed-duration bench_serving run that must sustain qps > 0 with
-# zero dropped requests), an inference smoke (compiled-forest output must
-# be bit-identical to the interpreted forest and its batched throughput at
-# least the interpreted baseline's), a QoS smoke (tagged open-loop phases: finite
-# miss/shed rates, the Interactive deadline budget holding at moderate
-# load, Interactive p99 < BestEffort p99 under overload, and no tenant
-# starvation), a cross-family
-# generalization smoke (train on the TPC-DS-like family, score the
-# TPC-H-like and skew-adversarial ones, assert the accuracy matrix is
-# complete and finite), and a fault smoke (zero-fault injection is
-# bit-identical to the fault-unaware scheduler, >= 99% of queries complete
-# via retry at moderate preemption, and the serving circuit breaker trips
-# to the heuristic fallback and recovers), and an observability smoke
-# (serving-trace render/parse roundtrip bit-identical, capture→replay
-# determinism gate reports zero mismatches, and the measured overhead of
-# attaching metrics + event tracing to the runtime stays under the smoke
-# bound), and a fleet smoke (sharded serving under the shard-=-node
-# measurement model: 4-shard aggregate qps at least 2x single-shard,
-# finite per-shard p99 skew, zero dropped/errored requests, and a live
-# work-steal drill), and a resilience smoke (one full shard failure
-# lifecycle per fleet size: zero lost tickets, surviving goodput >= 60%
-# of pre-kill through a 1-of-4 shard crash, and probationary recovery
-# re-admitting the revived shard); every driver smoke also writes its JSON
-# report into one temporary directory (removed on exit), and the shared
-# writer parses each report back, so a malformed report fails the gate; and
-# a perfbench stage (the repository's benchmark package builds against the
-# current crates, its own tests pass, and each workload runs once untraced and
-# once traced for one second, answering correctly with zero failed operations,
-# so an API change cannot break the benchmark unnoticed; the traced run must
-# read each per-layer metric listed for its workload as finite and above 0,
-# since a metric a workload does not measure still prints, as 0.0). The
-# workspace build and the perfbench commands run with --locked: every crate
-# perfbench links is a path dependency recorded in perfbench/Cargo.lock, so a
-# change that adds or drops a dependency of one of them must update that lock
-# (and Cargo.lock) in the same commit instead of leaving cargo to rewrite it
-# silently when the benchmark runs.
+# * every bench smoke writes its JSON report into one temporary directory
+#   (removed on exit), and the shared writer parses each report back, so a
+#   malformed report fails the gate;
+# * the workspace build and the perfbench commands run with --locked: every
+#   crate perfbench links is a path dependency recorded in
+#   perfbench/Cargo.lock, so a change that adds or drops a dependency of one
+#   of them must update that lock (and Cargo.lock) in the same commit
+#   instead of leaving cargo to rewrite it when the benchmark runs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
