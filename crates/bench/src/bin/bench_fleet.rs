@@ -16,8 +16,13 @@
 //! aggregate_qps = total_requests / max(per-shard elapsed)
 //! ```
 //!
-//! — the fleet finishes when its slowest node finishes. Per-shard p99
-//! skew (`max p99 / min p99`) comes from the same per-shard runs.
+//! — the fleet finishes when its slowest node finishes. One host stall
+//! during one timed pass would set that maximum, so every fleet size is
+//! built first and then timed in [`PASSES`] rounds, each round one pass
+//! of every shard of every size: a slow spell lands on all sizes alike,
+//! and a shard's elapsed time is the median of its passes. Per-shard p99
+//! skew (`max p99 / min p99`) comes from latency histograms that record
+//! every pass.
 //!
 //! Usage:
 //!
@@ -37,16 +42,22 @@ use std::time::{Duration, Instant};
 use ae_bench::harness::{self, Served};
 use ae_ml::json::Value;
 use ae_obs::{Ladder, LatencyStats, ShardedHistogram};
-use ae_serve::{FleetConfig, RuntimeConfig, ScoreRequest, TenantId};
+use ae_serve::{FleetConfig, RuntimeConfig, ScoreRequest, ShardedRuntime, TenantId};
 use ae_workload::{ScaleFactor, WorkloadGenerator};
 
 const COMMENT: &str = "ae-serve fleet benchmark (shard = node model). Shards share no state, so \
     each fleet size routes one tagged request stream through the consistent-hash ring and drives \
     every shard's substream to completion sequentially on its own runtime; aggregate_qps = \
     total_requests / max(per-shard elapsed) — the fleet finishes when its slowest node finishes. \
+    Every fleet size is built first, then timed in 5 rounds of one pass per shard of every size; \
+    a shard's elapsed_ms is the median of its 5 passes and its p50/p99 cover all of them. \
     Whenever shards outnumber the host's cores, running them live-concurrently would measure the \
     kernel scheduler, not the architecture. Regenerate with: cargo run --release -p ae-bench \
     --bin bench_fleet -- --json BENCH_fleet.json";
+
+/// Timed passes of every shard's substream; a shard's elapsed time is the
+/// median of its passes.
+const PASSES: usize = 5;
 
 struct Args {
     smoke: bool,
@@ -130,47 +141,79 @@ impl FleetRun {
     }
 }
 
-/// Routes the tagged stream through the fleet's ring and drives each
-/// shard's substream to completion sequentially (see the module docs for
-/// why shards are not run live).
-fn run_fleet(served: &Served, shards: usize, stream: &[(TenantId, usize)]) -> FleetRun {
-    let fleet = served.fleet(FleetConfig::new(
-        shards,
-        RuntimeConfig::from_auto_executor(&served.config),
-    ));
+/// One fleet size under test: the fleet, its per-shard substreams, and
+/// what every timed pass recorded per shard.
+struct FleetBench {
+    fleet: ShardedRuntime,
+    substreams: Vec<Vec<usize>>,
+    passes: Vec<Vec<Duration>>,
+    histograms: Vec<ShardedHistogram>,
+}
 
-    let mut substreams: Vec<Vec<usize>> = vec![Vec::new(); shards];
-    for &(tenant, plan) in stream {
-        substreams[fleet.shard_for_tenant(tenant)].push(plan);
-    }
-
-    let mut per_shard = Vec::with_capacity(shards);
-    for (shard, substream) in substreams.iter().enumerate() {
-        let histogram = ShardedHistogram::new(Ladder::latency());
-        let start = Instant::now();
-        for &plan in substream {
-            let begin = Instant::now();
-            fleet
-                .shard(shard)
-                .submit(ScoreRequest::from_features(served.features[plan].clone()))
-                .expect("fleet scoring");
-            histogram.record_duration(begin.elapsed());
+impl FleetBench {
+    /// Builds the fleet and routes the tagged stream through its ring.
+    fn new(served: &Served, shards: usize, stream: &[(TenantId, usize)]) -> Self {
+        let fleet = served.fleet(FleetConfig::new(
+            shards,
+            RuntimeConfig::from_auto_executor(&served.config),
+        ));
+        let mut substreams: Vec<Vec<usize>> = vec![Vec::new(); shards];
+        for &(tenant, plan) in stream {
+            substreams[fleet.shard_for_tenant(tenant)].push(plan);
         }
-        per_shard.push(ShardRun {
-            requests: substream.len() as u64,
-            elapsed: start.elapsed(),
-            latency: histogram.snapshot().latency_stats(),
-        });
+        Self {
+            fleet,
+            substreams,
+            passes: vec![Vec::with_capacity(PASSES); shards],
+            histograms: (0..shards)
+                .map(|_| ShardedHistogram::new(Ladder::latency()))
+                .collect(),
+        }
     }
-    let aggregate = fleet.stats().aggregate();
-    let run = FleetRun {
-        shards,
-        per_shard,
-        dropped: aggregate.dropped,
-        errors: aggregate.errors,
-    };
-    fleet.shutdown();
-    run
+
+    /// Drives each shard's substream to completion sequentially, once
+    /// (see the module docs for why shards are not run live).
+    fn pass(&mut self, served: &Served) {
+        for (shard, substream) in self.substreams.iter().enumerate() {
+            let histogram = &self.histograms[shard];
+            let start = Instant::now();
+            for &plan in substream {
+                let begin = Instant::now();
+                self.fleet
+                    .shard(shard)
+                    .submit(ScoreRequest::from_features(served.features[plan].clone()))
+                    .expect("fleet scoring");
+                histogram.record_duration(begin.elapsed());
+            }
+            self.passes[shard].push(start.elapsed());
+        }
+    }
+
+    /// Each shard's median pass, and the fleet's books; shuts it down.
+    fn finish(self) -> FleetRun {
+        let per_shard = self
+            .substreams
+            .iter()
+            .zip(self.passes)
+            .zip(&self.histograms)
+            .map(|((substream, mut passes), histogram)| {
+                passes.sort_unstable();
+                ShardRun {
+                    requests: substream.len() as u64,
+                    elapsed: passes[passes.len() / 2],
+                    latency: histogram.snapshot().latency_stats(),
+                }
+            })
+            .collect();
+        let aggregate = self.fleet.stats().aggregate();
+        self.fleet.shutdown();
+        FleetRun {
+            shards: self.substreams.len(),
+            per_shard,
+            dropped: aggregate.dropped,
+            errors: aggregate.errors,
+        }
+    }
 }
 
 fn main() {
@@ -205,9 +248,18 @@ fn main() {
         })
         .collect();
 
-    let mut runs = Vec::new();
-    for &shards in &args.shards {
-        let run = run_fleet(&served, shards, &stream);
+    let mut benches: Vec<FleetBench> = args
+        .shards
+        .iter()
+        .map(|&shards| FleetBench::new(&served, shards, &stream))
+        .collect();
+    for _ in 0..PASSES {
+        for bench in &mut benches {
+            bench.pass(&served);
+        }
+    }
+    let runs: Vec<FleetRun> = benches.into_iter().map(FleetBench::finish).collect();
+    for run in &runs {
         println!(
             "fleet: {:>2} shards   {:>9.0} aggregate qps   makespan {:>7.1} ms   p99 skew {:>5.2}   ({} requests)",
             run.shards,
@@ -216,7 +268,6 @@ fn main() {
             run.p99_skew(),
             run.total_requests(),
         );
-        runs.push(run);
     }
 
     let base_qps = runs

@@ -4,9 +4,11 @@
 //!
 //! **Measurement model.** Resilience is inherently live: detection,
 //! failover, evacuation, and probationary recovery are interactions
-//! between the health monitor, the routing ring, and in-flight traffic,
-//! so this bench drives a closed-loop client against a live fleet and
-//! walks one full failure lifecycle per fleet size:
+//! between health passes, the routing ring, and in-flight traffic, so
+//! this bench drives a closed-loop client against a live fleet, ticks the
+//! fleet's health pass every 2 ms from a second thread
+//! (`ShardedRuntime::tick` at the wall clock), and walks one full failure
+//! lifecycle per fleet size:
 //!
 //! ```text
 //! pre-fault ──▶ kill victim (induced crash) ──▶ quarantine detected
@@ -17,7 +19,11 @@
 //! ```
 //!
 //! A batch of detached tickets rides through the kill window; every one
-//! must resolve — the zero-lost-tickets invariant. The closed loop keeps
+//! must resolve — the zero-lost-tickets invariant. `queued_at_kill` is the
+//! victim's queue depth just before the crash: a crashed worker fails its
+//! whole queue before the second health pass can quarantine and evacuate
+//! it, so those detached tickets are the run's client errors (failover
+//! covers synchronous calls only). The closed loop keeps
 //! at most one request in flight per client, so measured qps is honest
 //! round-trip throughput, not queue-depth artifacts. Every rate is a
 //! whole-window goodput (Ok answers over the phase's wall time), so
@@ -36,6 +42,7 @@
 //! stays at or above 60% of the pre-kill rate, and probation re-admits the
 //! revived shard (finite time-to-recover).
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use ae_bench::harness::{self, Served};
@@ -48,13 +55,16 @@ use ae_workload::{ScaleFactor, WorkloadGenerator};
 use autoexecutor::prelude::*;
 
 const COMMENT: &str = "ae-serve fleet resilience benchmark: one full failure lifecycle per \
-    fleet size, live on this host. Every rate is whole-window goodput (Ok answers over the \
-    phase's wall time). A closed-loop client measures pre-fault qps, then one shard is crashed: \
-    failover rescues in-flight failures while the health monitor quarantines the shard \
-    (time_to_quarantine_ms), survivors carry the load (fault_goodput_qps), the fault clears, and \
+    fleet size, live on this host, with a second thread ticking the fleet's health pass every \
+    2 ms. Every rate is whole-window goodput (Ok answers over the phase's wall time). A \
+    closed-loop client measures pre-fault qps, then one shard is crashed: failover rescues \
+    synchronous failures while health passes quarantine the shard (time_to_quarantine_ms), \
+    survivors carry the load (fault_goodput_qps), the fault clears, and \
     the probation trickle re-admits the shard (time_to_recover_ms), after which post_qps is \
     measured on the restored ring. Detached tickets ride through the kill window; lost_tickets \
-    must be 0. accounting_exact checks completed == client Oks and errors == client errors + \
+    must be 0. queued_at_kill is the victim's queue depth just before the crash; the crashed \
+    worker fails that queue before a health pass can evacuate it, so client_errors tracks it. \
+    accounting_exact checks completed == client Oks and errors == client errors + \
     failover retries. Regenerate with: cargo run --release -p ae-bench --bin bench_resilience -- \
     --json BENCH_resilience.json";
 
@@ -67,18 +77,20 @@ struct Args {
 
 const TENANTS: u64 = 64;
 
+/// The period of the ticking thread's health passes.
+const TICK: Duration = Duration::from_millis(2);
+
 /// The health/failover policy the lifecycle runs under: fast detection
-/// (2 ms checks), a short quarantine hold, and an ample retry budget so
-/// the failover path — not budget exhaustion — is what's measured. The
-/// stall watchdog is parked: on a busy host a briefly descheduled
-/// healthy shard must not add spurious quarantines to the timing.
+/// (2 ms ticks, 4-event windows), a short quarantine hold, and an ample
+/// retry budget so the failover path — not budget exhaustion — is what's
+/// measured. The stall watchdog is parked: on a busy host a briefly
+/// descheduled healthy shard must not add spurious quarantines to the
+/// timing.
 fn lifecycle_policy() -> HealthPolicy {
     HealthPolicy::default()
-        .with_check_interval(Duration::from_millis(2))
-        .with_error_rate(0.5, 4)
+        .with_min_window_events(4)
         .with_stall_watchdog(1 << 20, 1 << 20)
         .with_quarantine_hold(Duration::from_millis(20))
-        .with_probation(4, 8, 2)
         .with_retry_budget(1_000_000, 500_000.0)
 }
 
@@ -167,6 +179,7 @@ struct LifecycleRun {
     time_to_recover: Option<Duration>,
     detached_submitted: u64,
     detached_resolved: u64,
+    queued_at_kill: u64,
     client_errors: u64,
     quarantines: u64,
     recoveries: u64,
@@ -202,6 +215,7 @@ impl LifecycleRun {
             ("time_to_recover_ms", ms(self.time_to_recover).into()),
             ("detached_tickets", self.detached_submitted.into()),
             ("lost_tickets", self.lost_tickets().into()),
+            ("queued_at_kill", self.queued_at_kill.into()),
             ("client_errors", self.client_errors.into()),
             ("quarantines", self.quarantines.into()),
             ("recoveries", self.recoveries.into()),
@@ -213,11 +227,34 @@ impl LifecycleRun {
     }
 }
 
+/// Runs the lifecycle while a second thread ticks the fleet's health
+/// pass every [`TICK`] until the lifecycle ends.
 fn run_lifecycle(served: &Served, shards: usize, requests: usize) -> LifecycleRun {
     let fleet = served.fleet(
         FleetConfig::new(shards, shard_runtime(&served.config)).with_health(lifecycle_policy()),
     );
-    let features = &served.features;
+    let done = AtomicBool::new(false);
+    let run = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !done.load(Ordering::Acquire) {
+                fleet.tick(Instant::now());
+                std::thread::sleep(TICK);
+            }
+        });
+        let run = lifecycle(&fleet, &served.features, shards, requests);
+        done.store(true, Ordering::Release);
+        run
+    });
+    fleet.shutdown();
+    run
+}
+
+fn lifecycle(
+    fleet: &ShardedRuntime,
+    features: &[Vec<f64>],
+    shards: usize,
+    requests: usize,
+) -> LifecycleRun {
     let victim = fleet.shard_for_tenant(TenantId(0));
     let mut offset = 0usize;
     let mut total_ok = 0u64;
@@ -226,13 +263,13 @@ fn run_lifecycle(served: &Served, shards: usize, requests: usize) -> LifecycleRu
     // Warm-up (untimed): fill every shard's model cache, branch
     // predictors, and allocator pools so the pre-fault baseline isn't
     // depressed by cold-start costs the later phases don't pay.
-    let warmup = drive(&fleet, features, requests / 2, offset);
+    let warmup = drive(fleet, features, requests / 2, offset);
     offset += requests / 2;
     total_ok += warmup.ok;
     total_err += warmup.err;
 
     // Pre-fault baseline.
-    let pre = drive(&fleet, features, requests, offset);
+    let pre = drive(fleet, features, requests, offset);
     offset += requests;
     total_ok += pre.ok;
     total_err += pre.err;
@@ -246,10 +283,11 @@ fn run_lifecycle(served: &Served, shards: usize, requests: usize) -> LifecycleRu
             .with_tenant(TenantId(i as u64 % TENANTS));
         tickets.push(fleet.submit_detached(request).expect("admission"));
     }
+    let queued_at_kill = fleet.queue_depths()[victim] as u64;
     fleet.induce_shard_fault(victim, InducedFault::Crash);
     let fault_start = Instant::now();
     let (time_to_quarantine, detect) = drive_until(
-        &fleet,
+        fleet,
         features,
         &mut offset,
         Duration::from_secs(10),
@@ -258,7 +296,7 @@ fn run_lifecycle(served: &Served, shards: usize, requests: usize) -> LifecycleRu
     total_ok += detect.ok;
     total_err += detect.err;
     // Degraded steady state: the survivors carry the full load.
-    let degraded = drive(&fleet, features, requests, offset);
+    let degraded = drive(fleet, features, requests, offset);
     offset += requests;
     total_ok += degraded.ok;
     total_err += degraded.err;
@@ -269,7 +307,7 @@ fn run_lifecycle(served: &Served, shards: usize, requests: usize) -> LifecycleRu
     // Revive and wait for probation to re-admit the shard.
     fleet.clear_shard_fault(victim);
     let (time_to_recover, probe) = drive_until(
-        &fleet,
+        fleet,
         features,
         &mut offset,
         Duration::from_secs(10),
@@ -279,7 +317,7 @@ fn run_lifecycle(served: &Served, shards: usize, requests: usize) -> LifecycleRu
     total_err += probe.err;
 
     // Post-recovery rate on the restored full ring.
-    let post = drive(&fleet, features, requests, offset);
+    let post = drive(fleet, features, requests, offset);
     total_ok += post.ok;
     total_err += post.err;
 
@@ -302,7 +340,7 @@ fn run_lifecycle(served: &Served, shards: usize, requests: usize) -> LifecycleRu
     // shard-side errors are client errors plus rescued failover attempts.
     let accounting_exact =
         aggregate.completed == total_ok && aggregate.errors == total_err + stats.failover_retries;
-    let run = LifecycleRun {
+    LifecycleRun {
         shards,
         pre_qps: pre.qps(),
         fault_goodput_qps,
@@ -311,6 +349,7 @@ fn run_lifecycle(served: &Served, shards: usize, requests: usize) -> LifecycleRu
         time_to_recover,
         detached_submitted: detached_submitted as u64,
         detached_resolved,
+        queued_at_kill,
         client_errors: total_err,
         quarantines: stats.quarantines,
         recoveries: stats.recoveries,
@@ -318,9 +357,7 @@ fn run_lifecycle(served: &Served, shards: usize, requests: usize) -> LifecycleRu
         failover_retries: stats.failover_retries,
         retries_denied: stats.retries_denied,
         accounting_exact,
-    };
-    fleet.shutdown();
-    run
+    }
 }
 
 fn format_ms(duration: Option<Duration>) -> String {
@@ -353,7 +390,7 @@ fn main() {
     for &shards in &args.shards {
         let run = run_lifecycle(&served, shards, args.requests);
         println!(
-            "resilience: {:>2} shards   pre {:>8.0} qps   fault goodput {:>8.0} qps ({:>5.1}% retained)   post {:>8.0} qps   quarantine {:>7} ms   recover {:>7} ms   lost {}",
+            "resilience: {:>2} shards   pre {:>8.0} qps   fault goodput {:>8.0} qps ({:>5.1}% retained)   post {:>8.0} qps   quarantine {:>7} ms   recover {:>7} ms   lost {}   client errors {} (queued at kill {})   quarantines {}",
             run.shards,
             run.pre_qps,
             run.fault_goodput_qps,
@@ -362,6 +399,9 @@ fn main() {
             format_ms(run.time_to_quarantine),
             format_ms(run.time_to_recover),
             run.lost_tickets(),
+            run.client_errors,
+            run.queued_at_kill,
+            run.quarantines,
         );
         runs.push(run);
     }

@@ -7,9 +7,8 @@
 //! computes each of these at most once per `(family, scale factor)` pair
 //! per process.
 //!
-//! The paper's figures use the TPC-DS-like family; the no-argument
-//! accessors default to `config.workload_family` so those experiments read
-//! unchanged, while the cross-family generalization experiment asks for
+//! The paper's figures use the TPC-DS-like family, which the no-argument
+//! accessors read; the cross-family generalization experiment asks for
 //! other families explicitly.
 
 use std::collections::BTreeMap;
@@ -20,6 +19,10 @@ use autoexecutor::{AutoExecutorConfig, TrainingData};
 
 /// Number of repeated runs used when measuring ground-truth curves.
 pub const ACTUAL_RUN_REPEATS: usize = 3;
+
+/// The family the no-argument accessors read: the paper's TPC-DS-like
+/// suite.
+const DEFAULT_FAMILY: BuiltinFamily = BuiltinFamily::Tpcds;
 
 /// Cache key: one artifact per family per scale factor.
 type Key = (BuiltinFamily, u32);
@@ -50,7 +53,7 @@ impl ExperimentContext {
 
     /// The default family's suite at the given scale factor (cached).
     pub fn suite(&mut self, sf: ScaleFactor) -> &[QueryInstance] {
-        self.suite_for(self.config.workload_family, sf)
+        self.suite_for(DEFAULT_FAMILY, sf)
     }
 
     /// Training data (single n=16 run + Sparklens augmentation + PPM labels)
@@ -71,7 +74,7 @@ impl ExperimentContext {
 
     /// The default family's training data (cached).
     pub fn training_data(&mut self, sf: ScaleFactor) -> TrainingData {
-        self.training_data_for(self.config.workload_family, sf)
+        self.training_data_for(DEFAULT_FAMILY, sf)
     }
 
     /// Ground-truth run-time curves at the training counts for one family
@@ -103,13 +106,13 @@ impl ExperimentContext {
 
     /// The default family's ground truth (cached).
     pub fn actuals(&mut self, sf: ScaleFactor) -> ActualRuns {
-        self.actuals_for(self.config.workload_family, sf)
+        self.actuals_for(DEFAULT_FAMILY, sf)
     }
 
     /// One query instance by name from the default family at a scale factor
     /// (no caching needed).
     pub fn query(&self, name: &str, sf: ScaleFactor) -> QueryInstance {
-        WorkloadGenerator::builtin(self.config.workload_family, sf).instance(name)
+        WorkloadGenerator::builtin(DEFAULT_FAMILY, sf).instance(name)
     }
 }
 
@@ -145,15 +148,6 @@ mod tests {
             .suite_for(BuiltinFamily::Tpch, ScaleFactor::SF10)
             .iter()
             .all(|q| q.family == "tpch"));
-    }
-
-    #[test]
-    fn default_family_follows_config() {
-        let mut ctx = ExperimentContext::new();
-        ctx.config = ctx.config.with_workload_family(BuiltinFamily::Tpch);
-        assert_eq!(ctx.suite(ScaleFactor::SF10).len(), 22);
-        let q = ctx.query("h3", ScaleFactor::SF10);
-        assert_eq!(q.family, "tpch");
     }
 
     #[test]

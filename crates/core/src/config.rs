@@ -5,7 +5,6 @@ use ae_engine::scheduler::RunConfig;
 use ae_ml::forest::RandomForestConfig;
 use ae_ppm::model::PpmKind;
 use ae_ppm::selection::SelectionObjective;
-use ae_workload::BuiltinFamily;
 use serde::{Deserialize, Serialize};
 
 use crate::features::FeatureSet;
@@ -13,10 +12,6 @@ use crate::features::FeatureSet;
 /// Configuration of the end-to-end AutoExecutor pipeline.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct AutoExecutorConfig {
-    /// Which workload family the offline pipeline trains and evaluates on by
-    /// default (the paper's setup uses the TPC-DS-like suite). Harnesses that
-    /// sweep several families override this per run.
-    pub workload_family: BuiltinFamily,
     /// Which PPM family the parameter model predicts.
     pub ppm_kind: PpmKind,
     /// Which feature set the parameter model is trained on.
@@ -45,7 +40,6 @@ pub struct AutoExecutorConfig {
 impl Default for AutoExecutorConfig {
     fn default() -> Self {
         Self {
-            workload_family: BuiltinFamily::Tpcds,
             ppm_kind: PpmKind::PowerLaw,
             feature_set: FeatureSet::F0,
             training_run_executors: 16,
@@ -92,12 +86,6 @@ impl AutoExecutorConfig {
         self.forest.seed = seed;
         self
     }
-
-    /// Sets the default workload family (cross-family experiments).
-    pub fn with_workload_family(mut self, family: BuiltinFamily) -> Self {
-        self.workload_family = family;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -107,7 +95,6 @@ mod tests {
     #[test]
     fn default_matches_paper_setup() {
         let cfg = AutoExecutorConfig::default();
-        assert_eq!(cfg.workload_family, BuiltinFamily::Tpcds);
         assert_eq!(cfg.training_run_executors, 16);
         assert_eq!(cfg.training_counts, [1, 3, 8, 16, 32, 48]);
         assert_eq!(cfg.max_candidate_executors, 48);
@@ -122,10 +109,8 @@ mod tests {
             .with_ppm_kind(PpmKind::Amdahl)
             .with_feature_set(FeatureSet::F2)
             .with_objective(SelectionObjective::BoundedSlowdown(1.05))
-            .with_workload_family(BuiltinFamily::Skew)
             .with_seed(7);
         assert_eq!(cfg.ppm_kind, PpmKind::Amdahl);
-        assert_eq!(cfg.workload_family, BuiltinFamily::Skew);
         assert_eq!(cfg.feature_set, FeatureSet::F2);
         assert_eq!(cfg.forest.seed, 7);
         assert!(matches!(

@@ -218,11 +218,6 @@ impl AutoExecutorRule {
         )
     }
 
-    /// Whether the parameter model is already cached in-process.
-    pub fn is_model_cached(&self) -> bool {
-        self.cached_model.lock().is_some()
-    }
-
     /// Loads (and caches) the decoded parameter model. Every call fetches
     /// the current registry handle (a cheap `Arc` clone under a shard read
     /// lock) and revalidates the cache by pointer identity, so model
@@ -318,11 +313,6 @@ impl Optimizer {
         self
     }
 
-    /// Names of the registered rules, in application order.
-    pub fn rule_names(&self) -> Vec<&str> {
-        self.rules.iter().map(|r| r.name()).collect()
-    }
-
     /// Runs all rules over the plan and returns the final context.
     pub fn optimize(&self, plan: QueryPlan) -> Result<OptimizerContext> {
         let mut ctx = OptimizerContext::new(plan);
@@ -377,13 +367,7 @@ mod tests {
             .register("ppm", model.to_portable("ppm").unwrap())
             .unwrap();
         let rule = AutoExecutorRule::from_config(Arc::clone(&registry), "ppm", &config);
-        assert!(!rule.is_model_cached());
-
         let optimizer = Optimizer::with_default_rules().with_rule(Box::new(rule));
-        assert_eq!(
-            optimizer.rule_names(),
-            vec!["CollapseProjects", "CombineFilters", "AutoExecutor"]
-        );
 
         let test_plan = generator.instance("q11").plan;
         let ctx = optimizer.optimize(test_plan).unwrap();

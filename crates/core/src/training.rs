@@ -29,7 +29,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::config::AutoExecutorConfig;
-use crate::features::{featurize_plan, full_feature_names, FeatureSet, NUM_FULL_FEATURES};
+use crate::features::{featurize_plan, FeatureSet, NUM_FULL_FEATURES};
 use crate::{AutoExecutorError, Result};
 
 /// One training example: a query's features, its Sparklens curve, and the
@@ -389,12 +389,6 @@ pub fn train_from_workload(
     Ok((data, model))
 }
 
-/// Hand-check of the full feature dimensionality: the forest must have been
-/// trained with the same column order that scoring uses.
-pub fn feature_dimensions() -> usize {
-    full_feature_names().len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,7 +417,7 @@ mod tests {
         for example in &data.examples {
             assert_eq!(example.family, "tpcds");
             assert_eq!(example.sparklens_curve.len(), 6);
-            assert_eq!(example.full_features.len(), feature_dimensions());
+            assert_eq!(example.full_features.len(), NUM_FULL_FEATURES);
             assert!(example.observed_elapsed_secs > 0.0);
             // Fitted PPMs are monotone and positive at n=1.
             assert!(example.power_law.predict(1.0) > 0.0);
@@ -582,7 +576,7 @@ mod tests {
         let queries = small_workload();
         let cfg = fast_config().with_feature_set(FeatureSet::F1);
         let (_, model) = train_from_workload(&queries, &cfg).unwrap();
-        let mut matrix = FeatureMatrix::new(feature_dimensions());
+        let mut matrix = FeatureMatrix::new(NUM_FULL_FEATURES);
         for query in &queries {
             matrix.push_row(&featurize_plan(&query.plan)).unwrap();
         }

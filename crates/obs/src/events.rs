@@ -126,7 +126,7 @@ pub enum EventKind {
     },
     /// The serving runtime began shutdown.
     Shutdown,
-    /// The fleet health monitor quarantined a shard: it was removed from
+    /// A fleet health pass quarantined a shard: it was removed from
     /// the routing ring and its non-interactive backlog was evacuated.
     ShardQuarantine {
         /// Index of the quarantined shard.

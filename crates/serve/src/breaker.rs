@@ -164,7 +164,7 @@ impl Breaker {
         }
     }
 
-    /// Read-only health signal for the fleet monitor: true while the
+    /// Read-only health signal for fleet health passes: true while the
     /// breaker holds the model path open (cooldown not yet elapsed).
     /// Unlike [`allow_model`](Self::allow_model) this never transitions
     /// the state, so observing health cannot consume the half-open probe.

@@ -21,7 +21,8 @@
 //!   [`InducedFault`] (crash, stall or model outage, set and cleared with
 //!   [`ShardedRuntime::induce_shard_fault`] and
 //!   [`ShardedRuntime::clear_shard_fault`]) strikes one shard, a
-//!   per-shard [`HealthState`] machine quarantines failing shards
+//!   per-shard [`HealthState`] machine, advanced only by
+//!   [`ShardedRuntime::tick`], quarantines failing shards
 //!   (successor rerouting + backlog evacuation, the one cross-shard
 //!   move of queued work), a bounded retry budget
 //!   rescues failed in-flight requests, and probation re-admits

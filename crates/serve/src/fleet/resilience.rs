@@ -11,14 +11,15 @@
 //!   and [`clear_shard_fault`](super::ShardedRuntime::clear_shard_fault),
 //!   so tests and drills choose the exact kill window. With no fault
 //!   induced, the hot-path check is one untaken branch.
-//! * [`HealthPolicy`] / [`HealthState`] — how the fleet's health monitor
-//!   turns a shard's error rate, breaker state, and drain progress into
-//!   the `Healthy → Suspect → Quarantined → Probation` machine that
-//!   drives failover and recovery (implemented in
-//!   [`super::sharded`]).
-//! * `RetryBudget` (crate-internal) — a token bucket bounding cross-shard re-submission
-//!   of failed requests, so a dying shard cannot amplify its own load
-//!   onto survivors.
+//! * [`HealthPolicy`] / [`HealthState`] — how each health pass,
+//!   [`ShardedRuntime::tick`](super::ShardedRuntime::tick), turns a
+//!   shard's error rate, breaker state, and drain progress into the
+//!   `Healthy → Suspect → Quarantined → Probation` machine that drives
+//!   failover and recovery (implemented in [`super::sharded`]). The
+//!   caller owns the clock: the fleet runs no thread of its own.
+//! * `RetryBudget` (crate-internal) — a token bucket bounding cross-shard
+//!   re-submission of failed requests, so a dying shard cannot amplify
+//!   its own load onto survivors. Ticks refill it.
 
 use std::sync::Mutex as StdMutex;
 use std::time::{Duration, Instant};
@@ -133,21 +134,20 @@ impl HealthState {
     }
 }
 
-/// How the fleet health monitor detects, quarantines, and re-admits
+/// How the fleet's health passes detect, quarantine, and re-admit
 /// shards. Attach with
 /// [`FleetConfig::with_health`](super::FleetConfig::with_health); `None`
-/// (the default) spawns no monitor and changes nothing.
+/// (the default) makes [`ShardedRuntime::tick`](super::ShardedRuntime::tick)
+/// a no-op. Each tick checks every shard over the window since the
+/// previous tick, so the caller picks the period. The rest of the rule is
+/// fixed: a window is bad when at least half its events are errors, and
+/// probation diverts every 4th non-`Interactive` submission to the shard
+/// and re-admits it after 8 clean completions and 2 clean checks in a row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthPolicy {
-    /// Monitor sampling period. Each check inspects every shard's error
-    /// delta, breaker state, and drain progress since the last check.
-    pub check_interval: Duration,
-    /// A check is *bad* when `errors / (errors + completed)` over the
-    /// window reaches this, with at least
-    /// [`min_window_events`](Self::min_window_events) observations.
-    pub error_rate_threshold: f64,
-    /// Event floor before the error rate counts (one unlucky request
-    /// must not condemn an idle shard).
+    /// Event floor (completions plus errors in one window) before the
+    /// error rate counts: one unlucky request must not condemn an idle
+    /// shard.
     pub min_window_events: u64,
     /// Drain-stall watchdog: a check is bad when the shard has at least
     /// this many queued requests and completed nothing, for
@@ -157,35 +157,20 @@ pub struct HealthPolicy {
     pub stall_checks: u32,
     /// Time a quarantined shard sits out before probation begins.
     pub quarantine_hold: Duration,
-    /// During probation, every `probation_stride`-th non-`Interactive`
-    /// submission is diverted to the probation shard (the fleet-level
-    /// half-open trickle).
-    pub probation_stride: u64,
-    /// Clean completions the probation shard must serve before
-    /// re-admission.
-    pub probation_min_completions: u64,
-    /// Consecutive clean checks (no errors, no degraded answers) before
-    /// re-admission.
-    pub probation_checks: u32,
     /// Failover retry token bucket capacity (0 disables cross-shard
     /// retries).
     pub retry_budget: u32,
-    /// Failover retry token refill rate.
+    /// Failover retry tokens earned per second of tick time.
     pub retry_refill_per_sec: f64,
 }
 
 impl Default for HealthPolicy {
     fn default() -> Self {
         Self {
-            check_interval: Duration::from_millis(5),
-            error_rate_threshold: 0.5,
             min_window_events: 8,
             stall_depth: 1,
             stall_checks: 3,
             quarantine_hold: Duration::from_millis(50),
-            probation_stride: 4,
-            probation_min_completions: 8,
-            probation_checks: 2,
             retry_budget: 64,
             retry_refill_per_sec: 32.0,
         }
@@ -193,16 +178,9 @@ impl Default for HealthPolicy {
 }
 
 impl HealthPolicy {
-    /// Overrides the monitor sampling period.
-    pub fn with_check_interval(mut self, interval: Duration) -> Self {
-        self.check_interval = interval;
-        self
-    }
-
-    /// Overrides the bad-check error-rate threshold and its event floor.
-    pub fn with_error_rate(mut self, threshold: f64, min_window_events: u64) -> Self {
-        self.error_rate_threshold = threshold;
-        self.min_window_events = min_window_events;
+    /// Overrides the error-rate event floor.
+    pub fn with_min_window_events(mut self, events: u64) -> Self {
+        self.min_window_events = events;
         self
     }
 
@@ -219,14 +197,6 @@ impl HealthPolicy {
         self
     }
 
-    /// Overrides the probation trickle and re-admission bar.
-    pub fn with_probation(mut self, stride: u64, min_completions: u64, checks: u32) -> Self {
-        self.probation_stride = stride;
-        self.probation_min_completions = min_completions;
-        self.probation_checks = checks;
-        self
-    }
-
     /// Overrides the failover retry budget.
     pub fn with_retry_budget(mut self, capacity: u32, refill_per_sec: f64) -> Self {
         self.retry_budget = capacity;
@@ -235,16 +205,7 @@ impl HealthPolicy {
     }
 
     pub(crate) fn sanitized(mut self) -> Self {
-        if self.check_interval < Duration::from_micros(100) {
-            self.check_interval = Duration::from_micros(100);
-        }
-        if self.error_rate_threshold.is_nan() || self.error_rate_threshold <= 0.0 {
-            self.error_rate_threshold = 1.0;
-        }
-        self.error_rate_threshold = self.error_rate_threshold.min(1.0);
         self.stall_checks = self.stall_checks.max(1);
-        self.probation_stride = self.probation_stride.max(1);
-        self.probation_checks = self.probation_checks.max(1);
         if !self.retry_refill_per_sec.is_finite() || self.retry_refill_per_sec < 0.0 {
             self.retry_refill_per_sec = 0.0;
         }
@@ -253,9 +214,10 @@ impl HealthPolicy {
 }
 
 /// Token bucket bounding cross-shard failover retries: `capacity` burst
-/// tokens, refilled continuously. A retry takes one token; with none
+/// tokens. A retry takes one token without reading a clock; with none
 /// available the original error propagates (counted in
 /// [`FleetStats::retries_denied`](super::FleetStats::retries_denied)).
+/// Only [`refill`](Self::refill), called by each tick, adds tokens.
 pub(crate) struct RetryBudget {
     capacity: f64,
     refill_per_sec: f64,
@@ -263,18 +225,24 @@ pub(crate) struct RetryBudget {
 }
 
 impl RetryBudget {
-    pub(crate) fn new(capacity: u32, refill_per_sec: f64, now: Instant) -> Self {
+    pub(crate) fn new(capacity: u32, refill_per_sec: f64) -> Self {
         let capacity = f64::from(capacity);
         Self {
             capacity,
             refill_per_sec,
-            bucket: StdMutex::new(TokenBucket::full(capacity, now)),
+            bucket: StdMutex::new(TokenBucket::full(capacity)),
         }
     }
 
-    /// Takes one token if available, refilling lazily from elapsed time.
-    pub(crate) fn try_take(&self, now: Instant) -> bool {
-        lock(&self.bucket).try_take(now, self.refill_per_sec, self.capacity)
+    /// Takes one token if one is left.
+    pub(crate) fn try_take(&self) -> bool {
+        lock(&self.bucket).take()
+    }
+
+    /// Adds the tokens earned since the previous tick (the first tick
+    /// only sets the bucket's instant, and an earlier one is ignored).
+    pub(crate) fn refill(&self, now: Instant) {
+        lock(&self.bucket).refill(now, self.refill_per_sec, self.capacity);
     }
 }
 
@@ -306,20 +274,11 @@ mod tests {
     #[test]
     fn health_policy_sanitizes() {
         let policy = HealthPolicy {
-            check_interval: Duration::ZERO,
-            error_rate_threshold: f64::NAN,
-            probation_stride: 0,
-            probation_checks: 0,
             stall_checks: 0,
             retry_refill_per_sec: f64::NEG_INFINITY,
             ..HealthPolicy::default()
         }
         .sanitized();
-        assert!(policy.check_interval > Duration::ZERO);
-        assert!((0.0..=1.0).contains(&policy.error_rate_threshold));
-        assert!(policy.error_rate_threshold > 0.0);
-        assert_eq!(policy.probation_stride, 1);
-        assert_eq!(policy.probation_checks, 1);
         assert_eq!(policy.stall_checks, 1);
         assert_eq!(policy.retry_refill_per_sec, 0.0);
     }
@@ -346,21 +305,34 @@ mod tests {
     #[test]
     fn retry_budget_bounds_and_refills() {
         let t0 = Instant::now();
-        let budget = RetryBudget::new(2, 10.0, t0);
-        assert!(budget.try_take(t0));
-        assert!(budget.try_take(t0));
-        assert!(!budget.try_take(t0), "burst capacity must bound retries");
+        let budget = RetryBudget::new(2, 10.0);
+        assert!(budget.try_take());
+        assert!(budget.try_take());
+        assert!(!budget.try_take(), "burst capacity must bound retries");
+        // The first tick only sets the instant.
+        budget.refill(t0 + Duration::from_secs(5));
+        assert!(!budget.try_take());
         // 100 ms at 10 tokens/s refills one token.
-        let later = t0 + Duration::from_millis(100);
-        assert!(budget.try_take(later));
-        assert!(!budget.try_take(later));
+        let later = t0 + Duration::from_secs(5) + Duration::from_millis(100);
+        budget.refill(later);
+        assert!(budget.try_take());
+        assert!(!budget.try_take());
+        // An earlier instant neither refills nor moves the bucket back, so
+        // the next 100 ms forward earns one token, not more.
+        budget.refill(t0);
+        assert!(!budget.try_take());
+        budget.refill(later + Duration::from_millis(100));
+        assert!(budget.try_take());
+        assert!(!budget.try_take());
         // Refill never exceeds capacity.
-        let much_later = t0 + Duration::from_secs(3600);
-        assert!(budget.try_take(much_later));
-        assert!(budget.try_take(much_later));
-        assert!(!budget.try_take(much_later));
+        budget.refill(later + Duration::from_secs(3600));
+        assert!(budget.try_take());
+        assert!(budget.try_take());
+        assert!(!budget.try_take());
         // Zero capacity disables retries entirely.
-        let none = RetryBudget::new(0, 100.0, t0);
-        assert!(!none.try_take(t0 + Duration::from_secs(10)));
+        let none = RetryBudget::new(0, 100.0);
+        none.refill(t0);
+        none.refill(t0 + Duration::from_secs(10));
+        assert!(!none.try_take());
     }
 }

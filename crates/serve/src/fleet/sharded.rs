@@ -9,11 +9,15 @@
 //!  hash tenant (or features) ──────▶ shard-local ScoringRuntime:
 //!  onto the current vnode ring        own queues / workers / model
 //!                                     cache / breaker / stats / obs
-//!                health monitor (policy.check_interval):
+//!                tick(now), called by the owner:
 //!                error rate / open breaker / drain stall
 //!                → Suspect → Quarantined (ring removal + backlog
 //!                  evacuation) → Probation (trickle) → Healthy
 //! ```
+//!
+//! The fleet runs no thread of its own: health changes only inside
+//! [`ShardedRuntime::tick`], one pass over every shard at the instant the
+//! caller passes, so tests drive it step by step on a virtual clock.
 //!
 //! Contracts, pinned by `tests/fleet_determinism.rs`,
 //! `tests/fleet_stress.rs`, and `tests/fleet_resilience.rs`:
@@ -45,8 +49,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex as StdMutex, Weak};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ae_obs::{EventKind, EventSink, MetricSource, MetricValue};
 use autoexecutor::config::AutoExecutorConfig;
@@ -70,9 +73,15 @@ const VNODES_PER_SHARD: usize = 128;
 /// identically.
 const RING_SEED: u64 = 0x0AE5_E11F_1EE7;
 
-/// The health monitor chunks its sleeps to this so shutdown never waits
-/// a full (possibly long) configured interval.
-const STOP_POLL: Duration = Duration::from_millis(2);
+/// The fixed part of the health rule (see [`HealthPolicy`]): a window is
+/// bad at this share of errors; probation diverts every
+/// `PROBATION_STRIDE`-th non-`Interactive` submission and re-admits after
+/// `PROBATION_MIN_COMPLETIONS` clean completions and `PROBATION_CHECKS`
+/// consecutive clean checks (no errors, no degraded answers).
+const ERROR_RATE_THRESHOLD: f64 = 0.5;
+const PROBATION_STRIDE: u64 = 4;
+const PROBATION_MIN_COMPLETIONS: u64 = 8;
+const PROBATION_CHECKS: u32 = 2;
 
 /// Configuration of a [`ShardedRuntime`]: how many shards, the
 /// health/failover policy, and the per-shard [`RuntimeConfig`] template.
@@ -82,9 +91,10 @@ const STOP_POLL: Duration = Duration::from_millis(2);
 pub struct FleetConfig {
     /// Number of shard-local runtimes (clamped to `1..=u16::MAX`).
     pub shards: usize,
-    /// Health monitoring, quarantine/failover, and probationary recovery;
-    /// `None` (the default) spawns no thread and never changes the ring
-    /// (see `docs/resilience.md`).
+    /// Health checks, quarantine/failover, and probationary recovery,
+    /// driven by [`ShardedRuntime::tick`]; `None` (the default) makes
+    /// `tick` a no-op and never changes the ring (see
+    /// `docs/resilience.md`).
     pub health: Option<HealthPolicy>,
     /// Template for every shard's [`ScoringRuntime`]. When observability
     /// is configured, each shard registers under
@@ -113,7 +123,7 @@ impl FleetConfig {
         Self::new(shards, RuntimeConfig::deterministic(config))
     }
 
-    /// Enables health monitoring, quarantine/failover, and probationary
+    /// Enables health checks, quarantine/failover, and probationary
     /// recovery with the given policy.
     pub fn with_health(mut self, policy: HealthPolicy) -> Self {
         self.health = Some(policy);
@@ -127,17 +137,20 @@ impl FleetConfig {
     }
 }
 
-/// State shared between the fleet handle and its health monitor.
+/// The fleet's state, shared with its metrics source.
 struct FleetShared {
     shards: Vec<ScoringRuntime>,
     /// The current routing ring: members are exactly the shards whose
     /// [`HealthState::is_routable`]. Rebuilt (never mutated in place) on
     /// quarantine and recovery; with no health policy it never changes.
     ring: RwLock<HashRing>,
-    /// Per-shard [`HealthState`] words (written only by the monitor).
+    /// Per-shard [`HealthState`] words (written only by ticks).
     health: Vec<AtomicU8>,
-    /// The sanitized health policy, when monitoring is enabled.
+    /// The sanitized health policy, when health checks are enabled.
     health_policy: Option<HealthPolicy>,
+    /// Per-shard bookkeeping between health passes. Its lock serializes
+    /// ticks, and shutdown takes it so no pass races the drain.
+    books: StdMutex<Vec<ShardBook>>,
     /// The failover retry token bucket (present iff a health policy with
     /// a non-zero budget is configured on a multi-shard fleet).
     retry_budget: Option<RetryBudget>,
@@ -155,10 +168,9 @@ struct FleetShared {
     /// evacuations); present only when the per-shard template enables
     /// observability.
     events: Option<EventSink>,
-    /// Stops the health monitor.
-    stop_monitor: AtomicBool,
-    /// Set by the first [`ShardedRuntime::shutdown`] caller; failover
-    /// stops retrying so shutdown errors propagate unamplified.
+    /// Set by the first [`ShardedRuntime::shutdown`] caller; ticks stop,
+    /// and failover stops retrying so shutdown errors propagate
+    /// unamplified.
     shutting_down: AtomicBool,
 }
 
@@ -250,23 +262,7 @@ impl MetricSource for FleetSource {
     }
 }
 
-/// Sleeps up to `total`, waking early (within [`STOP_POLL`]) when `stop`
-/// is set — the monitor must not pin shutdown to its interval.
-fn sleep_interruptible(stop: &AtomicBool, total: Duration) {
-    let deadline = Instant::now() + total;
-    loop {
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            return;
-        }
-        std::thread::sleep((deadline - now).min(STOP_POLL));
-    }
-}
-
-/// Per-shard bookkeeping the health monitor keeps between checks.
+/// Per-shard bookkeeping kept between health passes.
 #[derive(Default)]
 struct ShardBook {
     /// Cumulative counters at the previous check (window deltas).
@@ -280,33 +276,6 @@ struct ShardBook {
     probation_base: Option<(u64, u64, u64)>,
     /// Consecutive clean probation checks.
     clean_checks: u32,
-}
-
-/// Health monitor thread: one [`check_shard`] per shard per interval,
-/// every check of a pass judged at the one `now` read after the sleep.
-fn monitor_loop(shared: Arc<FleetShared>, policy: HealthPolicy) {
-    let mut books: Vec<ShardBook> = shared
-        .shards
-        .iter()
-        .map(|shard| {
-            let stats = shard.stats();
-            ShardBook {
-                completed: stats.completed,
-                errors: stats.errors,
-                ..ShardBook::default()
-            }
-        })
-        .collect();
-    loop {
-        sleep_interruptible(&shared.stop_monitor, policy.check_interval);
-        if shared.stop_monitor.load(Ordering::Acquire) {
-            return;
-        }
-        let now = Instant::now();
-        for (shard, book) in books.iter_mut().enumerate() {
-            check_shard(&shared, &policy, shard, book, now);
-        }
-    }
 }
 
 /// One health check of one shard at `now`: advance the window deltas,
@@ -332,7 +301,7 @@ fn check_shard(
             // Error-rate signal, gated on a minimum event count so one
             // unlucky request cannot condemn an idle shard.
             if events >= policy.min_window_events.max(1)
-                && window_errors as f64 >= policy.error_rate_threshold * events as f64
+                && window_errors as f64 >= ERROR_RATE_THRESHOLD * events as f64
             {
                 bad = true;
             }
@@ -391,9 +360,9 @@ fn check_shard(
                 quarantine(shared, shard, book, now);
             } else {
                 book.clean_checks += 1;
-                let proven = stats.completed.saturating_sub(base_completed)
-                    >= policy.probation_min_completions;
-                if proven && book.clean_checks >= policy.probation_checks {
+                let proven =
+                    stats.completed.saturating_sub(base_completed) >= PROBATION_MIN_COMPLETIONS;
+                if proven && book.clean_checks >= PROBATION_CHECKS {
                     recover(shared, shard, book);
                 }
             }
@@ -522,9 +491,6 @@ fn routing_key(request: &ScoreRequest) -> u64 {
 /// [`shutdown`](Self::shutdown) (or drop the handle).
 pub struct ShardedRuntime {
     shared: Arc<FleetShared>,
-    /// The health monitor thread, if any, joined once by whichever
-    /// shutdown call takes it.
-    monitor: StdMutex<Option<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for ShardedRuntime {
@@ -539,9 +505,9 @@ impl std::fmt::Debug for ShardedRuntime {
 
 impl ShardedRuntime {
     /// Builds the fleet: `config.shards` runtimes over one registry and
-    /// model name, the fixed-seed vnode ring, and — when a health policy
-    /// is set on a multi-shard fleet — the health monitor thread, the
-    /// fleet's only background thread.
+    /// model name and the fixed-seed vnode ring. The fleet starts no
+    /// thread beyond the shards' workers: health checks run only when the
+    /// owner calls [`tick`](Self::tick).
     ///
     /// With observability configured in the per-shard template, shard `i`
     /// registers its metrics under `{prefix}.shard{i}` and the fleet
@@ -564,24 +530,19 @@ impl ShardedRuntime {
                 ScoringRuntime::new(Arc::clone(&registry), model_name.clone(), runtime_config)
             })
             .collect();
-        // Health monitoring and failover need somewhere to fail over to.
+        // Health checks and failover need somewhere to fail over to.
         let health_policy = config.health.filter(|_| config.shards > 1);
         let retry_budget = health_policy
             .as_ref()
             .filter(|policy| policy.retry_budget > 0)
-            .map(|policy| {
-                RetryBudget::new(
-                    policy.retry_budget,
-                    policy.retry_refill_per_sec,
-                    Instant::now(),
-                )
-            });
+            .map(|policy| RetryBudget::new(policy.retry_budget, policy.retry_refill_per_sec));
         let shared = Arc::new(FleetShared {
             ring: RwLock::new(HashRing::new(RING_SEED, VNODES_PER_SHARD, config.shards)),
             health: (0..config.shards)
                 .map(|_| AtomicU8::new(HealthState::Healthy as u8))
                 .collect(),
             health_policy,
+            books: StdMutex::new((0..config.shards).map(|_| ShardBook::default()).collect()),
             retry_budget,
             shards,
             quarantines: AtomicU64::new(0),
@@ -592,7 +553,6 @@ impl ShardedRuntime {
             probe_counter: AtomicU64::new(0),
             probation_active: AtomicBool::new(false),
             events: base_obs.as_ref().map(|_| EventSink::new(EVENT_CAPACITY)),
-            stop_monitor: AtomicBool::new(false),
             shutting_down: AtomicBool::new(false),
         });
         if let Some(obs) = &base_obs {
@@ -601,16 +561,29 @@ impl ShardedRuntime {
                 shared: Arc::downgrade(&shared),
             }));
         }
-        let monitor = shared.health_policy.clone().map(|policy| {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("ae-serve-health".to_string())
-                .spawn(move || monitor_loop(shared, policy))
-                .expect("spawning the fleet health monitor")
-        });
-        Self {
-            shared,
-            monitor: StdMutex::new(monitor),
+        Self { shared }
+    }
+
+    /// Runs one health pass at `now`: refills the retry budget for the
+    /// time since the previous tick, then checks every shard over the
+    /// window since the previous pass, judging breakers and holds at
+    /// `now`. The caller owns the period and the clock. Ticks are
+    /// serialized, and do nothing without a health policy, on a one-shard
+    /// fleet, or once shutdown has begun.
+    pub fn tick(&self, now: Instant) {
+        let shared = &*self.shared;
+        let Some(policy) = &shared.health_policy else {
+            return;
+        };
+        let mut books = lock(&shared.books);
+        if shared.shutting_down.load(Ordering::Acquire) {
+            return;
+        }
+        if let Some(budget) = &shared.retry_budget {
+            budget.refill(now);
+        }
+        for (shard, book) in books.iter_mut().enumerate() {
+            check_shard(shared, policy, shard, book, now);
         }
     }
 
@@ -664,7 +637,7 @@ impl ShardedRuntime {
 
     /// Clears any induced fault on one shard. Service recovers on
     /// the next batch (modulo a still-open breaker cooling down); ring
-    /// re-admission is the health monitor's probation path, not this.
+    /// re-admission is the probation path of later ticks, not this.
     pub fn clear_shard_fault(&self, shard: usize) {
         self.shared.shards[shard].set_induced_fault(None);
     }
@@ -689,23 +662,19 @@ impl ShardedRuntime {
 
     /// [`route`](Self::route), plus the probation trickle: when some
     /// shard is in [`HealthState::Probation`], every
-    /// `probation_stride`-th non-`Interactive` submission diverts to it
+    /// `PROBATION_STRIDE`-th non-`Interactive` submission diverts to it
     /// as the fleet-level half-open probe. `Interactive` traffic never
     /// probes — its deadlines are too tight to gamble on a recovering
     /// shard. One relaxed load in steady state.
     fn route_for_submit(&self, request: &ScoreRequest) -> usize {
         let shard = self.route(request);
-        if !self.shared.probation_active.load(Ordering::Acquire) {
+        if !self.shared.probation_active.load(Ordering::Acquire)
+            || request.level() == ServiceLevel::Interactive
+        {
             return shard;
         }
-        let Some(policy) = &self.shared.health_policy else {
-            return shard;
-        };
-        if request.level() == ServiceLevel::Interactive {
-            return shard;
-        }
-        let tick = self.shared.probe_counter.fetch_add(1, Ordering::Relaxed);
-        if !tick.is_multiple_of(policy.probation_stride) {
+        let probe = self.shared.probe_counter.fetch_add(1, Ordering::Relaxed);
+        if !probe.is_multiple_of(PROBATION_STRIDE) {
             return shard;
         }
         (0..self.shared.shards.len())
@@ -716,8 +685,9 @@ impl ShardedRuntime {
     /// Routes a synchronous call with failover: on a retryable error
     /// from the routed shard, re-submit once to a surviving ring member
     /// (the key's successor with the failed shard removed), bounded by
-    /// the retry token bucket. Without a health policy this adds nothing
-    /// to the call — no clone, no extra branch beyond one `None` check.
+    /// the retry token bucket, which the call takes from without reading
+    /// a clock. Without a health policy this adds nothing to the call —
+    /// no clone, no extra branch beyond one `None` check.
     fn call_with_failover<T>(
         &self,
         request: ScoreRequest,
@@ -738,7 +708,7 @@ impl ShardedRuntime {
         let Some(target) = self.failover_target(&retry, shard) else {
             return Err(error);
         };
-        if !budget.try_take(Instant::now()) {
+        if !budget.try_take() {
             self.shared.retries_denied.fetch_add(1, Ordering::Relaxed);
             return Err(error);
         }
@@ -827,21 +797,16 @@ impl ShardedRuntime {
         self.shared.events.as_ref()
     }
 
-    /// Stops the fleet: the health monitor first (so no health
-    /// transition races the drain — an in-progress evacuation completes
-    /// before any shard begins draining), then every shard — in-flight
-    /// batches finish, queued requests fail with
-    /// [`ServeError::ShutDown`], workers are joined. Idempotent and safe
-    /// to call concurrently (the monitor and each worker are joined
-    /// exactly once; stats are not double-counted); dropping the handle
-    /// shuts down too.
+    /// Stops the fleet: ticks first (a tick in progress, evacuation
+    /// included, completes before any shard begins draining, and later
+    /// ticks do nothing), then every shard — in-flight batches finish,
+    /// queued requests fail with [`ServeError::ShutDown`], workers are
+    /// joined. Idempotent and safe to call concurrently (each worker is
+    /// joined exactly once; stats are not double-counted); dropping the
+    /// handle shuts down too.
     pub fn shutdown(&self) {
         self.shared.shutting_down.store(true, Ordering::Release);
-        self.shared.stop_monitor.store(true, Ordering::Release);
-        let monitor = lock(&self.monitor).take();
-        if let Some(handle) = monitor {
-            let _ = handle.join();
-        }
+        drop(lock(&self.shared.books));
         for shard in &self.shared.shards {
             shard.shutdown();
         }

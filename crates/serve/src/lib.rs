@@ -71,15 +71,16 @@
 //! The fleet is **resilient to shard loss** (see [`fleet::resilience`]
 //! and `docs/resilience.md`): [`ShardedRuntime::induce_shard_fault`]
 //! strikes one shard with an [`InducedFault`] — a crash, a stall, or a
-//! model outage — until [`ShardedRuntime::clear_shard_fault`]; an opt-in
-//! [`HealthPolicy`] drives each shard through `Healthy → Suspect →
-//! Quarantined → Probation` — quarantining removes the shard from the
-//! ring (only its keys move, each to its successor), evacuates its
-//! `Standard`/`BestEffort` backlog into survivors with no ticket lost,
-//! and failed in-flight requests are re-submitted to a surviving shard
-//! under a bounded retry budget; probation re-admits a recovered shard
-//! on a trickle of real traffic before full ring re-insertion
-//! (`tests/fleet_resilience.rs`).
+//! model outage — until [`ShardedRuntime::clear_shard_fault`]; with an
+//! opt-in [`HealthPolicy`], each [`ShardedRuntime::tick`] the owner calls
+//! (the fleet runs no thread of its own) drives every shard through
+//! `Healthy → Suspect → Quarantined → Probation` — quarantining takes the
+//! shard off the ring (only its keys move, each to its successor),
+//! evacuates its `Standard`/`BestEffort` backlog into survivors with no
+//! ticket lost, and failed in-flight requests are re-submitted to a
+//! surviving shard under a bounded retry budget; probation re-admits a
+//! recovered shard on a trickle of real traffic before full ring
+//! re-insertion (`tests/fleet_resilience.rs`).
 //!
 //! **Observability** (see [`obs`] and `docs/observability.md`) is opt-in
 //! via [`RuntimeConfig::with_observability`](config::RuntimeConfig::with_observability):

@@ -448,7 +448,7 @@ impl Shared {
     fn score_rows(&self, rows: &FeatureMatrix) -> Result<(Vec<ResourceRequest>, bool)> {
         let outage = match self.induced() {
             // A crashed shard fails hard — past the breaker's fallback — so
-            // the fleet health monitor sees real errors, like a dead process.
+            // the fleet's health passes see real errors, like a dead process.
             Some(InducedFault::Crash) => {
                 return Err(ServeError::Scoring("induced shard crash".into()))
             }

@@ -92,29 +92,40 @@ pub(crate) enum Admission {
 /// `rate` tokens per second up to `burst`, and each admitted action takes
 /// one token. The caller supplies the rate and burst and does the locking,
 /// so one governor can keep a map of buckets under one lock. Both the
-/// tenant governor and the fleet's failover retry budget use it.
+/// tenant governor and the fleet's failover retry budget use it; the
+/// retry budget takes tokens without a clock and refills on fleet ticks.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TokenBucket {
     tokens: f64,
-    last_refill: Instant,
+    /// The instant of the last refill; `None` until the first.
+    last_refill: Option<Instant>,
 }
 
 impl TokenBucket {
     /// A full bucket.
-    pub(crate) fn full(burst: f64, now: Instant) -> Self {
+    pub(crate) fn full(burst: f64) -> Self {
         Self {
             tokens: burst,
-            last_refill: now,
+            last_refill: None,
         }
     }
 
-    /// Refills for the time since the last call and takes one token if
-    /// one is available. A clock that appears to move backwards
-    /// (`now < last_refill` across threads) refills zero.
-    pub(crate) fn try_take(&mut self, now: Instant, rate: f64, burst: f64) -> bool {
-        let elapsed = now.saturating_duration_since(self.last_refill);
-        self.tokens = (self.tokens + elapsed.as_secs_f64() * rate).min(burst);
-        self.last_refill = now;
+    /// Adds the tokens earned since the last refill. The first call only
+    /// sets the instant; an instant at or before the last one (a clock
+    /// read racing another thread's) adds nothing and is not kept, so the
+    /// bucket's instant never moves back.
+    pub(crate) fn refill(&mut self, now: Instant, rate: f64, burst: f64) {
+        if let Some(last) = self.last_refill {
+            if now <= last {
+                return;
+            }
+            self.tokens = (self.tokens + (now - last).as_secs_f64() * rate).min(burst);
+        }
+        self.last_refill = Some(now);
+    }
+
+    /// Takes one token if one is left.
+    pub(crate) fn take(&mut self) -> bool {
         if self.tokens >= 1.0 {
             self.tokens -= 1.0;
             true
@@ -165,14 +176,17 @@ impl TenantGovernor {
                 std::time::Duration::try_from_secs_f64(self.policy.burst / self.policy.rate_qps)
             {
                 buckets.retain(|_, bucket| {
-                    now.saturating_duration_since(bucket.last_refill) < full_refill
+                    bucket
+                        .last_refill
+                        .is_some_and(|at| now.saturating_duration_since(at) < full_refill)
                 });
             }
         }
         let bucket = buckets
             .entry(tenant)
-            .or_insert_with(|| TokenBucket::full(self.policy.burst, now));
-        if bucket.try_take(now, self.policy.rate_qps, self.policy.burst) {
+            .or_insert_with(|| TokenBucket::full(self.policy.burst));
+        bucket.refill(now, self.policy.rate_qps, self.policy.burst);
+        if bucket.take() {
             Admission::Granted
         } else {
             match self.policy.on_violation {

@@ -1,20 +1,24 @@
 //! Fleet resilience suite. Every fault is set and cleared explicitly
-//! through `ShardedRuntime::induce_shard_fault` / `clear_shard_fault`:
+//! through `ShardedRuntime::induce_shard_fault` / `clear_shard_fault`,
+//! and health changes only when a test calls `ShardedRuntime::tick`:
 //!
-//! * seeded crash and stall windows, driven by a test-side thread under
-//!   3-level concurrent load, preserve the accounting identities exactly:
-//!   `aggregate().completed` equals the client-visible Ok count and
-//!   `aggregate().errors` equals client-visible errors plus failover retry
-//!   attempts — zero lost tickets,
-//! * an induced crash drives quarantine (successor rerouting off the
-//!   ring), failover rescues the in-flight failures, and probation
-//!   re-admits the shard once the fault clears,
-//! * a model outage behind a breaker (degraded answers, no errors) keeps
-//!   the shard out of the ring until the fault clears,
-//! * quarantine evacuation moves `Standard` backlog to survivors but
-//!   **never** `Interactive`,
-//! * shutdown is idempotent and safe concurrently with quarantine and
-//!   evacuation: every ticket resolves, nothing double-counted,
+//! * seeded crash and stall windows, driven by a test-side thread that
+//!   ticks every millisecond under 3-level concurrent load, preserve the
+//!   accounting identities exactly: `aggregate().completed` equals the
+//!   client-visible Ok count and `aggregate().errors` equals client-visible
+//!   errors plus failover retry attempts — zero lost tickets,
+//! * the other tests tick at instants they choose and assert the exact
+//!   state after each pass:
+//!   * an induced crash drives quarantine (successor rerouting off the
+//!     ring), failover rescues the in-flight failures, and probation
+//!     re-admits the shard once the fault clears,
+//!   * a model outage behind a breaker (degraded answers, no errors)
+//!     keeps the shard out of the ring until the fault clears,
+//!   * quarantine evacuation moves `Standard` backlog to survivors but
+//!     **never** `Interactive`,
+//!   * shutdown is idempotent and safe concurrently with quarantine,
+//!     evacuation and ticks: every ticket resolves, nothing
+//!     double-counted,
 //! * an induced stall delays inline answers, not only worker batches.
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -79,35 +83,31 @@ fn redeem(ticket: ScoreTicket) -> ae_serve::Result<ae_serve::ScoreOutcome> {
     }
 }
 
-fn wait_until(deadline: Duration, mut condition: impl FnMut() -> bool) -> bool {
-    let start = Instant::now();
-    while start.elapsed() < deadline {
-        if condition() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    condition()
+fn ms(millis: u64) -> Duration {
+    Duration::from_millis(millis)
 }
 
-/// Sleeps up to `total`, waking early once `done` is set.
-fn sleep_unless(done: &AtomicBool, total: Duration) {
+/// Waits out `total`, ticking the fleet every millisecond at the wall
+/// clock, and returns early once `done` is set.
+fn tick_through(fleet: &ShardedRuntime, done: &AtomicBool, total: Duration) {
     let deadline = Instant::now() + total;
     while !done.load(Ordering::Acquire) {
         let now = Instant::now();
         if now >= deadline {
             return;
         }
-        std::thread::sleep((deadline - now).min(Duration::from_millis(1)));
+        fleet.tick(now);
+        std::thread::sleep((deadline - now).min(ms(1)));
     }
 }
 
 /// The seeded chaos pin: a test-side thread strikes seeded shards with
 /// alternating crash and stall windows of seeded lengths (a crash first)
-/// through `induce_shard_fault` / `clear_shard_fault`, under 3-level
-/// concurrent load, with health monitoring and failover active. Whatever
-/// the windows do, the accounting identities are exact: every submission
-/// resolves, `completed` equals the client Ok count, and `errors` equals
+/// through `induce_shard_fault` / `clear_shard_fault`, ticking the fleet
+/// every millisecond while it waits out each window, under 3-level
+/// concurrent load with failover active. Whatever the windows do, the
+/// accounting identities are exact: every submission resolves,
+/// `completed` equals the client Ok count, and `errors` equals
 /// client-visible errors plus failover attempts — a rescued retry leaves
 /// one error on the failed shard and one completion on the target. The
 /// faults demonstrably land: at least one quarantine and one rescued
@@ -117,11 +117,9 @@ fn seeded_chaos_accounting_is_exact_under_concurrent_load() {
     const SHARDS: usize = 4;
     let (registry, config, features) = fixture();
     let policy = HealthPolicy::default()
-        .with_check_interval(Duration::from_millis(1))
-        .with_error_rate(0.5, 4)
+        .with_min_window_events(4)
         .with_stall_watchdog(4, 3)
-        .with_quarantine_hold(Duration::from_millis(15))
-        .with_probation(2, 4, 2)
+        .with_quarantine_hold(ms(15))
         .with_retry_budget(100_000, 100_000.0);
     let fleet = Arc::new(ShardedRuntime::new(
         Arc::clone(&registry),
@@ -145,15 +143,12 @@ fn seeded_chaos_accounting_is_exact_under_concurrent_load() {
                 let (fault, window) = if crash {
                     (InducedFault::Crash, rng.gen_range(20..=40))
                 } else {
-                    (
-                        InducedFault::Stall(Duration::from_millis(1)),
-                        rng.gen_range(10..=30),
-                    )
+                    (InducedFault::Stall(ms(1)), rng.gen_range(10..=30))
                 };
                 fleet.induce_shard_fault(shard, fault);
-                sleep_unless(&load_done, Duration::from_millis(window));
+                tick_through(&fleet, &load_done, ms(window));
                 fleet.clear_shard_fault(shard);
-                sleep_unless(&load_done, Duration::from_millis(rng.gen_range(0..=10)));
+                tick_through(&fleet, &load_done, ms(rng.gen_range(0..=10)));
                 crash = !crash;
             }
         })
@@ -234,23 +229,18 @@ fn seeded_chaos_accounting_is_exact_under_concurrent_load() {
     fleet.shutdown();
 }
 
-/// The full failure lifecycle on one shard: an induced crash is detected
-/// by the error-rate signal (failover rescuing every client call along
-/// the way), the shard is quarantined off the ring with successor
-/// rerouting, and — once the fault clears — the probation trickle proves
-/// recovery and re-admits it to full membership.
+/// The full failure lifecycle on one shard, one tick at a time: an
+/// induced crash makes two bad passes (`Suspect`, then `Quarantined`)
+/// while failover rescues every client call, the shard leaves the ring
+/// with successor rerouting, and — once the fault clears and the hold
+/// has passed — the probation trickle of 8 clean completions and 2 clean
+/// passes re-admits it to full membership.
 #[test]
 fn crash_quarantine_failover_and_probationary_recovery() {
     let (registry, config, features) = fixture();
     let policy = HealthPolicy::default()
-        .with_check_interval(Duration::from_millis(1))
-        .with_error_rate(0.5, 2)
-        // Effectively disable the stall watchdog: this test's signal is
-        // the error rate, and a briefly descheduled healthy shard must
-        // not add a second quarantine.
-        .with_stall_watchdog(1024, 1000)
-        .with_quarantine_hold(Duration::from_millis(10))
-        .with_probation(2, 4, 2)
+        .with_min_window_events(2)
+        .with_quarantine_hold(ms(10))
         .with_retry_budget(100_000, 100_000.0);
     let fleet = ShardedRuntime::new(
         Arc::clone(&registry),
@@ -262,60 +252,62 @@ fn crash_quarantine_failover_and_probationary_recovery() {
     let survivor = 1 - victim;
     let victim_tenants = tenants_for_shard(&fleet, victim, 8);
     let survivor_tenants = tenants_for_shard(&fleet, survivor, 8);
+    let submit = |tenant: TenantId| {
+        fleet
+            .submit(ScoreRequest::from_features(features.clone()).with_tenant(tenant))
+            .expect("failover must rescue every call while a survivor exists");
+    };
+    let t0 = Instant::now();
 
     fleet.induce_shard_fault(victim, InducedFault::Crash);
     assert_eq!(fleet.shard_fault(victim), Some(InducedFault::Crash));
     let mut ok = 0u64;
-    let mut i = 0usize;
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while fleet.stats().quarantines == 0 {
-        assert!(Instant::now() < deadline, "shard was never quarantined");
-        let tenant = if i.is_multiple_of(2) {
-            victim_tenants[(i / 2) % 8]
-        } else {
-            survivor_tenants[(i / 2) % 8]
-        };
-        fleet
-            .submit(ScoreRequest::from_features(features.clone()).with_tenant(tenant))
-            .expect("failover must rescue every call while a survivor exists");
-        ok += 1;
-        i += 1;
+    // Two windows of 8 crashed calls each (every one rescued on the
+    // survivor) and 8 survivor calls.
+    for (pass, expected) in [(1, HealthState::Suspect), (2, HealthState::Quarantined)] {
+        for (&victim_tenant, &survivor_tenant) in victim_tenants.iter().zip(&survivor_tenants) {
+            submit(victim_tenant);
+            submit(survivor_tenant);
+            ok += 2;
+        }
+        fleet.tick(t0 + ms(pass));
+        assert_eq!(fleet.shard_health(victim), expected, "after pass {pass}");
+        assert_eq!(fleet.shard_health(survivor), HealthState::Healthy);
     }
-    // Quarantined (or already in probation — both are off the ring):
-    // traffic reroutes to the survivor.
-    assert!(!fleet.shard_health(victim).is_routable());
-    assert!(!fleet.ring().shard_ids().contains(&(victim as u16)));
-    assert_ne!(fleet.shard_for_tenant(victim_tenants[0]), victim);
-    assert_eq!(fleet.shard_health(survivor), HealthState::Healthy);
+    assert_eq!(fleet.stats().quarantines, 1);
+    assert_eq!(fleet.stats().failover_retries, 16);
+    // Off the ring: traffic reroutes to the survivor.
+    assert_eq!(fleet.ring().shard_ids(), &[survivor as u16]);
+    assert_eq!(fleet.shard_for_tenant(victim_tenants[0]), survivor);
 
-    // Clear the fault and keep offering traffic: the probation trickle
-    // must prove the shard and re-admit it.
+    // The hold has not passed at 11 ms (quarantined at 2 ms).
+    fleet.tick(t0 + ms(11));
+    assert_eq!(fleet.shard_health(victim), HealthState::Quarantined);
     fleet.clear_shard_fault(victim);
     assert_eq!(fleet.shard_fault(victim), None);
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while fleet.stats().recoveries == 0 {
-        assert!(
-            Instant::now() < deadline,
-            "probation never re-admitted the recovered shard"
-        );
-        let tenant = survivor_tenants[i % 8];
-        fleet
-            .submit(ScoreRequest::from_features(features.clone()).with_tenant(tenant))
-            .expect("post-clear traffic must succeed");
+    fleet.tick(t0 + ms(12));
+    assert_eq!(fleet.shard_health(victim), HealthState::Probation);
+
+    // Every 4th submission is diverted to the probation shard: 32 calls
+    // send it 8, the completions probation asks for.
+    for i in 0..32 {
+        submit(survivor_tenants[i % 8]);
         ok += 1;
-        i += 1;
     }
+    assert_eq!(fleet.stats().shard(victim).completed, 8);
+    fleet.tick(t0 + ms(13));
+    assert_eq!(fleet.shard_health(victim), HealthState::Probation);
+    fleet.tick(t0 + ms(14));
     assert_eq!(fleet.shard_health(victim), HealthState::Healthy);
-    assert!(fleet.ring().shard_ids().contains(&(victim as u16)));
+    assert_eq!(fleet.ring().num_shards(), 2);
+    assert_eq!(fleet.shard_for_tenant(victim_tenants[0]), victim);
 
     let stats = fleet.stats();
-    assert!(stats.quarantines >= 1);
-    assert!(stats.recoveries >= 1);
-    assert!(
-        stats.failover_retries > 0,
-        "crashed-shard calls must have been retried cross-shard"
-    );
+    assert_eq!(stats.quarantines, 1);
+    assert_eq!(stats.recoveries, 1);
+    assert_eq!(stats.failover_retries, 16);
     assert_eq!(stats.retries_denied, 0, "the budget was ample");
+    assert_eq!(stats.shard(victim).completed, 8, "only the trickle");
     let aggregate = stats.aggregate();
     assert_eq!(aggregate.completed, ok, "every client Ok counted once");
     assert_eq!(
@@ -328,22 +320,19 @@ fn crash_quarantine_failover_and_probationary_recovery() {
 
 /// Probation never re-admits a shard whose model path is still down.
 /// Behind a breaker, a model outage produces degraded answers, not
-/// errors: the monitor's breaker signal quarantines the shard, and each
-/// probation trickle answered from the heuristic sends it straight back,
-/// so it stays off the ring for the whole outage. Once the fault clears,
-/// a half-open probe closes the breaker and probation re-admits it.
+/// errors: the breaker signal quarantines the shard, and each probation
+/// trickle answered from the heuristic sends it straight back, so each
+/// hold of the outage counts exactly one more quarantine. Once the fault
+/// clears and the breaker's cooldown has passed, a half-open probe closes
+/// the breaker and probation re-admits the shard.
 #[test]
 fn model_outage_keeps_the_shard_in_probation_until_cleared() {
+    const COOLDOWN: Duration = Duration::from_millis(20);
+    const CYCLES: u64 = 5;
     let (registry, config, features) = fixture();
-    let policy = HealthPolicy::default()
-        .with_check_interval(Duration::from_millis(1))
-        // The breaker is this test's only signal: no errors occur, and a
-        // briefly descheduled healthy shard must not trip the watchdog.
-        .with_stall_watchdog(1024, 1000)
-        .with_quarantine_hold(Duration::from_millis(10))
-        .with_probation(2, 4, 2);
-    let runtime = shard_runtime(&config)
-        .with_breaker(BreakerConfig::default().with_cooldown(Duration::from_millis(20)));
+    let policy = HealthPolicy::default().with_quarantine_hold(ms(10));
+    let runtime =
+        shard_runtime(&config).with_breaker(BreakerConfig::default().with_cooldown(COOLDOWN));
     let fleet = ShardedRuntime::new(
         Arc::clone(&registry),
         "ppm",
@@ -354,51 +343,67 @@ fn model_outage_keeps_the_shard_in_probation_until_cleared() {
     let survivor = 1 - victim;
     let victim_tenants = tenants_for_shard(&fleet, victim, 8);
     let survivor_tenants = tenants_for_shard(&fleet, survivor, 8);
-    let submit = |i: usize| {
-        let tenants = if i.is_multiple_of(2) {
-            &victim_tenants
-        } else {
-            &survivor_tenants
-        };
+    let submit = |tenant: TenantId| {
         fleet
-            .submit(ScoreRequest::from_features(features.clone()).with_tenant(tenants[(i / 2) % 8]))
+            .submit(ScoreRequest::from_features(features.clone()).with_tenant(tenant))
             .expect("a model outage behind a breaker degrades answers, never fails them");
     };
+    let t0 = Instant::now();
 
     fleet.induce_shard_fault(victim, InducedFault::ModelOutage);
-    let outage = Instant::now();
-    let mut i = 0usize;
-    while outage.elapsed() < Duration::from_millis(300) {
-        submit(i);
-        i += 1;
+    // The breaker trips on the victim's third failed call and stays open
+    // past every instant below: it opened after `t0`, and no tick of the
+    // first two passes reaches `t0 + COOLDOWN`.
+    for &tenant in &victim_tenants {
+        submit(tenant);
+    }
+    assert!(fleet.stats().shard(victim).degraded > 0);
+    fleet.tick(t0 + ms(1));
+    assert_eq!(fleet.shard_health(victim), HealthState::Suspect);
+    fleet.tick(t0 + ms(2));
+    assert_eq!(fleet.shard_health(victim), HealthState::Quarantined);
+    assert_eq!(fleet.stats().quarantines, 1);
+
+    // Each cycle: the hold passes, probation begins, the trickle is
+    // answered from the heuristic, and the next pass quarantines again.
+    let mut now = t0 + ms(2);
+    for cycle in 1..=CYCLES {
+        now += ms(10);
+        fleet.tick(now);
+        assert_eq!(fleet.shard_health(victim), HealthState::Probation);
+        for &tenant in &survivor_tenants {
+            submit(tenant);
+        }
+        now += ms(1);
+        fleet.tick(now);
+        assert_eq!(fleet.shard_health(victim), HealthState::Quarantined);
+        assert_eq!(fleet.stats().quarantines, 1 + cycle);
     }
     let during = fleet.stats();
-    assert!(
-        during.quarantines >= 1,
-        "the breaker signal never quarantined the shard"
-    );
-    assert_eq!(
-        during.recoveries, 0,
-        "probation re-admitted a shard whose model path was down \
-         ({} quarantines)",
-        during.quarantines
-    );
-    assert!(during.aggregate().degraded > 0);
-    assert!(!fleet.shard_health(victim).is_routable());
+    assert_eq!(during.recoveries, 0);
+    assert_eq!(during.aggregate().errors, 0);
+    assert!(!fleet.ring().shard_ids().contains(&(victim as u16)));
 
+    // Cleared: once the breaker's cooldown has passed on the wall clock,
+    // the first trickle call is its half-open probe and closes it.
     fleet.clear_shard_fault(victim);
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while fleet.stats().recoveries == 0 {
-        assert!(
-            Instant::now() < deadline,
-            "probation never re-admitted the shard after the outage cleared"
-        );
-        submit(i);
-        i += 1;
+    std::thread::sleep(COOLDOWN + ms(5));
+    now += ms(10);
+    fleet.tick(now);
+    assert_eq!(fleet.shard_health(victim), HealthState::Probation);
+    for i in 0..32 {
+        submit(survivor_tenants[i % 8]);
+    }
+    for _ in 0..2 {
+        now += ms(1);
+        fleet.tick(now);
     }
     assert_eq!(fleet.shard_health(victim), HealthState::Healthy);
     assert!(fleet.ring().shard_ids().contains(&(victim as u16)));
-    assert_eq!(fleet.stats().aggregate().errors, 0);
+    let stats = fleet.stats();
+    assert_eq!(stats.quarantines, 1 + CYCLES);
+    assert_eq!(stats.recoveries, 1);
+    assert_eq!(stats.aggregate().errors, 0);
     fleet.shutdown();
 }
 
@@ -410,13 +415,8 @@ fn model_outage_keeps_the_shard_in_probation_until_cleared() {
 fn evacuation_moves_standard_backlog_but_never_interactive() {
     let (registry, config, features) = fixture();
     let policy = HealthPolicy::default()
-        .with_check_interval(Duration::from_millis(1))
-        // Error-rate signal effectively off: a stall produces no errors.
-        .with_error_rate(0.9, 1_000_000)
         .with_stall_watchdog(1, 2)
-        // Stay quarantined for the whole test: recovery is not under test
-        // and the probation trickle would blur per-shard placement.
-        .with_quarantine_hold(Duration::from_secs(30))
+        // No failover: only evacuation moves work.
         .with_retry_budget(0, 0.0);
     let fleet = ShardedRuntime::new(
         Arc::clone(&registry),
@@ -428,12 +428,14 @@ fn evacuation_moves_standard_backlog_but_never_interactive() {
     let survivor = 1 - victim;
     let victim_tenants = tenants_for_shard(&fleet, victim, 4);
 
-    fleet.induce_shard_fault(victim, InducedFault::Stall(Duration::from_millis(20)));
+    // Each batch on the victim takes 50 ms, far longer than submitting
+    // and the three passes below: the windows they judge see no progress.
+    fleet.induce_shard_fault(victim, InducedFault::Stall(ms(50)));
     const INTERACTIVE: usize = 16;
     const STANDARD: usize = 64;
     let mut tickets = Vec::with_capacity(INTERACTIVE + STANDARD);
-    // Interactive first: all admitted to the victim well before the
-    // watchdog can fire, so none can route to the survivor afterwards.
+    // Interactive first, all admitted to the victim before any pass, so
+    // none can route to the survivor afterwards.
     for i in 0..INTERACTIVE {
         let request = ScoreRequest::from_features(features.clone())
             .with_tenant(victim_tenants[i % 4])
@@ -446,9 +448,19 @@ fn evacuation_moves_standard_backlog_but_never_interactive() {
             .with_level(ServiceLevel::Standard);
         tickets.push(fleet.submit_detached(request).unwrap());
     }
+    let t0 = Instant::now();
+    for (pass, expected) in [
+        (1, HealthState::Healthy),
+        (2, HealthState::Suspect),
+        (3, HealthState::Quarantined),
+    ] {
+        fleet.tick(t0 + ms(pass));
+        assert_eq!(fleet.shard_health(victim), expected, "after pass {pass}");
+    }
+    let evacuated = fleet.stats().evacuated_requests;
     assert!(
-        wait_until(Duration::from_secs(5), || fleet.stats().quarantines >= 1),
-        "the drain-stall watchdog never quarantined the wedged shard"
+        evacuated > 0,
+        "quarantine must have evacuated the standard backlog"
     );
     let mut completed = 0u64;
     for ticket in tickets {
@@ -456,9 +468,14 @@ fn evacuation_moves_standard_backlog_but_never_interactive() {
         completed += 1;
     }
     let stats = fleet.stats();
-    assert!(
-        stats.evacuated_requests > 0,
-        "quarantine must have evacuated the standard backlog"
+    assert_eq!(stats.evacuated_requests, evacuated);
+    assert_eq!(
+        stats
+            .shard(survivor)
+            .level(ServiceLevel::Standard)
+            .completed,
+        evacuated,
+        "the survivor completed exactly the evacuees"
     );
     assert_eq!(
         stats
@@ -484,18 +501,18 @@ fn evacuation_moves_standard_backlog_but_never_interactive() {
     fleet.shutdown();
 }
 
-/// Shutdown satellite: concurrent and repeated `shutdown` calls racing
-/// an active health monitor (mid-quarantine, mid-evacuation) strand no
-/// ticket and double-count nothing — `completed + errors` equals the
-/// admitted total exactly, and a stopped fleet's snapshot is stable.
+/// Shutdown satellite: once ticks have quarantined a crashed shard and
+/// evacuated a stalled one, concurrent and repeated `shutdown` calls
+/// racing a ticking thread strand no ticket and double-count nothing —
+/// `completed + errors` equals the admitted total exactly — and a
+/// stopped fleet ignores ticks, so its snapshot is stable.
 #[test]
 fn shutdown_is_idempotent_and_safe_during_quarantine_and_evacuation() {
     let (registry, config, features) = fixture();
     let policy = HealthPolicy::default()
-        .with_check_interval(Duration::from_millis(1))
-        .with_error_rate(0.5, 2)
-        .with_quarantine_hold(Duration::from_millis(5))
-        .with_probation(2, 2, 1)
+        .with_min_window_events(2)
+        .with_stall_watchdog(1, 1)
+        .with_quarantine_hold(ms(5))
         // No failover: every admitted ticket is counted by exactly the
         // shard(s) that held it, so errors match the client tally 1:1.
         .with_retry_budget(0, 0.0);
@@ -506,6 +523,10 @@ fn shutdown_is_idempotent_and_safe_during_quarantine_and_evacuation() {
     ));
     fleet.warm().unwrap();
 
+    // Fault first, then load: shard 0 fails its tickets, and shard 1's
+    // first batch sleeps 100 ms while the rest of its share queues.
+    fleet.induce_shard_fault(0, InducedFault::Crash);
+    fleet.induce_shard_fault(1, InducedFault::Stall(ms(100)));
     const TOTAL: usize = 600;
     let mut tickets = Vec::with_capacity(TOTAL);
     for i in 0..TOTAL {
@@ -514,10 +535,26 @@ fn shutdown_is_idempotent_and_safe_during_quarantine_and_evacuation() {
             .with_level(ServiceLevel::from_index(i % 3).unwrap());
         tickets.push(fleet.submit_detached(request).unwrap());
     }
-    fleet.induce_shard_fault(0, InducedFault::Crash);
-    fleet.induce_shard_fault(1, InducedFault::Stall(Duration::from_millis(5)));
-    // Let the monitor begin quarantining/evacuating, then race it.
-    std::thread::sleep(Duration::from_millis(4));
+    let t0 = Instant::now();
+    fleet.tick(t0 + ms(1));
+    assert_eq!(fleet.shard_health(1), HealthState::Suspect);
+    fleet.tick(t0 + ms(2));
+    assert_eq!(fleet.shard_health(1), HealthState::Quarantined);
+    assert!(
+        fleet.stats().evacuated_requests > 0,
+        "the stalled shard's backlog must have moved before shutdown"
+    );
+
+    // Race three shutdowns against a thread that keeps ticking (holds
+    // expire, probation starts and fails) until the fleet stops.
+    let ticker = {
+        let fleet = Arc::clone(&fleet);
+        std::thread::spawn(move || {
+            for step in 3..200 {
+                fleet.tick(t0 + ms(step));
+            }
+        })
+    };
     let handles: Vec<_> = (0..3)
         .map(|_| {
             let fleet = Arc::clone(&fleet);
@@ -527,6 +564,7 @@ fn shutdown_is_idempotent_and_safe_during_quarantine_and_evacuation() {
     for handle in handles {
         handle.join().unwrap();
     }
+    ticker.join().unwrap();
     fleet.shutdown(); // and once more, for idempotence
 
     let mut ok = 0u64;
@@ -548,10 +586,11 @@ fn shutdown_is_idempotent_and_safe_during_quarantine_and_evacuation() {
         "no ticket lost or double-counted across shutdown, quarantine, \
          and evacuation"
     );
+    fleet.tick(t0 + Duration::from_secs(3600));
     assert_eq!(
         fleet.stats(),
         stats,
-        "a stopped fleet's snapshot must be stable"
+        "a stopped fleet's snapshot must be stable, ticks included"
     );
 }
 

@@ -50,14 +50,6 @@ pub fn skew_query_names() -> Vec<String> {
     (1..=SKEW_QUERY_COUNT).map(|i| format!("sk{i}")).collect()
 }
 
-/// Builds the full template suite (deterministic on every call).
-pub fn skew_templates() -> Vec<QueryTemplate> {
-    skew_query_names()
-        .into_iter()
-        .map(|name| sample_template(&name))
-        .collect()
-}
-
 /// The template for one canonical query name, `None` for unknown names.
 pub fn template_for(name: &str) -> Option<QueryTemplate> {
     is_canonical_name(name).then(|| sample_template(name))
@@ -176,7 +168,7 @@ mod tests {
 
     #[test]
     fn suite_is_bimodal_in_serial_fraction() {
-        let templates = skew_templates();
+        let templates = SkewFamily.templates();
         let low = templates
             .iter()
             .filter(|t| t.serial_fraction < 0.05)
@@ -197,7 +189,8 @@ mod tests {
 
     #[test]
     fn input_sizes_are_heavy_tailed() {
-        let volumes: Vec<f64> = skew_templates()
+        let volumes: Vec<f64> = SkewFamily
+            .templates()
             .iter()
             .map(|t| t.total_input_gb_at(1.0))
             .collect();
@@ -213,7 +206,7 @@ mod tests {
 
     #[test]
     fn stages_have_stragglers() {
-        let templates = skew_templates();
+        let templates = SkewFamily.templates();
         assert!(templates.iter().all(|t| t.skew >= 2.0));
         assert!(
             templates.iter().any(|t| t.skew > 5.0),
@@ -223,7 +216,7 @@ mod tests {
 
     #[test]
     fn template_fields_are_in_valid_ranges() {
-        for template in skew_templates() {
+        for template in SkewFamily.templates() {
             assert!(template.num_inputs >= 1 && template.num_inputs <= 5);
             assert_eq!(template.input_gb_per_sf.len(), template.num_inputs);
             assert!(template.input_gb_per_sf.iter().all(|&gb| gb > 0.0));

@@ -50,14 +50,6 @@ pub fn tpch_query_names() -> Vec<String> {
     (1..=TPCH_QUERY_COUNT).map(|i| format!("h{i}")).collect()
 }
 
-/// Builds the full template suite (deterministic on every call).
-pub fn tpch_templates() -> Vec<QueryTemplate> {
-    tpch_query_names()
-        .into_iter()
-        .map(|name| sample_template(&name))
-        .collect()
-}
-
 /// The template for one canonical query name, `None` for unknown names.
 pub fn template_for(name: &str) -> Option<QueryTemplate> {
     is_canonical_name(name).then(|| sample_template(name))
@@ -163,7 +155,7 @@ mod tests {
 
     #[test]
     fn suite_is_shallower_and_more_scan_heavy_than_tpcds() {
-        let tpch = tpch_templates();
+        let tpch = TpchFamily.templates();
         let tpcds = tpcds::tpcds_templates();
         let mean = |v: Vec<f64>| v.iter().sum::<f64>() / v.len() as f64;
         let mean_shuffles =
@@ -181,7 +173,7 @@ mod tests {
 
     #[test]
     fn template_fields_are_in_valid_ranges() {
-        for template in tpch_templates() {
+        for template in TpchFamily.templates() {
             assert!(template.num_inputs >= 2 && template.num_inputs <= 6);
             assert_eq!(template.input_gb_per_sf.len(), template.num_inputs);
             assert!(template.input_gb_per_sf.iter().all(|&gb| gb > 0.0));
@@ -194,7 +186,8 @@ mod tests {
 
     #[test]
     fn suite_spans_a_wide_range_of_work() {
-        let works: Vec<f64> = tpch_templates()
+        let works: Vec<f64> = TpchFamily
+            .templates()
             .iter()
             .map(|t| t.total_work_secs(ScaleFactor::SF100))
             .collect();
