@@ -47,8 +47,9 @@ use std::time::{Duration, Instant};
 use ae_bench::harness::{self, Served};
 use ae_ml::json::Value;
 use ae_obs::{
-    feature_digest, replay, MetricsRegistry, ReplayDiff, ReplayPolicy, ReplayScore, RequestStatus,
-    ResidualTracker, ServingTrace, TraceMeta, TraceQuery, TraceRecord, TraceRecorder, TRACE_LEVELS,
+    feature_digest, replay, DriftSignal, MetricsRegistry, ReplayDiff, ReplayPolicy, ReplayReport,
+    ReplayScore, RequestStatus, ResidualTracker, ServingTrace, TraceMeta, TraceQuery, TraceRecord,
+    TraceRecorder, TRACE_LEVELS,
 };
 use ae_ppm::SelectionObjective;
 use ae_serve::{
@@ -80,6 +81,67 @@ struct Args {
 /// acceptance target measured on quiet hosts: a short smoke A/B on a noisy
 /// CI machine carries several percent of run-to-run jitter of its own.
 const SMOKE_OVERHEAD_BOUND_PCT: f64 = 10.0;
+
+/// A replay's aggregate report as a report section.
+fn report_value(report: &ReplayReport) -> Value {
+    let levels: Vec<Value> = report
+        .levels
+        .iter()
+        .map(|l| {
+            Value::object([
+                ("completed", l.completed.into()),
+                ("misses", l.misses.into()),
+                ("miss_rate", l.miss_rate().into()),
+            ])
+        })
+        .collect();
+    Value::object([
+        ("label", report.label.as_str().into()),
+        ("requests", report.requests.into()),
+        ("completed", report.completed.into()),
+        ("shed", report.shed.into()),
+        ("dropped", report.dropped.into()),
+        ("throttled", report.throttled.into()),
+        ("errored", report.errored.into()),
+        ("levels", levels.into()),
+        ("residual_samples", report.residual_samples.into()),
+        ("mean_abs_residual", report.mean_abs_residual.into()),
+        ("mean_residual_bias", report.mean_residual_bias.into()),
+        ("max_abs_residual", report.max_abs_residual.into()),
+        ("gross_revenue", report.gross_revenue.into()),
+        ("miss_penalties", report.miss_penalties.into()),
+        ("net_revenue", report.net_revenue.into()),
+        ("mean_executors", report.mean_executors.into()),
+    ])
+}
+
+/// A candidate-minus-baseline replay diff as a report section.
+fn diff_value(diff: &ReplayDiff) -> Value {
+    Value::object([
+        ("baseline", diff.baseline.as_str().into()),
+        ("candidate", diff.candidate.as_str().into()),
+        ("miss_rate_delta", Value::numbers(&diff.miss_rate_delta)),
+        ("misses_delta", Value::Number(diff.misses_delta as f64)),
+        (
+            "mean_abs_residual_delta",
+            diff.mean_abs_residual_delta.into(),
+        ),
+        ("mean_executors_delta", diff.mean_executors_delta.into()),
+        ("gross_revenue_delta", diff.gross_revenue_delta.into()),
+        ("net_revenue_delta", diff.net_revenue_delta.into()),
+        ("net_revenue_delta_frac", diff.net_revenue_delta_frac.into()),
+    ])
+}
+
+/// The drift signal as a report section.
+fn drift_value(signal: &DriftSignal) -> Value {
+    Value::object([
+        ("samples", signal.samples.into()),
+        ("mean_abs_rel", signal.mean_abs_rel.into()),
+        ("mean_rel_bias", signal.mean_rel_bias.into()),
+        ("max_abs_rel", signal.max_abs_rel.into()),
+    ])
+}
 
 /// Exact curve lookup at a candidate count. Both capture and replay derive
 /// `predicted_secs` through this same function, so the determinism gate
@@ -513,7 +575,6 @@ fn main() {
         "    obs off: {qps_off:.0} qps   obs on: {qps_on:.0} qps   overhead (median of slice pairs): {overhead_pct:+.2}%"
     );
 
-    let parse = |json: String| Value::parse(&json).expect("obs reports are JSON");
     harness::write_report(
         args.json.as_deref(),
         COMMENT,
@@ -532,19 +593,19 @@ fn main() {
             ),
             ("roundtrip_bit_identical", true.into()),
             ("determinism_gate_mismatches", gate.len().into()),
-            ("baseline_replay", parse(baseline.report.to_json())),
+            ("baseline_replay", report_value(&baseline.report)),
             (
                 "alternative_replays",
                 Value::object([
-                    ("strict_budgets", parse(strict.report.to_json())),
-                    ("min_time_objective", parse(min_time.report.to_json())),
+                    ("strict_budgets", report_value(&strict.report)),
+                    ("min_time_objective", report_value(&min_time.report)),
                 ]),
             ),
             (
                 "diffs_vs_baseline",
-                vec![parse(diff_strict.to_json()), parse(diff_min_time.to_json())].into(),
+                vec![diff_value(&diff_strict), diff_value(&diff_min_time)].into(),
             ),
-            ("drift_signal", parse(drift_signal.to_json())),
+            ("drift_signal", drift_value(&drift_signal)),
             (
                 "overhead",
                 Value::object([

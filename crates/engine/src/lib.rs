@@ -22,9 +22,6 @@
 //! * [`skyline`] — skyline representation and the `AUC` (executor-seconds)
 //!   metric.
 //! * [`session`] — multi-query interactive applications (Figure 7).
-//! * [`obs`] — opt-in observability: cross-run fault counters and typed
-//!   fault events on the simulated clock
-//!   ([`Simulator::run_observed`](scheduler::Simulator::run_observed)).
 //!
 //! The simulator's timing comes from task-level scheduling (critical paths,
 //! slot contention, ramp-up lag, noise), *not* from the closed-form PPM
@@ -37,7 +34,6 @@
 pub mod allocation;
 pub mod cluster;
 pub mod faults;
-pub mod obs;
 pub mod plan;
 pub mod scheduler;
 pub mod session;
@@ -47,7 +43,6 @@ pub mod stage;
 pub use allocation::{AllocationPolicy, DynamicAllocationConfig};
 pub use cluster::{AllocationLag, ClusterConfig, ExecutorSpec, NodeSpec};
 pub use faults::{exp_sample, FailureReason, FaultKind, FaultPlan, FaultSummary, RunOutcome};
-pub use obs::{EngineObs, FaultCounters};
 pub use plan::{OperatorKind, PlanNode, PlanStats, QueryPlan};
 pub use scheduler::{QueryRunResult, RunConfig, Simulator};
 pub use session::{ApplicationSession, QuerySubmission, SessionResult};

@@ -70,7 +70,6 @@
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
-use ae_obs::{EventKind, FaultClass};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -78,7 +77,6 @@ use serde::{Deserialize, Serialize};
 use crate::allocation::AllocationPolicy;
 use crate::cluster::ClusterConfig;
 use crate::faults::{FailureReason, FaultKind, FaultPlan, FaultSummary, RunOutcome};
-use crate::obs::EngineObs;
 use crate::skyline::Skyline;
 use crate::stage::{StageDag, StageLog, TaskLog, TaskRecord};
 use crate::{require_finite_nonneg, EngineError, Result};
@@ -513,7 +511,7 @@ impl Simulator {
     /// result reports [`FailureReason::InvalidConfig`], zero elapsed time
     /// and no task log.
     pub fn run(&self, query_name: &str, dag: &StageDag, cfg: &RunConfig) -> QueryRunResult {
-        self.simulate(query_name, dag, cfg, &mut SimScratch::new(), None)
+        self.simulate(query_name, dag, cfg, &mut SimScratch::new())
     }
 
     /// Like [`Simulator::run`], but reuses the caller's scratch buffers.
@@ -529,22 +527,7 @@ impl Simulator {
         cfg: &RunConfig,
         scratch: &mut SimScratch,
     ) -> QueryRunResult {
-        self.simulate(query_name, dag, cfg, scratch, None)
-    }
-
-    /// Like [`Simulator::run`], but records fault events (stamped with
-    /// simulated time) and cross-run counters into `obs`.
-    ///
-    /// The run result is bit-identical to `run` with the same inputs —
-    /// observation never perturbs the event sequence. See [`crate::obs`].
-    pub fn run_observed(
-        &self,
-        query_name: &str,
-        dag: &StageDag,
-        cfg: &RunConfig,
-        obs: &EngineObs,
-    ) -> QueryRunResult {
-        self.simulate(query_name, dag, cfg, &mut SimScratch::new(), Some(obs))
+        self.simulate(query_name, dag, cfg, scratch)
     }
 
     fn simulate(
@@ -553,12 +536,11 @@ impl Simulator {
         dag: &StageDag,
         cfg: &RunConfig,
         scratch: &mut SimScratch,
-        obs: Option<&EngineObs>,
     ) -> QueryRunResult {
         if let Err(error) = cfg.validate() {
-            return rejected(query_name, error, obs);
+            return rejected(query_name, error);
         }
-        let mut run = Run::new(self, dag, cfg, scratch, obs);
+        let mut run = Run::new(self, dag, cfg, scratch);
         let failure = loop {
             if !run.in_progress() {
                 break None;
@@ -585,7 +567,6 @@ impl Simulator {
 struct Run<'a> {
     sim: &'a Simulator,
     cfg: &'a RunConfig,
-    obs: Option<&'a EngineObs>,
     s: &'a mut SimScratch,
     /// Core-slots per executor.
     ec: usize,
@@ -618,19 +599,12 @@ struct Run<'a> {
 impl<'a> Run<'a> {
     /// Resets the scratch for `dag`, draws every task's duration and
     /// issues the policy's initial request at time zero.
-    fn new(
-        sim: &'a Simulator,
-        dag: &StageDag,
-        cfg: &'a RunConfig,
-        s: &'a mut SimScratch,
-        obs: Option<&'a EngineObs>,
-    ) -> Self {
+    fn new(sim: &'a Simulator, dag: &StageDag, cfg: &'a RunConfig, s: &'a mut SimScratch) -> Self {
         s.reset(dag);
         let cluster = &sim.cluster;
         let mut run = Run {
             sim,
             cfg,
-            obs,
             s,
             ec: cluster.executor.cores.max(1),
             pool_cap: cluster.max_executors().max(1),
@@ -671,18 +645,13 @@ impl<'a> Run<'a> {
         let ec_penalty = 1.0 + 0.02 * (self.ec as f64 - 4.0).abs();
         for stage in dag.stages() {
             self.s.stage_offsets.push(self.s.noisy.len());
-            for (task, t) in stage.tasks.iter().enumerate() {
+            for t in &stage.tasks {
                 let mut duration =
                     t.work_secs * ec_penalty * self.s.noise.factors[self.s.noisy.len()];
                 if let Some(rng) = stragglers.as_mut() {
                     let factor = cfg.faults.straggler_factor(rng);
                     if factor > 1.0 {
                         self.faults.stragglers += 1;
-                        // Straggler draws happen before the clock starts.
-                        self.emit(EventKind::Straggler {
-                            stage: stage.id as u32,
-                            task: task as u32,
-                        });
                     }
                     duration *= factor;
                 }
@@ -749,14 +718,8 @@ impl<'a> Run<'a> {
             match phase {
                 RevokePhase::Announce => self.announce(revoke.at, executor, revoke.item),
                 RevokePhase::Reap => {
-                    let lost_before = self.faults.tasks_lost;
-                    let failure = self.reap(executor);
-                    self.emit(EventKind::FaultReap {
-                        executor: executor as u32,
-                        tasks_lost: self.faults.tasks_lost - lost_before,
-                    });
-                    if failure.is_some() {
-                        return failure;
+                    if let Some(reason) = self.reap(executor) {
+                        return Some(reason);
                     }
                 }
             }
@@ -780,28 +743,15 @@ impl<'a> Run<'a> {
             return; // already released by idle timeout
         }
         self.remove_executor(executor);
-        let class = match kind {
-            FaultKind::Preemption => {
-                self.faults.preempted_executors += 1;
-                FaultClass::Preemption
-            }
-            FaultKind::NodeLoss => {
-                self.faults.node_loss_executors += 1;
-                FaultClass::NodeLoss
-            }
-        };
-        self.emit(EventKind::FaultRevocation {
-            kind: class,
-            executor: executor as u32,
-        });
+        match kind {
+            FaultKind::Preemption => self.faults.preempted_executors += 1,
+            FaultKind::NodeLoss => self.faults.node_loss_executors += 1,
+        }
         self.requested_target = self.requested_target.saturating_sub(1);
         let plan = &self.cfg.faults;
         if plan.reacquire {
             self.grant(1);
             self.faults.replacements_requested += 1;
-            self.emit(EventKind::FaultReplacement {
-                executor: executor as u32,
-            });
         }
         self.s.revocations.push(Timed {
             at: at + plan.grace_period_secs,
@@ -933,10 +883,6 @@ impl<'a> Run<'a> {
             let Some(retry) = self.s.retry.pop_front() else {
                 break;
             };
-            self.emit(EventKind::FaultRetry {
-                stage: retry.stage as u32,
-                task: retry.task as u32,
-            });
             self.start_task(retry.stage, retry.task, retry.remaining, retry.lost_at);
         }
         let mut pos = 0;
@@ -1151,14 +1097,6 @@ impl<'a> Run<'a> {
         );
     }
 
-    /// Records `kind` at the current simulated time when observability is
-    /// on; a single untaken branch otherwise.
-    fn emit(&self, kind: EventKind) {
-        if let Some(obs) = self.obs {
-            obs.record_at_secs(self.time, kind);
-        }
-    }
-
     /// Closes the skyline at the elapsed time and assembles the result.
     fn finish(
         self,
@@ -1168,7 +1106,6 @@ impl<'a> Run<'a> {
     ) -> QueryRunResult {
         let Run {
             cfg,
-            obs,
             s,
             ec,
             time,
@@ -1208,7 +1145,6 @@ impl<'a> Run<'a> {
             }
             None => RunOutcome::Completed,
         };
-        report(obs, elapsed, &faults, &outcome);
         QueryRunResult {
             query_name: query_name.to_string(),
             elapsed_secs: elapsed,
@@ -1225,10 +1161,7 @@ impl<'a> Run<'a> {
 
 /// The result of a run whose configuration failed validation: nothing was
 /// simulated.
-fn rejected(query_name: &str, error: EngineError, obs: Option<&EngineObs>) -> QueryRunResult {
-    let outcome = RunOutcome::Failed(FailureReason::InvalidConfig(error.to_string()));
-    let faults = FaultSummary::default();
-    report(obs, 0.0, &faults, &outcome);
+fn rejected(query_name: &str, error: EngineError) -> QueryRunResult {
     QueryRunResult {
         query_name: query_name.to_string(),
         elapsed_secs: 0.0,
@@ -1237,21 +1170,8 @@ fn rejected(query_name: &str, error: EngineError, obs: Option<&EngineObs>) -> Qu
         auc_executor_secs: 0.0,
         total_task_secs: 0.0,
         task_log: None,
-        outcome,
-        faults,
-    }
-}
-
-/// Records a finished run's outcome event and counters into `obs`.
-fn report(obs: Option<&EngineObs>, elapsed: f64, faults: &FaultSummary, outcome: &RunOutcome) {
-    if let Some(obs) = obs {
-        obs.record_at_secs(
-            elapsed,
-            EventKind::RunOutcome {
-                completed: outcome.is_completed(),
-            },
-        );
-        obs.record_run(faults, outcome);
+        outcome: RunOutcome::Failed(FailureReason::InvalidConfig(error.to_string())),
+        faults: FaultSummary::default(),
     }
 }
 

@@ -15,8 +15,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::json_f64;
-
 /// Lock-free accumulator of relative prediction residuals.
 ///
 /// For each `(predicted, observed)` pair with `observed > 0`, the signed
@@ -123,17 +121,6 @@ impl DriftSignal {
     /// residual exceeds `threshold` — the retrain/swap trigger.
     pub fn drifted(&self, threshold: f64) -> bool {
         self.samples > 0 && self.mean_abs_rel > threshold
-    }
-
-    /// JSON object with all four fields.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"samples\":{},\"mean_abs_rel\":{},\"mean_rel_bias\":{},\"max_abs_rel\":{}}}",
-            self.samples,
-            json_f64(self.mean_abs_rel),
-            json_f64(self.mean_rel_bias),
-            json_f64(self.max_abs_rel)
-        )
     }
 }
 

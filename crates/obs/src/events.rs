@@ -8,9 +8,8 @@
 //! evicted — so an instrumented runtime can run forever without growing.
 //!
 //! Timestamps are monotonic nanoseconds from the sink's creation
-//! ([`EventSink::record`]); simulated components stamp their own clocks
-//! via [`EventSink::record_at`] (the engine records sim-time seconds
-//! scaled to nanoseconds). Recording locks only the calling thread's
+//! ([`EventSink::record`]); a caller with its own clock stamps events
+//! via [`EventSink::record_at`]. Recording locks only the calling thread's
 //! shard — a different shard per thread up to
 //! [`crate::DEFAULT_SHARDS`] — so the lock is
 //! uncontended in steady state.
@@ -20,30 +19,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::{escape_json, thread_slot, DEFAULT_SHARDS};
-
-/// Which fault struck an executor (mirrors the engine's `FaultKind`
-/// without depending on the engine crate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultClass {
-    /// Spot-instance preemption of a single executor.
-    Preemption,
-    /// Loss of a node and every executor on it.
-    NodeLoss,
-}
-
-impl FaultClass {
-    fn name(self) -> &'static str {
-        match self {
-            FaultClass::Preemption => "preemption",
-            FaultClass::NodeLoss => "node_loss",
-        }
-    }
-}
+use crate::{thread_slot, DEFAULT_SHARDS};
 
 /// A typed event. Levels are `ServiceLevel::index()` values (0 =
-/// best-effort, 2 = interactive); executor/stage/task indices are the
-/// engine's.
+/// best-effort, 2 = interactive).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// A request was admitted: `queued` distinguishes the worker queue
@@ -86,44 +65,6 @@ pub enum EventKind {
     /// The runtime observed a new model registration and swapped its
     /// cached decode (RCU swap).
     ModelSwap,
-    /// A fault announcement revoked an executor (grace window starts).
-    FaultRevocation {
-        /// What kind of fault.
-        kind: FaultClass,
-        /// Engine executor index.
-        executor: u32,
-    },
-    /// The grace window expired; tasks still on the executor were lost.
-    FaultReap {
-        /// Engine executor index.
-        executor: u32,
-        /// Tasks lost and queued for retry.
-        tasks_lost: u32,
-    },
-    /// A lost task was re-scheduled onto a surviving executor.
-    FaultRetry {
-        /// Stage of the retried task.
-        stage: u32,
-        /// Task index within the stage.
-        task: u32,
-    },
-    /// A replacement executor was requested after a revocation.
-    FaultReplacement {
-        /// Engine executor index of the revoked executor.
-        executor: u32,
-    },
-    /// A task drew a straggler multiplier (> 1×) at schedule time.
-    Straggler {
-        /// Stage of the straggling task.
-        stage: u32,
-        /// Task index within the stage.
-        task: u32,
-    },
-    /// A simulated query run finished.
-    RunOutcome {
-        /// True when every task completed; false for failed runs.
-        completed: bool,
-    },
     /// The serving runtime began shutdown.
     Shutdown,
     /// A fleet health pass quarantined a shard: it was removed from
@@ -156,80 +97,6 @@ pub enum EventKind {
     },
 }
 
-impl EventKind {
-    /// The event's type tag as used in the JSON export.
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::Admission { .. } => "admission",
-            EventKind::Shed { .. } => "shed",
-            EventKind::Dropped { .. } => "dropped",
-            EventKind::Demotion { .. } => "demotion",
-            EventKind::Throttle => "throttle",
-            EventKind::BatchDrain { .. } => "batch_drain",
-            EventKind::BreakerTrip => "breaker_trip",
-            EventKind::BreakerRecovered => "breaker_recovered",
-            EventKind::ModelSwap => "model_swap",
-            EventKind::FaultRevocation { .. } => "fault_revocation",
-            EventKind::FaultReap { .. } => "fault_reap",
-            EventKind::FaultRetry { .. } => "fault_retry",
-            EventKind::FaultReplacement { .. } => "fault_replacement",
-            EventKind::Straggler { .. } => "straggler",
-            EventKind::RunOutcome { .. } => "run_outcome",
-            EventKind::Shutdown => "shutdown",
-            EventKind::ShardQuarantine { .. } => "shard_quarantine",
-            EventKind::ShardRecover { .. } => "shard_recover",
-            EventKind::FailoverRetry { .. } => "failover_retry",
-            EventKind::BacklogEvacuation { .. } => "backlog_evacuation",
-        }
-    }
-
-    fn fields_json(&self) -> String {
-        match *self {
-            EventKind::Admission { level, queued } => {
-                format!(",\"level\":{level},\"queued\":{queued}")
-            }
-            EventKind::Shed { level } | EventKind::Dropped { level } => {
-                format!(",\"level\":{level}")
-            }
-            EventKind::Demotion { from_level } => format!(",\"from_level\":{from_level}"),
-            EventKind::BatchDrain { size, backlog } => {
-                format!(",\"size\":{size},\"backlog\":{backlog}")
-            }
-            EventKind::FaultRevocation { kind, executor } => {
-                format!(",\"fault\":\"{}\",\"executor\":{executor}", kind.name())
-            }
-            EventKind::FaultReap {
-                executor,
-                tasks_lost,
-            } => {
-                format!(",\"executor\":{executor},\"tasks_lost\":{tasks_lost}")
-            }
-            EventKind::FaultRetry { stage, task } | EventKind::Straggler { stage, task } => {
-                format!(",\"stage\":{stage},\"task\":{task}")
-            }
-            EventKind::FaultReplacement { executor } => format!(",\"executor\":{executor}"),
-            EventKind::RunOutcome { completed } => format!(",\"completed\":{completed}"),
-            EventKind::ShardQuarantine { shard } | EventKind::ShardRecover { shard } => {
-                format!(",\"shard\":{shard}")
-            }
-            EventKind::FailoverRetry {
-                from_shard,
-                to_shard,
-            } => {
-                format!(",\"from_shard\":{from_shard},\"to_shard\":{to_shard}")
-            }
-            EventKind::BacklogEvacuation { from_shard, count } => {
-                format!(",\"from_shard\":{from_shard},\"count\":{count}")
-            }
-            EventKind::Throttle
-            | EventKind::BreakerTrip
-            | EventKind::BreakerRecovered
-            | EventKind::ModelSwap
-            | EventKind::Shutdown => String::new(),
-        }
-    }
-}
-
 /// One recorded event: a timestamp, a global sequence number (total
 /// order of recording), and the typed payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -242,20 +109,6 @@ pub struct Event {
     pub seq: u64,
     /// The typed payload.
     pub kind: EventKind,
-}
-
-impl Event {
-    /// JSON object for this event: `ts_ns`, `seq`, `type`, payload
-    /// fields.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"ts_ns\":{},\"seq\":{},\"type\":\"{}\"{}}}",
-            self.ts_ns,
-            self.seq,
-            escape_json(self.kind.name()),
-            self.kind.fields_json()
-        )
-    }
 }
 
 struct Shard {
@@ -312,8 +165,8 @@ impl EventSink {
     }
 
     /// Records `kind` with a caller-supplied timestamp (e.g. simulated
-    /// time). Timestamps only need to be meaningful to the caller; the
-    /// export sorts by `(ts_ns, seq)`.
+    /// time). Timestamps only need to be meaningful to the caller;
+    /// [`snapshot`](Self::snapshot) sorts by `(ts_ns, seq)`.
     pub fn record_at(&self, ts_ns: u64, kind: EventKind) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let event = Event { ts_ns, seq, kind };
@@ -374,12 +227,6 @@ impl EventSink {
         events.sort_by_key(|e| (e.ts_ns, e.seq));
         events
     }
-
-    /// Renders a slice of events as a JSON array.
-    pub fn to_json(events: &[Event]) -> String {
-        let items: Vec<String> = events.iter().map(Event::to_json).collect();
-        format!("[{}]", items.join(","))
-    }
 }
 
 #[cfg(test)]
@@ -389,30 +236,22 @@ mod tests {
     #[test]
     fn records_are_sorted_and_typed() {
         let sink = EventSink::new(64);
+        let admission = EventKind::Admission {
+            level: 2,
+            queued: true,
+        };
+        let drain = EventKind::BatchDrain {
+            size: 8,
+            backlog: 3,
+        };
         sink.record_at(30, EventKind::BreakerTrip);
-        sink.record_at(
-            10,
-            EventKind::Admission {
-                level: 2,
-                queued: true,
-            },
+        sink.record_at(10, admission);
+        sink.record_at(20, drain);
+        let events: Vec<_> = sink.snapshot().iter().map(|e| (e.ts_ns, e.kind)).collect();
+        assert_eq!(
+            events,
+            [(10, admission), (20, drain), (30, EventKind::BreakerTrip)]
         );
-        sink.record_at(
-            20,
-            EventKind::BatchDrain {
-                size: 8,
-                backlog: 3,
-            },
-        );
-        let events = sink.snapshot();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].ts_ns, 10);
-        assert_eq!(events[0].kind.name(), "admission");
-        assert_eq!(events[2].kind, EventKind::BreakerTrip);
-        let json = EventSink::to_json(&events);
-        assert!(json.starts_with('['));
-        assert!(json.contains("\"type\":\"batch_drain\",\"size\":8,\"backlog\":3"));
-        assert!(json.contains("\"level\":2,\"queued\":true"));
     }
 
     #[test]
@@ -451,57 +290,24 @@ mod tests {
     }
 
     #[test]
-    fn fault_event_payloads_render() {
-        // Capacity is split per shard; one thread records into a single
-        // shard, so give that shard room for all three events.
-        let sink = EventSink::new(64);
-        sink.record_at(
-            1,
-            EventKind::FaultRevocation {
-                kind: FaultClass::NodeLoss,
-                executor: 4,
-            },
-        );
-        sink.record_at(
-            2,
-            EventKind::FaultReap {
-                executor: 4,
-                tasks_lost: 3,
-            },
-        );
-        sink.record_at(3, EventKind::FaultRetry { stage: 1, task: 7 });
-        let json = EventSink::to_json(&sink.snapshot());
-        assert!(json.contains("\"fault\":\"node_loss\",\"executor\":4"));
-        assert!(json.contains("\"executor\":4,\"tasks_lost\":3"));
-        assert!(json.contains("\"stage\":1,\"task\":7"));
-    }
-
-    #[test]
     fn resilience_payloads_render() {
         let sink = EventSink::new(64);
-        sink.record_at(1, EventKind::ShardQuarantine { shard: 2 });
-        sink.record_at(
-            2,
+        let kinds = [
+            EventKind::ShardQuarantine { shard: 2 },
             EventKind::BacklogEvacuation {
                 from_shard: 2,
                 count: 37,
             },
-        );
-        sink.record_at(
-            3,
             EventKind::FailoverRetry {
                 from_shard: 2,
                 to_shard: 0,
             },
-        );
-        sink.record_at(4, EventKind::ShardRecover { shard: 2 });
-        let events = sink.snapshot();
-        assert_eq!(events[0].kind.name(), "shard_quarantine");
-        assert_eq!(events[3].kind.name(), "shard_recover");
-        let json = EventSink::to_json(&events);
-        assert!(json.contains("\"type\":\"shard_quarantine\",\"shard\":2"));
-        assert!(json.contains("\"type\":\"backlog_evacuation\",\"from_shard\":2,\"count\":37"));
-        assert!(json.contains("\"type\":\"failover_retry\",\"from_shard\":2,\"to_shard\":0"));
-        assert!(json.contains("\"type\":\"shard_recover\",\"shard\":2"));
+            EventKind::ShardRecover { shard: 2 },
+        ];
+        for (ts, &kind) in (1..).zip(&kinds) {
+            sink.record_at(ts, kind);
+        }
+        let recorded: Vec<_> = sink.snapshot().iter().map(|e| e.kind).collect();
+        assert_eq!(recorded, kinds);
     }
 }

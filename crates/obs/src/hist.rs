@@ -27,7 +27,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use crate::{json_f64, thread_slot, DEFAULT_SHARDS};
+use crate::{thread_slot, DEFAULT_SHARDS};
 
 /// A fixed bucket ladder: the shared shape of a histogram and all
 /// snapshots merged from it.
@@ -360,29 +360,6 @@ impl HistogramSnapshot {
             max: Duration::from_nanos(self.max),
         }
     }
-
-    /// Compact JSON object: count, sum, max, mean, the standard
-    /// percentiles, and the non-empty buckets as `[low, count]` pairs.
-    pub fn to_json(&self) -> String {
-        let buckets: Vec<String> = self
-            .counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(idx, &c)| format!("[{},{}]", self.ladder.bucket_low(idx), c))
-            .collect();
-        format!(
-            "{{\"count\":{},\"sum\":{},\"max\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[{}]}}",
-            self.count,
-            self.sum,
-            self.max,
-            json_f64(self.mean()),
-            self.value_at_percentile(0.50),
-            self.value_at_percentile(0.90),
-            self.value_at_percentile(0.99),
-            buckets.join(",")
-        )
-    }
 }
 
 /// Percentile summary of a latency histogram.
@@ -543,17 +520,5 @@ mod tests {
         let stats = snap.latency_stats();
         assert_eq!(stats.max, Duration::ZERO);
         assert_eq!(stats.count, 0);
-    }
-
-    #[test]
-    fn json_lists_only_nonempty_buckets() {
-        let hist = AtomicHistogram::new(Ladder::batch_sizes(4));
-        hist.record(2);
-        hist.record(2);
-        hist.record(9);
-        let json = hist.snapshot().to_json();
-        assert!(json.contains("\"count\":3"));
-        assert!(json.contains("[2,2]"));
-        assert!(json.contains("[4,1]"));
     }
 }

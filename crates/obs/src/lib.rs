@@ -6,23 +6,24 @@
 //! price-performance curves; this crate is how the system observes how
 //! those predictions fare against reality. It is deliberately a leaf
 //! crate with **zero dependencies** (not even the workspace shims) so the
-//! engine, the serving runtime, the PPM layer, and the bench harness can
-//! all instrument through it without cycles.
+//! serving runtime and the bench drivers can instrument through it
+//! without cycles.
 //!
 //! Three subsystems:
 //!
-//! * **Metrics** ([`metrics`], [`hist`], [`drift`]) — atomic counters and
-//!   gauges, lock-free log-linear latency histograms with mergeable
-//!   snapshots (p50/p90/p99/max), observed-vs-predicted residual trackers
-//!   (the drift signal), all held in a sharded [`MetricsRegistry`]. Hot
-//!   paths touch only pre-registered `Arc` handles; the registry itself is
-//!   only locked at registration and snapshot time.
+//! * **Metrics** ([`metrics`], [`hist`], [`drift`]) — lock-free
+//!   log-linear latency histograms with mergeable snapshots
+//!   (p50/p90/p99/max) and observed-vs-predicted residual trackers (the
+//!   drift signal). A sharded [`MetricsRegistry`] holds named histograms
+//!   plus [`MetricSource`]s, components' own counters and gauges polled
+//!   at snapshot time. Hot paths touch only pre-registered `Arc` handles;
+//!   the registry itself is only locked at registration and snapshot time.
 //! * **Events** ([`events`]) — a bounded, thread-sharded [`EventSink`]
 //!   recording typed events (admission, shed, demotion, batch drain,
-//!   breaker transitions, fault revocations/reaps/retries, model swaps)
-//!   with monotonic timestamps and a JSON export. Overflow drops the
-//!   oldest events and counts the drops; recording never blocks on a
-//!   contended lock in steady state.
+//!   breaker transitions, model swaps, shard quarantines and failovers)
+//!   with monotonic timestamps. Overflow drops the oldest events and
+//!   counts the drops; recording never blocks on a contended lock in
+//!   steady state.
 //! * **Traces** ([`trace`], [`mod@replay`]) — a compact, versioned,
 //!   bit-exact serving-trace format (every request's envelope and
 //!   outcome) plus a replay evaluator that re-drives a captured trace
@@ -30,9 +31,10 @@
 //!   *without re-simulation* and diffs SLO, accuracy, and revenue.
 //!
 //! Everything here is plain `std`: `AtomicU64`, short uncontended
-//! `Mutex` sections, and hand-rolled serialization (floats travel as
+//! `Mutex` sections, and a hand-rolled trace format (floats travel as
 //! `f64::to_bits` hex, so capture → serialize → parse → replay is
-//! bit-identical by construction).
+//! bit-identical by construction). Reports built from these types go
+//! through the bench drivers' one JSON writer.
 
 pub mod drift;
 pub mod events;
@@ -42,9 +44,9 @@ pub mod replay;
 pub mod trace;
 
 pub use drift::{DriftSignal, ResidualTracker};
-pub use events::{Event, EventKind, EventSink, FaultClass};
+pub use events::{Event, EventKind, EventSink};
 pub use hist::{AtomicHistogram, HistogramSnapshot, Ladder, LatencyStats, ShardedHistogram};
-pub use metrics::{Counter, Gauge, MetricSource, MetricValue, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{MetricSource, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use replay::{
     replay, LevelSlo, ReplayDiff, ReplayOutcome, ReplayPolicy, ReplayReport, ReplayRun, ReplayScore,
 };
@@ -74,34 +76,6 @@ pub(crate) fn thread_slot() -> usize {
     THREAD_SLOT.with(|slot| *slot)
 }
 
-/// Escapes `s` for embedding in a JSON string literal.
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats `v` as a JSON number (Rust's `Display` for `f64` is
-/// shortest-roundtrip). Non-finite values become `null`, which JSON
-/// cannot represent as numbers.
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,14 +86,5 @@ mod tests {
         assert_eq!(here, thread_slot(), "slot must be stable per thread");
         let other = std::thread::spawn(thread_slot).join().unwrap();
         assert_ne!(here, other, "distinct threads get distinct slots");
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(escape_json("a\"b\\c\n"), "a\\\"b\\\\c\\n");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
-        assert_eq!(json_f64(1.5), "1.5");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
     }
 }

@@ -1,11 +1,10 @@
-//! The sharded metrics registry: named counters, gauges, histograms,
-//! and residual trackers.
+//! The sharded metrics registry: named histograms plus polled sources.
 //!
 //! The registry exists so that *reading* telemetry is one call
 //! ([`MetricsRegistry::snapshot`]) while *writing* it costs nothing
-//! beyond the instrument itself: `counter()`/`histogram()`/`residual()`
-//! hand back `Arc` handles at registration time (cold), and hot paths
-//! only ever touch those handles — never the registry's locks. The name
+//! beyond the instrument itself: [`MetricsRegistry::histogram`] hands
+//! back an `Arc` handle at registration time (cold), and hot paths only
+//! ever touch that handle — never the registry's locks. The name
 //! map is additionally sharded by a name hash so even concurrent
 //! registration bursts (e.g. many runtimes starting at once) do not
 //! serialize on one lock.
@@ -18,60 +17,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use crate::drift::{DriftSignal, ResidualTracker};
 use crate::hist::{HistogramSnapshot, Ladder, ShardedHistogram};
-use crate::{escape_json, json_f64};
-
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A monotonically increasing counter. All operations are `Relaxed`
-/// atomics: individually monotonic, cheap, and never a synchronization
-/// point.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one.
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-write-wins `f64` gauge (stored as bits in an `AtomicU64`).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// Creates a gauge at 0.0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Replaces the value.
-    pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-}
 
 /// One collected metric value in a [`MetricsSnapshot`].
 #[derive(Debug, Clone, PartialEq)]
@@ -82,8 +28,6 @@ pub enum MetricValue {
     Gauge(f64),
     /// A full histogram snapshot.
     Histogram(HistogramSnapshot),
-    /// A drift-signal summary.
-    Drift(DriftSignal),
 }
 
 /// A provider of externally-owned metrics, collected at snapshot time.
@@ -93,20 +37,12 @@ pub trait MetricSource: Send + Sync {
     fn collect(&self, out: &mut Vec<(String, MetricValue)>);
 }
 
-#[derive(Clone)]
-enum Instrument {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<ShardedHistogram>),
-    Residual(Arc<ResidualTracker>),
-}
-
 const REGISTRY_SHARDS: usize = 8;
 
 /// The process-wide (or per-deployment) metric namespace. Cheap to share
 /// as an `Arc`; see the module docs for the locking contract.
 pub struct MetricsRegistry {
-    shards: [Mutex<BTreeMap<String, Instrument>>; REGISTRY_SHARDS],
+    shards: [Mutex<BTreeMap<String, Arc<ShardedHistogram>>>; REGISTRY_SHARDS],
     sources: Mutex<Vec<Box<dyn MetricSource>>>,
 }
 
@@ -118,7 +54,7 @@ impl std::fmt::Debug for MetricsRegistry {
             .map(|s| s.lock().unwrap_or_else(|p| p.into_inner()).len())
             .sum();
         f.debug_struct("MetricsRegistry")
-            .field("instruments", &named)
+            .field("histograms", &named)
             .finish()
     }
 }
@@ -148,52 +84,18 @@ impl MetricsRegistry {
         }
     }
 
-    fn instrument<F: FnOnce() -> Instrument>(&self, name: &str, make: F) -> Instrument {
-        let mut shard = self.shards[name_shard(name)]
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner());
-        shard.entry(name.to_string()).or_insert_with(make).clone()
-    }
-
-    /// Returns (registering on first use) the counter named `name`.
-    /// Re-registration under a different instrument kind panics — names
-    /// are typed.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        match self.instrument(name, || Instrument::Counter(Arc::new(Counter::new()))) {
-            Instrument::Counter(c) => c,
-            _ => panic!("metric {name:?} already registered with a different kind"),
-        }
-    }
-
-    /// Returns (registering on first use) the gauge named `name`.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        match self.instrument(name, || Instrument::Gauge(Arc::new(Gauge::new()))) {
-            Instrument::Gauge(g) => g,
-            _ => panic!("metric {name:?} already registered with a different kind"),
-        }
-    }
-
     /// Returns (registering on first use) the sharded histogram named
     /// `name` over `ladder`. The ladder only applies on first
     /// registration; later callers get the existing instrument.
     pub fn histogram(&self, name: &str, ladder: Ladder) -> Arc<ShardedHistogram> {
-        match self.instrument(name, || {
-            Instrument::Histogram(Arc::new(ShardedHistogram::new(ladder)))
-        }) {
-            Instrument::Histogram(h) => h,
-            _ => panic!("metric {name:?} already registered with a different kind"),
-        }
-    }
-
-    /// Returns (registering on first use) the residual tracker named
-    /// `name` — the observed-vs-predicted drift signal.
-    pub fn residual(&self, name: &str) -> Arc<ResidualTracker> {
-        match self.instrument(name, || {
-            Instrument::Residual(Arc::new(ResidualTracker::new()))
-        }) {
-            Instrument::Residual(r) => r,
-            _ => panic!("metric {name:?} already registered with a different kind"),
-        }
+        let mut shard = self.shards[name_shard(name)]
+            .lock()
+            .unwrap_or_else(|poison| poison.into_inner());
+        Arc::clone(
+            shard
+                .entry(name.to_string())
+                .or_insert_with(|| Arc::new(ShardedHistogram::new(ladder))),
+        )
     }
 
     /// Registers an externally-owned metric provider, polled on every
@@ -206,20 +108,14 @@ impl MetricsRegistry {
             .push(source);
     }
 
-    /// Collects every registered instrument and source into a sorted,
+    /// Collects every registered histogram and source into a sorted,
     /// immutable snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut values: Vec<(String, MetricValue)> = Vec::new();
         for shard in &self.shards {
             let shard = shard.lock().unwrap_or_else(|poison| poison.into_inner());
-            for (name, instrument) in shard.iter() {
-                let value = match instrument {
-                    Instrument::Counter(c) => MetricValue::Counter(c.get()),
-                    Instrument::Gauge(g) => MetricValue::Gauge(g.get()),
-                    Instrument::Histogram(h) => MetricValue::Histogram(h.snapshot()),
-                    Instrument::Residual(r) => MetricValue::Drift(r.signal()),
-                };
-                values.push((name.clone(), value));
+            for (name, histogram) in shard.iter() {
+                values.push((name.clone(), MetricValue::Histogram(histogram.snapshot())));
             }
         }
         // Collect sources outside the shard locks.
@@ -263,25 +159,6 @@ impl MetricsSnapshot {
             _ => None,
         }
     }
-
-    /// JSON object keyed by metric name. Counters and gauges are bare
-    /// numbers; histograms and drift signals are nested objects.
-    pub fn to_json(&self) -> String {
-        let fields: Vec<String> = self
-            .values
-            .iter()
-            .map(|(name, value)| {
-                let rendered = match value {
-                    MetricValue::Counter(v) => format!("{v}"),
-                    MetricValue::Gauge(v) => json_f64(*v),
-                    MetricValue::Histogram(h) => h.to_json(),
-                    MetricValue::Drift(d) => d.to_json(),
-                };
-                format!("\"{}\":{}", escape_json(name), rendered)
-            })
-            .collect();
-        format!("{{{}}}", fields.join(","))
-    }
 }
 
 #[cfg(test)]
@@ -289,43 +166,38 @@ mod tests {
     use super::*;
 
     #[test]
-    fn handles_are_shared_and_typed() {
+    fn histogram_handles_are_shared() {
         let registry = MetricsRegistry::new();
-        let a = registry.counter("requests");
-        let b = registry.counter("requests");
-        a.inc();
-        b.add(2);
-        assert_eq!(registry.snapshot().counter("requests"), Some(3));
-        assert!(Arc::ptr_eq(&a, &b));
-    }
-
-    #[test]
-    #[should_panic(expected = "different kind")]
-    fn kind_mismatch_panics() {
-        let registry = MetricsRegistry::new();
-        registry.counter("x");
-        registry.gauge("x");
+        let a = registry.histogram("latency", Ladder::latency());
+        let b = registry.histogram("latency", Ladder::batch_sizes(8));
+        a.record(1000);
+        b.record(2000);
+        assert!(Arc::ptr_eq(&a, &b), "the first registration's ladder wins");
+        assert!(matches!(
+            registry.snapshot().get("latency"),
+            Some(MetricValue::Histogram(h)) if h.count() == 2
+        ));
     }
 
     #[test]
     fn snapshot_is_sorted_and_queryable() {
+        struct Fixed;
+        impl MetricSource for Fixed {
+            fn collect(&self, out: &mut Vec<(String, MetricValue)>) {
+                out.push(("z.last".into(), MetricValue::Counter(1)));
+                out.push(("a.first".into(), MetricValue::Gauge(2.5)));
+            }
+        }
         let registry = MetricsRegistry::new();
-        registry.counter("z.last").inc();
-        registry.gauge("a.first").set(2.5);
+        registry.register_source(Box::new(Fixed));
         registry.histogram("m.hist", Ladder::latency()).record(1000);
-        registry.residual("m.drift").record(1.1, 1.0);
         let snap = registry.snapshot();
         let names: Vec<&str> = snap.values().iter().map(|(n, _)| n.as_str()).collect();
-        let mut sorted = names.clone();
-        sorted.sort();
-        assert_eq!(names, sorted);
+        assert_eq!(names, ["a.first", "m.hist", "z.last"]);
         assert_eq!(snap.counter("z.last"), Some(1));
+        assert_eq!(snap.counter("m.hist"), None, "a histogram is not a counter");
         assert!(matches!(snap.get("a.first"), Some(MetricValue::Gauge(v)) if *v == 2.5));
         assert!(matches!(snap.get("m.hist"), Some(MetricValue::Histogram(h)) if h.count() == 1));
-        assert!(matches!(snap.get("m.drift"), Some(MetricValue::Drift(d)) if d.samples == 1));
-        let json = snap.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"z.last\":1"));
     }
 
     #[test]

@@ -26,7 +26,6 @@
 
 use crate::drift::ResidualTracker;
 use crate::trace::{RequestStatus, ServingTrace, TraceQuery, TRACE_LEVELS};
-use crate::{escape_json, json_f64};
 
 /// The replay-side configuration: deadline budgets and the revenue
 /// penalty model. Build one from the trace for a baseline run, then
@@ -164,48 +163,6 @@ impl ReplayReport {
     /// Total deadline misses across levels.
     pub fn total_misses(&self) -> u64 {
         self.levels.iter().map(|l| l.misses).sum()
-    }
-
-    /// JSON object with the full report.
-    pub fn to_json(&self) -> String {
-        let levels: Vec<String> = self
-            .levels
-            .iter()
-            .map(|l| {
-                format!(
-                    "{{\"completed\":{},\"misses\":{},\"miss_rate\":{}}}",
-                    l.completed,
-                    l.misses,
-                    json_f64(l.miss_rate())
-                )
-            })
-            .collect();
-        format!(
-            concat!(
-                "{{\"label\":\"{}\",\"requests\":{},\"completed\":{},\"shed\":{},",
-                "\"dropped\":{},\"throttled\":{},\"errored\":{},\"levels\":[{}],",
-                "\"residual_samples\":{},\"mean_abs_residual\":{},",
-                "\"mean_residual_bias\":{},\"max_abs_residual\":{},",
-                "\"gross_revenue\":{},\"miss_penalties\":{},\"net_revenue\":{},",
-                "\"mean_executors\":{}}}"
-            ),
-            escape_json(&self.label),
-            self.requests,
-            self.completed,
-            self.shed,
-            self.dropped,
-            self.throttled,
-            self.errored,
-            levels.join(","),
-            self.residual_samples,
-            json_f64(self.mean_abs_residual),
-            json_f64(self.mean_residual_bias),
-            json_f64(self.max_abs_residual),
-            json_f64(self.gross_revenue),
-            json_f64(self.miss_penalties),
-            json_f64(self.net_revenue),
-            json_f64(self.mean_executors),
-        )
     }
 }
 
@@ -406,28 +363,6 @@ impl ReplayDiff {
             },
         }
     }
-
-    /// JSON object with every delta.
-    pub fn to_json(&self) -> String {
-        let rates: Vec<String> = self.miss_rate_delta.iter().map(|&d| json_f64(d)).collect();
-        format!(
-            concat!(
-                "{{\"baseline\":\"{}\",\"candidate\":\"{}\",\"miss_rate_delta\":[{}],",
-                "\"misses_delta\":{},\"mean_abs_residual_delta\":{},",
-                "\"mean_executors_delta\":{},\"gross_revenue_delta\":{},",
-                "\"net_revenue_delta\":{},\"net_revenue_delta_frac\":{}}}"
-            ),
-            escape_json(&self.baseline),
-            escape_json(&self.candidate),
-            rates.join(","),
-            self.misses_delta,
-            json_f64(self.mean_abs_residual_delta),
-            json_f64(self.mean_executors_delta),
-            json_f64(self.gross_revenue_delta),
-            json_f64(self.net_revenue_delta),
-            json_f64(self.net_revenue_delta_frac),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -564,9 +499,6 @@ mod tests {
         assert!(diff.net_revenue_delta < 0.0);
         assert!(diff.net_revenue_delta_frac < 0.0);
         assert!(diff.miss_rate_delta[2] > 0.0);
-        let json = diff.to_json();
-        assert!(json.contains("\"candidate\":\"strict\""));
-        assert!(json.contains("misses_delta"));
     }
 
     #[test]
@@ -603,19 +535,5 @@ mod tests {
         assert_eq!(run.report.errored, 3);
         assert_eq!(run.outcomes[0].status, RequestStatus::Errored);
         assert_eq!(run.report.net_revenue, 0.0);
-    }
-
-    #[test]
-    fn report_json_renders() {
-        let trace = two_query_trace();
-        let run = replay(
-            &trace,
-            &ReplayPolicy::baseline(&trace),
-            capture_scorer(&trace),
-        );
-        let json = run.report.to_json();
-        assert!(json.contains("\"label\":\"baseline\""));
-        assert!(json.contains("\"requests\":5"));
-        assert!(json.contains("\"levels\":["));
     }
 }

@@ -163,21 +163,6 @@ impl Breaker {
             State::Open { .. } => false,
         }
     }
-
-    /// Read-only health signal for fleet health passes: true while the
-    /// breaker holds the model path open (cooldown not yet elapsed).
-    /// Unlike [`allow_model`](Self::allow_model) this never transitions
-    /// the state, so observing health cannot consume the half-open probe.
-    pub(crate) fn is_open(&self, now: Instant) -> bool {
-        let state = self
-            .state
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner());
-        match *state {
-            State::Open { until } => now < until,
-            State::Closed { .. } | State::HalfOpen => false,
-        }
-    }
 }
 
 /// The heuristic fallback sizing rule: a [`ResourceRequest`] built without
@@ -287,27 +272,6 @@ mod tests {
         assert!(
             !breaker.record_failure(t0),
             "count must restart after a success"
-        );
-    }
-
-    #[test]
-    fn is_open_reports_without_consuming_the_probe() {
-        let breaker = Breaker::new(
-            BreakerConfig::default()
-                .with_failure_threshold(1)
-                .with_cooldown(Duration::from_millis(5)),
-        );
-        let t0 = now();
-        assert!(!breaker.is_open(t0));
-        assert!(breaker.record_failure(t0));
-        assert!(breaker.is_open(t0));
-        let after = t0 + Duration::from_millis(6);
-        // Past the cooldown the health probe reports closed but must not
-        // transition to HalfOpen: the real probe slot stays available.
-        assert!(!breaker.is_open(after));
-        assert!(
-            breaker.allow_model(after),
-            "health check consumed the probe"
         );
     }
 

@@ -13,10 +13,11 @@
 //!   induced, the hot-path check is one untaken branch.
 //! * [`HealthPolicy`] / [`HealthState`] — how each health pass,
 //!   [`ShardedRuntime::tick`](super::ShardedRuntime::tick), turns a
-//!   shard's error rate, breaker state, and drain progress into the
-//!   `Healthy → Suspect → Quarantined → Probation` machine that drives
-//!   failover and recovery (implemented in [`super::sharded`]). The
-//!   caller owns the clock: the fleet runs no thread of its own.
+//!   shard's failure rate (errors and degraded answers) and drain
+//!   progress into the `Healthy → Suspect → Quarantined → Probation`
+//!   machine that drives failover and recovery (implemented in
+//!   [`super::sharded`]). The caller owns the clock: the fleet runs no
+//!   thread of its own.
 //! * `RetryBudget` (crate-internal) — a token bucket bounding cross-shard
 //!   re-submission of failed requests, so a dying shard cannot amplify
 //!   its own load onto survivors. Ticks refill it.
@@ -140,13 +141,14 @@ impl HealthState {
 /// (the default) makes [`ShardedRuntime::tick`](super::ShardedRuntime::tick)
 /// a no-op. Each tick checks every shard over the window since the
 /// previous tick, so the caller picks the period. The rest of the rule is
-/// fixed: a window is bad when at least half its events are errors, and
-/// probation diverts every 4th non-`Interactive` submission to the shard
-/// and re-admits it after 8 clean completions and 2 clean checks in a row.
+/// fixed: a window is bad when at least half its events are errors or
+/// degraded answers, and probation diverts every 4th non-`Interactive`
+/// submission to the shard and re-admits it after 8 clean completions and
+/// 2 clean checks in a row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthPolicy {
     /// Event floor (completions plus errors in one window) before the
-    /// error rate counts: one unlucky request must not condemn an idle
+    /// failure rate counts: one unlucky request must not condemn an idle
     /// shard.
     pub min_window_events: u64,
     /// Drain-stall watchdog: a check is bad when the shard has at least
@@ -178,7 +180,7 @@ impl Default for HealthPolicy {
 }
 
 impl HealthPolicy {
-    /// Overrides the error-rate event floor.
+    /// Overrides the failure-rate event floor.
     pub fn with_min_window_events(mut self, events: u64) -> Self {
         self.min_window_events = events;
         self

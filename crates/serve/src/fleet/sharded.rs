@@ -10,7 +10,7 @@
 //!  onto the current vnode ring        own queues / workers / model
 //!                                     cache / breaker / stats / obs
 //!                tick(now), called by the owner:
-//!                error rate / open breaker / drain stall
+//!                failure rate / drain stall
 //!                → Suspect → Quarantined (ring removal + backlog
 //!                  evacuation) → Probation (trickle) → Healthy
 //! ```
@@ -74,10 +74,11 @@ const VNODES_PER_SHARD: usize = 128;
 const RING_SEED: u64 = 0x0AE5_E11F_1EE7;
 
 /// The fixed part of the health rule (see [`HealthPolicy`]): a window is
-/// bad at this share of errors; probation diverts every
-/// `PROBATION_STRIDE`-th non-`Interactive` submission and re-admits after
-/// `PROBATION_MIN_COMPLETIONS` clean completions and `PROBATION_CHECKS`
-/// consecutive clean checks (no errors, no degraded answers).
+/// bad at this share of failed answers (errors plus degraded answers);
+/// probation diverts every `PROBATION_STRIDE`-th non-`Interactive`
+/// submission and re-admits after `PROBATION_MIN_COMPLETIONS` clean
+/// completions and `PROBATION_CHECKS` consecutive clean checks (no
+/// errors, no degraded answers).
 const ERROR_RATE_THRESHOLD: f64 = 0.5;
 const PROBATION_STRIDE: u64 = 4;
 const PROBATION_MIN_COMPLETIONS: u64 = 8;
@@ -268,6 +269,7 @@ struct ShardBook {
     /// Cumulative counters at the previous check (window deltas).
     completed: u64,
     errors: u64,
+    degraded: u64,
     /// Consecutive checks with queued work and zero progress.
     stall_streak: u32,
     /// When the shard entered quarantine.
@@ -280,8 +282,7 @@ struct ShardBook {
 
 /// One health check of one shard at `now`: advance the window deltas,
 /// then drive the `Healthy → Suspect → Quarantined → Probation` machine.
-/// Reads no clock itself: the breaker and the quarantine hold are judged
-/// at `now`.
+/// Reads no clock itself: the quarantine hold is judged at `now`.
 fn check_shard(
     shared: &FleetShared,
     policy: &HealthPolicy,
@@ -292,22 +293,21 @@ fn check_shard(
     let stats = shared.shards[shard].stats();
     let window_completed = stats.completed.saturating_sub(book.completed);
     let window_errors = stats.errors.saturating_sub(book.errors);
+    let window_degraded = stats.degraded.saturating_sub(book.degraded);
     book.completed = stats.completed;
     book.errors = stats.errors;
+    book.degraded = stats.degraded;
     match shared.health_state(shard) {
         state @ (HealthState::Healthy | HealthState::Suspect) => {
             let events = window_completed + window_errors;
             let mut bad = false;
-            // Error-rate signal, gated on a minimum event count so one
-            // unlucky request cannot condemn an idle shard.
+            // Failure-rate signal, gated on a minimum event count so one
+            // unlucky request cannot condemn an idle shard. A degraded
+            // answer (counted in `completed`) fails like an error: behind
+            // a breaker, a model outage produces no errors at all.
             if events >= policy.min_window_events.max(1)
-                && window_errors as f64 >= ERROR_RATE_THRESHOLD * events as f64
+                && (window_errors + window_degraded) as f64 >= ERROR_RATE_THRESHOLD * events as f64
             {
-                bad = true;
-            }
-            // Breaker signal: an open breaker means the model path is
-            // down (read-only check; the half-open probe is preserved).
-            if shared.shards[shard].breaker_open(now) {
                 bad = true;
             }
             // Drain-stall watchdog: queued work, zero progress, for
@@ -484,9 +484,8 @@ fn routing_key(request: &ScoreRequest) -> u64 {
 /// [module docs](self) for the architecture and contracts.
 ///
 /// Construct with [`ShardedRuntime::new`]; submit from any thread with
-/// the same request vocabulary as a single runtime
-/// ([`submit`](Self::submit), [`try_submit`](Self::try_submit),
-/// [`submit_detached`](Self::submit_detached), …); inspect with
+/// [`submit`](Self::submit) (blocking, with failover) or
+/// [`submit_detached`](Self::submit_detached) (a ticket); inspect with
 /// [`stats`](Self::stats) (per-shard + aggregate + health); stop with
 /// [`shutdown`](Self::shutdown) (or drop the handle).
 pub struct ShardedRuntime {
@@ -566,8 +565,8 @@ impl ShardedRuntime {
 
     /// Runs one health pass at `now`: refills the retry budget for the
     /// time since the previous tick, then checks every shard over the
-    /// window since the previous pass, judging breakers and holds at
-    /// `now`. The caller owns the period and the clock. Ticks are
+    /// window since the previous pass, judging holds at `now`. The
+    /// caller owns the period and the clock. Ticks are
     /// serialized, and do nothing without a health policy, on a one-shard
     /// fleet, or once shutdown has begun.
     pub fn tick(&self, now: Instant) {
@@ -682,23 +681,21 @@ impl ShardedRuntime {
             .unwrap_or(shard)
     }
 
-    /// Routes a synchronous call with failover: on a retryable error
-    /// from the routed shard, re-submit once to a surviving ring member
-    /// (the key's successor with the failed shard removed), bounded by
-    /// the retry token bucket, which the call takes from without reading
-    /// a clock. Without a health policy this adds nothing to the call —
-    /// no clone, no extra branch beyond one `None` check.
-    fn call_with_failover<T>(
-        &self,
-        request: ScoreRequest,
-        call: impl Fn(&ScoringRuntime, ScoreRequest) -> Result<T>,
-    ) -> Result<T> {
+    /// Routes and submits with backpressure, blocking until the result is
+    /// ready (the fleet analogue of [`ScoringRuntime::submit`]). With a
+    /// health policy configured, a retryable error from the routed shard
+    /// is re-submitted once to a surviving ring member (the key's
+    /// successor with the failed shard removed), bounded by the retry
+    /// token bucket, which the call takes from without reading a clock.
+    /// Without a health policy this adds nothing to the call — no clone,
+    /// no extra branch beyond one `None` check.
+    pub fn submit(&self, request: ScoreRequest) -> Result<ScoreOutcome> {
         let shard = self.route_for_submit(&request);
         let Some(budget) = &self.shared.retry_budget else {
-            return call(&self.shared.shards[shard], request);
+            return self.shared.shards[shard].submit(request);
         };
         let retry = request.clone();
-        let error = match call(&self.shared.shards[shard], request) {
+        let error = match self.shared.shards[shard].submit(request) {
             Ok(outcome) => return Ok(outcome),
             Err(error) => error,
         };
@@ -717,7 +714,7 @@ impl ShardedRuntime {
             from_shard: shard as u16,
             to_shard: target as u16,
         });
-        call(&self.shared.shards[target], retry)
+        self.shared.shards[target].submit(retry)
     }
 
     /// The failover destination for a request whose routed shard failed:
@@ -739,35 +736,13 @@ impl ShardedRuntime {
         Some(ring.without_shard(from as u16).shard_for_key(key) as usize)
     }
 
-    /// Routes and submits with backpressure, blocking until the result is
-    /// ready (the fleet analogue of [`ScoringRuntime::submit`]). With a
-    /// health policy configured, a retryable failure is re-submitted once
-    /// to a surviving shard under the retry budget.
-    pub fn submit(&self, request: ScoreRequest) -> Result<ScoreOutcome> {
-        self.call_with_failover(request, |shard, request| shard.submit(request))
-    }
-
-    /// Routes and submits without backpressure (fail-fast
-    /// [`ServeError::Saturated`] on a full
-    /// shard queue — saturation is a policy outcome and is never retried
-    /// elsewhere).
-    pub fn try_submit(&self, request: ScoreRequest) -> Result<ScoreOutcome> {
-        self.call_with_failover(request, |shard, request| shard.try_submit(request))
-    }
-
     /// Routes and admits a detached submission (with backpressure),
     /// returning the shard's [`ScoreTicket`]. Detached tickets redeem on
-    /// their admitting shard; failover applies to the synchronous paths,
+    /// their admitting shard; failover applies to [`submit`](Self::submit),
     /// where the caller is still present to re-submit.
     pub fn submit_detached(&self, request: ScoreRequest) -> Result<ScoreTicket> {
         let shard = self.route_for_submit(&request);
         self.shared.shards[shard].submit_detached(request)
-    }
-
-    /// Routes and admits a detached submission fail-fast.
-    pub fn try_submit_detached(&self, request: ScoreRequest) -> Result<ScoreTicket> {
-        let shard = self.route_for_submit(&request);
-        self.shared.shards[shard].try_submit_detached(request)
     }
 
     /// Per-shard queue depths (queued-but-undrained requests).

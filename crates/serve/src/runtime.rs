@@ -1071,16 +1071,6 @@ impl ScoringRuntime {
         decode_fault(self.shared.induced.load(Ordering::Relaxed))
     }
 
-    /// Crate-internal (fleet health): true while this runtime's breaker
-    /// is open (degraded mode) at `now`. Read-only — never consumes the
-    /// half-open probe. Always false without a configured breaker.
-    pub(crate) fn breaker_open(&self, now: Instant) -> bool {
-        self.shared
-            .breaker
-            .as_ref()
-            .is_some_and(|breaker| breaker.is_open(now))
-    }
-
     /// A point-in-time snapshot of the runtime counters.
     pub fn stats(&self) -> RuntimeStats {
         self.shared.stats.snapshot()

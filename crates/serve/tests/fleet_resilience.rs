@@ -320,11 +320,14 @@ fn crash_quarantine_failover_and_probationary_recovery() {
 
 /// Probation never re-admits a shard whose model path is still down.
 /// Behind a breaker, a model outage produces degraded answers, not
-/// errors: the breaker signal quarantines the shard, and each probation
-/// trickle answered from the heuristic sends it straight back, so each
-/// hold of the outage counts exactly one more quarantine. Once the fault
-/// clears and the breaker's cooldown has passed, a half-open probe closes
-/// the breaker and probation re-admits the shard.
+/// errors: the failure rate counts them, so two windows of degraded
+/// answers quarantine the shard, and each probation trickle answered from
+/// the heuristic sends it straight back, so each hold of the outage
+/// counts exactly one more quarantine. The passes tick an hour ahead of
+/// the wall clock the breaker runs on: health reads only the shard's
+/// answers. Once the fault clears and the breaker's cooldown has passed,
+/// a half-open probe closes the breaker and probation re-admits the
+/// shard.
 #[test]
 fn model_outage_keeps_the_shard_in_probation_until_cleared() {
     const COOLDOWN: Duration = Duration::from_millis(20);
@@ -348,18 +351,21 @@ fn model_outage_keeps_the_shard_in_probation_until_cleared() {
             .submit(ScoreRequest::from_features(features.clone()).with_tenant(tenant))
             .expect("a model outage behind a breaker degrades answers, never fails them");
     };
-    let t0 = Instant::now();
+    let t0 = Instant::now() + Duration::from_secs(3600);
 
     fleet.induce_shard_fault(victim, InducedFault::ModelOutage);
-    // The breaker trips on the victim's third failed call and stays open
-    // past every instant below: it opened after `t0`, and no tick of the
-    // first two passes reaches `t0 + COOLDOWN`.
+    // Every answer of the first two windows is degraded: the first three
+    // fail over to the heuristic and trip the breaker, the rest skip the
+    // model path.
     for &tenant in &victim_tenants {
         submit(tenant);
     }
-    assert!(fleet.stats().shard(victim).degraded > 0);
+    assert_eq!(fleet.stats().shard(victim).degraded, 8);
     fleet.tick(t0 + ms(1));
     assert_eq!(fleet.shard_health(victim), HealthState::Suspect);
+    for &tenant in &victim_tenants {
+        submit(tenant);
+    }
     fleet.tick(t0 + ms(2));
     assert_eq!(fleet.shard_health(victim), HealthState::Quarantined);
     assert_eq!(fleet.stats().quarantines, 1);

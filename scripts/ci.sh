@@ -59,6 +59,9 @@ cargo run --offline --release -p ae-bench --bin bench_fleet -- --smoke --json "$
 echo "==> resilience smoke (1-of-4 shard kill: zero lost tickets, >= 60% goodput retained, probation re-admits)"
 cargo run --offline --release -p ae-bench --bin bench_resilience -- --smoke --json "$reports/resilience.json"
 
+echo "==> paper figures (every experiment runs to completion; its output is not compared yet)"
+cargo run --release --offline --locked -p ae-bench --bin experiments -- all >"$reports/experiments.txt"
+
 echo "==> perfbench (benchmark builds and its tests pass; each workload runs untraced and traced: correct, zero failed, per-layer metrics above 0)"
 cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 # The per-layer metrics each workload measures when traced: the offline
