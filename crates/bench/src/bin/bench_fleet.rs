@@ -1,6 +1,6 @@
-//! Fleet benchmark: aggregate throughput and per-shard p99 skew of the
-//! `ae-serve` sharded runtime at 1/2/4/8 shards under tagged open-loop
-//! traffic.
+//! Fleet benchmark: aggregate throughput, routing skew and per-shard p99
+//! skew of the `ae-serve` sharded runtime at 1/2/4/8 shards under tagged
+//! open-loop traffic.
 //!
 //! **Measurement model (shard = node).** A fleet shard maps 1:1 onto an
 //! independent node: shards share no queues, no model cache, and no
@@ -20,9 +20,14 @@
 //! during one timed pass would set that maximum, so every fleet size is
 //! built first and then timed in [`PASSES`] rounds, each round one pass
 //! of every shard of every size: a slow spell lands on all sizes alike,
-//! and a shard's elapsed time is the median of its passes. Per-shard p99
-//! skew (`max p99 / min p99`) comes from latency histograms that record
-//! every pass.
+//! and a shard's elapsed time is the median of its passes.
+//!
+//! Two skews are reported, each over the shards that served traffic.
+//! `load_skew` (`max / min` per-shard requests, from exact counts) measures
+//! how unevenly the ring routes the stream. `p99_skew` (`max p99 / min
+//! p99`) measures latency spread, from histograms that record every pass;
+//! each p99 is a `Ladder::latency()` bucket bound, so shards whose p99s
+//! land in one bucket read 1.00 however unevenly they are loaded.
 //!
 //! Usage:
 //!
@@ -34,8 +39,8 @@
 //! `--shards` lists the fleet sizes, `--requests` sizes the tagged stream
 //! (at most 2,000 under `--smoke`) and `--tenants` the tenant space. The
 //! smoke gate fails unless the 4-shard aggregate qps is at least 2x the
-//! single-shard qps, every per-shard p99 skew is finite, and no requests
-//! were dropped or errored.
+//! single-shard qps, every p99 skew is finite, every load skew is finite
+//! and at least 1, and no requests were dropped or errored.
 
 use std::time::{Duration, Instant};
 
@@ -51,6 +56,9 @@ const COMMENT: &str = "ae-serve fleet benchmark (shard = node model). Shards sha
     total_requests / max(per-shard elapsed) — the fleet finishes when its slowest node finishes. \
     Every fleet size is built first, then timed in 5 rounds of one pass per shard of every size; \
     a shard's elapsed_ms is the median of its 5 passes and its p50/p99 cover all of them. \
+    load_skew = max / min per-shard requests (exact counts): how unevenly the ring routes. \
+    p99_skew = max / min per-shard p99, where each p99 is a latency-ladder bucket bound: it reads \
+    1.00 when every shard's p99 lands in one bucket, whatever the load. \
     Whenever shards outnumber the host's cores, running them live-concurrently would measure the \
     kernel scheduler, not the architecture. Regenerate with: cargo run --release -p ae-bench \
     --bin bench_fleet -- --json BENCH_fleet.json";
@@ -100,21 +108,21 @@ impl FleetRun {
         self.total_requests() as f64 / self.makespan().as_secs_f64().max(1e-9)
     }
 
-    /// `max p99 / min p99` over shards that served traffic (1.0 for a
-    /// single shard).
+    /// Shards that served traffic.
+    fn serving(&self) -> impl Iterator<Item = &ShardRun> {
+        self.per_shard.iter().filter(|s| s.requests > 0)
+    }
+
+    /// Latency skew: `max p99 / min p99` over shards that served traffic
+    /// (1.0 for a single shard). The p99s are latency-ladder bucket bounds.
     fn p99_skew(&self) -> f64 {
-        let p99s: Vec<f64> = self
-            .per_shard
-            .iter()
-            .filter(|s| s.requests > 0)
-            .map(|s| s.latency.p99.as_secs_f64())
-            .collect();
-        let max = p99s.iter().cloned().fold(0.0, f64::max);
-        let min = p99s.iter().cloned().fold(f64::INFINITY, f64::min);
-        if !min.is_finite() {
-            return 1.0;
-        }
-        max / min.max(1e-9)
+        skew(self.serving().map(|s| s.latency.p99.as_secs_f64()))
+    }
+
+    /// Routing skew: `max / min` per-shard requests over shards that
+    /// served traffic, from exact counts (1.0 for a single shard).
+    fn load_skew(&self) -> f64 {
+        skew(self.serving().map(|s| s.requests as f64))
     }
 
     fn report(&self, base_qps: f64) -> Value {
@@ -135,9 +143,22 @@ impl FleetRun {
                 "speedup_vs_1_shard",
                 (self.aggregate_qps() / base_qps.max(1e-9)).into(),
             ),
+            ("load_skew", self.load_skew().into()),
             ("p99_skew", self.p99_skew().into()),
             ("per_shard", per_shard.collect()),
         ])
+    }
+}
+
+/// `max / min` of `values`, 1.0 when there are none.
+fn skew(values: impl Iterator<Item = f64>) -> f64 {
+    let (min, max) = values.fold((f64::INFINITY, 0.0), |(min, max), v| {
+        (f64::min(min, v), f64::max(max, v))
+    });
+    if min.is_finite() {
+        max / min.max(1e-9)
+    } else {
+        1.0
     }
 }
 
@@ -261,10 +282,11 @@ fn main() {
     let runs: Vec<FleetRun> = benches.into_iter().map(FleetBench::finish).collect();
     for run in &runs {
         println!(
-            "fleet: {:>2} shards   {:>9.0} aggregate qps   makespan {:>7.1} ms   p99 skew {:>5.2}   ({} requests)",
+            "fleet: {:>2} shards   {:>9.0} aggregate qps   makespan {:>7.1} ms   load skew {:>5.2}   p99 skew {:>5.2}   ({} requests)",
             run.shards,
             run.aggregate_qps(),
             run.makespan().as_secs_f64() * 1e3,
+            run.load_skew(),
             run.p99_skew(),
             run.total_requests(),
         );
@@ -312,6 +334,13 @@ fn main() {
             if !run.p99_skew().is_finite() {
                 failures.push(format!("{}-shard p99 skew is not finite", run.shards));
             }
+            let load_skew = run.load_skew();
+            if !(load_skew.is_finite() && load_skew >= 1.0) {
+                failures.push(format!(
+                    "{}-shard load skew must be finite and >= 1 (got {load_skew})",
+                    run.shards
+                ));
+            }
             if run.dropped != 0 || run.errors != 0 {
                 failures.push(format!(
                     "{}-shard run dropped {} / errored {}",
@@ -322,7 +351,7 @@ fn main() {
         harness::gate(
             "fleet smoke",
             &failures,
-            "4-shard >= 2x single-shard, finite skew, zero dropped/errors",
+            "4-shard >= 2x single-shard, finite skews, load skew >= 1, zero dropped/errors",
         );
     }
 }

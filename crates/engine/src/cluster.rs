@@ -121,21 +121,6 @@ impl AllocationLag {
             executor_startup_secs: 0.0,
         }
     }
-
-    /// Time from issuing a request until `count` additional executors are
-    /// usable, under this lag model.
-    pub fn time_to_allocate(&self, count: usize) -> f64 {
-        if count == 0 {
-            return 0.0;
-        }
-        if self.executors_per_wave == usize::MAX || self.executors_per_wave == 0 {
-            return self.grant_delay_secs + self.executor_startup_secs;
-        }
-        let waves = count.div_ceil(self.executors_per_wave);
-        self.grant_delay_secs
-            + (waves.saturating_sub(1)) as f64 * self.wave_interval_secs
-            + self.executor_startup_secs
-    }
 }
 
 /// Full cluster configuration used by the simulator.
@@ -253,23 +238,6 @@ mod tests {
             ..ClusterConfig::paper_default()
         };
         assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn allocation_lag_time_grows_with_count() {
-        let lag = AllocationLag::synapse_like();
-        let t8 = lag.time_to_allocate(8);
-        let t48 = lag.time_to_allocate(48);
-        assert!(t48 > t8);
-        // 48 executors at 4 per 2s wave ≈ 22s + delays → in the 20–30 s band.
-        assert!((20.0..=35.0).contains(&t48), "t48 = {t48}");
-    }
-
-    #[test]
-    fn instant_lag_is_fast() {
-        let lag = AllocationLag::instant();
-        assert_eq!(lag.time_to_allocate(0), 0.0);
-        assert_eq!(lag.time_to_allocate(48), 0.0);
     }
 
     #[test]

@@ -27,23 +27,41 @@
 //! 1. bring granted executors online, drawing each one's fault fate;
 //! 2. process due revocations: an announcement revokes an executor, the
 //!    reap at the end of its grace window loses what still runs on it;
-//! 3. record the skyline and, at a tick boundary, apply the allocation
-//!    policy;
+//!    then stop if every executor is lost with nothing left to grant;
+//! 3. record the skyline if the live count changed and, at a tick
+//!    boundary, apply the allocation policy;
 //! 4. dispatch lost tasks, then pending tasks of ready stages, onto free
 //!    core-slots;
 //! 5. advance the clock to the next event;
 //! 6. complete the tasks that are due.
 //!
-//! "Due" always allows the same `1e-9` s slack, and ticks are never
-//! skipped: a tick iteration also completes the tasks ending within that
-//! slack, which moves later start times in their last bits.
+//! "Due" always allows the same `1e-9` s slack. Steps 1–3 run only in an
+//! iteration where a grant, a revocation, the tick or the end of the
+//! driver overhead is due; the run caches the earliest grant, revocation
+//! and overhead end after they run, since only they push grants and
+//! revocations. In any other iteration they would change nothing: nothing
+//! pops, the tick is not due, and the live count, which only they change,
+//! is already recorded. The resources-exhausted stop is checked every
+//! iteration.
+//!
+//! A static policy's tick does nothing, so the clock advance folds every
+//! tick with no completion, grant, revocation, usable executor or overhead
+//! end within the slack after it. That tick's iteration would only move
+//! `next_tick` on by `tick_interval`, and the fold makes the same
+//! addition, so output stays bit-identical. A tick with an event in its
+//! slack still runs: it completes the tasks ending within the slack, and
+//! later start times move in their last bits. Dynamic and predictive
+//! ticks always run.
 //!
 //! Completions, grants, executors becoming usable and revocations wait in
-//! min-heaps that share one entry type, ordered by time and then a tie
-//! (start order for completions and grants, executor index for the rest),
-//! so simultaneous events pop in the order a FIFO scan would see them. A
-//! completion entry is 16 bytes (end time, start sequence); the attempt
-//! sits in an arena indexed by that sequence.
+//! one 4-ary min-heap type keyed by a packed `u128`: the total-order bits
+//! of the time (the order `f64::total_cmp` uses) above a 64-bit tie (start
+//! order for completions and grants, executor index for usable executors,
+//! executor index plus a reap bit for revocations), so simultaneous events
+//! pop in the order a FIFO scan would see them. Every heap's keys are
+//! unique, so any exact min-heap pops the same sequence. A completion
+//! entry is 16 bytes, its key alone; the attempt sits in an arena indexed
+//! by its start sequence.
 //!
 //! Free core-slots come from an exact index, one bitset over executor
 //! indices per free-slot count plus the total of free slots. An executor
@@ -67,8 +85,7 @@
 //! past its end; any other run restarts the stream. A fresh scratch draws
 //! every factor, so both entry points take the one path.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -213,54 +230,157 @@ struct ExecutorState {
     removed: bool,
 }
 
-/// An entry of the run's event heaps. `BinaryHeap` is a max-heap, so the
-/// order is reversed: the earliest `at` pops first, then the smallest
-/// `tie`.
+/// An entry of an [`EventHeap`]: the event's time and tie packed into one
+/// key, and its payload.
 #[derive(Debug, Clone, Copy)]
-struct Timed<K, T> {
-    at: f64,
-    tie: K,
+struct Event<T> {
+    /// The total-order bits of the time (the order `f64::total_cmp` uses)
+    /// above the 64-bit tie, so one unsigned compare orders by time, then
+    /// by tie.
+    key: u128,
     item: T,
 }
 
-impl<K: Ord, T> Ord for Timed<K, T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .at
-            .total_cmp(&self.at)
-            .then_with(|| other.tie.cmp(&self.tie))
+impl<T> Event<T> {
+    fn new(at: f64, tie: u64, item: T) -> Self {
+        // A negative time flips every bit, any other only the sign bit.
+        let bits = at.to_bits();
+        let ordered = bits ^ ((bits as i64 >> 63) as u64 | 1 << 63);
+        Self {
+            key: (ordered as u128) << 64 | tie as u128,
+            item,
+        }
+    }
+
+    /// The event's time, unpacked bit for bit.
+    fn at(&self) -> f64 {
+        let ordered = (self.key >> 64) as u64;
+        f64::from_bits(ordered ^ (!((ordered as i64 >> 63) as u64) | 1 << 63))
+    }
+
+    fn tie(&self) -> u64 {
+        self.key as u64
     }
 }
 
-impl<K: Ord, T> PartialOrd for Timed<K, T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+/// A 4-ary min-heap of timed events: the earliest time pops first, then
+/// the smallest tie. A sift-down picks the least of four children with
+/// branch-free compares. Every heap of a run holds unique keys, so any
+/// exact min-heap pops its events in one order.
+#[derive(Debug)]
+struct EventHeap<T> {
+    entries: Vec<Event<T>>,
+}
+
+impl<T> Default for EventHeap<T> {
+    fn default() -> Self {
+        Self {
+            entries: Vec::new(),
+        }
     }
 }
 
-impl<K: Ord, T> PartialEq for Timed<K, T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other).is_eq()
+impl<T: Copy> EventHeap<T> {
+    fn clear(&mut self) {
+        self.entries.clear();
     }
-}
 
-impl<K: Ord, T> Eq for Timed<K, T> {}
-
-/// A min-heap of timed events.
-type Heap<K, T> = BinaryHeap<Timed<K, T>>;
-
-/// Pops the earliest entry of `heap` if it is due by `time`.
-fn pop_due<K: Ord, T>(heap: &mut Heap<K, T>, time: f64) -> Option<Timed<K, T>> {
-    if heap.peek()?.at <= time + EPS {
-        heap.pop()
-    } else {
-        None
+    fn is_empty(&self) -> bool {
+        self.entries.is_empty()
     }
-}
 
-/// Time of the earliest entry of `heap`, infinite when it is empty.
-fn next_at<K: Ord, T>(heap: &Heap<K, T>) -> f64 {
-    heap.peek().map_or(f64::INFINITY, |e| e.at)
+    /// Time of the earliest event, infinite when the heap is empty.
+    fn next_at(&self) -> f64 {
+        self.entries.first().map_or(f64::INFINITY, Event::at)
+    }
+
+    /// Pushes an event. Inlined: a late event, the common case, stops at
+    /// its first parent.
+    #[inline(always)]
+    fn push(&mut self, at: f64, tie: u64, item: T) {
+        let entry = Event::new(at, tie, item);
+        let mut pos = self.entries.len();
+        self.entries.push(entry);
+        while pos > 0 {
+            let parent = (pos - 1) / 4;
+            if self.entries[parent].key < entry.key {
+                break;
+            }
+            self.entries[pos] = self.entries[parent];
+            pos = parent;
+        }
+        self.entries[pos] = entry;
+    }
+
+    /// Pops the earliest event if it is due by `time`.
+    fn pop_due(&mut self, time: f64) -> Option<Event<T>> {
+        if self.next_at() > time + EPS {
+            return None;
+        }
+        self.pop()
+    }
+
+    /// Pops the earliest event. Kept out of line, so a `pop_due` that finds
+    /// nothing due costs a compare, not a call.
+    #[inline(never)]
+    fn pop(&mut self) -> Option<Event<T>> {
+        let last = self.entries.pop()?;
+        let Some(&top) = self.entries.first() else {
+            return Some(last);
+        };
+        self.sift_down(0, last);
+        Some(top)
+    }
+
+    /// Fills the hole at `pos` with `entry`, moving the least child up
+    /// while it is less than `entry`.
+    fn sift_down(&mut self, mut pos: usize, entry: Event<T>) {
+        let len = self.entries.len();
+        loop {
+            let first = 4 * pos + 1;
+            let child = if first + 4 <= len {
+                let kids = &self.entries[first..first + 4];
+                let low = (kids[1].key < kids[0].key) as usize;
+                let high = 2 + (kids[3].key < kids[2].key) as usize;
+                first + low + (high - low) * (kids[high].key < kids[low].key) as usize
+            } else if first < len {
+                (first + 1..len).fold(first, |least, c| {
+                    if self.entries[c].key < self.entries[least].key {
+                        c
+                    } else {
+                        least
+                    }
+                })
+            } else {
+                break;
+            };
+            if self.entries[child].key > entry.key {
+                break;
+            }
+            self.entries[pos] = self.entries[child];
+            pos = child;
+        }
+        self.entries[pos] = entry;
+    }
+
+    /// Removes and returns every event for which `take` holds, in no
+    /// particular order, and restores the heap order of the rest.
+    fn extract(&mut self, mut take: impl FnMut(&Event<T>) -> bool) -> Vec<Event<T>> {
+        let mut taken = Vec::new();
+        self.entries.retain(|e| {
+            let keep = !take(e);
+            if !keep {
+                taken.push(*e);
+            }
+            keep
+        });
+        if !taken.is_empty() && self.entries.len() > 1 {
+            for pos in (0..=(self.entries.len() - 2) / 4).rev() {
+                self.sift_down(pos, self.entries[pos]);
+            }
+        }
+        taken
+    }
 }
 
 /// A task attempt, stored in the run's arena at its start sequence. Its
@@ -279,14 +399,12 @@ struct Attempt {
     lost_at: f64,
 }
 
-/// Phase of an executor revocation: the announcement marks the executor
-/// revoked (no new tasks; a replacement may be requested), the reap at the
-/// end of the grace window loses whatever is still running on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum RevokePhase {
-    Announce,
-    Reap,
-}
+/// Tie bit of a reap in the revocation heap, above the executor index. An
+/// announcement (bit clear) marks the executor revoked (no new tasks; a
+/// replacement may be requested), the reap at the end of the grace window
+/// loses whatever is still running on it; at one time every announcement
+/// pops before any reap, each in executor order.
+const REAP: u64 = 1 << 63;
 
 /// A task lost to a revocation, waiting to be re-scheduled.
 #[derive(Debug, Clone, Copy)]
@@ -337,21 +455,23 @@ pub struct SimScratch {
     executors: Vec<ExecutorState>,
     /// Pending grants: the time each executor comes online, tied by
     /// request order, carrying the time it becomes usable.
-    pending: Heap<u64, f64>,
+    pending: EventHeap<f64>,
     /// Executors that become usable in the future, tied by index.
-    usable_queue: Heap<usize, ()>,
+    usable_queue: EventHeap<()>,
     /// Executors listed by free core-slots: per block of 64 executor
     /// indices, one bit word for each count 1..=ec (word `block * ec +
     /// count - 1`).
     free_slots: Vec<u64>,
-    /// In-flight task attempts by end time, tied by start sequence.
-    completions: Heap<u64, ()>,
+    /// In-flight task attempts by end time, tied by start sequence: 16
+    /// bytes an entry, the attempt itself sits in `attempts`.
+    completions: EventHeap<()>,
     /// Every task attempt of the run, indexed by its start sequence.
     attempts: Vec<Attempt>,
     /// Captured task records (only filled when the log is requested).
     records: Vec<TaskRecord>,
-    /// Pending executor revocations (empty without fault injection).
-    revocations: Heap<(RevokePhase, usize), FaultKind>,
+    /// Pending executor revocations (empty without fault injection), tied
+    /// by executor index, with [`REAP`] set for a reap.
+    revocations: EventHeap<FaultKind>,
     /// Lost tasks awaiting re-scheduling, FIFO by loss order.
     retry: VecDeque<RetryTask>,
     /// Loss count per task, flattened stage-major.
@@ -545,11 +665,22 @@ impl Simulator {
             if !run.in_progress() {
                 break None;
             }
-            run.bring_grants_online();
-            if let Some(reason) = run.process_revocations() {
-                break Some(reason);
+            // Steps 1–3 change nothing unless a grant, a revocation, the
+            // tick or the end of the driver overhead is due.
+            let due = run.event_due();
+            if due {
+                run.bring_grants_online();
+                if let Some(reason) = run.process_revocations() {
+                    break Some(reason);
+                }
             }
-            run.policy_tick();
+            if run.resources_exhausted() {
+                break Some(FailureReason::ResourcesExhausted);
+            }
+            if due {
+                run.policy_tick();
+                run.cache_next_event();
+            }
             run.dispatch();
             if !run.advance_time() {
                 break None;
@@ -578,6 +709,14 @@ struct Run<'a> {
     time: f64,
     next_tick: f64,
     tick_interval: f64,
+    /// Whether a tick with nothing else due in its slack may be folded
+    /// into the clock advance: true for a static policy, whose tick does
+    /// nothing.
+    folds_ticks: bool,
+    /// Earliest grant, revocation or end of the driver overhead, cached by
+    /// the last iteration that ran steps 1–3 (only they change the first
+    /// two; see [`Run::cache_next_event`]).
+    next_event: f64,
     skyline: Skyline,
     /// Executors requested so far, net of revocations.
     requested_target: usize,
@@ -615,6 +754,10 @@ impl<'a> Run<'a> {
                 AllocationPolicy::Dynamic(da) => da.schedule_interval_secs.max(0.25),
                 _ => 1.0,
             },
+            folds_ticks: matches!(sim.policy, AllocationPolicy::Static { .. }),
+            // The tick at time zero makes the first iteration run steps
+            // 1–3, which cache the real value.
+            next_event: f64::INFINITY,
             skyline: Skyline::new(),
             requested_target: 0,
             da_next_add: 1,
@@ -672,8 +815,8 @@ impl<'a> Run<'a> {
     /// on scheduling order, and executors on one node die together.
     fn bring_grants_online(&mut self) {
         let plan = &self.cfg.faults;
-        while let Some(grant) = pop_due(&mut self.s.pending, self.time) {
-            let (online_at, usable_at) = (grant.at, grant.item);
+        while let Some(grant) = self.s.pending.pop_due(self.time) {
+            let (online_at, usable_at) = (grant.at(), grant.item);
             let idx = self.s.executors.len();
             self.s.executors.push(ExecutorState {
                 usable_at,
@@ -684,11 +827,7 @@ impl<'a> Run<'a> {
             self.live += 1;
             // The free-slot index grows by a block of words per 64 indices.
             self.s.free_slots.resize((idx / 64 + 1) * self.ec, 0);
-            self.s.usable_queue.push(Timed {
-                at: usable_at,
-                tie: idx,
-                item: (),
-            });
+            self.s.usable_queue.push(usable_at, idx as u64, ());
             let mut revoke = (
                 online_at + plan.executor_lifetime(idx),
                 FaultKind::Preemption,
@@ -700,11 +839,7 @@ impl<'a> Run<'a> {
                 revoke = (node_loss_at, FaultKind::NodeLoss);
             }
             if revoke.0.is_finite() {
-                self.s.revocations.push(Timed {
-                    at: revoke.0,
-                    tie: (RevokePhase::Announce, idx),
-                    item: revoke.1,
-                });
+                self.s.revocations.push(revoke.0, idx as u64, revoke.1);
             }
         }
     }
@@ -713,26 +848,27 @@ impl<'a> Run<'a> {
     /// schedules its reap; a reap loses the tasks still running on it.
     /// Returns why the run must stop, if it must.
     fn process_revocations(&mut self) -> Option<FailureReason> {
-        while let Some(revoke) = pop_due(&mut self.s.revocations, self.time) {
-            let (phase, executor) = revoke.tie;
-            match phase {
-                RevokePhase::Announce => self.announce(revoke.at, executor, revoke.item),
-                RevokePhase::Reap => {
-                    if let Some(reason) = self.reap(executor) {
-                        return Some(reason);
-                    }
-                }
+        while let Some(revoke) = self.s.revocations.pop_due(self.time) {
+            let executor = (revoke.tie() & !REAP) as usize;
+            if revoke.tie() & REAP == 0 {
+                self.announce(revoke.at(), executor, revoke.item);
+            } else if let Some(reason) = self.reap(executor) {
+                return Some(reason);
             }
         }
-        // With re-acquisition disabled, total capacity loss leaves
-        // unfinished work that can never run: fail fast instead of ticking
-        // to the simulation bound.
+        None
+    }
+
+    /// Whether every executor was lost with nothing left to grant. With
+    /// re-acquisition disabled, total capacity loss leaves unfinished work
+    /// that can never run: the run fails fast instead of ticking to the
+    /// simulation bound. Checked every iteration, after step 2.
+    fn resources_exhausted(&self) -> bool {
         let s = &self.s;
-        let exhausted = s.completions.is_empty()
+        s.completions.is_empty()
             && s.pending.is_empty()
             && !s.executors.is_empty()
-            && self.live == 0;
-        exhausted.then_some(FailureReason::ResourcesExhausted)
+            && self.live == 0
     }
 
     /// Revokes `executor` (announced for `at`): it takes no new tasks, a
@@ -753,11 +889,9 @@ impl<'a> Run<'a> {
             self.grant(1);
             self.faults.replacements_requested += 1;
         }
-        self.s.revocations.push(Timed {
-            at: at + plan.grace_period_secs,
-            tie: (RevokePhase::Reap, executor),
-            item: kind,
-        });
+        self.s
+            .revocations
+            .push(at + plan.grace_period_secs, REAP | executor as u64, kind);
     }
 
     /// Reaps a revoked executor at the end of its grace window: every task
@@ -766,25 +900,21 @@ impl<'a> Run<'a> {
     /// when a task exceeds its retry cap.
     fn reap(&mut self, executor: usize) -> Option<FailureReason> {
         let time = self.time;
-        let lost_here = |c: &Timed<u64, ()>| {
-            self.s.attempts[c.tie as usize].executor == executor && c.at > time + EPS
-        };
-        if !self.s.completions.iter().any(lost_here) {
-            return None;
-        }
+        let s = &mut *self.s;
         // Rebuilding the heap is O(n), but reaps with in-flight tasks are
         // rare relative to scheduling events.
-        let (mut lost, kept): (Vec<_>, Vec<_>) = std::mem::take(&mut self.s.completions)
-            .into_vec()
-            .into_iter()
-            .partition(lost_here);
-        self.s.completions = BinaryHeap::from(kept);
+        let mut lost = s
+            .completions
+            .extract(|c| s.attempts[c.tie() as usize].executor == executor && c.at() > time + EPS);
+        if lost.is_empty() {
+            return None;
+        }
         // Lost tasks re-enter the retry queue in start order.
-        lost.sort_by_key(|c| c.tie);
+        lost.sort_by_key(Event::tie);
         let plan = &self.cfg.faults;
         let mut failure = None;
         for c in lost {
-            let a = self.s.attempts[c.tie as usize];
+            let a = self.s.attempts[c.tie() as usize];
             let exec = &mut self.s.executors[a.executor];
             exec.busy_slots = exec.busy_slots.saturating_sub(1);
             let elapsed = (time - a.start).max(0.0);
@@ -873,10 +1003,11 @@ impl<'a> Run<'a> {
         if self.time + EPS < self.cfg.driver_overhead_secs {
             return;
         }
-        while let Some(usable) = pop_due(&mut self.s.usable_queue, self.time) {
-            let exec = self.s.executors[usable.tie];
+        while let Some(usable) = self.s.usable_queue.pop_due(self.time) {
+            let idx = usable.tie() as usize;
+            let exec = self.s.executors[idx];
             if !exec.removed && exec.busy_slots < self.ec {
-                self.move_free(usable.tie, 0, self.ec - exec.busy_slots);
+                self.move_free(idx, 0, self.ec - exec.busy_slots);
             }
         }
         while self.free_total > 0 {
@@ -911,11 +1042,9 @@ impl<'a> Run<'a> {
         let free = self.ec - self.s.executors[exec].busy_slots;
         self.s.executors[exec].busy_slots += 1;
         self.move_free(exec, free, free - 1);
-        self.s.completions.push(Timed {
-            at: self.time + duration,
-            tie: self.s.attempts.len() as u64,
-            item: (),
-        });
+        self.s
+            .completions
+            .push(self.time + duration, self.s.attempts.len() as u64, ());
         self.s.attempts.push(Attempt {
             executor: exec,
             stage,
@@ -971,21 +1100,52 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// Step 5: advances the clock to the next event — a completion, a
-    /// grant, a revocation, the next tick, or the end of the driver
-    /// overhead. Returns false when nothing is left to happen (defensive:
-    /// the tick is always finite).
-    fn advance_time(&mut self) -> bool {
+    /// Whether a grant, a revocation, the tick or the end of the driver
+    /// overhead is due, so steps 1–3 must run.
+    fn event_due(&self) -> bool {
+        self.next_event.min(self.next_tick) <= self.time + EPS
+    }
+
+    /// Caches the earliest grant, revocation or end of the driver overhead
+    /// after steps 1–3. It holds until they run again: only they push
+    /// grants and revocations, and the clock cannot pass the overhead's end
+    /// without that end falling due first.
+    fn cache_next_event(&mut self) {
         let overhead_end = if self.time < self.cfg.driver_overhead_secs {
             self.cfg.driver_overhead_secs
         } else {
             f64::INFINITY
         };
-        let next = next_at(&self.s.completions)
-            .min(next_at(&self.s.pending))
-            .min(next_at(&self.s.revocations))
-            .min(self.next_tick)
+        self.next_event = self
+            .s
+            .pending
+            .next_at()
+            .min(self.s.revocations.next_at())
             .min(overhead_end);
+    }
+
+    /// Step 5: advances the clock to the next event — a completion, a
+    /// grant, a revocation, the next tick, or the end of the driver
+    /// overhead. Returns false when nothing is left to happen (defensive:
+    /// the tick is always finite).
+    ///
+    /// A static policy's tick first folds every tick before the simulation
+    /// bound that has no completion, grant, revocation, usable executor or
+    /// overhead end within `EPS` after it. Such a tick's iteration would
+    /// change nothing but `next_tick`, which the fold advances by the same
+    /// `+ tick_interval`: nothing pops, dispatch finds the slots and work
+    /// the last dispatch left, and the live count is already recorded. A
+    /// tick with an event in its slack still runs: it completes the tasks
+    /// due by then, and later starts move in their last bits.
+    fn advance_time(&mut self) -> bool {
+        let next = self.s.completions.next_at().min(self.next_event);
+        if self.folds_ticks {
+            let quiet_until = next.min(self.s.usable_queue.next_at());
+            while self.next_tick + EPS < quiet_until && self.next_tick < MAX_SIM_SECS {
+                self.next_tick += self.tick_interval;
+            }
+        }
+        let next = next.min(self.next_tick);
         if !next.is_finite() {
             return false;
         }
@@ -996,8 +1156,8 @@ impl<'a> Run<'a> {
     /// Step 6: completes every task that finished by now, freeing its slot
     /// and readying the children of stages it finished.
     fn complete_due_tasks(&mut self) {
-        while let Some(Timed { at: end, tie, .. }) = pop_due(&mut self.s.completions, self.time) {
-            let a = self.s.attempts[tie as usize];
+        while let Some(done) = self.s.completions.pop_due(self.time) {
+            let (end, a) = (done.at(), self.s.attempts[done.tie() as usize]);
             self.finished_tasks += 1;
             if a.lost_at.is_finite() {
                 // A retry finishing: recovery trailed the loss by this.
@@ -1035,11 +1195,11 @@ impl<'a> Run<'a> {
             let wave = i.checked_div(lag.executors_per_wave).unwrap_or(0);
             let allocated_at =
                 self.time + lag.grant_delay_secs + wave as f64 * lag.wave_interval_secs;
-            self.s.pending.push(Timed {
-                at: allocated_at,
-                tie: self.grant_seq,
-                item: allocated_at + lag.executor_startup_secs,
-            });
+            self.s.pending.push(
+                allocated_at,
+                self.grant_seq,
+                allocated_at + lag.executor_startup_secs,
+            );
             self.grant_seq += 1;
         }
         self.requested_target += count;
@@ -1064,9 +1224,13 @@ impl<'a> Run<'a> {
     }
 
     /// Records the live executor count (grants not yet online are not
-    /// counted).
+    /// counted) when it differs from the skyline's last change point. A
+    /// record of the same count would only move the skyline's end, which
+    /// `finish` sets to the elapsed time, past every record.
     fn record_skyline(&mut self) {
-        self.skyline.record(self.time, self.live);
+        if self.skyline.points().last().map(|p| p.1) != Some(self.live) {
+            self.skyline.record(self.time, self.live);
+        }
     }
 
     /// Recounts the live count and the free-slot index from the executors
@@ -1088,8 +1252,9 @@ impl<'a> Run<'a> {
         let bits: u32 = s.free_slots.iter().map(|w| w.count_ones()).sum();
         let queued = s
             .usable_queue
+            .entries
             .iter()
-            .filter(|u| !s.executors[u.tie].removed);
+            .filter(|u| !s.executors[u.tie() as usize].removed);
         assert_eq!(
             (self.live, bits as usize, self.free_total, queued.count()),
             (live, listed, free_total, waiting),
@@ -1419,10 +1584,90 @@ mod tests {
 
     #[test]
     fn completion_heap_entries_are_sixteen_bytes() {
-        fn entry_size<K, T>(_: &Heap<K, T>) -> usize {
-            std::mem::size_of::<Timed<K, T>>()
+        fn entry_size<T>(_: &EventHeap<T>) -> usize {
+            std::mem::size_of::<Event<T>>()
         }
         assert_eq!(entry_size(&SimScratch::new().completions), 16);
+    }
+
+    /// Pops every event of `heap` due by `now` and checks each against the
+    /// least entry of `reference`, ordered by `(at.total_cmp, tie)`; then
+    /// checks that the least remaining entry is not due.
+    fn drain_and_check(heap: &mut EventHeap<u64>, reference: &mut Vec<(f64, u64, u64)>, now: f64) {
+        reference.sort_by(|a, b| b.0.total_cmp(&a.0).then(b.1.cmp(&a.1)));
+        while let Some(event) = heap.pop_due(now) {
+            let (at, tie, item) = reference.pop().expect("heap popped more than it holds");
+            assert_eq!(
+                (event.at().to_bits(), event.tie(), event.item),
+                (at.to_bits(), tie, item),
+                "at {now}"
+            );
+        }
+        assert!(reference.last().is_none_or(|e| e.0 > now + EPS), "at {now}");
+        assert_eq!(
+            heap.next_at(),
+            reference.last().map_or(f64::INFINITY, |e| e.0)
+        );
+    }
+
+    #[test]
+    fn event_heap_pops_in_time_then_tie_order() {
+        let one = 1.0f64.to_bits();
+        // Times that stress the packed key: zero, subnormals, one-ULP
+        // neighbours, the largest finite time and infinity.
+        let specials = [
+            0.0,
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MIN_POSITIVE,
+            f64::from_bits(one - 1),
+            1.0,
+            f64::from_bits(one + 1),
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        let mut rng = StdRng::seed_from_u64(30);
+        let mut heap = EventHeap::default();
+        let mut reference: Vec<(f64, u64, u64)> = Vec::new();
+        let mut now = 0.0;
+        for seq in 0u64..3000 {
+            // An odd multiplier keeps ties unique and spreads their bits.
+            let tie = seq.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let at = match rng.gen_range(0..4) {
+                0 => specials[rng.gen_range(0..specials.len())],
+                // Another event's time, so equal times pop by tie.
+                1 if !reference.is_empty() => reference[rng.gen_range(0..reference.len())].0,
+                _ => now + rng.gen::<f64>() * 8.0,
+            };
+            heap.push(at, tie, seq);
+            reference.push((at, tie, seq));
+            if seq % 4 == 0 {
+                now += rng.gen::<f64>() * 3.0;
+                drain_and_check(&mut heap, &mut reference, now);
+            }
+            if seq % 101 == 100 {
+                // As a reap does: take the not-yet-due events of a subset.
+                let lost = |item: u64, at: f64| item.is_multiple_of(3) && at > now + EPS;
+                let mut taken: Vec<_> = heap
+                    .extract(|e| lost(e.item, e.at()))
+                    .iter()
+                    .map(|e| (e.at().to_bits(), e.tie(), e.item))
+                    .collect();
+                let mut expected: Vec<_> = reference
+                    .iter()
+                    .filter(|e| lost(e.2, e.0))
+                    .map(|e| (e.0.to_bits(), e.1, e.2))
+                    .collect();
+                reference.retain(|e| !lost(e.2, e.0));
+                taken.sort_by_key(|e| e.1);
+                expected.sort_by_key(|e| e.1);
+                assert_eq!(taken, expected);
+                assert!(!taken.is_empty());
+                drain_and_check(&mut heap, &mut reference, now);
+            }
+        }
+        drain_and_check(&mut heap, &mut reference, f64::INFINITY);
+        assert!(heap.is_empty() && reference.is_empty());
     }
 
     #[test]

@@ -209,3 +209,61 @@ fn task_log_capture_off_still_reports_totals() {
     assert_eq!(with_log.auc_executor_secs, without_log.auc_executor_secs);
     assert_eq!(with_log.total_task_secs, without_log.total_task_secs);
 }
+
+/// A three-stage DAG whose task durations are whole seconds plus 5e-10 s.
+/// Tasks start on whole-second ticks, so each completion lands inside the
+/// `1e-9` s slack after a tick: the tick iteration completes it, and the
+/// next wave starts on the tick, not 5e-10 s later.
+fn tick_window_dag() -> StageDag {
+    let task = |secs: f64| Task::new(secs + 5e-10);
+    StageDag::new(vec![
+        Stage {
+            id: 0,
+            tasks: vec![task(3.0); 24],
+            parents: vec![],
+        },
+        Stage {
+            id: 1,
+            tasks: vec![task(2.0); 6],
+            parents: vec![0],
+        },
+        Stage {
+            id: 2,
+            tasks: vec![task(4.0); 2],
+            parents: vec![1],
+        },
+    ])
+    .unwrap()
+}
+
+#[test]
+fn completions_inside_a_ticks_slack_pins() {
+    // Recorded before static ticks could be folded: a tick whose slack
+    // holds a completion must still run, or every later start moves.
+    // (executors, instant lag) -> (elapsed, AUC, max executors).
+    let cases = [
+        ((1, false), (34.0, 31.0, 1)),
+        ((3, false), (20.0, 51.0, 3)),
+        ((6, false), (17.0, 80.0, 6)),
+        ((16, false), (17.0, 176.0, 16)),
+        ((1, true), (34.0, 34.0, 1)),
+        ((5, true), (20.0, 100.0, 5)),
+    ];
+    for ((n, instant), pinned) in cases {
+        let cluster = if instant {
+            ClusterConfig {
+                lag: AllocationLag::instant(),
+                ..ClusterConfig::paper_default()
+            }
+        } else {
+            ClusterConfig::paper_default()
+        };
+        let simulator = Simulator::new(cluster, AllocationPolicy::static_allocation(n)).unwrap();
+        let r = simulator.run("tick", &tick_window_dag(), &RunConfig::deterministic());
+        assert_eq!(
+            (r.elapsed_secs, r.auc_executor_secs, r.max_executors),
+            pinned,
+            "static {n}, instant lag {instant}"
+        );
+    }
+}

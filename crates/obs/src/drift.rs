@@ -78,11 +78,6 @@ impl ResidualTracker {
         atomic_f64_max(&self.max_abs, rel.abs());
     }
 
-    /// Number of recorded pairs.
-    pub fn samples(&self) -> u64 {
-        self.samples.load(Ordering::Relaxed)
-    }
-
     /// Summarizes the accumulated residuals.
     pub fn signal(&self) -> DriftSignal {
         let samples = self.samples.load(Ordering::Relaxed);

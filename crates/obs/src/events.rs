@@ -8,8 +8,7 @@
 //! evicted — so an instrumented runtime can run forever without growing.
 //!
 //! Timestamps are monotonic nanoseconds from the sink's creation
-//! ([`EventSink::record`]); a caller with its own clock stamps events
-//! via [`EventSink::record_at`]. Recording locks only the calling thread's
+//! ([`EventSink::record`]). Recording locks only the calling thread's
 //! shard — a different shard per thread up to
 //! [`crate::DEFAULT_SHARDS`] — so the lock is
 //! uncontended in steady state.
@@ -101,8 +100,7 @@ pub enum EventKind {
 /// order of recording), and the typed payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
-    /// Nanoseconds: monotonic since sink creation for wall-clock
-    /// recorders, or the caller's own clock via `record_at`.
+    /// Nanoseconds, monotonic since sink creation.
     pub ts_ns: u64,
     /// Global recording sequence number (gap-free only while nothing is
     /// evicted).
@@ -164,10 +162,9 @@ impl EventSink {
         self.record_at(ts_ns, kind);
     }
 
-    /// Records `kind` with a caller-supplied timestamp (e.g. simulated
-    /// time). Timestamps only need to be meaningful to the caller;
-    /// [`snapshot`](Self::snapshot) sorts by `(ts_ns, seq)`.
-    pub fn record_at(&self, ts_ns: u64, kind: EventKind) {
+    /// Records `kind` stamped `ts_ns`; [`snapshot`](Self::snapshot) sorts
+    /// by `(ts_ns, seq)`.
+    fn record_at(&self, ts_ns: u64, kind: EventKind) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let event = Event { ts_ns, seq, kind };
         let mut shard = self.shards[thread_slot() % self.shards.len()]

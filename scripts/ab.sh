@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
-# Alternating-pairs A/B of perfbench's end-to-end metrics: this checkout's
-# working tree (the change) against a parent revision.
+# Alternating-pairs A/B of perfbench's end-to-end metrics: a change against
+# a parent revision. The change is this checkout's working tree, or
+# <change-rev> when given.
 #
-#   scripts/ab.sh <parent-rev> <workload> <metric>
+#   scripts/ab.sh <parent-rev> [<change-rev>] <workload> <metric>
 #
-# Exports <parent-rev> with `git archive` into a temporary directory, so the
-# parent builds from its committed files into a target directory of its own,
-# and builds perfbench in both trees with --locked, so a stale
-# perfbench/Cargo.lock fails the build instead of being rewritten. It then
+# Exports <parent-rev> (and <change-rev>, when given) with `git archive` into
+# a temporary directory, so each revision builds from its committed files
+# into a target directory of its own, and builds perfbench in both trees
+# with --locked, so a stale perfbench/Cargo.lock fails the build instead of
+# being rewritten. It then
 # runs 10 pairs of runs with `--trace 0`, each as long as BENCHMARK.json's
 # `run_seconds`. Both runs of a pair take the same seed, fresh for every
 # pair and printed with it; odd pairs run the parent first, even pairs the
@@ -35,20 +37,35 @@ set -euo pipefail
 shopt -s inherit_errexit
 cd "$(dirname "$0")/.."
 
-[[ $# -eq 3 ]] || { echo "usage: scripts/ab.sh <parent-rev> <workload> <metric>" >&2; exit 2; }
-parent_rev=$1 workload=$2 metric=$3 pairs=10
+usage="usage: scripts/ab.sh <parent-rev> [<change-rev>] <workload> <metric>"
+case $# in
+    3) parent_rev=$1 change_rev="" workload=$2 metric=$3 ;;
+    4) parent_rev=$1 change_rev=$2 workload=$3 metric=$4 ;;
+    *) echo "$usage" >&2; exit 2 ;;
+esac
+pairs=10
 command -v jq >/dev/null || { echo "ab.sh: jq not found" >&2; exit 2; }
 seconds="$(jq -er .run_seconds BENCHMARK.json)"
 better="$(jq -r --arg m "$metric" '.end_to_end[] | select(.name == $m) | .better' BENCHMARK.json)"
 [[ -n $better ]] || { echo "ab.sh: '$metric' is not an end-to-end metric of BENCHMARK.json" >&2; exit 2; }
-rev="$(git rev-parse --verify --quiet "$parent_rev^{commit}")" ||
-    { echo "ab.sh: '$parent_rev' is not a revision" >&2; exit 2; }
+commit() {
+    git rev-parse --verify --quiet "$1^{commit}" ||
+        { echo "ab.sh: '$1' is not a revision" >&2; exit 2; }
+}
+rev="$(commit "$parent_rev")"
+[[ -z $change_rev ]] || change_commit="$(commit "$change_rev")"
 
 tmp="$(mktemp -d -t ab.XXXXXX)"
 trap 'rm -rf "$tmp"' EXIT
 parent="$tmp/parent"
 mkdir "$parent"
 git archive "$rev" | tar -x -C "$parent"
+change="$PWD" change_name="working tree"
+if [[ -n $change_rev ]]; then
+    change="$tmp/change" change_name="$change_commit"
+    mkdir "$change"
+    git archive "$change_commit" | tar -x -C "$change"
+fi
 
 # Each side builds into its own target directory and runs from its own root.
 build() {
@@ -57,7 +74,7 @@ build() {
         cargo build --release --offline --locked --quiet --manifest-path "$1/perfbench/Cargo.toml"
 }
 build "$parent"
-build "$PWD"
+build "$change"
 
 # One run's JSON report (its last stdout line) with the run's host steal
 # (`host.steal_s` of the diagnostics line before it) added as `steal_s`,
@@ -72,17 +89,17 @@ run() {
 }
 
 base_seed="$(date +%s)"
-echo "A/B $workload $metric ($better is better): parent $rev vs working tree," \
+echo "A/B $workload $metric ($better is better): parent $rev vs $change_name," \
     "$pairs pairs of ${seconds}-s runs, seeds $base_seed + pair"
 for ((pair = 1; pair <= pairs; pair++)); do
     seed=$((base_seed + pair))
     if ((pair % 2)); then
         first=parent
         run "$parent" "$seed" "$tmp/parent.jsonl"
-        run "$PWD" "$seed" "$tmp/change.jsonl"
+        run "$change" "$seed" "$tmp/change.jsonl"
     else
         first=change
-        run "$PWD" "$seed" "$tmp/change.jsonl"
+        run "$change" "$seed" "$tmp/change.jsonl"
         run "$parent" "$seed" "$tmp/parent.jsonl"
     fi
     jq -nr --arg m "$metric" --arg b "$better" --arg pair "$pair" --arg seed "$seed" \

@@ -26,6 +26,10 @@ echo "==> compiled-forest bit-identity suites in release (the kernel's condition
 cargo test --release --offline -p ae-ml --test compiled_equivalence
 cargo test --release --offline --test compiled_inference
 
+echo "==> simulator pins in release (tier-1 runs them only in debug; the event heap's branch-free compares and the static tick fold compile differently when optimized)"
+cargo test --release --offline -p ae-engine --test scheduler_regression --test fault_determinism
+cargo test --release --offline -p autoexecutor --test training_regression
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets --offline -- -D warnings
 
@@ -53,7 +57,7 @@ cargo run --offline --release -p ae-bench --bin bench_faults -- --smoke --json "
 echo "==> obs smoke (trace roundtrip bit-identical, capture→replay determinism gate clean, obs overhead under bound)"
 cargo run --offline --release -p ae-bench --bin bench_obs -- --smoke --json "$reports/obs.json"
 
-echo "==> fleet smoke (4-shard aggregate qps >= 2x single-shard, finite per-shard p99 skew, zero dropped/errors)"
+echo "==> fleet smoke (4-shard aggregate qps >= 2x single-shard, finite per-shard p99 skew, finite load skew >= 1, zero dropped/errors)"
 cargo run --offline --release -p ae-bench --bin bench_fleet -- --smoke --json "$reports/fleet.json"
 
 echo "==> resilience smoke (1-of-4 shard kill: zero lost tickets, >= 60% goodput retained, probation re-admits)"
